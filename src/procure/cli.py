@@ -8,11 +8,10 @@ import json
 import os
 import random
 import sys
-from math import log
 
 import click
 
-from .core import ProcurementError, format_rat
+from .core import ProcurementError, format_rat, parse_rat
 from .instances import (
     gen_bounded_knapsack,
     gen_concave_additive,
@@ -24,49 +23,14 @@ from .instances import (
     serialize_instance,
 )
 from .mech_subadditive import phi
-from .oracles import adversarial_single_seller, optimal_allocation
+from .oracles import adversarial_single_seller
 from .verify import (
     CSV_HEADER,
-    FIXTURE_IDS,
     MECHANISM_IDS,
-    enumerate_scenarios,
-    expected_value,
-    run_scenario,
+    MECHANISMS,
+    measure_ratio,
     verify_instance,
 )
-
-ALL_IDS = MECHANISM_IDS + FIXTURE_IDS
-
-
-def sample_scenario(mech: str, inst, seed: int) -> str:
-    """Deterministically sample a branch descriptor from the seed.
-
-    Draw order (documented for replay): additive lotteries take one
-    uniform draw against (p_greedy, p_star); the single-item mechanism one
-    draw against p_fire; the sampling mechanism m bits; the mix one draw
-    for the 1:2 coin, then the sub-draw.
-    """
-    rng = random.Random(seed)
-    if mech in ("m_add", "m_sym", "m_add_firstprice"):
-        scens = enumerate_scenarios(mech, inst)
-        r = rng.random()
-        acc = 0.0
-        for s in scens:
-            acc += s.probability
-            if r < acc:
-                return s.branch
-        return scens[-1].branch
-    if mech == "m_one":
-        p = 1.0 / (1.0 + log(inst.total_units))
-        return "fire" if rng.random() < p else "skip"
-    if mech == "m_rand":
-        return f"rand:{rng.getrandbits(inst.m):#b}"
-    if mech == "m_sub":
-        if rng.random() < 0.5:
-            return f"rand:{rng.getrandbits(inst.m):#b}"
-        p = 1.0 / (1.0 + log(inst.total_units))
-        return "one:fire" if rng.random() < p else "one:skip"
-    raise click.UsageError(f"unknown mechanism {mech}")
 
 
 @click.group()
@@ -76,16 +40,19 @@ def main():
 
 @main.command("run")
 @click.argument("instance_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--mechanism", "-m", required=True, type=click.Choice(ALL_IDS))
+@click.option(
+    "--mechanism", "-m", required=True, type=click.Choice(tuple(MECHANISMS))
+)
 @click.option("--scenario", default=None, help="Replay a fixed branch descriptor.")
 @click.option("--seed", default=0, show_default=True, type=int)
 def cmd_run(instance_path, mechanism, scenario, seed):
     """Run one (sampled or replayed) realization and print the outcome."""
     try:
         inst, bids = load_instance(instance_path)
-        branch = scenario or sample_scenario(mechanism, inst, seed)
-        outcome = run_scenario(mechanism, inst, bids, branch)
-    except ProcurementError as exc:
+        lottery = MECHANISMS[mechanism]
+        branch = scenario or lottery.sample(inst, random.Random(seed))
+        outcome = lottery.run(inst, bids, branch)
+    except (ProcurementError, ValueError) as exc:
         raise click.ClickException(str(exc))
     click.echo(
         json.dumps(
@@ -141,7 +108,7 @@ def _verify_targets(specs):
     "--mechanism",
     "mechanisms",
     multiple=True,
-    type=click.Choice(ALL_IDS),
+    type=click.Choice(tuple(MECHANISMS)),
     help="Mechanisms to check (default: all five).",
 )
 @click.option("--grid", default=64, show_default=True, help="Uniform deviation grid size.")
@@ -184,13 +151,7 @@ def cmd_verify(targets, mechanisms, grid, strict, out):
     sys.exit(0 if failures == 0 else 1)
 
 
-FAMILIES = (
-    "concave-additive",
-    "bounded-knapsack",
-    "symmetric",
-    "explicit-subadditive",
-    "adversarial",
-)
+FAMILIES = (*_GENERATORS, "adversarial")
 
 
 @main.command("generate")
@@ -204,20 +165,13 @@ FAMILIES = (
 def cmd_generate(family, seed, sellers, n, k, budget, out):
     """Generate a seeded instance file (stdout unless --out)."""
     try:
-        if family == "concave-additive":
-            inst = gen_concave_additive(seed, max_sellers=sellers)
-        elif family == "bounded-knapsack":
-            inst = gen_bounded_knapsack(seed, max_sellers=sellers)
-        elif family == "symmetric":
-            inst = gen_symmetric(seed, max_sellers=sellers)
-        elif family == "explicit-subadditive":
-            inst = gen_explicit_subadditive(seed, max_items=sellers)
-        else:
-            from .core import parse_rat
-
+        if family == "adversarial":
             inst = adversarial_single_seller(
                 n, parse_rat(budget) if budget else n, k if k is not None else n
             )
+        else:
+            size = "max_items" if family == "explicit-subadditive" else "max_sellers"
+            inst = _GENERATORS[family](seed, **{size: sellers})
     except (ProcurementError, ValueError) as exc:
         raise click.ClickException(str(exc))
     if out:
@@ -244,18 +198,16 @@ def cmd_ratio_sweep(n_min, n_max, mechanisms, out):
     rows = []
     for n in range(n_min, n_max + 1):
         inst = adversarial_single_seller(n, n, n)
-        opt = optimal_allocation(inst)[1]
         for mech in mechanisms:
-            ev = expected_value(mech, inst)
-            ratio = float(opt) / ev if ev > 0 else float("inf")
+            rep = measure_ratio(mech, inst)
             rows.append(
                 [
                     n,
                     mech,
-                    ev,
-                    format_rat(opt),
-                    ratio,
-                    4.0 * (1.0 + log(n)),
+                    rep.expected_value,
+                    format_rat(rep.optimum),
+                    rep.ratio,
+                    MECHANISMS["m_add"].bound(n),
                     phi(n),
                 ]
             )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import log
 
 try:
     from gmpy2 import mpq as Rat
@@ -63,6 +64,11 @@ def format_rat(q) -> str:
 def ifloor(q) -> int:
     """Exact floor of a rational, as a Python int."""
     return int(q.numerator // q.denominator)
+
+
+def harmonic_factor(n: int) -> float:
+    """1 + ln n, the float bound on the harmonic number H_n."""
+    return 1.0 + log(n)
 
 
 # An allocation is a tuple of per-seller unit counts.
@@ -188,6 +194,18 @@ class Outcome:
     @property
     def total_payment(self):
         return sum(self.payments, Rat(0))
+
+
+def checked_bids(inst: Instance, bids):
+    """A bid profile as exact rationals; None stands for truthful bids."""
+    if bids is None:
+        return inst.costs
+    bids = tuple(Rat(b) for b in bids)
+    if len(bids) != inst.m:
+        raise ValueError("bid profile length mismatch")
+    if any(b < 0 for b in bids):
+        raise ValueError("bids must be >= 0")
+    return bids
 
 
 def utility(outcome: Outcome, true_costs, i: int):

@@ -117,6 +117,8 @@ def parse_instance(text: str):
                 bids.append(parse_rat(b))
             except (TypeError, ValueError) as exc:
                 raise InstanceFormatError(f"$.bids[{idx}]: {exc}") from exc
+            if bids[-1] < 0:
+                raise InstanceFormatError(f"$.bids[{idx}]: bids must be >= 0")
         bids = tuple(bids)
     return inst, bids
 

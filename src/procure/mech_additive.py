@@ -14,7 +14,6 @@ search over the rule's breakpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
 
 from .core import (
     Instance,
@@ -22,11 +21,10 @@ from .core import (
     Outcome,
     Rat,
     WrongValuationClass,
+    checked_bids,
     unit_vector,
 )
 from .valuations import BoundedKnapsack, ConcaveAdditive, Symmetric
-
-BRANCHES = ("greedy", "star", "bot")
 
 
 @dataclass(frozen=True)
@@ -50,14 +48,11 @@ class RankedPair:
         return (1, -(self.value / self.bid), self.seller, self.unit)
 
 
-@dataclass(frozen=True)
-class AddLottery:
-    """Branch probabilities and the fixed star seller of the lottery."""
-
-    p_greedy: float
-    p_star: float
-    p_bot: float
-    star_seller: int
+def _require_additive(inst: Instance):
+    if not isinstance(inst.valuation, (BoundedKnapsack, ConcaveAdditive)):
+        raise WrongValuationClass(
+            "mechanism requires a concave additive or bounded-knapsack valuation"
+        )
 
 
 def _positive_margins(inst: Instance):
@@ -66,28 +61,13 @@ def _positive_margins(inst: Instance):
     Requires a concave additive (or bounded-knapsack) valuation, where
     zero margins always form a suffix of each item's list.
     """
-    v = inst.valuation
-    if not isinstance(v, (BoundedKnapsack, ConcaveAdditive)):
-        raise WrongValuationClass(
-            "mechanism requires a concave additive or bounded-knapsack valuation"
-        )
-    return [[x for x in mm if x > 0] for mm in v.margins(inst.units)]
-
-
-def _checked_bids(inst: Instance, bids):
-    if bids is None:
-        return inst.costs
-    bids = tuple(Rat(b) for b in bids)
-    if len(bids) != inst.m:
-        raise ValueError("bid profile length mismatch")
-    if any(b < 0 for b in bids):
-        raise ValueError("bids must be >= 0")
-    return bids
+    _require_additive(inst)
+    return [[x for x in mm if x > 0] for mm in inst.valuation.margins(inst.units)]
 
 
 def ranked_pairs(inst: Instance, bids=None, exclude=None):
     """All positive-value (seller, unit) pairs in greedy rank order."""
-    bids = _checked_bids(inst, bids)
+    bids = checked_bids(inst, bids)
     margs = _positive_margins(inst)
     pairs = [
         RankedPair(i, j, mm[j - 1], bids[i])
@@ -101,7 +81,7 @@ def ranked_pairs(inst: Instance, bids=None, exclude=None):
 
 def greedy_allocate(inst: Instance, bids=None):
     """Allocation bought by the greedy branch under the given bids."""
-    bids = _checked_bids(inst, bids)
+    bids = checked_bids(inst, bids)
     pairs = ranked_pairs(inst, bids)
     budget = inst.budget
     prefix = Rat(0)
@@ -123,7 +103,7 @@ def pickup_flags(inst: Instance, bids=None):
     Equivalent to the longest-prefix rule of greedy_allocate; exposed so
     tests can check the equivalence directly.
     """
-    bids = _checked_bids(inst, bids)
+    bids = checked_bids(inst, bids)
     pairs = ranked_pairs(inst, bids)
     flags = []
     prefix = Rat(0)
@@ -140,7 +120,7 @@ def threshold(inst: Instance, i: int, j: int, bids=None):
     loses it.  Raises NoThreshold when the unit is not bought under the
     given bids (including zero-value units stripped before ranking).
     """
-    bids = _checked_bids(inst, bids)
+    bids = checked_bids(inst, bids)
     margs = _positive_margins(inst)
     if not 0 <= i < inst.m:
         raise IndexError(f"seller index {i} out of range")
@@ -178,14 +158,12 @@ def threshold(inst: Instance, i: int, j: int, bids=None):
 
 def greedy_payments(inst: Instance, bids=None):
     """Threshold payments for the greedy-branch allocation."""
-    bids = _checked_bids(inst, bids)
+    bids = checked_bids(inst, bids)
     alloc = greedy_allocate(inst, bids)
-    payments = []
-    for i, a in enumerate(alloc):
-        payments.append(
-            sum((threshold(inst, i, j, bids) for j in range(1, a + 1)), Rat(0))
-        )
-    return alloc, tuple(payments)
+    return alloc, tuple(
+        sum((threshold(inst, i, j, bids) for j in range(1, a + 1)), Rat(0))
+        for i, a in enumerate(alloc)
+    )
 
 
 def star_seller(inst: Instance) -> int:
@@ -201,31 +179,25 @@ def star_seller(inst: Instance) -> int:
     return best
 
 
-def lottery(inst: Instance) -> AddLottery:
-    n = inst.total_units
-    p_greedy = 1.0 / (2.0 * (1.0 + log(n)))
-    p_star = 0.5
-    return AddLottery(p_greedy, p_star, 1.0 - p_greedy - p_star, star_seller(inst))
-
-
-def _star_outcome(inst: Instance) -> Outcome:
-    i = star_seller(inst)
-    payments = [Rat(0)] * inst.m
-    payments[i] = inst.budget
-    return Outcome(unit_vector(inst.m, i), tuple(payments))
+def _posted_branch(inst: Instance, branch: str) -> Outcome:
+    """The branches that ignore bids: star buys the star seller's first unit
+    at price B, bot buys nothing."""
+    if branch == "star":
+        i = star_seller(inst)
+        payments = [Rat(0)] * inst.m
+        payments[i] = inst.budget
+        return Outcome(unit_vector(inst.m, i), tuple(payments))
+    if branch == "bot":
+        return inst.empty_outcome()
+    raise ValueError(f"unknown branch {branch!r}")
 
 
 def run_m_add(inst: Instance, bids, branch: str) -> Outcome:
     """One deterministic branch of the concave-additive lottery mechanism."""
+    _require_additive(inst)  # class check even on the branches ignoring bids
     if branch == "greedy":
-        alloc, payments = greedy_payments(inst, bids)
-        return Outcome(alloc, payments)
-    if branch == "star":
-        _positive_margins(inst)  # class check even on the posted branch
-        return _star_outcome(inst)
-    if branch == "bot":
-        return inst.empty_outcome()
-    raise ValueError(f"unknown branch {branch!r}")
+        return Outcome(*greedy_payments(inst, bids))
+    return _posted_branch(inst, branch)
 
 
 # Symmetric variant: units are interchangeable, so ranking is by bid alone.
@@ -239,7 +211,7 @@ def _require_symmetric(inst: Instance):
 def sym_allocate(inst: Instance, bids=None):
     """Buy the longest cheap prefix: rank units by bid, keep while bid <= B/rank."""
     _require_symmetric(inst)
-    bids = _checked_bids(inst, bids)
+    bids = checked_bids(inst, bids)
     pairs = [
         (bids[i], i, j)
         for i in range(inst.m)
@@ -287,7 +259,7 @@ def threshold_by_search(sold, candidates):
 def sym_threshold(inst: Instance, i: int, j: int, bids=None):
     """Critical bid for seller i's j-th unit under the symmetric rule."""
     _require_symmetric(inst)
-    bids = _checked_bids(inst, bids)
+    bids = checked_bids(inst, bids)
     if sym_allocate(inst, bids)[i] < j:
         raise NoThreshold(f"unit {j} of seller {i} is not bought under these bids")
     candidates = {inst.budget / rank for rank in range(1, inst.total_units + 1)}
@@ -301,24 +273,17 @@ def sym_threshold(inst: Instance, i: int, j: int, bids=None):
 
 
 def sym_payments(inst: Instance, bids=None):
-    bids = _checked_bids(inst, bids)
+    bids = checked_bids(inst, bids)
     alloc = sym_allocate(inst, bids)
-    payments = []
-    for i, a in enumerate(alloc):
-        payments.append(
-            sum((sym_threshold(inst, i, j, bids) for j in range(1, a + 1)), Rat(0))
-        )
-    return alloc, tuple(payments)
+    return alloc, tuple(
+        sum((sym_threshold(inst, i, j, bids) for j in range(1, a + 1)), Rat(0))
+        for i, a in enumerate(alloc)
+    )
 
 
 def run_m_sym(inst: Instance, bids, branch: str) -> Outcome:
     """One deterministic branch of the symmetric-valuation lottery mechanism."""
     _require_symmetric(inst)
     if branch == "greedy":
-        alloc, payments = sym_payments(inst, bids)
-        return Outcome(alloc, payments)
-    if branch == "star":
-        return _star_outcome(inst)
-    if branch == "bot":
-        return inst.empty_outcome()
-    raise ValueError(f"unknown branch {branch!r}")
+        return Outcome(*sym_payments(inst, bids))
+    return _posted_branch(inst, branch)

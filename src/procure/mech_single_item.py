@@ -12,18 +12,14 @@ probability 1/(1 + ln n) and otherwise buys nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
 
-from .core import Instance, Outcome, Rat, ifloor, unit_vector
-
-BRANCHES = ("fire", "skip")
+from .core import Instance, Outcome, Rat, checked_bids, ifloor, unit_vector
 
 
 @dataclass(frozen=True)
 class OneLottery:
     """A resolved plan: winner, unit count, crossover rank, and thresholds."""
 
-    p_fire: float
     winner: int
     count: int
     crossover: int
@@ -43,7 +39,7 @@ def affordable_count(inst: Instance, i: int, bid) -> int:
 
 def single_item_values(inst: Instance, bids=None):
     """Value of each seller's affordable single-item bundle under the bids."""
-    bids = inst.costs if bids is None else tuple(Rat(b) for b in bids)
+    bids = checked_bids(inst, bids)
     return tuple(
         inst.value(unit_vector(inst.m, i, affordable_count(inst, i, bids[i])))
         for i in range(inst.m)
@@ -51,10 +47,7 @@ def single_item_values(inst: Instance, bids=None):
 
 
 def plan_m_one(inst: Instance, bids=None) -> OneLottery:
-    bids = inst.costs if bids is None else tuple(Rat(b) for b in bids)
-    if len(bids) != inst.m or any(b < 0 for b in bids):
-        raise ValueError("bad bid profile")
-    p_fire = 1.0 / (1.0 + log(inst.total_units))
+    bids = checked_bids(inst, bids)
     values = single_item_values(inst, bids)
     winner = 0
     for i, v in enumerate(values):
@@ -62,7 +55,7 @@ def plan_m_one(inst: Instance, bids=None) -> OneLottery:
             winner = i
     count = affordable_count(inst, winner, bids[winner])
     if count == 0:
-        return OneLottery(p_fire, winner, 0, 0, ())
+        return OneLottery(winner, 0, 0, ())
 
     # Rivals' values are fixed while the winner's bid is replaced, so the
     # first-place test only needs the best rival (lowest index on ties).
@@ -84,7 +77,7 @@ def plan_m_one(inst: Instance, bids=None) -> OneLottery:
     thresholds = tuple(budget / crossover for _ in range(crossover)) + tuple(
         budget / rank for rank in range(crossover + 1, count + 1)
     )
-    return OneLottery(p_fire, winner, count, crossover, thresholds)
+    return OneLottery(winner, count, crossover, thresholds)
 
 
 def run_m_one(inst: Instance, bids, branch: str) -> Outcome:

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log2
 
-from .core import Instance, Outcome, Rat, ifloor
-from .mech_single_item import run_m_one
+from .core import Instance, Outcome, Rat, checked_bids, ifloor
 from .valuations import demand
 
 ACCEPT_EPS = 1e-12
@@ -122,15 +121,6 @@ class RandRun:
     outcome: Outcome
 
 
-def _checked_bids(inst: Instance, bids):
-    if bids is None:
-        return inst.costs
-    bids = tuple(Rat(b) for b in bids)
-    if len(bids) != inst.m or any(b < 0 for b in bids):
-        raise ValueError("bad bid profile")
-    return bids
-
-
 def m_rand_detail(inst: Instance, bids, sample_group) -> RandRun:
     """Run the posted-price rounds for a fixed sample-group realization.
 
@@ -138,7 +128,7 @@ def m_rand_detail(inst: Instance, bids, sample_group) -> RandRun:
     only its complement can sell.  When the calibrated value is zero, a
     round is accepted only for a strictly positive allocation value.
     """
-    bids = _checked_bids(inst, bids)
+    bids = checked_bids(inst, bids)
     group = tuple(sorted(set(sample_group)))
     if any(not 0 <= i < inst.m for i in group):
         raise ValueError("sample group indices out of range")
@@ -184,32 +174,3 @@ def group_from_mask(mask: int, m: int) -> tuple:
     if not 0 <= mask < (1 << m):
         raise ValueError(f"mask {mask:#b} out of range for {m} sellers")
     return tuple(i for i in range(m) if mask >> i & 1)
-
-
-def mask_from_group(group, m: int) -> int:
-    mask = 0
-    for i in group:
-        mask |= 1 << i
-    return mask
-
-
-def parse_scenario(descriptor: str, m: int):
-    """Parse a replay descriptor: ``one:fire``, ``one:skip``, or ``rand:<mask>``."""
-    kind, _, arg = descriptor.partition(":")
-    if kind == "one" and arg in ("fire", "skip"):
-        return ("one", arg)
-    if kind == "rand":
-        try:
-            mask = int(arg, 0)
-        except ValueError as exc:
-            raise ValueError(f"bad sample-group mask {arg!r}") from exc
-        return ("rand", group_from_mask(mask, m))
-    raise ValueError(f"unknown scenario descriptor {descriptor!r}")
-
-
-def run_m_sub(inst: Instance, bids, descriptor: str) -> Outcome:
-    """Dispatch one scenario of the 1:1 mix of m_rand and m_one."""
-    kind, arg = parse_scenario(descriptor, inst.m)
-    if kind == "one":
-        return run_m_one(inst, bids, arg)
-    return run_m_rand(inst, bids, arg)

@@ -1,10 +1,11 @@
-"""Scenario enumeration, exact expectations, and the property harness.
+"""The mechanism registry, exact expectations, and the property harness.
 
-Every mechanism here is a lottery over deterministic branches, so exact
-expectations come from enumerating the branch space (3 branches for the
-additive lotteries, 2 for the single-item one, 2^m sample groups for the
-random-sampling one, and the 1:1 product mix).  Per-branch payments and
-values stay rational; only the probability weighting is floating point.
+``MECHANISMS`` defines each mechanism once, as a lottery over deterministic
+branches.  Exact expectations come from enumerating the branch space (3
+branches for the additive lotteries, 2 for the single-item one, 2^m sample
+groups for the random-sampling one, and the 1:1 mix of the last two).
+Per-branch payments and values stay rational; only the probability
+weighting is floating point.
 
 The harness checks dominant-strategy truthfulness on deviation grids built
 from the allocation rules' breakpoints, individual rationality, per-branch
@@ -17,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import log
 
 from . import mech_additive, mech_single_item, mech_subadditive
 from .core import (
@@ -25,7 +25,9 @@ from .core import (
     Outcome,
     Rat,
     SearchSpaceTooLarge,
+    checked_bids,
     format_rat,
+    harmonic_factor,
     unit_vector,
     utility,
 )
@@ -33,23 +35,27 @@ from .mech_subadditive import group_from_mask, phi
 from .oracles import optimal_allocation
 from .valuations import BoundedKnapsack, ConcaveAdditive, Symmetric
 
-MECHANISM_IDS = ("m_add", "m_sym", "m_one", "m_rand", "m_sub")
-# Deliberately non-truthful fixture (pay-as-bid on the greedy rule); it
-# exists so the test suite can prove the DST checker catches violations.
-FIXTURE_IDS = ("m_add_firstprice",)
-
 GROUP_ENUM_MAX_SELLERS = 16
 BUDGET_SLACK = 1e-9
-PROBABILITY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One deterministic branch of a mechanism and its probability."""
+    """One deterministic branch, its probability, and its payment cap: an
+    exact rational, or a float harmonic bound checked with BUDGET_SLACK.
+    An ``exact`` branch must pay the cap itself."""
 
-    mechanism: str
     branch: str
     probability: float
+    cap: object
+    exact: bool = False
+
+    def within_cap(self, total) -> bool:
+        if self.exact:
+            return total == self.cap
+        if isinstance(self.cap, float):
+            return float(total) <= self.cap + BUDGET_SLACK
+        return total <= self.cap
 
 
 @dataclass(frozen=True)
@@ -61,87 +67,256 @@ class Check:
     witness: dict | None = None
 
 
-def mechanism_applicable(mech: str, inst: Instance) -> str | None:
-    """None when the mechanism can run on the instance, else the reason."""
-    v = inst.valuation
-    if mech in ("m_add", "m_add_firstprice") and not isinstance(
-        v, (BoundedKnapsack, ConcaveAdditive)
-    ):
+def _harmonic_cap(inst: Instance) -> float:
+    return harmonic_factor(inst.total_units) * float(inst.budget)
+
+
+class Lottery:
+    """A mechanism: where it applies, its branches, how one branch runs, how
+    ``procure run`` samples one, its rule's breakpoints, and its ratio.
+
+    Each subclass defines ``scenarios(inst)``, the exhaustive branch list
+    with probabilities summing to 1, and ``run(inst, bids, branch)``, one
+    branch under the bids (None = truthful).  Methods reach mechanism
+    functions through their modules at call time (``mech_additive.run_m_add``,
+    never a stored reference), so a wrapper rebound on a module sees every
+    call.
+    """
+
+    def applicable(self, inst: Instance) -> str | None:
+        """None when the mechanism can run on the instance, else the reason."""
+        return None
+
+    def sample(self, inst: Instance, rng) -> str:
+        """One uniform draw against the cumulative branch probabilities."""
+        scens = self.scenarios(inst)
+        r = rng.random()
+        acc = 0.0
+        for s in scens:
+            acc += s.probability
+            if r < acc:
+                return s.branch
+        return scens[-1].branch
+
+    def breakpoints(self, inst: Instance, bids, seller: int) -> set:
+        """Bids besides B/rank where the seller's allocation can change."""
+        return set()
+
+    def benchmark(self, inst: Instance):
+        """Name and value of the optimum the ratio is measured against."""
+        return "budget-optimum", optimal_allocation(inst)[1]
+
+    def bound(self, n: int) -> float | None:
+        """Proven ratio bound on n total units; None where none is proven."""
+        return None
+
+    def notes(self, inst: Instance) -> dict:
+        return {}
+
+
+class GreedyLottery(Lottery):
+    """m_add: the greedy branch w.p. 1/(2(1 + ln n)), one unit of the star
+    seller at price B w.p. 1/2, and nothing otherwise."""
+
+    def applicable(self, inst):
+        if isinstance(inst.valuation, (BoundedKnapsack, ConcaveAdditive)):
+            return None
         return "requires a concave additive or bounded-knapsack valuation"
-    if mech == "m_sym" and not isinstance(v, Symmetric):
-        return "requires a symmetric valuation"
-    if mech in ("m_rand", "m_sub") and inst.m > GROUP_ENUM_MAX_SELLERS:
-        return f"sample-group enumeration needs m <= {GROUP_ENUM_MAX_SELLERS}"
-    return None
 
-
-def enumerate_scenarios(mech: str, inst: Instance) -> list:
-    """Exhaustive branch list with probabilities summing to 1."""
-    n = inst.total_units
-    if mech in ("m_add", "m_sym", "m_add_firstprice"):
-        lot = mech_additive.lottery(inst)
+    def scenarios(self, inst):
+        p_greedy = 1.0 / (2.0 * harmonic_factor(inst.total_units))
         return [
-            Scenario(mech, "greedy", lot.p_greedy),
-            Scenario(mech, "star", lot.p_star),
-            Scenario(mech, "bot", lot.p_bot),
+            Scenario("greedy", p_greedy, _harmonic_cap(inst)),
+            Scenario("star", 0.5, inst.budget, exact=True),
+            Scenario("bot", 1.0 - p_greedy - 0.5, 0, exact=True),
         ]
-    if mech == "m_one":
-        p = 1.0 / (1.0 + log(n))
-        return [Scenario(mech, "fire", p), Scenario(mech, "skip", 1.0 - p)]
-    if mech == "m_rand":
+
+    def run(self, inst, bids, branch):
+        return mech_additive.run_m_add(inst, bids, branch)
+
+    def breakpoints(self, inst, bids, seller):
+        # Rank crossings with every rival pair, and the seller's thresholds.
+        points = set()
+        pairs = mech_additive.ranked_pairs(inst, bids)
+        own = [p for p in pairs if p.seller == seller]
+        rest = [p for p in pairs if p.seller != seller]
+        for po in own:
+            for pr in rest:
+                points.add(po.value * pr.bid / pr.value)
+        alloc = mech_additive.greedy_allocate(inst, bids)
+        for j in range(1, alloc[seller] + 1):
+            points.add(mech_additive.threshold(inst, seller, j, bids))
+        return points
+
+    def bound(self, n):
+        return 4.0 * harmonic_factor(n)
+
+
+class SymmetricLottery(GreedyLottery):
+    """m_sym: the m_add lottery with the cheapest-prefix greedy branch."""
+
+    def applicable(self, inst):
+        if isinstance(inst.valuation, Symmetric):
+            return None
+        return "requires a symmetric valuation"
+
+    def run(self, inst, bids, branch):
+        return mech_additive.run_m_sym(inst, bids, branch)
+
+    def breakpoints(self, inst, bids, seller):
+        points = {b for i, b in enumerate(bids) if i != seller}
+        alloc = mech_additive.sym_allocate(inst, bids)
+        for j in range(1, alloc[seller] + 1):
+            points.add(mech_additive.sym_threshold(inst, seller, j, bids))
+        return points
+
+
+class FirstPriceLottery(GreedyLottery):
+    """Deliberately non-truthful fixture: m_add paying bids on the greedy
+    branch.  It exists so the test suite can prove the DST check catches
+    violations."""
+
+    def run(self, inst, bids, branch):
+        if branch != "greedy":
+            return super().run(inst, bids, branch)
+        bids = checked_bids(inst, bids)
+        alloc = mech_additive.greedy_allocate(inst, bids)
+        return Outcome(alloc, tuple(a * b for a, b in zip(alloc, bids)))
+
+    def bound(self, n):
+        return None
+
+
+class SingleItemLottery(Lottery):
+    """m_one: the best-single-seller plan fires w.p. 1/(1 + ln n)."""
+
+    def scenarios(self, inst):
+        p = 1.0 / harmonic_factor(inst.total_units)
+        return [
+            Scenario("fire", p, _harmonic_cap(inst)),
+            Scenario("skip", 1.0 - p, 0, exact=True),
+        ]
+
+    def run(self, inst, bids, branch):
+        return mech_single_item.run_m_one(inst, bids, branch)
+
+    def benchmark(self, inst):
+        plan = mech_single_item.plan_m_one(inst)
+        opt = inst.value(unit_vector(inst.m, plan.winner, plan.count))
+        return "single-item-optimum", opt
+
+    def bound(self, n):
+        return harmonic_factor(n)
+
+
+class SamplingLottery(Lottery):
+    """m_rand: each seller joins the calibration group w.p. 1/2.
+
+    Branch ``rand:<mask>``: bit i set means seller i was sampled away.
+    """
+
+    def applicable(self, inst):
+        if inst.m > GROUP_ENUM_MAX_SELLERS:
+            return f"sample-group enumeration needs m <= {GROUP_ENUM_MAX_SELLERS}"
+        return None
+
+    def scenarios(self, inst):
         if inst.m > GROUP_ENUM_MAX_SELLERS:
             raise SearchSpaceTooLarge(
                 f"2^{inst.m} sample groups exceed the enumeration guard"
             )
         p = 0.5**inst.m
         return [
-            Scenario(mech, f"rand:{mask:#b}", p) for mask in range(1 << inst.m)
+            Scenario(f"rand:{mask:#b}", p, inst.budget)
+            for mask in range(1 << inst.m)
         ]
-    if mech == "m_sub":
-        inner = enumerate_scenarios("m_rand", inst)
-        p_fire = 1.0 / (1.0 + log(n))
-        return (
-            [
-                Scenario(mech, "one:fire", 0.5 * p_fire),
-                Scenario(mech, "one:skip", 0.5 * (1.0 - p_fire)),
-            ]
-            + [Scenario(mech, s.branch, 0.5 * s.probability) for s in inner]
-        )
-    raise ValueError(f"unknown mechanism {mech!r}")
+
+    def run(self, inst, bids, branch):
+        kind, _, arg = branch.partition(":")
+        if kind != "rand":
+            raise ValueError(f"bad m_rand scenario {branch!r}")
+        try:
+            mask = int(arg, 0)
+        except ValueError as exc:
+            raise ValueError(f"bad sample-group mask {arg!r}") from exc
+        group = group_from_mask(mask, inst.m)
+        return mech_subadditive.run_m_rand(inst, bids, group)
+
+    def sample(self, inst, rng):
+        return f"rand:{rng.getrandbits(inst.m):#b}"
+
+    def notes(self, inst):
+        n = inst.total_units
+        return {"phi": phi(n), "phi_guard_active": n < 4}
 
 
-def _run_firstprice(inst: Instance, bids, branch: str) -> Outcome:
-    bids = inst.costs if bids is None else tuple(Rat(b) for b in bids)
-    if branch == "greedy":
-        alloc = mech_additive.greedy_allocate(inst, bids)
-        return Outcome(alloc, tuple(a * b for a, b in zip(alloc, bids)))
-    return mech_additive.run_m_add(inst, bids, branch)
+class SubadditiveMix(Lottery):
+    """m_sub: a fair coin between m_one (branches ``one:fire`` and
+    ``one:skip``) and m_rand (branches ``rand:<mask>``)."""
+
+    def __init__(self, one: Lottery, rand: Lottery):
+        self.one, self.rand = one, rand
+
+    def applicable(self, inst):
+        return self.one.applicable(inst) or self.rand.applicable(inst)
+
+    def scenarios(self, inst):
+        return [
+            Scenario(f"one:{s.branch}", 0.5 * s.probability, s.cap, s.exact)
+            for s in self.one.scenarios(inst)
+        ] + [
+            Scenario(s.branch, 0.5 * s.probability, s.cap, s.exact)
+            for s in self.rand.scenarios(inst)
+        ]
+
+    def run(self, inst, bids, branch):
+        kind, _, arg = branch.partition(":")
+        if kind == "one":
+            return self.one.run(inst, bids, arg)
+        return self.rand.run(inst, bids, branch)
+
+    def sample(self, inst, rng):
+        if rng.random() < 0.5:
+            return self.rand.sample(inst, rng)
+        return f"one:{self.one.sample(inst, rng)}"
+
+    def notes(self, inst):
+        return {**self.one.notes(inst), **self.rand.notes(inst)}
+
+
+# Every mechanism by id.  ``procure run`` samples a branch with
+# ``sample(inst, random.Random(seed))``, in this draw order (fixed for
+# replay): m_add, m_sym and m_one take one uniform draw against their
+# cumulative branch probabilities, in list order; m_rand takes its mask from
+# getrandbits(m); m_sub flips a 1:1 coin with one uniform draw (below 1/2
+# picks m_rand), then takes the chosen half's own draw.
+MECHANISMS = {
+    "m_add": GreedyLottery(),
+    "m_sym": SymmetricLottery(),
+    "m_one": SingleItemLottery(),
+    "m_rand": SamplingLottery(),
+}
+MECHANISMS["m_sub"] = SubadditiveMix(MECHANISMS["m_one"], MECHANISMS["m_rand"])
+MECHANISM_IDS = tuple(MECHANISMS)  # the paper's five; fixtures follow
+MECHANISMS["m_add_firstprice"] = FirstPriceLottery()
+
+
+def _lottery(mech: str) -> Lottery:
+    try:
+        return MECHANISMS[mech]
+    except KeyError:
+        raise ValueError(f"unknown mechanism {mech!r}") from None
 
 
 def run_scenario(mech: str, inst: Instance, bids, branch: str) -> Outcome:
-    if mech == "m_add":
-        return mech_additive.run_m_add(inst, bids, branch)
-    if mech == "m_sym":
-        return mech_additive.run_m_sym(inst, bids, branch)
-    if mech == "m_one":
-        return mech_single_item.run_m_one(inst, bids, branch)
-    if mech == "m_rand":
-        kind, group = mech_subadditive.parse_scenario(branch, inst.m)
-        if kind != "rand":
-            raise ValueError(f"bad m_rand scenario {branch!r}")
-        return mech_subadditive.run_m_rand(inst, bids, group)
-    if mech == "m_sub":
-        return mech_subadditive.run_m_sub(inst, bids, branch)
-    if mech == "m_add_firstprice":
-        return _run_firstprice(inst, bids, branch)
-    raise ValueError(f"unknown mechanism {mech!r}")
+    return _lottery(mech).run(inst, bids, branch)
 
 
 def scenario_outcomes(mech: str, inst: Instance, bids=None):
-    bids = inst.costs if bids is None else tuple(Rat(b) for b in bids)
+    bids = checked_bids(inst, bids)
     return [
         (s, run_scenario(mech, inst, bids, s.branch))
-        for s in enumerate_scenarios(mech, inst)
+        for s in _lottery(mech).scenarios(inst)
     ]
 
 
@@ -159,52 +334,29 @@ def expected_payment(mech: str, inst: Instance, bids=None) -> float:
     )
 
 
-def deviation_breakpoints(mech: str, inst: Instance, bids, seller: int):
-    """Bids at which the allocation rule can change for this seller.
+def deviation_grid(mech, inst, bids, seller, resolution: int = 64):
+    """Deviation bids: the truthful bid, breakpoints straddled by one
+    millionth, and a uniform grid on (0, B].
 
-    Utility is piecewise constant between breakpoints, so straddling each
-    one catches every allocation change a uniform grid could miss.
+    Breakpoints are the bids where the seller's allocation can change: B/rank
+    for every rank, plus the mechanism's own.  Utility is piecewise constant
+    between them, so straddling each one catches every allocation change a
+    uniform grid could miss.
     """
     budget = inst.budget
     points = {budget / rank for rank in range(1, inst.total_units + 1)}
-    if mech in ("m_add", "m_add_firstprice"):
-        pairs = mech_additive.ranked_pairs(inst, bids)
-        own = [p for p in pairs if p.seller == seller]
-        rest = [p for p in pairs if p.seller != seller]
-        for po in own:
-            for pr in rest:
-                points.add(po.value * pr.bid / pr.value)
-        alloc = mech_additive.greedy_allocate(inst, bids)
-        for j in range(1, alloc[seller] + 1):
-            points.add(mech_additive.threshold(inst, seller, j, bids))
-    elif mech == "m_sym":
-        points |= {b for i, b in enumerate(bids) if i != seller}
-        alloc = mech_additive.sym_allocate(inst, bids)
-        for j in range(1, alloc[seller] + 1):
-            points.add(mech_additive.sym_threshold(inst, seller, j, bids))
-    return points
-
-
-def deviation_grid(mech, inst, bids, seller, resolution: int = 64):
-    """Deviation bids: the truthful bid, breakpoints straddled by one
-    millionth, and a uniform grid on (0, B]."""
+    points |= _lottery(mech).breakpoints(inst, bids, seller)
     grid = {bids[seller]}
-    for bp in deviation_breakpoints(mech, inst, bids, seller):
+    for bp in points:
         if bp > 0:
             delta = bp / 10**6
             grid |= {bp - delta, bp, bp + delta}
-    grid |= {
-        inst.budget * t / resolution for t in range(1, resolution + 1)
-    }
+    grid |= {budget * t / resolution for t in range(1, resolution + 1)}
     return sorted(grid)
 
 
 def check_dst(
-    mech: str,
-    inst: Instance,
-    resolution: int = 64,
-    strict: bool = False,
-    runner=None,
+    mech: str, inst: Instance, resolution: int = 64, strict: bool = False
 ) -> list:
     """Per-scenario, per-seller truthfulness on the deviation grid.
 
@@ -213,11 +365,10 @@ def check_dst(
     truthfully; ``strict`` additionally sweeps opponent bid grids on
     instances with at most two sellers.
     """
-    runner = runner or run_scenario
     costs = inst.costs
     checks = []
-    for scen in enumerate_scenarios(mech, inst):
-        truth_out = runner(mech, inst, costs, scen.branch)
+    for scen in _lottery(mech).scenarios(inst):
+        truth_out = run_scenario(mech, inst, costs, scen.branch)
         for i in range(inst.m):
             u_true = utility(truth_out, costs, i)
             witness = None
@@ -225,7 +376,9 @@ def check_dst(
                 if dev == costs[i]:
                     continue
                 profile = costs[:i] + (dev,) + costs[i + 1 :]
-                u_dev = utility(runner(mech, inst, profile, scen.branch), costs, i)
+                u_dev = utility(
+                    run_scenario(mech, inst, profile, scen.branch), costs, i
+                )
                 if u_dev > u_true:
                     witness = _witness(scen, i, costs, dev, u_true, u_dev)
                     break
@@ -233,7 +386,7 @@ def check_dst(
                 Check(f"dst:{scen.branch}:seller{i}", witness is None, witness)
             )
     if strict and inst.m <= 2:
-        checks.extend(_check_dst_strict(mech, inst, resolution, runner))
+        checks.extend(_check_dst_strict(mech, inst, resolution))
     return checks
 
 
@@ -248,7 +401,7 @@ def _witness(scen, seller, bids, deviation, u_true, u_dev) -> dict:
     }
 
 
-def _check_dst_strict(mech, inst, resolution, runner) -> list:
+def _check_dst_strict(mech, inst, resolution) -> list:
     # Approximate the full dominant-strategy quantifier on tiny instances:
     # opponents range over their own (truth-anchored) deviation grids.
     costs = inst.costs
@@ -257,7 +410,7 @@ def _check_dst_strict(mech, inst, resolution, runner) -> list:
         deviation_grid(mech, inst, costs, i, max(8, resolution // 8))
         for i in range(inst.m)
     ]
-    for scen in enumerate_scenarios(mech, inst):
+    for scen in _lottery(mech).scenarios(inst):
         for i in range(inst.m):
             others = [j for j in range(inst.m) if j != i]
             witness = None
@@ -266,16 +419,14 @@ def _check_dst_strict(mech, inst, resolution, runner) -> list:
                 for j, b in zip(others, opp_bids):
                     base[j] = b
                 base[i] = costs[i]
-                u_true = utility(
-                    runner(mech, inst, tuple(base), scen.branch), costs, i
-                )
+                out = run_scenario(mech, inst, tuple(base), scen.branch)
+                u_true = utility(out, costs, i)
                 for dev in opp_grids[i]:
                     if dev == costs[i]:
                         continue
                     base[i] = dev
-                    u_dev = utility(
-                        runner(mech, inst, tuple(base), scen.branch), costs, i
-                    )
+                    out = run_scenario(mech, inst, tuple(base), scen.branch)
+                    u_dev = utility(out, costs, i)
                     base[i] = costs[i]
                     if u_dev > u_true:
                         witness = _witness(
@@ -314,40 +465,18 @@ def check_ir(mech: str, inst: Instance) -> list:
 
 
 def check_budget(mech: str, inst: Instance) -> list:
-    """Per-branch payment bounds plus the expected-payment budget test."""
-    budget = inst.budget
-    harmonic_cap = (1.0 + log(inst.total_units)) * float(budget)
+    """Per-branch payment caps plus the expected-payment budget test."""
     checks = []
     expected = 0.0
     for scen, out in scenario_outcomes(mech, inst):
         total = out.total_payment
         expected += scen.probability * float(total)
-        branch = scen.branch
-        if branch in ("bot", "skip", "one:skip"):
-            ok = total == 0
-        elif branch == "star":
-            ok = total == budget
-        elif branch in ("greedy", "fire", "one:fire"):
-            ok = float(total) <= harmonic_cap + BUDGET_SLACK
-        else:  # posted-price rounds pay at most B exactly
-            ok = total <= budget
-        checks.append(
-            Check(
-                f"budget:{branch}",
-                ok,
-                None
-                if ok
-                else {"scenario": branch, "total_payment": format_rat(total)},
-            )
-        )
+        ok = scen.within_cap(total)
+        witness = {"scenario": scen.branch, "total_payment": format_rat(total)}
+        checks.append(Check(f"budget:{scen.branch}", ok, None if ok else witness))
+    ok = expected <= float(inst.budget) + BUDGET_SLACK
     checks.append(
-        Check(
-            "budget:expected",
-            expected <= float(budget) + BUDGET_SLACK,
-            None
-            if expected <= float(budget) + BUDGET_SLACK
-            else {"expected_payment": expected},
-        )
+        Check("budget:expected", ok, None if ok else {"expected_payment": expected})
     )
     return checks
 
@@ -366,24 +495,16 @@ class RatioReport:
 
 def measure_ratio(mech: str, inst: Instance) -> RatioReport:
     """Exact-expectation ratio; the bound is asserted only where proven."""
-    n = inst.total_units
+    lottery = _lottery(mech)
     ev = expected_value(mech, inst)
-    if mech == "m_one":
-        plan = mech_single_item.plan_m_one(inst)
-        opt = inst.value(unit_vector(inst.m, plan.winner, plan.count))
-        benchmark = "single-item-optimum"
-        bound = 1.0 + log(n)
-    else:
-        opt = optimal_allocation(inst)[1]
-        benchmark = "budget-optimum"
-        bound = (
-            4.0 * (1.0 + log(n)) if mech in ("m_add", "m_sym") else None
-        )
+    benchmark, opt = lottery.benchmark(inst)
     if ev > 0:
         ratio = float(opt) / ev
     else:
         ratio = 0.0 if opt == 0 else float("inf")
-    return RatioReport(mech, benchmark, ev, opt, ratio, bound)
+    return RatioReport(
+        mech, benchmark, ev, opt, ratio, lottery.bound(inst.total_units)
+    )
 
 
 @dataclass(frozen=True)
@@ -404,7 +525,7 @@ def greedy_marginal(inst: Instance, bids=None) -> list:
     index) until nothing affordable remains.  Not monotone in bids; the
     regression suite pins the canonical counterexample.
     """
-    bids = inst.costs if bids is None else tuple(Rat(b) for b in bids)
+    bids = checked_bids(inst, bids)
     units = inst.units
     alloc = (0,) * inst.m
     remaining = inst.budget
@@ -437,23 +558,28 @@ def greedy_marginal(inst: Instance, bids=None) -> list:
     return steps
 
 
+def _dominance_events(inst: Instance) -> list:
+    """Per sample group T: (T, whether opt(complement) >= opt(T) >= opt/8)."""
+    if inst.m > GROUP_ENUM_MAX_SELLERS:
+        raise SearchSpaceTooLarge("too many sellers for group enumeration")
+    opt = optimal_allocation(inst)[1]
+    events = []
+    for mask in range(1 << inst.m):
+        group = group_from_mask(mask, inst.m)
+        rest = tuple(i for i in range(inst.m) if i not in set(group))
+        v_group = optimal_allocation(inst, members=group)[1]
+        v_rest = optimal_allocation(inst, members=rest)[1]
+        events.append((group, v_rest >= v_group and 8 * v_group >= opt))
+    return events
+
+
 def partition_success_frequency(inst: Instance):
     """Exact fraction of sample groups where the kept half dominates.
 
     Counts groups T with opt(complement) >= opt(T) >= opt/8, over all 2^m
     equiprobable groups; returned as an exact rational.
     """
-    if inst.m > GROUP_ENUM_MAX_SELLERS:
-        raise SearchSpaceTooLarge("too many sellers for group enumeration")
-    opt = optimal_allocation(inst)[1]
-    hits = 0
-    for mask in range(1 << inst.m):
-        group = group_from_mask(mask, inst.m)
-        rest = tuple(i for i in range(inst.m) if i not in set(group))
-        v_group = optimal_allocation(inst, members=group)[1]
-        v_rest = optimal_allocation(inst, members=rest)[1]
-        if v_rest >= v_group and 8 * v_group >= opt:
-            hits += 1
+    hits = sum(1 for _, event in _dominance_events(inst) if event)
     return Rat(hits, 1 << inst.m)
 
 
@@ -466,22 +592,13 @@ def partition_chain_records(inst: Instance):
     factor times the calibrated value.  The second flag is what makes the
     whole mechanism's expectation chain go through when the first holds.
     """
-    from .mech_subadditive import m_rand_detail
-
-    if inst.m > GROUP_ENUM_MAX_SELLERS:
-        raise SearchSpaceTooLarge("too many sellers for group enumeration")
-    opt = optimal_allocation(inst)[1]
+    events = _dominance_events(inst)
     plan = mech_single_item.plan_m_one(inst)
     single = inst.value(unit_vector(inst.m, plan.winner, plan.count))
     factor = phi(inst.total_units)
     records = []
-    for mask in range(1 << inst.m):
-        group = group_from_mask(mask, inst.m)
-        rest = tuple(i for i in range(inst.m) if i not in set(group))
-        v_group = optimal_allocation(inst, members=group)[1]
-        v_rest = optimal_allocation(inst, members=rest)[1]
-        event = v_rest >= v_group and 8 * v_group >= opt
-        detail = m_rand_detail(inst, None, group)
+    for group, event in events:
+        detail = mech_subadditive.m_rand_detail(inst, None, group)
         realized = inst.value(detail.outcome.allocation)
         chain_ok = (
             float(realized + single)
@@ -563,24 +680,15 @@ CSV_HEADER = ["instance", "mechanism", "ratio", "bound", "pass_count", "fail_cou
 
 
 def verify_instance(
-    inst: Instance,
-    mechanisms,
-    resolution: int = 64,
-    strict: bool = False,
-    digest: str = "",
+    inst: Instance, mechanisms, resolution=64, strict=False, digest=""
 ) -> list:
     """Run the full check battery for each applicable mechanism."""
     reports = []
     for mech in mechanisms:
-        reason = mechanism_applicable(mech, inst)
-        notes = {}
-        if mech in ("m_rand", "m_sub"):
-            notes["phi"] = phi(inst.total_units)
-            notes["phi_guard_active"] = inst.total_units < 4
+        lottery = _lottery(mech)
+        reason = lottery.applicable(inst)
         if reason is not None:
-            reports.append(
-                Report(digest, mech, [], None, {"skipped": reason})
-            )
+            reports.append(Report(digest, mech, [], None, {"skipped": reason}))
             continue
         try:
             checks = (
@@ -590,11 +698,11 @@ def verify_instance(
             )
             ratio = measure_ratio(mech, inst)
         except SearchSpaceTooLarge as exc:
-            reports.append(
-                Report(digest, mech, [], None, {"skipped": str(exc)})
-            )
+            reports.append(Report(digest, mech, [], None, {"skipped": str(exc)}))
             continue
-        reports.append(Report(digest, mech, checks, ratio, notes or None))
+        reports.append(
+            Report(digest, mech, checks, ratio, lottery.notes(inst) or None)
+        )
     return reports
 
 

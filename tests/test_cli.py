@@ -93,6 +93,11 @@ def test_parse_errors_name_path():
     with pytest.raises(InstanceFormatError, match="version"):
         parse_instance(json.dumps({"version": "9", "budget": "4",
                                    "sellers": [], "valuation": {}}))
+    inst = greedy_nonmonotone_instance()
+    obj = json.loads(serialize_instance(inst))
+    obj["bids"] = ["-1", "3", "1"]
+    with pytest.raises(InstanceFormatError, match=r"\$\.bids\[0\]"):
+        parse_instance(json.dumps(obj))
 
 
 def test_run_replay_matches_library(runner, tmp_path):
@@ -226,3 +231,166 @@ def test_ratio_sweep(runner, tmp_path):
     assert len(rows) == 1 + 5 * 2  # n in 4..8, two mechanisms
     by_n = {(r[0], r[1]): r for r in rows[1:]}
     assert ("4", "m_add") in by_n and ("8", "m_sub") in by_n
+
+
+# Pinned replay values: each id's exact scenario list as (branch,
+# float.hex(probability)) and the branches `procure run --seed s` samples
+# for s in 0..9.  Changing any of them breaks recorded replays.
+def _wide17():
+    from procure.core import Instance, Rat, Seller
+    from procure.valuations import BoundedKnapsack
+
+    return Instance(
+        tuple(Seller(1 + i % 2, Rat(1 + i % 3)) for i in range(17)),
+        Rat(9),
+        BoundedKnapsack(tuple(Rat(1 + i % 4) for i in range(17))),
+    )
+
+
+def _pin_instance(name):
+    from procure.instances import gen_explicit_subadditive, gen_symmetric
+
+    return {
+        "concave21": lambda: gen_concave_additive(21),
+        "symmetric5": lambda: gen_symmetric(5),
+        "explicit51": lambda: gen_explicit_subadditive(51),
+        "wide17": _wide17,
+    }[name]()
+
+
+def _rand_pins(m, exponent):
+    return [
+        (f"rand:{mask:#b}", f"0x1.0000000000000p-{exponent}")
+        for mask in range(1 << m)
+    ]
+
+
+_ADD21 = [("greedy", "0x1.886bf2fbaa35dp-3"), ("star", "0x1.0000000000000p-1"),
+          ("bot", "0x1.3bca06822ae52p-2")]
+PINNED_SCENARIOS = {
+    ("concave21", "m_add"): _ADD21,
+    ("concave21", "m_add_firstprice"): _ADD21,
+    ("concave21", "m_one"): [("fire", "0x1.886bf2fbaa35dp-2"),
+                             ("skip", "0x1.3bca06822ae52p-1")],
+    ("concave21", "m_rand"): _rand_pins(2, 2),
+    ("concave21", "m_sub"): [("one:fire", "0x1.886bf2fbaa35dp-3"),
+                             ("one:skip", "0x1.3bca06822ae52p-2")]
+    + _rand_pins(2, 3),
+    ("symmetric5", "m_sym"): [("greedy", "0x1.2d5cef3e7f634p-3"),
+                              ("star", "0x1.0000000000000p-1"),
+                              ("bot", "0x1.69518860c04e6p-2")],
+    ("symmetric5", "m_one"): [("fire", "0x1.2d5cef3e7f634p-2"),
+                              ("skip", "0x1.69518860c04e6p-1")],
+    ("symmetric5", "m_rand"): _rand_pins(5, 5),
+    ("symmetric5", "m_sub"): [("one:fire", "0x1.2d5cef3e7f634p-3"),
+                              ("one:skip", "0x1.69518860c04e6p-2")]
+    + _rand_pins(5, 6),
+    ("explicit51", "m_one"): [("fire", "0x1.2e653c1293b31p-1"),
+                              ("skip", "0x1.a33587dad899ep-2")],
+    ("explicit51", "m_rand"): _rand_pins(2, 2),
+    ("explicit51", "m_sub"): [("one:fire", "0x1.2e653c1293b31p-2"),
+                              ("one:skip", "0x1.a33587dad899ep-3")]
+    + _rand_pins(2, 3),
+}
+_RAND2 = "0b11 0b0 0b11 0b0 0b0 0b10 0b11 0b1 0b0 0b1"
+_SUB2 = "one:skip 0b11 one:skip 0b10 0b0 one:skip one:skip 0b0 0b11 0b1"
+PINNED_SAMPLES = {
+    ("concave21", "m_add"): "bot greedy bot star star star bot star star star",
+    ("concave21", "m_add_firstprice"):
+        "bot greedy bot star star star bot star star star",
+    ("concave21", "m_one"): "skip fire skip fire fire skip skip fire fire skip",
+    ("concave21", "m_rand"): _RAND2,
+    ("concave21", "m_sub"): _SUB2,
+    ("symmetric5", "m_sym"): "bot greedy bot star star star bot star star star",
+    ("symmetric5", "m_one"): "skip fire skip fire fire skip skip skip fire skip",
+    ("symmetric5", "m_rand"): "0b11011 0b100 0b11110 0b111 0b111 0b10011 "
+                              "0b11001 0b1010 0b111 0b1110",
+    ("symmetric5", "m_sub"): "one:skip 0b11011 one:skip 0b10001 0b11 one:skip "
+                             "one:skip 0b100 0b11110 0b1011",
+    ("explicit51", "m_one"): "skip fire skip fire fire skip skip fire fire fire",
+    ("explicit51", "m_rand"): _RAND2,
+    ("explicit51", "m_sub"): _SUB2,
+    ("wide17", "m_rand"): "0b11011000001011000 0b100010011001011 "
+                          "0b11110100101111101 0b111100111010110 "
+                          "0b111100011011011 0b10011111011101100 "
+                          "0b11001011000110000 0b1010010111001101 "
+                          "0b111010000010010 0b1110110100001111",
+    ("wide17", "m_sub"): "one:skip 0b11011000111100010 one:skip "
+                         "0b10001011010100101 0b11010011010010 one:skip "
+                         "one:skip 0b100110100111100 0b11110110010110001 "
+                         "0b1011111100100010",
+}
+
+
+def _pinned_branches(text):
+    # Sample-group masks are pinned without their "rand:" prefix.
+    return [f"rand:{b}" if b.startswith("0b") else b for b in text.split()]
+
+
+@pytest.mark.parametrize("name,mech", sorted(PINNED_SAMPLES))
+def test_run_seed_replay_is_pinned(runner, tmp_path, name, mech):
+    from procure.core import SearchSpaceTooLarge
+    from procure.verify import MECHANISMS
+
+    inst = _pin_instance(name)
+    if name == "wide17":
+        with pytest.raises(SearchSpaceTooLarge):
+            MECHANISMS[mech].scenarios(inst)
+    else:
+        scens = MECHANISMS[mech].scenarios(inst)
+        assert [(s.branch, float.hex(s.probability)) for s in scens] == (
+            PINNED_SCENARIOS[name, mech]
+        )
+    path = tmp_path / "pin.json"
+    save_instance(path, inst)
+    sampled = []
+    for seed in range(10):
+        result = runner.invoke(
+            main, ["run", str(path), "--mechanism", mech, "--seed", str(seed)]
+        )
+        assert result.exit_code == 0, result.output
+        sampled.append(json.loads(result.output)["scenario"])
+    assert sampled == _pinned_branches(PINNED_SAMPLES[name, mech])
+
+
+def _run_error(runner, path, *args):
+    result = runner.invoke(main, ["run", str(path), *args])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    return lines[0]
+
+
+@pytest.mark.parametrize("mech", ["m_add", "m_sym", "m_add_firstprice"])
+def test_run_outside_valuation_class_is_an_error(runner, tmp_path, mech):
+    from procure.instances import gen_explicit_subadditive
+
+    path = tmp_path / "sub.json"
+    save_instance(path, gen_explicit_subadditive(51))
+    for seed in range(4):
+        line = _run_error(runner, path, "--mechanism", mech, "--seed", str(seed))
+        assert "requires" in line
+    line = _run_error(runner, path, "--mechanism", mech, "--scenario", "bot")
+    assert "requires" in line
+
+
+@pytest.mark.parametrize(
+    "mech,scenario",
+    [("m_add", "nope"), ("m_one", "one:fire"), ("m_rand", "rand:0b1000"),
+     ("m_sub", "rand:0b1000"), ("m_rand", "rand:xyz")],
+)
+def test_run_bad_scenario_is_an_error(runner, tmp_path, mech, scenario):
+    path = tmp_path / "c.json"
+    save_instance(path, gen_concave_additive(21))
+    _run_error(runner, path, "--mechanism", mech, "--scenario", scenario)
+
+
+def test_run_negative_bid_is_an_error(runner, tmp_path):
+    inst = gen_concave_additive(21)
+    obj = json.loads(serialize_instance(inst, bids=inst.costs))
+    obj["bids"][0] = "-1"
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(obj))
+    line = _run_error(runner, path, "--mechanism", "m_add", "--scenario", "greedy")
+    assert "$.bids[0]" in line

@@ -6,10 +6,10 @@ from procure.core import Instance, Rat, Seller
 from procure.valuations import BoundedKnapsack, ConcaveAdditive, Symmetric
 from procure.verify import (
     MECHANISM_IDS,
+    MECHANISMS,
     check_budget,
     check_dst,
     check_ir,
-    mechanism_applicable,
 )
 
 CASES = {
@@ -40,7 +40,7 @@ CASES = {
 def test_boundary_instances_stay_clean(name):
     inst = CASES[name]
     for mech in MECHANISM_IDS:
-        if mechanism_applicable(mech, inst):
+        if MECHANISMS[mech].applicable(inst):
             continue
         checks = (
             check_dst(mech, inst, resolution=32)

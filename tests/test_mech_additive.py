@@ -14,7 +14,6 @@ from procure.instances import gen_concave_additive, gen_symmetric
 from procure.mech_additive import (
     greedy_allocate,
     greedy_payments,
-    lottery,
     pickup_flags,
     ranked_pairs,
     run_m_add,
@@ -230,13 +229,17 @@ def test_wrong_valuation_class():
 
 
 def test_lottery_probabilities():
-    inst = gen_concave_additive(17)
-    lot = lottery(inst)
-    assert lot.p_greedy + lot.p_star + lot.p_bot == pytest.approx(1.0, abs=1e-12)
+    from procure.verify import MECHANISMS
+
+    def probs(inst):
+        return {s.branch: s.probability for s in MECHANISMS["m_add"].scenarios(inst)}
+
+    lot = probs(gen_concave_additive(17))
+    assert lot["greedy"] + lot["star"] + lot["bot"] == pytest.approx(1.0, abs=1e-12)
     single = Instance((Seller(1, Rat(1)),), Rat(2), BoundedKnapsack((Rat(1),)))
-    lot1 = lottery(single)
-    assert lot1.p_greedy == pytest.approx(0.5)
-    assert lot1.p_bot == pytest.approx(0.0, abs=1e-12)
+    lot1 = probs(single)
+    assert lot1["greedy"] == pytest.approx(0.5)
+    assert lot1["bot"] == pytest.approx(0.0, abs=1e-12)
 
 
 # Symmetric variant

@@ -9,14 +9,12 @@ from procure.mech_subadditive import (
     a_max,
     group_from_mask,
     m_rand_detail,
-    mask_from_group,
-    parse_scenario,
     phi,
     run_m_rand,
-    run_m_sub,
 )
 from procure.oracles import adversarial_single_seller, optimal_allocation_bruteforce
 from procure.valuations import ConcaveAdditive, Explicit
+from procure.verify import MECHANISMS
 
 
 def test_phi_guard():
@@ -127,27 +125,31 @@ def test_m_rand_ir_per_realization():
 
 
 def test_scenario_descriptors():
-    assert parse_scenario("one:fire", 3) == ("one", "fire")
-    assert parse_scenario("one:skip", 3) == ("one", "skip")
-    assert parse_scenario("rand:0b101", 3) == ("rand", (0, 2))
-    assert parse_scenario("rand:5", 3) == ("rand", (0, 2))
-    assert mask_from_group((0, 2), 3) == 5
+    from procure.mech_single_item import run_m_one
+
+    m_sub = MECHANISMS["m_sub"]
+    inst = greedy_nonmonotone_instance()
+    assert m_sub.run(inst, None, "one:fire") == run_m_one(inst, None, "fire")
+    assert m_sub.run(inst, None, "one:skip") == run_m_one(inst, None, "skip")
+    assert m_sub.run(inst, None, "rand:0b101") == run_m_rand(inst, None, (0, 2))
+    assert m_sub.run(inst, None, "rand:5") == run_m_rand(inst, None, (0, 2))
     assert group_from_mask(0, 3) == ()
     with pytest.raises(ValueError):
-        parse_scenario("rand:0b1000", 3)
+        m_sub.run(inst, None, "rand:0b1000")
     with pytest.raises(ValueError):
-        parse_scenario("both:fire", 3)
+        m_sub.run(inst, None, "both:fire")
     with pytest.raises(ValueError):
-        parse_scenario("rand:xyz", 3)
+        m_sub.run(inst, None, "rand:xyz")
 
 
 def test_run_m_sub_dispatch():
+    m_sub = MECHANISMS["m_sub"]
     inst = adversarial_single_seller(5, 5, 5)
-    assert run_m_sub(inst, None, "one:skip").allocation == (0,)
-    fire = run_m_sub(inst, None, "one:fire")
+    assert m_sub.run(inst, None, "one:skip").allocation == (0,)
+    fire = m_sub.run(inst, None, "one:fire")
     assert fire.payments[0] == Rat(137, 12)  # 5 * H_5
-    assert run_m_sub(inst, None, "rand:0b1").allocation == (0,)
-    assert run_m_sub(inst, None, "rand:0b0").allocation == (1,)
+    assert m_sub.run(inst, None, "rand:0b1").allocation == (0,)
+    assert m_sub.run(inst, None, "rand:0b0").allocation == (1,)
 
 
 def test_m_rand_concave_demand_path():

@@ -1,4 +1,5 @@
 import json
+import random
 from math import log
 
 import pytest
@@ -9,10 +10,10 @@ from procure.oracles import adversarial_single_seller
 from procure.valuations import BoundedKnapsack, ConcaveAdditive
 from procure.verify import (
     CSV_HEADER,
+    MECHANISMS,
     check_budget,
     check_dst,
     check_ir,
-    enumerate_scenarios,
     expected_payment,
     expected_value,
     greedy_marginal,
@@ -35,7 +36,7 @@ def two_seller():
 
 def test_scenario_probabilities_m_add():
     inst = adversarial_single_seller(5, 5, 5)
-    scens = enumerate_scenarios("m_add", inst)
+    scens = MECHANISMS["m_add"].scenarios(inst)
     probs = {s.branch: s.probability for s in scens}
     assert probs["greedy"] == pytest.approx(1 / (2 * (1 + log(5))), abs=1e-12)
     assert probs["star"] == 0.5
@@ -46,24 +47,39 @@ def test_scenario_probabilities_m_add():
 
 def test_scenario_probabilities_m_one_single_unit():
     inst = adversarial_single_seller(1, 2, 1)
-    scens = enumerate_scenarios("m_one", inst)
+    scens = MECHANISMS["m_one"].scenarios(inst)
     assert scens[0].branch == "fire"
     assert scens[0].probability == pytest.approx(1.0)
     assert scens[1].probability == pytest.approx(0.0, abs=1e-12)
 
 
+def _registry_instance(mech, two_seller):
+    if MECHANISMS[mech].applicable(two_seller) is None:
+        return two_seller
+    from procure.instances import gen_symmetric
+
+    return gen_symmetric(5, max_sellers=2, max_total_units=4)
+
+
 def test_scenario_spaces_and_sums(two_seller):
     inst3 = greedy_nonmonotone_instance()
-    assert len(enumerate_scenarios("m_rand", inst3)) == 8
+    assert len(MECHANISMS["m_rand"].scenarios(inst3)) == 8
     assert all(
         s.probability == pytest.approx(1 / 8)
-        for s in enumerate_scenarios("m_rand", inst3)
+        for s in MECHANISMS["m_rand"].scenarios(inst3)
     )
-    for mech in ("m_add", "m_one", "m_rand", "m_sub"):
-        inst = inst3 if mech in ("m_rand", "m_sub") else two_seller
-        total = sum(s.probability for s in enumerate_scenarios(mech, inst))
-        assert total == pytest.approx(1.0, abs=1e-9)
-    assert len(enumerate_scenarios("m_sub", inst3)) == 10
+    assert len(MECHANISMS["m_sub"].scenarios(inst3)) == 10
+    for mech, lottery in MECHANISMS.items():
+        for inst in (inst3, _registry_instance(mech, two_seller)):
+            if lottery.applicable(inst) is not None:
+                continue
+            scens = lottery.scenarios(inst)
+            total = sum(s.probability for s in scens)
+            assert total == pytest.approx(1.0, abs=1e-9), mech
+            branches = {s.branch for s in scens}
+            assert len(branches) == len(scens), mech
+            for seed in range(20):
+                assert lottery.sample(inst, random.Random(seed)) in branches
 
 
 def test_scenario_guard_many_sellers():
@@ -75,7 +91,7 @@ def test_scenario_guard_many_sellers():
         BoundedKnapsack((Rat(1),) * 17),
     )
     with pytest.raises(SearchSpaceTooLarge):
-        enumerate_scenarios("m_rand", wide)
+        MECHANISMS["m_rand"].scenarios(wide)
 
 
 def test_check_dst_passes_and_fixture_fails(two_seller):
@@ -213,8 +229,19 @@ def test_run_scenario_dispatch(two_seller):
     assert out.allocation == (0, 0, 0)
     with pytest.raises(ValueError):
         run_scenario("m_rand", inst3, None, "one:fire")
-    with pytest.raises(ValueError):
-        run_scenario("nope", inst3, None, "bot")
+    for mech, lottery in MECHANISMS.items():
+        inst = _registry_instance(mech, two_seller)
+        for scen in lottery.scenarios(inst):
+            out = run_scenario(mech, inst, None, scen.branch)
+            assert out == lottery.run(inst, None, scen.branch)
+            assert scen.within_cap(out.total_payment), (mech, scen.branch)
+    for call in (
+        lambda: run_scenario("nope", inst3, None, "bot"),
+        lambda: check_dst("nope", inst3),
+        lambda: verify_instance(inst3, ["nope"]),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_witness_replay_soundness(two_seller):
