@@ -47,9 +47,9 @@ def parse_rat(text: str):
 
     The sign may appear on the numerator only; the denominator must be a
     positive integer.  Anything else (floats, whitespace inside, signs on
-    the denominator) is rejected.
+    the denominator) and any non-string input are rejected with ValueError.
     """
-    m = _RAT_RE.match(text.strip())
+    m = _RAT_RE.match(text.strip()) if isinstance(text, str) else None
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
     num, den = m.group(1), m.group(2)

@@ -28,6 +28,7 @@ from .valuations import (
     Explicit,
     Symmetric,
     classify,
+    domain,
     valuation_from_json,
     valuation_to_json,
 )
@@ -65,7 +66,8 @@ def _expect(obj, key, path, kind=None):
     if not isinstance(obj, dict) or key not in obj:
         raise InstanceFormatError(f"{path}: missing field {key!r}")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    # bool is an int subclass, but JSON true/false is never a count.
+    if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
         raise InstanceFormatError(
             f"{path}.{key}: expected {kind.__name__}, got {type(val).__name__}"
         )
@@ -86,6 +88,8 @@ def parse_instance(text: str):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"$: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise InstanceFormatError("$: JSON nested too deeply") from exc
     version = _expect(obj, "version", "$", str)
     if version != FILE_VERSION:
         raise InstanceFormatError(f"$.version: unsupported version {version!r}")
@@ -239,7 +243,7 @@ def gen_explicit_monotone(seed, max_items=3, max_cap=2) -> Instance:
     m = rng.randint(2, max_items)
     caps = tuple(rng.randint(1, max_cap) for _ in range(m))
     table = {}
-    for alloc in _lex_domain(caps):
+    for alloc in domain(caps):
         if not any(alloc):
             table[alloc] = Rat(0)
             continue
@@ -253,12 +257,6 @@ def gen_explicit_monotone(seed, max_items=3, max_cap=2) -> Instance:
     budget = Rat(rng.randint(8, 40))
     sellers = tuple(Seller(c, _rand_cost(rng, budget)) for c in caps)
     return Instance(sellers, budget, Explicit.from_mapping(caps, table))
-
-
-def _lex_domain(caps):
-    import itertools
-
-    return itertools.product(*(range(c + 1) for c in caps))
 
 
 def gen_explicit_subadditive(
@@ -295,7 +293,7 @@ def gen_explicit_subadditive(
                 v = v * (1 + Rat(rng.randint(0, 2), 50))
             return v
 
-        table = {alloc: base(alloc) for alloc in _lex_domain(caps)}
+        table = {alloc: base(alloc) for alloc in domain(caps)}
         try:
             valuation = Explicit.from_mapping(caps, table)
         except ProcurementError:

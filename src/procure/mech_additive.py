@@ -6,9 +6,9 @@ proportional budget-share inequality, and pays each bought unit its exact
 critical bid.  A three-way lottery mixes this branch with buying one unit
 from the highest-margin seller at the full budget, and buying nothing.
 
-The symmetric-valuation variant ranks units by bid alone and buys the
-longest prefix with bid <= budget/rank; its thresholds are found by exact
-search over the rule's breakpoints.
+The symmetric-valuation variant is the same greedy with every unit worth 1:
+it ranks units by bid alone, buys the longest prefix with bid <= budget/rank,
+and pays the same closed-form thresholds.
 """
 
 from __future__ import annotations
@@ -168,10 +168,8 @@ def greedy_payments(inst: Instance, bids=None):
 
 def star_seller(inst: Instance) -> int:
     """Seller whose first unit has the highest marginal value (lowest index wins)."""
-    v = inst.valuation
-    if isinstance(v, Symmetric):
-        return 0
-    firsts = [mm[0] for mm in v.margins(inst.units)]
+    _require_additive(inst)
+    firsts = [mm[0] for mm in inst.valuation.margins(inst.units)]
     best = 0
     for i, x in enumerate(firsts):
         if x > firsts[best]:
@@ -200,76 +198,26 @@ def run_m_add(inst: Instance, bids, branch: str) -> Outcome:
     return _posted_branch(inst, branch)
 
 
-# Symmetric variant: units are interchangeable, so ranking is by bid alone.
+# Symmetric variant: units are interchangeable, so the greedy runs on the
+# instance with every unit worth 1.  The rate order is then bid ascending,
+# ties by (seller, unit), and the prefix value is the rank: keep a unit while
+# bid * rank <= B.
 
 
-def _require_symmetric(inst: Instance):
+def _unit_values(inst: Instance) -> Instance:
     if not isinstance(inst.valuation, Symmetric):
         raise WrongValuationClass("mechanism requires a symmetric valuation")
+    return Instance(inst.sellers, inst.budget, BoundedKnapsack((1,) * inst.m))
 
 
 def sym_allocate(inst: Instance, bids=None):
     """Buy the longest cheap prefix: rank units by bid, keep while bid <= B/rank."""
-    _require_symmetric(inst)
-    bids = checked_bids(inst, bids)
-    pairs = [
-        (bids[i], i, j)
-        for i in range(inst.m)
-        for j in range(1, inst.units[i] + 1)
-    ]
-    pairs.sort()
-    k = 0
-    for rank, (bid, _, _) in enumerate(pairs, start=1):
-        if bid * rank <= inst.budget:
-            k = rank
-    counts = [0] * inst.m
-    for bid, i, _ in pairs[:k]:
-        counts[i] += 1
-    return tuple(counts)
-
-
-def threshold_by_search(sold, candidates):
-    """Exact threshold of a monotone sold-below/lost-above bid predicate.
-
-    ``candidates`` must contain every bid at which the predicate can flip;
-    probes run strictly between consecutive candidates so ties never bite.
-    """
-    cands = sorted({Rat(c) for c in candidates if c > 0})
-    if not cands or not sold(cands[0] / 2):
-        raise NoThreshold("not sold at any positive bid")
-
-    def sold_above(t: int) -> bool:
-        probe = (
-            cands[t] + 1 if t == len(cands) - 1 else (cands[t] + cands[t + 1]) / 2
-        )
-        return sold(probe)
-
-    if sold_above(len(cands) - 1):
-        raise AssertionError("candidate set misses a breakpoint")
-    lo, hi = 0, len(cands) - 1  # invariant: sold_above(hi) is False
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sold_above(mid):
-            lo = mid + 1
-        else:
-            hi = mid
-    return cands[lo]
+    return greedy_allocate(_unit_values(inst), bids)
 
 
 def sym_threshold(inst: Instance, i: int, j: int, bids=None):
     """Critical bid for seller i's j-th unit under the symmetric rule."""
-    _require_symmetric(inst)
-    bids = checked_bids(inst, bids)
-    if sym_allocate(inst, bids)[i] < j:
-        raise NoThreshold(f"unit {j} of seller {i} is not bought under these bids")
-    candidates = {inst.budget / rank for rank in range(1, inst.total_units + 1)}
-    candidates |= {b for idx, b in enumerate(bids) if idx != i and b > 0}
-
-    def sold(bid) -> bool:
-        probe = bids[:i] + (bid,) + bids[i + 1 :]
-        return sym_allocate(inst, probe)[i] >= j
-
-    return threshold_by_search(sold, candidates)
+    return threshold(_unit_values(inst), i, j, bids)
 
 
 def sym_payments(inst: Instance, bids=None):
@@ -283,7 +231,7 @@ def sym_payments(inst: Instance, bids=None):
 
 def run_m_sym(inst: Instance, bids, branch: str) -> Outcome:
     """One deterministic branch of the symmetric-valuation lottery mechanism."""
-    _require_symmetric(inst)
+    view = _unit_values(inst)  # class check even on the branches ignoring bids
     if branch == "greedy":
         return Outcome(*sym_payments(inst, bids))
-    return _posted_branch(inst, branch)
+    return _posted_branch(view, branch)

@@ -11,14 +11,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .core import (
-    Instance,
-    Rat,
-    SearchSpaceTooLarge,
-    Seller,
-    ifloor,
-    unit_vector,
-)
+from .core import Instance, Rat, SearchSpaceTooLarge, Seller
 from .valuations import ADDITIVE_FAMILIES, BoundedKnapsack, domain, domain_size
 
 ENUM_LIMIT = 10**6
@@ -123,25 +116,6 @@ def _optimal_additive_dp(inst: Instance, units):
         else:  # pragma: no cover - DP reconstruction always succeeds
             raise AssertionError("knapsack reconstruction failed")
     return tuple(counts), opt
-
-
-def optimal_single_item(inst: Instance):
-    """Best single-seller purchase: (seller, unit count, value).
-
-    The count is min(units_i, floor(B / c_i)); a zero cost gets the +inf
-    floor convention, so the count is the seller's full supply.  Ties on
-    value go to the lowest seller index.
-    """
-    best = None
-    for i, s in enumerate(inst.sellers):
-        if s.cost == 0:
-            lam = s.units
-        else:
-            lam = min(s.units, ifloor(inst.budget / s.cost))
-        v = inst.value(unit_vector(inst.m, i, lam))
-        if best is None or v > best[2]:
-            best = (i, lam, v)
-    return best
 
 
 def adversarial_single_seller(n: int, budget, k: int) -> Instance:

@@ -362,31 +362,14 @@ def check_dst(
 
     Compares exact utilities; any strictly profitable deviation fails the
     check and is recorded with a replayable witness.  Opponents bid
-    truthfully; ``strict`` additionally sweeps opponent bid grids on
-    instances with at most two sellers.
+    truthfully; ``strict`` adds a ``dst-strict`` sweep on instances with at
+    most two sellers, where opponents range over their own (coarser)
+    deviation grids, approximating the full dominant-strategy quantifier.
     """
-    costs = inst.costs
-    checks = []
-    for scen in _lottery(mech).scenarios(inst):
-        truth_out = run_scenario(mech, inst, costs, scen.branch)
-        for i in range(inst.m):
-            u_true = utility(truth_out, costs, i)
-            witness = None
-            for dev in deviation_grid(mech, inst, costs, i, resolution):
-                if dev == costs[i]:
-                    continue
-                profile = costs[:i] + (dev,) + costs[i + 1 :]
-                u_dev = utility(
-                    run_scenario(mech, inst, profile, scen.branch), costs, i
-                )
-                if u_dev > u_true:
-                    witness = _witness(scen, i, costs, dev, u_true, u_dev)
-                    break
-            checks.append(
-                Check(f"dst:{scen.branch}:seller{i}", witness is None, witness)
-            )
+    checks = _dst_sweep("dst", mech, inst, resolution, False)
     if strict and inst.m <= 2:
-        checks.extend(_check_dst_strict(mech, inst, resolution))
+        coarse = max(8, resolution // 8)
+        checks += _dst_sweep("dst-strict", mech, inst, coarse, True)
     return checks
 
 
@@ -401,46 +384,36 @@ def _witness(scen, seller, bids, deviation, u_true, u_dev) -> dict:
     }
 
 
-def _check_dst_strict(mech, inst, resolution) -> list:
-    # Approximate the full dominant-strategy quantifier on tiny instances:
-    # opponents range over their own (truth-anchored) deviation grids.
+def _dst_sweep(name, mech, inst, resolution, sweep_opponents) -> list:
+    # One check per (scenario, seller): the first opponent profile, in grid
+    # order, under which some deviation beats the truthful bid is the witness.
     costs = inst.costs
-    checks = []
-    opp_grids = [
-        deviation_grid(mech, inst, costs, i, max(8, resolution // 8))
-        for i in range(inst.m)
+    scenarios = _lottery(mech).scenarios(inst)
+    grids = [
+        deviation_grid(mech, inst, costs, i, resolution) for i in range(inst.m)
     ]
-    for scen in _lottery(mech).scenarios(inst):
+    rival_bids = [grid if sweep_opponents else (c,) for grid, c in zip(grids, costs)]
+    checks = []
+    for scen in scenarios:
         for i in range(inst.m):
-            others = [j for j in range(inst.m) if j != i]
             witness = None
-            for opp_bids in itertools.product(*(opp_grids[j] for j in others)):
-                base = list(costs)
-                for j, b in zip(others, opp_bids):
-                    base[j] = b
-                base[i] = costs[i]
-                out = run_scenario(mech, inst, tuple(base), scen.branch)
+            for rivals in itertools.product(*rival_bids[:i], *rival_bids[i + 1 :]):
+                base = rivals[:i] + (costs[i],) + rivals[i:]
+                out = run_scenario(mech, inst, base, scen.branch)
                 u_true = utility(out, costs, i)
-                for dev in opp_grids[i]:
+                for dev in grids[i]:
                     if dev == costs[i]:
                         continue
-                    base[i] = dev
-                    out = run_scenario(mech, inst, tuple(base), scen.branch)
+                    profile = base[:i] + (dev,) + base[i + 1 :]
+                    out = run_scenario(mech, inst, profile, scen.branch)
                     u_dev = utility(out, costs, i)
-                    base[i] = costs[i]
                     if u_dev > u_true:
-                        witness = _witness(
-                            scen, i, tuple(base), dev, u_true, u_dev
-                        )
+                        witness = _witness(scen, i, base, dev, u_true, u_dev)
                         break
                 if witness:
                     break
             checks.append(
-                Check(
-                    f"dst-strict:{scen.branch}:seller{i}",
-                    witness is None,
-                    witness,
-                )
+                Check(f"{name}:{scen.branch}:seller{i}", witness is None, witness)
             )
     return checks
 

@@ -2,12 +2,36 @@
 
 from itertools import product
 
-from procure.core import Rat
-from procure.mech_additive import (
-    greedy_allocate,
-    ranked_pairs,
-    threshold_by_search,
-)
+from procure.core import NoThreshold, Rat, checked_bids
+from procure.mech_additive import greedy_allocate, ranked_pairs
+
+
+def threshold_by_search(sold, candidates):
+    """Exact threshold of a monotone sold-below/lost-above bid predicate.
+
+    ``candidates`` must contain every bid at which the predicate can flip;
+    probes run strictly between consecutive candidates so ties never bite.
+    """
+    cands = sorted({Rat(c) for c in candidates if c > 0})
+    if not cands or not sold(cands[0] / 2):
+        raise NoThreshold("not sold at any positive bid")
+
+    def sold_above(t: int) -> bool:
+        probe = (
+            cands[t] + 1 if t == len(cands) - 1 else (cands[t] + cands[t + 1]) / 2
+        )
+        return sold(probe)
+
+    if sold_above(len(cands) - 1):
+        raise AssertionError("candidate set misses a breakpoint")
+    lo, hi = 0, len(cands) - 1  # invariant: sold_above(hi) is False
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sold_above(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return cands[lo]
 
 
 def independent_threshold(inst, seller, unit, bids=None):
@@ -35,6 +59,41 @@ def independent_threshold(inst, seller, unit, bids=None):
     def sold(bid):
         probe = bids[:seller] + (bid,) + bids[seller + 1 :]
         return greedy_allocate(inst, probe)[seller] >= unit
+
+    return threshold_by_search(sold, candidates)
+
+
+def cheapest_prefix_allocate(inst, bids=None):
+    """The symmetric rule stated directly: rank units by bid, ties by
+    (seller, unit), and buy the longest prefix whose last unit has
+    bid * rank <= B."""
+    bids = checked_bids(inst, bids)
+    pairs = sorted(
+        (bids[i], i, j) for i in range(inst.m) for j in range(1, inst.units[i] + 1)
+    )
+    k = 0
+    for rank, (bid, _, _) in enumerate(pairs, start=1):
+        if bid * rank <= inst.budget:
+            k = rank
+    counts = [0] * inst.m
+    for _, i, _ in pairs[:k]:
+        counts[i] += 1
+    return tuple(counts)
+
+
+def cheapest_prefix_threshold(inst, seller, unit, bids=None):
+    """Critical bid of a unit under cheapest_prefix_allocate, by search over
+    the rule's breakpoints: B/rank for every rank and every positive rival
+    bid."""
+    bids = checked_bids(inst, bids)
+    if cheapest_prefix_allocate(inst, bids)[seller] < unit:
+        raise NoThreshold(f"unit {unit} of seller {seller} is not bought")
+    candidates = {inst.budget / rank for rank in range(1, inst.total_units + 1)}
+    candidates |= {b for i, b in enumerate(bids) if i != seller and b > 0}
+
+    def sold(bid):
+        probe = bids[:seller] + (bid,) + bids[seller + 1 :]
+        return cheapest_prefix_allocate(inst, probe)[seller] >= unit
 
     return threshold_by_search(sold, candidates)
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -78,6 +79,39 @@ def test_instance_file_round_trip_explicit():
     assert serialize_instance(parsed, bids) == text
 
 
+def _malformed(edit):
+    obj = json.loads(serialize_instance(greedy_nonmonotone_instance()))
+    edit(obj)
+    return json.dumps(obj)
+
+
+# Malformed instance files, each with the start of the error it must raise,
+# which names the bad JSON path.
+_MALFORMED_INPUTS = {
+    "bool-units": (
+        _malformed(lambda o: o["sellers"][0].update(units=True)),
+        r"^\$\.sellers\[0\]\.units: expected int, got bool",
+    ),
+    "number-bid": (
+        _malformed(lambda o: o.update(bids=[1, "1", "1"])),
+        r"^\$\.bids\[0\]: ",
+    ),
+    "number-table-value": (
+        _malformed(lambda o: o["valuation"]["table"][1].update(value=10)),
+        r"^\$\.valuation: ",
+    ),
+    "number-margin": (
+        json.dumps({
+            "version": "1", "budget": "4",
+            "sellers": [{"units": 1, "cost": "1"}],
+            "valuation": {"type": "concave_additive", "margins": [[3]]},
+        }),
+        r"^\$\.valuation: ",
+    ),
+    "deep-nesting": ("[" * 100000, r"^\$: "),
+}
+
+
 def test_parse_errors_name_path():
     from procure.instances import InstanceFormatError
 
@@ -98,6 +132,9 @@ def test_parse_errors_name_path():
     obj["bids"] = ["-1", "3", "1"]
     with pytest.raises(InstanceFormatError, match=r"\$\.bids\[0\]"):
         parse_instance(json.dumps(obj))
+    for text, path in _MALFORMED_INPUTS.values():
+        with pytest.raises(InstanceFormatError, match=path):
+            parse_instance(text)
 
 
 def test_run_replay_matches_library(runner, tmp_path):
@@ -394,3 +431,12 @@ def test_run_negative_bid_is_an_error(runner, tmp_path):
     path.write_text(json.dumps(obj))
     line = _run_error(runner, path, "--mechanism", "m_add", "--scenario", "greedy")
     assert "$.bids[0]" in line
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
+def test_run_malformed_input_is_an_error(runner, tmp_path, case):
+    text, path_re = _MALFORMED_INPUTS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    line = _run_error(runner, path, "--mechanism", "m_add")
+    assert re.match(path_re, line.removeprefix("Error: ")), line

@@ -26,7 +26,12 @@ from procure.mech_additive import (
 )
 from procure.valuations import Additive, BoundedKnapsack, ConcaveAdditive, Symmetric
 
-from helpers import independent_threshold
+from corpora import symmetric_corpus
+from helpers import (
+    cheapest_prefix_allocate,
+    cheapest_prefix_threshold,
+    independent_threshold,
+)
 
 
 @pytest.fixture
@@ -281,6 +286,47 @@ def test_sym_thresholds_flip(sym_inst):
             assert sym_allocate(sym_inst, tuple(bids))[i] >= j
             bids[i] = theta + delta
             assert sym_allocate(sym_inst, tuple(bids))[i] < j
+
+
+def _symmetric_bid_profiles(inst, rng, count=3):
+    """Truthful bids, then random profiles mixing zero, tied and B/k bids."""
+    yield inst.costs
+    budget = inst.budget
+    for _ in range(count):
+        bids = []
+        for _ in range(inst.m):
+            kind = rng.randrange(4)
+            if kind == 0:
+                bids.append(Rat(0))
+            elif kind == 1:
+                bids.append(budget / rng.randint(1, inst.total_units))
+            elif kind == 2 and bids:
+                bids.append(rng.choice(bids))
+            else:
+                bids.append(budget * Rat(rng.randint(1, 40), 32))
+        yield tuple(bids)
+
+
+def test_sym_rule_matches_cheapest_prefix_reference():
+    # sym_allocate and sym_threshold against the rule stated directly (rank
+    # by bid, keep while bid * rank <= B) and a search over its breakpoints.
+    rng = random.Random(31)
+    queries = 0
+    for inst in symmetric_corpus():
+        for bids in _symmetric_bid_profiles(inst, rng):
+            alloc = sym_allocate(inst, bids)
+            assert alloc == cheapest_prefix_allocate(inst, bids)
+            for i in range(inst.m):
+                for j in range(1, alloc[i] + 1):
+                    expected = cheapest_prefix_threshold(inst, i, j, bids)
+                    assert sym_threshold(inst, i, j, bids) == expected
+                    queries += 1
+                for j in range(alloc[i] + 1, inst.units[i] + 1):
+                    with pytest.raises(NoThreshold):
+                        sym_threshold(inst, i, j, bids)
+                    with pytest.raises(NoThreshold):
+                        cheapest_prefix_threshold(inst, i, j, bids)
+    assert queries > 500
 
 
 def test_sym_payments_cover_costs():

@@ -1,17 +1,17 @@
 import pytest
 
-from procure.core import Instance, Rat, Seller
+from procure.core import Instance, Rat, Seller, unit_vector
 from procure.instances import (
     gen_additive,
     gen_bounded_knapsack,
     gen_concave_additive,
     greedy_nonmonotone_instance,
 )
+from procure.mech_single_item import plan_m_one
 from procure.oracles import (
     adversarial_single_seller,
     optimal_allocation,
     optimal_allocation_bruteforce,
-    optimal_single_item,
 )
 from procure.valuations import BoundedKnapsack, ConcaveAdditive
 
@@ -53,6 +53,14 @@ def test_restricted_optimum():
         assert v <= full
         assert all(a == 0 for i, a in enumerate(alloc) if i not in members)
     assert optimal_allocation(inst, members=tuple(range(inst.m)))[1] == full
+
+
+def optimal_single_item(inst):
+    """Best single-seller purchase (seller, unit count, value), read off the
+    m_one plan under truthful bids."""
+    plan = plan_m_one(inst)
+    value = inst.value(unit_vector(inst.m, plan.winner, plan.count))
+    return plan.winner, plan.count, value
 
 
 def test_optimal_single_item_examples():

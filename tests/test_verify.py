@@ -110,6 +110,49 @@ def test_check_dst_strict_mode(two_seller):
     assert all(c.passed for c in checks)
 
 
+def test_check_dst_strict_pinned(two_seller):
+    # Every verdict and witness of both sweeps, as recorded before the
+    # strict sweep shared check_dst's loop.
+    names = [
+        f"{sweep}:{branch}:seller{i}"
+        for sweep in ("dst", "dst-strict")
+        for branch in ("greedy", "star", "bot")
+        for i in range(2)
+    ]
+
+    def verdicts(mech):
+        checks = check_dst(mech, two_seller, resolution=16, strict=True)
+        return [(c.name, c.passed, c.witness) for c in checks]
+
+    assert verdicts("m_add") == [(name, True, None) for name in names]
+
+    def witness(seller, bids, deviation, u_dev):
+        return {
+            "scenario": "greedy",
+            "seller": seller,
+            "bids": bids,
+            "deviation": deviation,
+            "u_true": "0",
+            "u_dev": u_dev,
+        }
+
+    failed = {
+        "dst:greedy:seller0": witness(
+            0, ["2", "3"], "2999997/1250000", "499997/625000"
+        ),
+        "dst:greedy:seller1": witness(1, ["2", "3"], "25/8", "1/8"),
+        "dst-strict:greedy:seller0": witness(
+            0, ["2", "5/4"], "2999997/1250000", "499997/625000"
+        ),
+        "dst-strict:greedy:seller1": witness(
+            1, ["5/4", "3"], "333333/100000", "33333/100000"
+        ),
+    }
+    assert verdicts("m_add_firstprice") == [
+        (name, name not in failed, failed.get(name)) for name in names
+    ]
+
+
 def test_check_dst_m_add_on_bounded_knapsack():
     from procure.instances import gen_bounded_knapsack
 
