@@ -92,6 +92,10 @@ def _verify_targets(specs):
                     f"bad generator spec {spec!r}; use "
                     "gen:<family>:<count>:<first-seed>"
                 )
+            if count < 1:
+                raise click.UsageError(
+                    f"bad generator spec {spec!r}; the count must be >= 1"
+                )
             for s in range(seed, seed + count):
                 yield generator(s)
         else:
@@ -182,8 +186,8 @@ def cmd_generate(family, seed, sellers, n, k, budget, out):
 
 
 @main.command("ratio-sweep")
-@click.option("--n-min", default=4, show_default=True, type=int)
-@click.option("--n-max", default=64, show_default=True, type=int)
+@click.option("--n-min", default=4, show_default=True, type=click.IntRange(min=1))
+@click.option("--n-max", default=64, show_default=True, type=click.IntRange(min=1))
 @click.option(
     "--mechanism",
     "mechanisms",

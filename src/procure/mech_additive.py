@@ -36,11 +36,6 @@ class RankedPair:
     value: object  # marginal value of this unit
     bid: object  # the seller's announced per-unit cost
 
-    @property
-    def rate(self):
-        """Value per unit of bid; None encodes +infinity (zero bid)."""
-        return None if self.bid == 0 else self.value / self.bid
-
     def sort_key(self):
         # Infinite-rate pairs first, then rate decreasing, ties by (i, j).
         if self.bid == 0:
@@ -95,22 +90,6 @@ def greedy_allocate(inst: Instance, bids=None):
     for pr in pairs[:k]:
         counts[pr.seller] += 1
     return tuple(counts)
-
-
-def pickup_flags(inst: Instance, bids=None):
-    """Per-rank pick-up test: each pair against its own prefix inequality.
-
-    Equivalent to the longest-prefix rule of greedy_allocate; exposed so
-    tests can check the equivalence directly.
-    """
-    bids = checked_bids(inst, bids)
-    pairs = ranked_pairs(inst, bids)
-    flags = []
-    prefix = Rat(0)
-    for pr in pairs:
-        prefix += pr.value
-        flags.append((pr, pr.bid * prefix <= inst.budget * pr.value))
-    return flags
 
 
 def threshold(inst: Instance, i: int, j: int, bids=None):
@@ -204,7 +183,8 @@ def run_m_add(inst: Instance, bids, branch: str) -> Outcome:
 # bid * rank <= B.
 
 
-def _unit_values(inst: Instance) -> Instance:
+def unit_values(inst: Instance) -> Instance:
+    """The symmetric instance with every unit of every seller worth 1."""
     if not isinstance(inst.valuation, Symmetric):
         raise WrongValuationClass("mechanism requires a symmetric valuation")
     return Instance(inst.sellers, inst.budget, BoundedKnapsack((1,) * inst.m))
@@ -212,12 +192,12 @@ def _unit_values(inst: Instance) -> Instance:
 
 def sym_allocate(inst: Instance, bids=None):
     """Buy the longest cheap prefix: rank units by bid, keep while bid <= B/rank."""
-    return greedy_allocate(_unit_values(inst), bids)
+    return greedy_allocate(unit_values(inst), bids)
 
 
 def sym_threshold(inst: Instance, i: int, j: int, bids=None):
     """Critical bid for seller i's j-th unit under the symmetric rule."""
-    return threshold(_unit_values(inst), i, j, bids)
+    return threshold(unit_values(inst), i, j, bids)
 
 
 def sym_payments(inst: Instance, bids=None):
@@ -231,7 +211,7 @@ def sym_payments(inst: Instance, bids=None):
 
 def run_m_sym(inst: Instance, bids, branch: str) -> Outcome:
     """One deterministic branch of the symmetric-valuation lottery mechanism."""
-    view = _unit_values(inst)  # class check even on the branches ignoring bids
+    view = unit_values(inst)  # class check even on the branches ignoring bids
     if branch == "greedy":
         return Outcome(*sym_payments(inst, bids))
     return _posted_branch(view, branch)

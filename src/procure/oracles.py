@@ -36,11 +36,6 @@ def optimal_allocation(inst: Instance, members=None):
     return _optimal_enum(inst, units)
 
 
-def optimal_allocation_bruteforce(inst: Instance, members=None):
-    """Enumeration-only optimum; the independent cross-check for the DP path."""
-    return _optimal_enum(inst, _capped_units(inst, members))
-
-
 def _optimal_enum(inst: Instance, units):
     size = domain_size(units)
     if size > ENUM_LIMIT:

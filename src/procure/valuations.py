@@ -32,16 +32,6 @@ DEMAND_ENUM_LIMIT = 10**6
 CLASSIFY_PAIR_LIMIT = 10**6
 TABLE_LIMIT = 10**6
 
-# Containment chain, most specific first.
-CLASS_CHAIN = (
-    "bounded-knapsack",
-    "concave-additive",
-    "diminishing-return",
-    "submodular",
-    "subadditive",
-)
-ALL_LABELS = frozenset(CLASS_CHAIN) | {"additive", "symmetric"}
-
 
 def _as_rats(xs):
     return tuple(Rat(x) for x in xs)
@@ -262,24 +252,10 @@ def domain_size(caps) -> int:
 
 
 def _check_caps(valuation, caps) -> None:
-    if isinstance(valuation, BoundedKnapsack):
-        if len(caps) != len(valuation.values):
-            raise ValueError("caps length mismatch")
-    elif isinstance(valuation, Additive):
-        if len(caps) != len(valuation.per_item):
-            raise ValueError("caps length mismatch")
-        if any(c > len(mm) for c, mm in zip(caps, valuation.per_item)):
-            raise ValueError("caps exceed the valuation's unit dimension")
-    elif isinstance(valuation, Symmetric):
-        if sum(caps) > len(valuation.margins):
-            raise ValueError("caps exceed the valuation's unit dimension")
-    elif isinstance(valuation, Explicit):
-        if len(caps) != len(valuation.caps) or any(
-            c > vc for c, vc in zip(caps, valuation.caps)
-        ):
-            raise ValueError("caps exceed the valuation's table domain")
-    else:
-        raise TypeError(f"unknown valuation type {type(valuation).__name__}")
+    try:
+        valuation.check_units(caps)
+    except MalformedValuation as exc:
+        raise ValueError(f"caps do not fit the valuation: {exc}") from exc
     if any(c < 0 for c in caps):
         raise ValueError("caps must be >= 0")
 
@@ -342,14 +318,6 @@ def _demand_enum(valuation, prices, caps) -> Alloc:
     return best
 
 
-def as_explicit(valuation, caps) -> Explicit:
-    """Materialize any valuation as an explicit table over ``caps``."""
-    _check_caps(valuation, caps)
-    if domain_size(caps) > TABLE_LIMIT:
-        raise SearchSpaceTooLarge("capped domain too large to materialize")
-    return Explicit.from_function(caps, valuation.value)
-
-
 def classify(valuation, caps) -> frozenset:
     """Labels from the class hierarchy that the valuation satisfies on caps.
 
@@ -359,9 +327,7 @@ def classify(valuation, caps) -> frozenset:
     """
     caps = tuple(int(c) for c in caps)
     _check_caps(valuation, caps)
-    if isinstance(valuation, BoundedKnapsack):
-        return _classify_margins(valuation.margins(caps))
-    if isinstance(valuation, Additive):
+    if isinstance(valuation, ADDITIVE_FAMILIES):
         return _classify_margins(valuation.margins(caps))
     if isinstance(valuation, Symmetric):
         return _classify_symmetric(valuation.margins, caps)
@@ -536,27 +502,40 @@ def valuation_to_json(valuation) -> dict:
     raise TypeError(f"unknown valuation type {type(valuation).__name__}")
 
 
+def _json_array(x) -> list:
+    # A JSON string is iterable too, but never stands for a list.
+    if not isinstance(x, list):
+        raise TypeError(f"expected an array, got {type(x).__name__}")
+    return x
+
+
+def _json_rats(xs) -> tuple:
+    return tuple(parse_rat(v) for v in _json_array(xs))
+
+
+def _json_counts(xs) -> tuple:
+    # bool is an int subclass, but JSON true/false is never a count.
+    if any(not isinstance(c, int) or isinstance(c, bool) for c in _json_array(xs)):
+        raise TypeError(f"expected integer counts, got {xs!r}")
+    return tuple(xs)
+
+
 def valuation_from_json(data: dict):
     try:
         kind = data["type"]
         if kind == "bounded_knapsack":
-            return BoundedKnapsack(tuple(parse_rat(v) for v in data["values"]))
-        if kind == "concave_additive":
-            return ConcaveAdditive(
-                tuple(tuple(parse_rat(v) for v in mm) for mm in data["margins"])
-            )
-        if kind == "additive":
-            return Additive(
-                tuple(tuple(parse_rat(v) for v in mm) for mm in data["margins"])
-            )
+            return BoundedKnapsack(_json_rats(data["values"]))
+        if kind in ("concave_additive", "additive"):
+            family = ConcaveAdditive if kind == "concave_additive" else Additive
+            return family(tuple(_json_rats(mm) for mm in _json_array(data["margins"])))
         if kind == "symmetric":
-            return Symmetric(tuple(parse_rat(v) for v in data["margins"]))
+            return Symmetric(_json_rats(data["margins"]))
         if kind == "explicit":
             return Explicit(
-                tuple(data["caps"]),
+                _json_counts(data["caps"]),
                 tuple(
-                    (tuple(row["alloc"]), parse_rat(row["value"]))
-                    for row in data["table"]
+                    (_json_counts(row["alloc"]), parse_rat(row["value"]))
+                    for row in _json_array(data["table"])
                 ),
             )
     except (KeyError, TypeError, ValueError) as exc:

@@ -126,3 +126,37 @@ def budget_corpora():
         "m_rand": concave_corpus() + small_tables,
         "m_sub": concave_corpus() + small_tables,
     }
+
+
+def greedy_nonmonotone_instance(eps=None) -> Instance:
+    """Three-seller diminishing-returns instance where the marginal
+    value-rate greedy is not monotone: when seller 2 lowers its bid from
+    1+eps to 1-eps it sells one unit instead of two."""
+    e = Rat(1, 100) if eps is None else Rat(eps)
+    table = {
+        (0, 0, 0): Rat(0),
+        (1, 0, 0): Rat(10),
+        (0, 1, 0): 10 + e,
+        (0, 0, 1): 10 - e,
+        (1, 1, 0): 15 + 5 * e,
+        (1, 0, 1): 15 - e,
+        (0, 2, 0): 15 - 4 * e,
+        (0, 1, 1): 15 + 6 * e,
+        (0, 0, 2): Rat(15),
+        (1, 2, 0): 16 + 6 * e,
+        (1, 1, 1): 16 + 4 * e,
+        (1, 0, 2): Rat(16),
+        (0, 2, 1): 16 + 5 * e,
+        (0, 1, 2): 16 + 7 * e,
+        (0, 2, 2): 16 + 7 * e,
+        (1, 2, 1): 16 + 7 * e,
+        (1, 1, 2): 16 + 7 * e,
+        (1, 2, 2): 16 + 7 * e,
+    }
+    caps = (1, 2, 2)
+    sellers = (
+        Seller(1, Rat(1)),
+        Seller(2, 1 + e),
+        Seller(2, Rat(1)),
+    )
+    return Instance(sellers, 3 + 2 * e, Explicit.from_mapping(caps, table))

@@ -1,9 +1,31 @@
-"""Independent oracles used to cross-check mechanism internals."""
+"""Test-side helpers: independent oracles that cross-check mechanism
+internals, and the analysis devices of the paper's proofs.
 
+The oracles restate a rule directly (exhaustive optimum and demand, the
+cheapest-prefix rule, thresholds by search over breakpoints).  The analysis
+helpers are not mechanisms: the per-rank pick-up test of the greedy, the
+marginal value-rate greedy and its non-monotonicity, the sample-group
+dominance event of the random-sampling argument, and explicit tables
+materialized from any valuation for the classifier cross-check.
+"""
+
+from dataclasses import dataclass
 from itertools import product
 
-from procure.core import NoThreshold, Rat, checked_bids
+from procure import mech_single_item, mech_subadditive
+from procure.core import (
+    Instance,
+    NoThreshold,
+    Rat,
+    SearchSpaceTooLarge,
+    checked_bids,
+    unit_vector,
+)
 from procure.mech_additive import greedy_allocate, ranked_pairs
+from procure.mech_subadditive import group_from_mask, phi
+from procure.oracles import optimal_allocation
+from procure.valuations import Explicit
+from procure.verify import BUDGET_SLACK, GROUP_ENUM_MAX_SELLERS
 
 
 def threshold_by_search(sold, candidates):
@@ -123,3 +145,125 @@ def brute_force_demand(valuation, prices, caps):
         if best is None or obj > best[1]:
             best = (alloc, obj)
     return best[0]
+
+
+def as_explicit(valuation, caps) -> Explicit:
+    """Materialize any valuation as an explicit table over ``caps``."""
+    return Explicit.from_function(caps, valuation.value)
+
+
+def pickup_flags(inst: Instance, bids=None):
+    """Per-rank pick-up test: each pair against its own prefix inequality.
+
+    Equivalent to the longest-prefix rule of greedy_allocate; exposed so
+    tests can check the equivalence directly.
+    """
+    bids = checked_bids(inst, bids)
+    pairs = ranked_pairs(inst, bids)
+    flags = []
+    prefix = Rat(0)
+    for pr in pairs:
+        prefix += pr.value
+        flags.append((pr, pr.bid * prefix <= inst.budget * pr.value))
+    return flags
+
+
+@dataclass(frozen=True)
+class GreedyStep:
+    """One step of the marginal value-rate greedy: state, marginals, pick."""
+
+    before: tuple
+    marginals: tuple
+    chosen: int
+    after: tuple
+
+
+def greedy_marginal(inst: Instance, bids=None) -> list:
+    """Marginal value-rate greedy trace (value-oracle only).
+
+    Repeatedly buys one unit of the affordable, uncapped item with the
+    highest marginal value per unit of bid (rate ties go to the lowest
+    index) until nothing affordable remains.  Not monotone in bids; the
+    regression suite pins the canonical counterexample.
+    """
+    bids = checked_bids(inst, bids)
+    units = inst.units
+    alloc = (0,) * inst.m
+    remaining = inst.budget
+    steps = []
+    while True:
+        marginals = []
+        base = inst.value(alloc)
+        for i in range(inst.m):
+            if alloc[i] >= units[i]:
+                marginals.append(Rat(0))
+            else:
+                bumped = alloc[:i] + (alloc[i] + 1,) + alloc[i + 1 :]
+                marginals.append(inst.value(bumped) - base)
+        afford = [
+            i
+            for i in range(inst.m)
+            if alloc[i] < units[i] and bids[i] <= remaining
+        ]
+        if not afford:
+            break
+        best = afford[0]
+        for i in afford[1:]:
+            # rate comparison marg/bid done by cross-multiplication
+            if marginals[i] * bids[best] > marginals[best] * bids[i]:
+                best = i
+        after = alloc[:best] + (alloc[best] + 1,) + alloc[best + 1 :]
+        steps.append(GreedyStep(alloc, tuple(marginals), best, after))
+        alloc = after
+        remaining -= bids[best]
+    return steps
+
+
+def _dominance_events(inst: Instance) -> list:
+    """Per sample group T: (T, whether opt(complement) >= opt(T) >= opt/8)."""
+    if inst.m > GROUP_ENUM_MAX_SELLERS:
+        raise SearchSpaceTooLarge("too many sellers for group enumeration")
+    opt = optimal_allocation(inst)[1]
+    events = []
+    for mask in range(1 << inst.m):
+        group = group_from_mask(mask, inst.m)
+        rest = tuple(i for i in range(inst.m) if i not in set(group))
+        v_group = optimal_allocation(inst, members=group)[1]
+        v_rest = optimal_allocation(inst, members=rest)[1]
+        events.append((group, v_rest >= v_group and 8 * v_group >= opt))
+    return events
+
+
+def partition_success_frequency(inst: Instance):
+    """Exact fraction of sample groups where the kept half dominates.
+
+    Counts groups T with opt(complement) >= opt(T) >= opt/8, over all 2^m
+    equiprobable groups; returned as an exact rational.
+    """
+    hits = sum(1 for _, event in _dominance_events(inst) if event)
+    return Rat(hits, 1 << inst.m)
+
+
+def partition_chain_records(inst: Instance):
+    """Per-group record of the two-stage sampling argument.
+
+    For every sample group: whether the dominance event holds (kept half's
+    optimum at least the sampled half's, itself at least opt/8), and whether
+    the realized value plus the single-item benchmark clears the acceptance
+    factor times the calibrated value.  The second flag is what makes the
+    whole mechanism's expectation chain go through when the first holds.
+    """
+    events = _dominance_events(inst)
+    plan = mech_single_item.plan_m_one(inst)
+    single = inst.value(unit_vector(inst.m, plan.winner, plan.count))
+    factor = phi(inst.total_units)
+    records = []
+    for group, event in events:
+        detail = mech_subadditive.m_rand_detail(inst, None, group)
+        realized = inst.value(detail.outcome.allocation)
+        chain_ok = (
+            float(realized + single)
+            >= factor * float(detail.sample_value) - BUDGET_SLACK
+        )
+        records.append((event, chain_ok))
+    return records

@@ -12,7 +12,6 @@ from click.testing import CliRunner
 
 from procure.core import Instance, Rat, Seller, unit_vector
 from procure.cli import main as cli_main
-from procure.instances import greedy_nonmonotone_instance
 from procure.mech_additive import (
     greedy_allocate,
     greedy_payments,
@@ -24,16 +23,13 @@ from procure.mech_subadditive import a_max
 from procure.oracles import (
     adversarial_single_seller,
     optimal_allocation,
-    optimal_allocation_bruteforce,
 )
 from procure.valuations import BoundedKnapsack
 from procure.verify import (
     check_dst,
     expected_payment,
     expected_value,
-    greedy_marginal,
     measure_ratio,
-    partition_success_frequency,
     replay_witness,
     scenario_outcomes,
 )
@@ -43,9 +39,15 @@ from corpora import (
     concave_corpus,
     dst_corpora,
     explicit_subadditive_corpus,
+    greedy_nonmonotone_instance,
     m_one_corpus,
 )
-from helpers import independent_threshold
+from helpers import (
+    brute_force_optimum,
+    greedy_marginal,
+    independent_threshold,
+    partition_success_frequency,
+)
 
 
 def _verdict(num, name, ok, detail=""):
@@ -165,7 +167,7 @@ def test_criterion_6_a_max_factor_eight():
             inst.valuation, inst.budget, inst.units, inst.costs,
             tuple(range(inst.m)),
         )
-        opt = optimal_allocation_bruteforce(inst)[1]
+        opt = brute_force_optimum(inst)[1]
         if 8 * run.winner_value < opt:
             violations += 1
     elapsed = time.time() - start

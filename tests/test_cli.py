@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 import re
 
 import pytest
@@ -13,9 +12,10 @@ from procure.instances import (
     save_instance,
     serialize_instance,
     gen_concave_additive,
-    greedy_nonmonotone_instance,
 )
 from procure.mech_subadditive import run_m_rand
+
+from corpora import greedy_nonmonotone_instance
 
 
 @pytest.fixture
@@ -85,6 +85,14 @@ def _malformed(edit):
     return json.dumps(obj)
 
 
+def _valued(valuation, units=1):
+    return json.dumps({
+        "version": "1", "budget": "4",
+        "sellers": [{"units": units, "cost": "1"}],
+        "valuation": valuation,
+    })
+
+
 # Malformed instance files, each with the start of the error it must raise,
 # which names the bad JSON path.
 _MALFORMED_INPUTS = {
@@ -101,11 +109,31 @@ _MALFORMED_INPUTS = {
         r"^\$\.valuation: ",
     ),
     "number-margin": (
-        json.dumps({
-            "version": "1", "budget": "4",
-            "sellers": [{"units": 1, "cost": "1"}],
-            "valuation": {"type": "concave_additive", "margins": [[3]]},
-        }),
+        _valued({"type": "concave_additive", "margins": [[3]]}),
+        r"^\$\.valuation: ",
+    ),
+    "string-margins": (
+        _valued({"type": "symmetric", "margins": "12"}, units=2),
+        r"^\$\.valuation: ",
+    ),
+    "string-values": (
+        _valued({"type": "bounded_knapsack", "values": "5"}),
+        r"^\$\.valuation: ",
+    ),
+    "string-margin-list": (
+        _valued({"type": "concave_additive", "margins": ["65"]}, units=2),
+        r"^\$\.valuation: ",
+    ),
+    "bool-cap": (
+        _malformed(lambda o: o["valuation"].update(caps=[True, 2, 2])),
+        r"^\$\.valuation: ",
+    ),
+    "float-cap": (
+        _malformed(lambda o: o["valuation"].update(caps=[1.5, 2, 2])),
+        r"^\$\.valuation: ",
+    ),
+    "bool-alloc": (
+        _malformed(lambda o: o["valuation"]["table"][-1].update(alloc=[True, 2, 2])),
         r"^\$\.valuation: ",
     ),
     "deep-nesting": ("[" * 100000, r"^\$: "),
@@ -243,6 +271,20 @@ def test_verify_generator_spec(runner):
     assert result.output.count("m_add: ok") == 6
     bad = runner.invoke(main, ["verify", "gen:nope:2:0"])
     assert bad.exit_code != 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["verify", "gen:concave-additive:-3:5"], ["verify", "gen:symmetric:0:5"],
+     ["ratio-sweep", "--n-min", "0"], ["ratio-sweep", "--n-max", "-1"]],
+)
+def test_counts_below_one_are_usage_errors(runner, tmp_path, args):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert not out.exists()
 
 
 def test_verify_skips_inapplicable(runner, tmp_path):

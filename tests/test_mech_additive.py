@@ -14,7 +14,6 @@ from procure.instances import gen_concave_additive, gen_symmetric
 from procure.mech_additive import (
     greedy_allocate,
     greedy_payments,
-    pickup_flags,
     ranked_pairs,
     run_m_add,
     run_m_sym,
@@ -25,12 +24,14 @@ from procure.mech_additive import (
     threshold,
 )
 from procure.valuations import Additive, BoundedKnapsack, ConcaveAdditive, Symmetric
+from procure.verify import MECHANISMS
 
 from corpora import symmetric_corpus
 from helpers import (
     cheapest_prefix_allocate,
     cheapest_prefix_threshold,
     independent_threshold,
+    pickup_flags,
 )
 
 
@@ -234,8 +235,6 @@ def test_wrong_valuation_class():
 
 
 def test_lottery_probabilities():
-    from procure.verify import MECHANISMS
-
     def probs(inst):
         return {s.branch: s.probability for s in MECHANISMS["m_add"].scenarios(inst)}
 
@@ -327,6 +326,23 @@ def test_sym_rule_matches_cheapest_prefix_reference():
                     with pytest.raises(NoThreshold):
                         cheapest_prefix_threshold(inst, i, j, bids)
     assert queries > 500
+
+
+def test_sym_breakpoints_are_rival_bids_and_thresholds():
+    # m_sym's deviation-grid breakpoints stated directly: every positive
+    # rival bid and the threshold of each unit the seller sells.
+    lottery = MECHANISMS["m_sym"]
+    rng = random.Random(37)
+    for inst in symmetric_corpus():
+        for bids in _symmetric_bid_profiles(inst, rng):
+            alloc = sym_allocate(inst, bids)
+            for i in range(inst.m):
+                expected = {b for k, b in enumerate(bids) if k != i and b > 0}
+                expected |= {
+                    sym_threshold(inst, i, j, bids) for j in range(1, alloc[i] + 1)
+                }
+                points = lottery.breakpoints(inst, bids, i)
+                assert {p for p in points if p > 0} == expected
 
 
 def test_sym_payments_cover_costs():

@@ -1,10 +1,7 @@
 import pytest
 
 from procure.core import Instance, Rat, Seller, utility
-from procure.instances import (
-    gen_explicit_subadditive,
-    greedy_nonmonotone_instance,
-)
+from procure.instances import gen_explicit_subadditive
 from procure.mech_subadditive import (
     a_max,
     group_from_mask,
@@ -12,9 +9,12 @@ from procure.mech_subadditive import (
     phi,
     run_m_rand,
 )
-from procure.oracles import adversarial_single_seller, optimal_allocation_bruteforce
+from procure.oracles import adversarial_single_seller
 from procure.valuations import ConcaveAdditive, Explicit
 from procure.verify import MECHANISMS
+
+from corpora import greedy_nonmonotone_instance
+from helpers import brute_force_optimum
 
 
 def test_phi_guard():
@@ -42,14 +42,14 @@ def test_a_max_single_seller_factor():
     inst = adversarial_single_seller(6, 6, 3)  # cost 2, six units
     run = a_max(inst.valuation, inst.budget, inst.units, inst.costs, (0,))
     assert run.grid == (run.anchor_value,)
-    opt = optimal_allocation_bruteforce(inst)[1]
+    opt = brute_force_optimum(inst)[1]
     assert 8 * run.winner_value >= opt
 
 
 def test_a_max_factor_eight_on_example_table():
     inst = greedy_nonmonotone_instance()
     run = a_max(inst.valuation, inst.budget, inst.units, inst.costs, (0, 1, 2))
-    opt = optimal_allocation_bruteforce(inst)[1]
+    opt = brute_force_optimum(inst)[1]
     assert opt == Rat(1607, 100)
     assert 8 * run.winner_value >= opt
     # determinism across reruns

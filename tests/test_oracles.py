@@ -5,16 +5,15 @@ from procure.instances import (
     gen_additive,
     gen_bounded_knapsack,
     gen_concave_additive,
-    greedy_nonmonotone_instance,
 )
 from procure.mech_single_item import plan_m_one
 from procure.oracles import (
     adversarial_single_seller,
     optimal_allocation,
-    optimal_allocation_bruteforce,
 )
 from procure.valuations import BoundedKnapsack, ConcaveAdditive
 
+from corpora import greedy_nonmonotone_instance
 from helpers import brute_force_optimum
 
 
@@ -40,7 +39,6 @@ def test_dp_matches_enumeration():
         gen = (gen_concave_additive, gen_bounded_knapsack, gen_additive)[i % 3]
         inst = gen(9000 + i, max_sellers=4, max_total_units=8)
         assert optimal_allocation(inst) == brute_force_optimum(inst)
-        assert optimal_allocation(inst) == optimal_allocation_bruteforce(inst)
 
 
 def test_restricted_optimum():

@@ -9,15 +9,13 @@ from procure.valuations import (
     ConcaveAdditive,
     Explicit,
     Symmetric,
-    as_explicit,
     classify,
     demand,
     valuation_from_json,
     valuation_to_json,
 )
-from procure.instances import greedy_nonmonotone_instance
-
-from helpers import brute_force_demand
+from corpora import greedy_nonmonotone_instance
+from helpers import as_explicit, brute_force_demand
 
 CHAIN = (
     "bounded-knapsack",
@@ -124,6 +122,45 @@ def test_demand_guard():
     v = Symmetric(margins)
     with pytest.raises(SearchSpaceTooLarge):
         demand(v, (Rat(1),) * 6, (20,) * 6)
+
+
+def _caps_families():
+    return (
+        BoundedKnapsack((Rat(2), Rat(1))),
+        Additive(((Rat(1), Rat(3)), (Rat(2),))),
+        ConcaveAdditive(((Rat(3), Rat(1)), (Rat(2),))),
+        Symmetric((Rat(3), Rat(2), Rat(1))),
+        Explicit.from_function((2, 1), lambda a: Rat(sum(a))),
+    )
+
+
+def test_bad_caps_raise_value_error():
+    bk, add, concave, sym, table = _caps_families()
+    cases = [
+        # wrong length
+        (bk, (1,)), (bk, (1, 1, 1)), (add, (1,)), (concave, (1, 1, 1)),
+        (table, (1,)), (table, (1, 1, 1)),
+        # beyond the family's unit dimension
+        (add, (3, 1)), (concave, (2, 2)), (sym, (2, 2)), (sym, (4,)),
+        (table, (3, 1)), (table, (2, 2)),
+        # negative
+        (bk, (-1, 1)), (add, (1, -1)), (concave, (-1, 0)), (sym, (-1, 1)),
+        (table, (0, -1)),
+    ]
+    for valuation, caps in cases:
+        with pytest.raises(ValueError):
+            demand(valuation, (Rat(1),) * len(caps), caps)
+        with pytest.raises(ValueError):
+            classify(valuation, caps)
+
+
+def test_caps_without_a_dimension_are_accepted():
+    bk, _, _, sym, _ = _caps_families()
+    assert demand(bk, (Rat(1), Rat(3)), (50, 70)) == (50, 0)
+    assert "bounded-knapsack" in classify(bk, (50, 70))
+    for caps in ((3,), (1, 1, 1), (1, 0, 1, 1), (0, 0, 0, 0, 0)):
+        assert demand(sym, (Rat(0),) * len(caps), caps) == caps
+        assert "symmetric" in classify(sym, caps)
 
 
 def test_value_monotone_for_accepted_valuations():

@@ -5,7 +5,7 @@ from math import log
 import pytest
 
 from procure.core import Instance, Rat, Seller
-from procure.instances import greedy_nonmonotone_instance, instance_digest
+from procure.instances import instance_digest
 from procure.oracles import adversarial_single_seller
 from procure.valuations import BoundedKnapsack, ConcaveAdditive
 from procure.verify import (
@@ -16,12 +16,17 @@ from procure.verify import (
     check_ir,
     expected_payment,
     expected_value,
-    greedy_marginal,
     measure_ratio,
-    partition_success_frequency,
     replay_witness,
     run_scenario,
     verify_instance,
+)
+
+from corpora import greedy_nonmonotone_instance
+from helpers import (
+    greedy_marginal,
+    partition_chain_records,
+    partition_success_frequency,
 )
 
 
@@ -232,7 +237,6 @@ def test_partition_success_frequency_spread_instance():
 
 def test_partition_chain_conditional_inequality():
     from procure.instances import gen_explicit_subadditive
-    from procure.verify import partition_chain_records
 
     spread = Instance(
         tuple(Seller(2, Rat(1)) for _ in range(4)),
