@@ -11,7 +11,7 @@ import sys
 
 import click
 
-from .core import ProcurementError, format_rat, parse_rat
+from .core import MAX_TOTAL_UNITS, ProcurementError, format_rat, parse_rat
 from .instances import (
     gen_bounded_knapsack,
     gen_concave_additive,
@@ -115,7 +115,10 @@ def _verify_targets(specs):
     type=click.Choice(tuple(MECHANISMS)),
     help="Mechanisms to check (default: all five).",
 )
-@click.option("--grid", default=64, show_default=True, help="Uniform deviation grid size.")
+@click.option(
+    "--grid", default=64, show_default=True, type=click.IntRange(min=1),
+    help="Uniform deviation grid size.",
+)
 @click.option("--strict", is_flag=True, help="Sweep opponent bids on tiny instances.")
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 def cmd_verify(targets, mechanisms, grid, strict, out):
@@ -187,7 +190,9 @@ def cmd_generate(family, seed, sellers, n, k, budget, out):
 
 @main.command("ratio-sweep")
 @click.option("--n-min", default=4, show_default=True, type=click.IntRange(min=1))
-@click.option("--n-max", default=64, show_default=True, type=click.IntRange(min=1))
+@click.option(
+    "--n-max", default=64, show_default=True, type=click.IntRange(1, MAX_TOTAL_UNITS)
+)
 @click.option(
     "--mechanism",
     "mechanisms",
@@ -198,6 +203,8 @@ def cmd_generate(family, seed, sellers, n, k, budget, out):
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_ratio_sweep(n_min, n_max, mechanisms, out):
     """Measured ratio vs n on the single-seller worst-case family (k = n)."""
+    if n_min > n_max:
+        raise click.UsageError(f"--n-min {n_min} is above --n-max {n_max}")
     mechanisms = mechanisms or ("m_add", "m_sub")
     rows = []
     for n in range(n_min, n_max + 1):

@@ -39,6 +39,10 @@ class NoThreshold(ProcurementError):
     """Threshold queried for a unit the allocation rule never buys."""
 
 
+# Largest total unit count an Instance accepts: ranked_pairs builds one
+# object per unit, and greedy payments rank every unit once per bought unit.
+MAX_TOTAL_UNITS = 10**4
+
 _RAT_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
@@ -129,6 +133,10 @@ class Instance:
             raise ValueError("instance needs at least one seller")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
+        if self.total_units > MAX_TOTAL_UNITS:
+            raise SearchSpaceTooLarge(
+                f"{self.total_units} units in total exceed the limit {MAX_TOTAL_UNITS}"
+            )
         self.valuation.check_units(self.units)
 
     @property

@@ -17,6 +17,7 @@ from .core import (
     Instance,
     ProcurementError,
     Rat,
+    SearchSpaceTooLarge,
     Seller,
     format_rat,
     parse_rat,
@@ -107,7 +108,12 @@ def parse_instance(text: str):
     val_raw = _expect(obj, "valuation", "$", dict)
     try:
         valuation = valuation_from_json(val_raw)
+    except (ProcurementError, ValueError) as exc:
+        raise InstanceFormatError(f"$.valuation: {exc}") from exc
+    try:
         inst = Instance(tuple(sellers), budget, valuation)
+    except SearchSpaceTooLarge as exc:
+        raise InstanceFormatError(f"$.sellers: {exc}") from exc
     except (ProcurementError, ValueError) as exc:
         raise InstanceFormatError(f"$.valuation: {exc}") from exc
     bids = None

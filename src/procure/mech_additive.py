@@ -2,13 +2,22 @@
 
 The greedy branch ranks (seller, unit) pairs by marginal value per unit of
 bid, buys the longest prefix whose last pair still satisfies the
-proportional budget-share inequality, and pays each bought unit its exact
-critical bid.  A three-way lottery mixes this branch with buying one unit
-from the highest-margin seller at the full budget, and buying nothing.
+proportional budget-share inequality bid * prefix <= B * value, and pays
+each bought unit its exact critical bid.  A three-way lottery mixes this
+branch with buying one unit from the highest-margin seller at the full
+budget, and buying nothing.
 
-The symmetric-valuation variant is the same greedy with every unit worth 1:
-it ranks units by bid alone, buys the longest prefix with bid <= budget/rank,
-and pays the same closed-form thresholds.
+Rates fall and the value prefix grows along the ranking, so a pair is
+bought iff its own inequality holds.  A bought unit of value v, whose
+seller's units up to it are worth s, has critical bid
+min over alpha of max(r_alpha, v * B / (s + W_alpha)), where r_alpha is
+the bid ranking it behind the alpha-th rival pair (r_0 = 0, never
+decreasing) and W_alpha is the value of those alpha rival pairs.
+
+The symmetric-valuation variant is the same greedy on the instance with
+every unit worth 1: it ranks units by bid, ties by (seller, unit), buys the
+longest prefix whose last unit has bid * rank <= budget, and pays the same
+closed-form thresholds.
 """
 
 from __future__ import annotations
@@ -50,25 +59,19 @@ def _require_additive(inst: Instance):
         )
 
 
-def _positive_margins(inst: Instance):
-    """Per-seller margin lists with zero-value units stripped.
+def ranked_pairs(inst: Instance, bids=None):
+    """All positive-value (seller, unit) pairs in greedy rank order.
 
-    Requires a concave additive (or bounded-knapsack) valuation, where
-    zero margins always form a suffix of each item's list.
+    Zero margins form a suffix of each list in the additive classes, so
+    dropping them keeps every unit its number.
     """
-    _require_additive(inst)
-    return [[x for x in mm if x > 0] for mm in inst.valuation.margins(inst.units)]
-
-
-def ranked_pairs(inst: Instance, bids=None, exclude=None):
-    """All positive-value (seller, unit) pairs in greedy rank order."""
     bids = checked_bids(inst, bids)
-    margs = _positive_margins(inst)
+    _require_additive(inst)
     pairs = [
-        RankedPair(i, j, mm[j - 1], bids[i])
-        for i, mm in enumerate(margs)
-        if i != exclude
-        for j in range(1, len(mm) + 1)
+        RankedPair(i, j, x, bids[i])
+        for i, mm in enumerate(inst.valuation.margins(inst.units))
+        for j, x in enumerate(mm, start=1)
+        if x > 0
     ]
     pairs.sort(key=RankedPair.sort_key)
     return pairs
@@ -99,40 +102,32 @@ def threshold(inst: Instance, i: int, j: int, bids=None):
     loses it.  Raises NoThreshold when the unit is not bought under the
     given bids (including zero-value units stripped before ranking).
     """
-    bids = checked_bids(inst, bids)
-    margs = _positive_margins(inst)
+    pairs = ranked_pairs(inst, bids)
     if not 0 <= i < inst.m:
         raise IndexError(f"seller index {i} out of range")
-    if not 1 <= j <= len(margs[i]):
+    prefix = share = Rat(0)
+    for pr in pairs:
+        prefix += pr.value
+        if pr.seller == i:
+            share += pr.value
+            if pr.unit == j:
+                break
+    else:
         raise NoThreshold(f"unit {j} of seller {i} is never bought")
-    if greedy_allocate(inst, bids)[i] < j:
-        raise NoThreshold(
-            f"unit {j} of seller {i} is not bought under these bids"
-        )
-    v_ij = margs[i][j - 1]
-    own_prefix = sum(margs[i][:j], Rat(0))
-    others = ranked_pairs(inst, bids, exclude=i)
-    count = len(others)
-    others_prefix = [Rat(0)]
-    for pr in others:
-        others_prefix.append(others_prefix[-1] + pr.value)
-
-    def crossing(alpha):
-        # Largest bid placing the unit after the alpha-th foreign pair.
-        pr = others[alpha - 1]
-        return v_ij * pr.bid / pr.value
-
-    budget = inst.budget
-    for alpha in range(count, -1, -1):
-        t_in = v_ij * budget / (own_prefix + others_prefix[alpha])
-        t_rank = crossing(alpha) if alpha >= 1 else Rat(0)
-        if t_in < t_rank:
+    v, budget = pr.value, inst.budget
+    if pr.bid * prefix > budget * v:
+        raise NoThreshold(f"unit {j} of seller {i} is not bought under these bids")
+    best = v * budget / share  # alpha = 0: ahead of every rival pair
+    rivals_prefix = Rat(0)
+    for rival in pairs:
+        if rival.seller == i:
             continue
-        t_next = crossing(alpha + 1) if alpha + 1 <= count else None
-        if t_next is None or t_in <= t_next:
-            return t_in
-        return t_next
-    raise AssertionError("threshold scan fell through")  # pragma: no cover
+        rank_bid = v * rival.bid / rival.value
+        if rank_bid >= best:
+            break
+        rivals_prefix += rival.value
+        best = min(best, max(rank_bid, v * budget / (share + rivals_prefix)))
+    return best
 
 
 def greedy_payments(inst: Instance, bids=None):
@@ -175,12 +170,6 @@ def run_m_add(inst: Instance, bids, branch: str) -> Outcome:
     if branch == "greedy":
         return Outcome(*greedy_payments(inst, bids))
     return _posted_branch(inst, branch)
-
-
-# Symmetric variant: units are interchangeable, so the greedy runs on the
-# instance with every unit worth 1.  The rate order is then bid ascending,
-# ties by (seller, unit), and the prefix value is the rank: keep a unit while
-# bid * rank <= B.
 
 
 def unit_values(inst: Instance) -> Instance:

@@ -338,6 +338,8 @@ def deviation_grid(mech, inst, bids, seller, resolution: int = 64):
     between them, so straddling each one catches every allocation change a
     uniform grid could miss.
     """
+    if resolution < 1:
+        raise ValueError(f"deviation grid resolution must be >= 1, got {resolution}")
     budget = inst.budget
     points = {budget / rank for rank in range(1, inst.total_units + 1)}
     points |= _lottery(mech).breakpoints(inst, bids, seller)

@@ -66,7 +66,7 @@ def independent_threshold(inst, seller, unit, bids=None):
     the closed-form threshold algorithm under test.
     """
     bids = inst.costs if bids is None else tuple(Rat(b) for b in bids)
-    rivals = ranked_pairs(inst, bids, exclude=seller)
+    rivals = [p for p in ranked_pairs(inst, bids) if p.seller != seller]
     own = [p for p in ranked_pairs(inst, bids) if p.seller == seller]
     v_unit = next(p.value for p in own if p.unit == unit)
     own_prefix = sum((p.value for p in own if p.unit <= unit), Rat(0))

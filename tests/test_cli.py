@@ -137,6 +137,10 @@ _MALFORMED_INPUTS = {
         r"^\$\.valuation: ",
     ),
     "deep-nesting": ("[" * 100000, r"^\$: "),
+    "huge-units": (
+        _valued({"type": "bounded_knapsack", "values": ["1"]}, units=10**12),
+        r"^\$\.sellers: 1000000000000 units in total exceed the limit",
+    ),
 }
 
 
@@ -273,10 +277,16 @@ def test_verify_generator_spec(runner):
     assert bad.exit_code != 0
 
 
+# Counts below one, an empty range of n, and an n above the total-units
+# limit are usage errors that write nothing.
 @pytest.mark.parametrize(
     "args",
     [["verify", "gen:concave-additive:-3:5"], ["verify", "gen:symmetric:0:5"],
-     ["ratio-sweep", "--n-min", "0"], ["ratio-sweep", "--n-max", "-1"]],
+     ["ratio-sweep", "--n-min", "0"], ["ratio-sweep", "--n-max", "-1"],
+     ["verify", "gen:concave-additive:1:5", "--grid", "0"],
+     ["verify", "gen:concave-additive:1:5", "--grid", "-4"],
+     ["ratio-sweep", "--n-min", "10", "--n-max", "4"],
+     ["ratio-sweep", "--n-max", "10001"]],
 )
 def test_counts_below_one_are_usage_errors(runner, tmp_path, args):
     out = tmp_path / "out"
@@ -285,6 +295,14 @@ def test_counts_below_one_are_usage_errors(runner, tmp_path, args):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+def test_generate_above_total_units_limit_is_an_error(runner):
+    result = runner.invoke(main, ["generate", "--family", "adversarial", "--n", "10001"])
+    assert result.exit_code == 1, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    assert "exceed the limit 10000" in lines[0]
 
 
 def test_verify_skips_inapplicable(runner, tmp_path):

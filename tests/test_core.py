@@ -5,9 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from procure.core import (
+    MAX_TOTAL_UNITS,
     Instance,
     Outcome,
     Rat,
+    SearchSpaceTooLarge,
     Seller,
     format_rat,
     is_budget_feasible,
@@ -127,6 +129,15 @@ def test_instance_validation():
         inst.validate_allocation((3,))
     with pytest.raises(ValueError):
         inst.validate_allocation((1, 0))
+
+
+def test_instance_total_units_guard():
+    v = BoundedKnapsack((Rat(1), Rat(1)))
+    half = MAX_TOTAL_UNITS // 2
+    at_limit = Instance((Seller(half, 1), Seller(MAX_TOTAL_UNITS - half, 1)), 5, v)
+    assert at_limit.total_units == MAX_TOTAL_UNITS
+    with pytest.raises(SearchSpaceTooLarge, match="exceed the limit"):
+        Instance((Seller(half, 1), Seller(MAX_TOTAL_UNITS - half + 1, 1)), 5, v)
 
 
 def test_unit_vector():

@@ -10,7 +10,7 @@ from procure.core import (
     WrongValuationClass,
     utility,
 )
-from procure.instances import gen_concave_additive, gen_symmetric
+from procure.instances import gen_bounded_knapsack, gen_concave_additive, gen_symmetric
 from procure.mech_additive import (
     greedy_allocate,
     greedy_payments,
@@ -22,11 +22,12 @@ from procure.mech_additive import (
     sym_payments,
     sym_threshold,
     threshold,
+    unit_values,
 )
 from procure.valuations import Additive, BoundedKnapsack, ConcaveAdditive, Symmetric
 from procure.verify import MECHANISMS
 
-from corpora import symmetric_corpus
+from corpora import concave_corpus, symmetric_corpus
 from helpers import (
     cheapest_prefix_allocate,
     cheapest_prefix_threshold,
@@ -141,6 +142,43 @@ def test_threshold_flip_behavior(two_seller):
         assert greedy_allocate(two_seller, tuple(bids))[seller] >= unit
         bids[seller] = theta + delta
         assert greedy_allocate(two_seller, tuple(bids))[seller] < unit
+
+
+def _probe_profiles(inst, seed):
+    """Truthful bids plus three seeded profiles mixing zero bids, one bid
+    shared by several sellers, budget shares B/k and true costs."""
+    rng = random.Random(seed)
+    n = inst.total_units
+    profiles = [inst.costs]
+    for _ in range(3):
+        tie = inst.budget / rng.randint(1, n)
+        profiles.append(tuple(
+            rng.choice((Rat(0), tie, tie, inst.budget / rng.randint(1, n), cost))
+            for cost in inst.costs
+        ))
+    return profiles
+
+
+def test_threshold_pinned_to_allocation_rule():
+    # For every unit index 0..units+1: a bought unit's threshold equals the
+    # search oracle's, and NoThreshold is raised exactly for the others.
+    corpus = (
+        list(concave_corpus()[:250])
+        + [gen_bounded_knapsack(52000 + s) for s in range(30)]
+        + [unit_values(inst) for inst in symmetric_corpus()]
+    )
+    for n, inst in enumerate(corpus):
+        for bids in _probe_profiles(inst, 53000 + n):
+            alloc = greedy_allocate(inst, bids)
+            for i in range(inst.m):
+                for j in range(inst.units[i] + 2):
+                    if 1 <= j <= alloc[i]:
+                        assert threshold(inst, i, j, bids) == independent_threshold(
+                            inst, i, j, bids
+                        )
+                    else:
+                        with pytest.raises(NoThreshold):
+                            threshold(inst, i, j, bids)
 
 
 def test_monotone_allocation_rule():

@@ -14,6 +14,7 @@ from procure.verify import (
     check_budget,
     check_dst,
     check_ir,
+    deviation_grid,
     expected_payment,
     expected_value,
     measure_ratio,
@@ -107,6 +108,14 @@ def test_check_dst_passes_and_fixture_fails(two_seller):
     assert bad, "pay-as-bid fixture must fail the DST check"
     witness = bad[0].witness
     assert replay_witness("m_add_firstprice", two_seller, witness)
+
+
+@pytest.mark.parametrize("resolution", [0, -4])
+def test_grid_resolution_below_one_raises(two_seller, resolution):
+    with pytest.raises(ValueError, match="resolution"):
+        deviation_grid("m_add", two_seller, two_seller.costs, 0, resolution)
+    with pytest.raises(ValueError, match="resolution"):
+        check_dst("m_add", two_seller, resolution=resolution)
 
 
 def test_check_dst_strict_mode(two_seller):
