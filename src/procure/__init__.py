@@ -12,8 +12,6 @@ from .core import (
     WrongValuationClass,
     format_rat,
     is_budget_feasible,
-    join,
-    meet,
     parse_rat,
     unit_vector,
     utility,
@@ -47,8 +45,6 @@ __all__ = [
     "demand",
     "format_rat",
     "is_budget_feasible",
-    "join",
-    "meet",
     "parse_rat",
     "unit_vector",
     "utility",

@@ -11,7 +11,7 @@ import sys
 
 import click
 
-from .core import MAX_TOTAL_UNITS, ProcurementError, format_rat, parse_rat
+from .core import ProcurementError, format_rat, is_budget_feasible, parse_rat
 from .instances import (
     gen_bounded_knapsack,
     gen_concave_additive,
@@ -26,6 +26,7 @@ from .mech_subadditive import phi
 from .oracles import adversarial_single_seller
 from .verify import (
     CSV_HEADER,
+    GRID,
     MECHANISM_IDS,
     MECHANISMS,
     measure_ratio,
@@ -64,7 +65,7 @@ def cmd_run(instance_path, mechanism, scenario, seed):
                 "payments": [format_rat(p) for p in outcome.payments],
                 "value": format_rat(inst.value(outcome.allocation)),
                 "total_payment": format_rat(outcome.total_payment),
-                "budget_feasible": outcome.total_payment <= inst.budget,
+                "budget_feasible": is_budget_feasible(outcome, inst.budget),
             },
             indent=2,
         )
@@ -116,7 +117,7 @@ def _verify_targets(specs):
     help="Mechanisms to check (default: all five).",
 )
 @click.option(
-    "--grid", default=64, show_default=True, type=click.IntRange(min=1),
+    "--grid", default=GRID, show_default=True, type=click.IntRange(min=1),
     help="Uniform deviation grid size.",
 )
 @click.option("--strict", is_flag=True, help="Sweep opponent bids on tiny instances.")
@@ -188,10 +189,15 @@ def cmd_generate(family, seed, sellers, n, k, budget, out):
         click.echo(serialize_instance(inst), nl=False)
 
 
+# Largest n a sweep may reach: each point costs O(n^2 log n) rational
+# operations, and 400 units is the largest greedy run the bench times.
+RATIO_SWEEP_MAX_N = 400
+
+
 @main.command("ratio-sweep")
 @click.option("--n-min", default=4, show_default=True, type=click.IntRange(min=1))
 @click.option(
-    "--n-max", default=64, show_default=True, type=click.IntRange(1, MAX_TOTAL_UNITS)
+    "--n-max", default=64, show_default=True, type=click.IntRange(1, RATIO_SWEEP_MAX_N)
 )
 @click.option(
     "--mechanism",

@@ -39,9 +39,22 @@ class NoThreshold(ProcurementError):
     """Threshold queried for a unit the allocation rule never buys."""
 
 
+class InvalidField(ValueError):
+    """An Instance field breaks its invariant; ``field`` names the field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 # Largest total unit count an Instance accepts: ranked_pairs builds one
 # object per unit, and greedy payments rank every unit once per bought unit.
 MAX_TOTAL_UNITS = 10**4
+
+# Literals must stay below this in magnitude, so that every float taken of a
+# budget, a harmonic cap, or a value or payment sum over MAX_TOTAL_UNITS
+# units stays finite (floats overflow near 1.8e308).
+RAT_LITERAL_LIMIT = 10**300
 
 _RAT_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
@@ -51,13 +64,16 @@ def parse_rat(text: str):
 
     The sign may appear on the numerator only; the denominator must be a
     positive integer.  Anything else (floats, whitespace inside, signs on
-    the denominator) and any non-string input are rejected with ValueError.
+    the denominator), any non-string input, and any literal of magnitude
+    RAT_LITERAL_LIMIT or more are rejected with ValueError.
     """
     m = _RAT_RE.match(text.strip()) if isinstance(text, str) else None
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    num, den = m.group(1), m.group(2)
-    return Rat(int(num), int(den) if den else 1)
+    num, den = int(m.group(1)), int(m.group(2) or 1)
+    if abs(num) >= RAT_LITERAL_LIMIT * den:
+        raise ValueError("rational literal too large: magnitude must be below 10^300")
+    return Rat(num, den)
 
 
 def format_rat(q) -> str:
@@ -75,22 +91,15 @@ def harmonic_factor(n: int) -> float:
     return 1.0 + log(n)
 
 
+def affordable_count(units: int, budget, bid) -> int:
+    """min(units, floor(budget / bid)); a zero bid affords the full supply."""
+    if bid == 0:
+        return units
+    return min(units, ifloor(budget / bid))
+
+
 # An allocation is a tuple of per-seller unit counts.
 Alloc = tuple
-
-
-def join(a: Alloc, b: Alloc) -> Alloc:
-    """Item-wise max of two allocations of equal length."""
-    if len(a) != len(b):
-        raise ValueError(f"allocation length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x if x >= y else y for x, y in zip(a, b))
-
-
-def meet(a: Alloc, b: Alloc) -> Alloc:
-    """Item-wise min of two allocations of equal length."""
-    if len(a) != len(b):
-        raise ValueError(f"allocation length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x if x <= y else y for x, y in zip(a, b))
 
 
 def unit_vector(m: int, i: int, count: int = 1) -> Alloc:
@@ -130,9 +139,9 @@ class Instance:
         object.__setattr__(self, "sellers", tuple(self.sellers))
         object.__setattr__(self, "budget", Rat(self.budget))
         if len(self.sellers) < 1:
-            raise ValueError("instance needs at least one seller")
+            raise InvalidField("sellers", "instance needs at least one seller")
         if self.budget <= 0:
-            raise ValueError("budget must be positive")
+            raise InvalidField("budget", "budget must be positive")
         if self.total_units > MAX_TOTAL_UNITS:
             raise SearchSpaceTooLarge(
                 f"{self.total_units} units in total exceed the limit {MAX_TOTAL_UNITS}"

@@ -15,6 +15,7 @@ import tempfile
 
 from .core import (
     Instance,
+    InvalidField,
     ProcurementError,
     Rat,
     SearchSpaceTooLarge,
@@ -23,7 +24,6 @@ from .core import (
     parse_rat,
 )
 from .valuations import (
-    Additive,
     BoundedKnapsack,
     ConcaveAdditive,
     Explicit,
@@ -87,7 +87,7 @@ def parse_instance(text: str):
     """Parse an instance file; returns (Instance, bids-override or None)."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise InstanceFormatError(f"$: not valid JSON ({exc})") from exc
     except RecursionError as exc:
         raise InstanceFormatError("$: JSON nested too deeply") from exc
@@ -112,6 +112,8 @@ def parse_instance(text: str):
         raise InstanceFormatError(f"$.valuation: {exc}") from exc
     try:
         inst = Instance(tuple(sellers), budget, valuation)
+    except InvalidField as exc:
+        raise InstanceFormatError(f"$.{exc.field}: {exc}") from exc
     except SearchSpaceTooLarge as exc:
         raise InstanceFormatError(f"$.sellers: {exc}") from exc
     except (ProcurementError, ValueError) as exc:
@@ -225,44 +227,6 @@ def gen_symmetric(seed, max_sellers=5, max_total_units=12) -> Instance:
         if any(v > 0 for v in margins):
             sellers = tuple(Seller(n, c) for n, c in zip(units, costs))
             return Instance(sellers, budget, Symmetric(tuple(margins)))
-
-
-def gen_additive(seed, max_sellers=5, max_total_units=12) -> Instance:
-    """Additive margins with no concavity requirement."""
-    rng = random.Random(seed)
-    while True:
-        m = rng.randint(1, max_sellers)
-        units = _split_units(rng, m, max_total_units)
-        budget = Rat(rng.randint(8, 40))
-        costs = [_rand_cost(rng, budget) for _ in range(m)]
-        margins = tuple(
-            tuple(_rand_margin(rng) for _ in range(n)) for n in units
-        )
-        if any(v > 0 for mm in margins for v in mm):
-            sellers = tuple(Seller(n, c) for n, c in zip(units, costs))
-            return Instance(sellers, budget, Additive(margins))
-
-
-def gen_explicit_monotone(seed, max_items=3, max_cap=2) -> Instance:
-    """Random monotone explicit table; generally neither additive nor concave."""
-    rng = random.Random(seed)
-    m = rng.randint(2, max_items)
-    caps = tuple(rng.randint(1, max_cap) for _ in range(m))
-    table = {}
-    for alloc in domain(caps):
-        if not any(alloc):
-            table[alloc] = Rat(0)
-            continue
-        floor = Rat(0)
-        for i in range(m):
-            if alloc[i] > 0:
-                prev = alloc[:i] + (alloc[i] - 1,) + alloc[i + 1 :]
-                if table[prev] > floor:
-                    floor = table[prev]
-        table[alloc] = floor + Rat(rng.randint(0, 10), 2)
-    budget = Rat(rng.randint(8, 40))
-    sellers = tuple(Seller(c, _rand_cost(rng, budget)) for c in caps)
-    return Instance(sellers, budget, Explicit.from_mapping(caps, table))
 
 
 def gen_explicit_subadditive(

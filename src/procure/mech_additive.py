@@ -52,11 +52,23 @@ class RankedPair:
         return (1, -(self.value / self.bid), self.seller, self.unit)
 
 
-def _require_additive(inst: Instance):
-    if not isinstance(inst.valuation, (BoundedKnapsack, ConcaveAdditive)):
-        raise WrongValuationClass(
-            "mechanism requires a concave additive or bounded-knapsack valuation"
-        )
+def additive_reason(inst: Instance) -> str | None:
+    """None if the greedy lottery applies to the valuation, else why not."""
+    if isinstance(inst.valuation, (BoundedKnapsack, ConcaveAdditive)):
+        return None
+    return "requires a concave additive or bounded-knapsack valuation"
+
+
+def symmetric_reason(inst: Instance) -> str | None:
+    """None if the symmetric lottery applies to the valuation, else why not."""
+    if isinstance(inst.valuation, Symmetric):
+        return None
+    return "requires a symmetric valuation"
+
+
+def _require(reason: str | None) -> None:
+    if reason is not None:
+        raise WrongValuationClass(f"mechanism {reason}")
 
 
 def ranked_pairs(inst: Instance, bids=None):
@@ -66,7 +78,7 @@ def ranked_pairs(inst: Instance, bids=None):
     dropping them keeps every unit its number.
     """
     bids = checked_bids(inst, bids)
-    _require_additive(inst)
+    _require(additive_reason(inst))
     pairs = [
         RankedPair(i, j, x, bids[i])
         for i, mm in enumerate(inst.valuation.margins(inst.units))
@@ -142,7 +154,7 @@ def greedy_payments(inst: Instance, bids=None):
 
 def star_seller(inst: Instance) -> int:
     """Seller whose first unit has the highest marginal value (lowest index wins)."""
-    _require_additive(inst)
+    _require(additive_reason(inst))
     firsts = [mm[0] for mm in inst.valuation.margins(inst.units)]
     best = 0
     for i, x in enumerate(firsts):
@@ -166,7 +178,7 @@ def _posted_branch(inst: Instance, branch: str) -> Outcome:
 
 def run_m_add(inst: Instance, bids, branch: str) -> Outcome:
     """One deterministic branch of the concave-additive lottery mechanism."""
-    _require_additive(inst)  # class check even on the branches ignoring bids
+    _require(additive_reason(inst))  # class check even on the branches ignoring bids
     if branch == "greedy":
         return Outcome(*greedy_payments(inst, bids))
     return _posted_branch(inst, branch)
@@ -174,8 +186,7 @@ def run_m_add(inst: Instance, bids, branch: str) -> Outcome:
 
 def unit_values(inst: Instance) -> Instance:
     """The symmetric instance with every unit of every seller worth 1."""
-    if not isinstance(inst.valuation, Symmetric):
-        raise WrongValuationClass("mechanism requires a symmetric valuation")
+    _require(symmetric_reason(inst))
     return Instance(inst.sellers, inst.budget, BoundedKnapsack((1,) * inst.m))
 
 

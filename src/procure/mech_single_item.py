@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, Outcome, Rat, checked_bids, ifloor, unit_vector
+from .core import Instance, Outcome, Rat, affordable_count, checked_bids, unit_vector
 
 
 @dataclass(frozen=True)
@@ -30,19 +30,13 @@ class OneLottery:
         return sum(self.thresholds, Rat(0))
 
 
-def affordable_count(inst: Instance, i: int, bid) -> int:
-    """min(units_i, floor(B / bid)); a zero bid affords the full supply."""
-    if bid == 0:
-        return inst.units[i]
-    return min(inst.units[i], ifloor(inst.budget / bid))
-
-
 def single_item_values(inst: Instance, bids=None):
     """Value of each seller's affordable single-item bundle under the bids."""
     bids = checked_bids(inst, bids)
+    units, budget = inst.units, inst.budget
     return tuple(
-        inst.value(unit_vector(inst.m, i, affordable_count(inst, i, bids[i])))
-        for i in range(inst.m)
+        inst.value(unit_vector(inst.m, i, affordable_count(units[i], budget, b)))
+        for i, b in enumerate(bids)
     )
 
 
@@ -53,7 +47,7 @@ def plan_m_one(inst: Instance, bids=None) -> OneLottery:
     for i, v in enumerate(values):
         if v > values[winner]:
             winner = i
-    count = affordable_count(inst, winner, bids[winner])
+    count = affordable_count(inst.units[winner], inst.budget, bids[winner])
     if count == 0:
         return OneLottery(winner, 0, 0, ())
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log2
 
-from .core import Instance, Outcome, Rat, checked_bids, ifloor
+from .core import Instance, Outcome, Rat, affordable_count, checked_bids
 from .valuations import demand
 
 ACCEPT_EPS = 1e-12
@@ -36,13 +36,11 @@ def phi(total_units: int) -> float:
 
 @dataclass(frozen=True)
 class MaxRun:
-    """One a_max execution: caps, value grid, per-grid candidates, winner."""
+    """One a_max execution: caps, value grid, and winner."""
 
-    members: tuple
     capped_units: tuple
     anchor_value: object
     grid: tuple
-    candidates: tuple
     winner: tuple
     winner_value: object
 
@@ -60,11 +58,10 @@ def a_max(valuation, budget, units, costs, members) -> MaxRun:
     zero_alloc = (0,) * m
     capped = [0] * m
     for i in members:
-        c = costs[i]
-        capped[i] = units[i] if c == 0 else min(units[i], ifloor(budget / c))
+        capped[i] = affordable_count(units[i], budget, costs[i])
     capped = tuple(capped)
     if not members:
-        return MaxRun((), capped, Rat(0), (), (), zero_alloc, Rat(0))
+        return MaxRun(capped, Rat(0), (), zero_alloc, Rat(0))
 
     anchor = Rat(0)
     for i in members:
@@ -77,7 +74,6 @@ def a_max(valuation, budget, units, costs, members) -> MaxRun:
         grid = tuple(k * anchor for k in range(len(members), 0, -1))
 
     zero = Rat(0)
-    candidates = []
     winner, winner_value = zero_alloc, zero
     for target in grid:
         prices = tuple(
@@ -101,23 +97,18 @@ def a_max(valuation, budget, units, costs, members) -> MaxRun:
             for i in chosen:
                 counts[i] = asked[i]
             candidate = tuple(counts)
-        candidates.append(candidate)
         v = valuation.value(candidate)
         if v > winner_value:
             winner, winner_value = candidate, v
-    return MaxRun(
-        members, capped, anchor, grid, tuple(candidates), winner, winner_value
-    )
+    return MaxRun(capped, anchor, grid, winner, winner_value)
 
 
 @dataclass(frozen=True)
 class RandRun:
     """One realization of the random-sampling mechanism."""
 
-    sample_group: tuple
     sample_value: object
     accepted_round: int | None
-    unit_price: object | None
     outcome: Outcome
 
 
@@ -159,10 +150,8 @@ def m_rand_detail(inst: Instance, bids, sample_group) -> RandRun:
             accepted = float(value) >= factor * float(target) - ACCEPT_EPS
         if accepted:
             payments = tuple(x * price for x in run.winner)
-            return RandRun(
-                group, target, k, price, Outcome(run.winner, payments)
-            )
-    return RandRun(group, target, None, None, inst.empty_outcome())
+            return RandRun(target, k, Outcome(run.winner, payments))
+    return RandRun(target, None, inst.empty_outcome())
 
 
 def run_m_rand(inst: Instance, bids, sample_group) -> Outcome:

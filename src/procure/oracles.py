@@ -18,25 +18,15 @@ ENUM_LIMIT = 10**6
 DP_CELL_LIMIT = 4 * 10**6
 
 
-def _capped_units(inst: Instance, members) -> tuple:
-    if members is None:
-        return inst.units
-    allowed = set(members)
-    return tuple(n if i in allowed else 0 for i, n in enumerate(inst.units))
-
-
-def optimal_allocation(inst: Instance, members=None):
-    """Exact optimum (allocation, value) of the budget-constrained problem.
-
-    ``members`` optionally restricts purchases to a subset of sellers.
-    """
-    units = _capped_units(inst, members)
+def optimal_allocation(inst: Instance):
+    """Exact optimum (allocation, value) of the budget-constrained problem."""
     if isinstance(inst.valuation, ADDITIVE_FAMILIES):
-        return _optimal_additive_dp(inst, units)
-    return _optimal_enum(inst, units)
+        return _optimal_additive_dp(inst)
+    return _optimal_enum(inst)
 
 
-def _optimal_enum(inst: Instance, units):
+def _optimal_enum(inst: Instance):
+    units = inst.units
     size = domain_size(units)
     if size > ENUM_LIMIT:
         raise SearchSpaceTooLarge(
@@ -53,8 +43,9 @@ def _optimal_enum(inst: Instance, units):
     return best, best_v
 
 
-def _optimal_additive_dp(inst: Instance, units):
-    margs = inst.valuation.margins(inst.units)
+def _optimal_additive_dp(inst: Instance):
+    units = inst.units
+    margs = inst.valuation.margins(units)
     costs, budget = inst.costs, inst.budget
     m = inst.m
     scale = lcm(budget.denominator, *(c.denominator for c in costs))

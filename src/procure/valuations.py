@@ -167,7 +167,7 @@ class Explicit:
         object.__setattr__(self, "caps", tuple(int(c) for c in self.caps))
         if any(c < 0 for c in self.caps):
             raise MalformedValuation("caps must be >= 0")
-        size = prod(c + 1 for c in self.caps)
+        size = domain_size(self.caps)
         if size > TABLE_LIMIT:
             raise SearchSpaceTooLarge(f"explicit table would need {size} entries")
         entries = tuple(
@@ -209,14 +209,6 @@ class Explicit:
     def from_mapping(cls, caps, mapping):
         return cls(tuple(caps), tuple(mapping.items()))
 
-    @classmethod
-    def from_function(cls, caps, fn):
-        caps = tuple(caps)
-        entries = tuple(
-            (alloc, fn(alloc)) for alloc in domain(caps)
-        )
-        return cls(caps, entries)
-
     def check_units(self, units) -> None:
         if len(units) != len(self.caps):
             raise MalformedValuation(
@@ -233,10 +225,7 @@ class Explicit:
             not 0 <= a <= c for a, c in zip(alloc, self.caps)
         ):
             raise ValueError("allocation out of range")
-        try:
-            return self._table[tuple(alloc)]
-        except KeyError:  # unreachable for validated tables
-            raise MalformedValuation(f"missing table entry for {alloc}") from None
+        return self._table[tuple(alloc)]
 
 
 ADDITIVE_FAMILIES = (BoundedKnapsack, Additive)  # ConcaveAdditive subclasses Additive
@@ -355,20 +344,13 @@ def _classify_margins(margs) -> frozenset:
 def _classify_symmetric(margins, caps) -> frozenset:
     total = sum(caps)
     reach = list(margins[:total])
-    eff_items = sum(1 for c in caps if c > 0)
+    if sum(1 for c in caps if c > 0) <= 1:
+        # With one item in reach the valuation is that item's margin list.
+        return _classify_margins([reach])
     labels = {"symmetric"}
-    nonincr = _nonincreasing(reach)
-    const = len(set(reach)) <= 1
-    if eff_items <= 1:
-        labels |= {"additive", "submodular", "subadditive"}
-        if nonincr:
-            labels |= {"concave-additive", "diminishing-return"}
-        if const:
-            labels |= {"bounded-knapsack", "concave-additive", "diminishing-return"}
-        return frozenset(labels)
-    if nonincr:
+    if _nonincreasing(reach):
         labels |= {"diminishing-return", "submodular"}
-    if const:
+    if len(set(reach)) <= 1:
         labels |= {
             "additive",
             "bounded-knapsack",
@@ -475,14 +457,10 @@ def valuation_to_json(valuation) -> dict:
             "type": "bounded_knapsack",
             "values": [format_rat(v) for v in valuation.values],
         }
-    if isinstance(valuation, ConcaveAdditive):
-        return {
-            "type": "concave_additive",
-            "margins": [[format_rat(v) for v in mm] for mm in valuation.per_item],
-        }
     if isinstance(valuation, Additive):
+        concave = isinstance(valuation, ConcaveAdditive)
         return {
-            "type": "additive",
+            "type": "concave_additive" if concave else "additive",
             "margins": [[format_rat(v) for v in mm] for mm in valuation.per_item],
         }
     if isinstance(valuation, Symmetric):

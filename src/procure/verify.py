@@ -32,10 +32,10 @@ from .core import (
 )
 from .mech_subadditive import group_from_mask, phi
 from .oracles import optimal_allocation
-from .valuations import BoundedKnapsack, ConcaveAdditive, Symmetric
 
 GROUP_ENUM_MAX_SELLERS = 16
 BUDGET_SLACK = 1e-9
+GRID = 64  # default uniform deviation grid size
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,7 @@ class GreedyLottery(Lottery):
     seller at price B w.p. 1/2, and nothing otherwise."""
 
     def applicable(self, inst):
-        if isinstance(inst.valuation, (BoundedKnapsack, ConcaveAdditive)):
-            return None
-        return "requires a concave additive or bounded-knapsack valuation"
+        return mech_additive.additive_reason(inst)
 
     def scenarios(self, inst):
         p_greedy = 1.0 / (2.0 * harmonic_factor(inst.total_units))
@@ -155,9 +153,7 @@ class SymmetricLottery(GreedyLottery):
     """m_sym: the m_add lottery with the cheapest-prefix greedy branch."""
 
     def applicable(self, inst):
-        if isinstance(inst.valuation, Symmetric):
-            return None
-        return "requires a symmetric valuation"
+        return mech_additive.symmetric_reason(inst)
 
     def run(self, inst, bids, branch):
         return mech_additive.run_m_sym(inst, bids, branch)
@@ -322,14 +318,7 @@ def expected_value(mech: str, inst: Instance, bids=None) -> float:
     )
 
 
-def expected_payment(mech: str, inst: Instance, bids=None) -> float:
-    return sum(
-        s.probability * float(out.total_payment)
-        for s, out in scenario_outcomes(mech, inst, bids)
-    )
-
-
-def deviation_grid(mech, inst, bids, seller, resolution: int = 64):
+def deviation_grid(mech, inst, bids, seller, resolution: int = GRID):
     """Deviation bids: the truthful bid, breakpoints straddled by one
     millionth, and a uniform grid on (0, B].
 
@@ -353,7 +342,7 @@ def deviation_grid(mech, inst, bids, seller, resolution: int = 64):
 
 
 def check_dst(
-    mech: str, inst: Instance, resolution: int = 64, strict: bool = False
+    mech: str, inst: Instance, resolution: int = GRID, strict: bool = False
 ) -> list:
     """Per-scenario, per-seller truthfulness on the deviation grid.
 
@@ -549,7 +538,7 @@ CSV_HEADER = ["instance", "mechanism", "ratio", "bound", "pass_count", "fail_cou
 
 
 def verify_instance(
-    inst: Instance, mechanisms, resolution=64, strict=False, digest=""
+    inst: Instance, mechanisms, resolution=GRID, strict=False, digest=""
 ) -> list:
     """Run the full check battery for each applicable mechanism."""
     reports = []
@@ -574,20 +563,3 @@ def verify_instance(
         )
     return reports
 
-
-def replay_witness(mech: str, inst: Instance, witness: dict) -> bool:
-    """Re-run a DST witness; True iff it reproduces the recorded violation."""
-    from .core import parse_rat
-
-    bids = tuple(parse_rat(b) for b in witness["bids"])
-    seller = witness["seller"]
-    branch = witness["scenario"]
-    dev = parse_rat(witness["deviation"])
-    u_true = utility(run_scenario(mech, inst, bids, branch), inst.costs, seller)
-    profile = bids[:seller] + (dev,) + bids[seller + 1 :]
-    u_dev = utility(run_scenario(mech, inst, profile, branch), inst.costs, seller)
-    return (
-        u_dev > u_true
-        and format_rat(u_true) == witness["u_true"]
-        and format_rat(u_dev) == witness["u_dev"]
-    )

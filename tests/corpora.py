@@ -7,22 +7,65 @@ sellers plus two larger spot instances: its deviation sweep costs
 grows steeply in m, while every other criterion is cheap per instance.
 """
 
+import random
 from functools import lru_cache
 
 from procure.core import Rat, Seller, Instance
-from procure.valuations import Explicit
+from procure.valuations import Additive, Explicit, domain
 from procure.instances import (
+    _rand_cost,
+    _rand_margin,
+    _split_units,
     gen_bounded_knapsack,
     gen_concave_additive,
-    gen_explicit_monotone,
     gen_explicit_subadditive,
     gen_symmetric,
 )
+
+from helpers import explicit_from_function
 
 CONCAVE_SIZE = 500
 M_ONE_SIZE = 200
 EXPLICIT_SUBADD_SIZE = 100
 SYMMETRIC_SIZE = 120
+
+
+def gen_additive(seed, max_sellers=5, max_total_units=12) -> Instance:
+    """Additive margins with no concavity requirement."""
+    rng = random.Random(seed)
+    while True:
+        m = rng.randint(1, max_sellers)
+        units = _split_units(rng, m, max_total_units)
+        budget = Rat(rng.randint(8, 40))
+        costs = [_rand_cost(rng, budget) for _ in range(m)]
+        margins = tuple(
+            tuple(_rand_margin(rng) for _ in range(n)) for n in units
+        )
+        if any(v > 0 for mm in margins for v in mm):
+            sellers = tuple(Seller(n, c) for n, c in zip(units, costs))
+            return Instance(sellers, budget, Additive(margins))
+
+
+def gen_explicit_monotone(seed, max_items=3, max_cap=2) -> Instance:
+    """Random monotone explicit table; generally neither additive nor concave."""
+    rng = random.Random(seed)
+    m = rng.randint(2, max_items)
+    caps = tuple(rng.randint(1, max_cap) for _ in range(m))
+    table = {}
+    for alloc in domain(caps):
+        if not any(alloc):
+            table[alloc] = Rat(0)
+            continue
+        floor = Rat(0)
+        for i in range(m):
+            if alloc[i] > 0:
+                prev = alloc[:i] + (alloc[i] - 1,) + alloc[i + 1 :]
+                if table[prev] > floor:
+                    floor = table[prev]
+        table[alloc] = floor + Rat(rng.randint(0, 10), 2)
+    budget = Rat(rng.randint(8, 40))
+    sellers = tuple(Seller(c, _rand_cost(rng, budget)) for c in caps)
+    return Instance(sellers, budget, Explicit.from_mapping(caps, table))
 
 
 @lru_cache(maxsize=None)
@@ -50,8 +93,6 @@ def _big_subadditive(seed, caps, budget):
     """Capped-additive table over a large domain; sub-additive by
     construction (min of an additive function and a ceiling), since the
     classifier's pairwise guard rules out validating domains this big."""
-    import random
-
     rng = random.Random(seed)
     per_item = [
         sorted((Rat(rng.randint(1, 12)) for _ in range(c)), reverse=True)
@@ -67,7 +108,7 @@ def _big_subadditive(seed, caps, budget):
         )
         return min(raw, ceiling)
 
-    valuation = Explicit.from_function(caps, value)
+    valuation = explicit_from_function(caps, value)
     sellers = tuple(
         Seller(c, Rat(rng.randint(1, int(budget)), rng.choice((1, 2))))
         for c in caps

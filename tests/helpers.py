@@ -5,8 +5,11 @@ The oracles restate a rule directly (exhaustive optimum and demand, the
 cheapest-prefix rule, thresholds by search over breakpoints).  The analysis
 helpers are not mechanisms: the per-rank pick-up test of the greedy, the
 marginal value-rate greedy and its non-monotonicity, the sample-group
-dominance event of the random-sampling argument, and explicit tables
-materialized from any valuation for the classifier cross-check.
+dominance event of the random-sampling argument (with the optimum over a
+seller subset), and explicit tables materialized from any valuation for the
+classifier cross-check.  The rest are conveniences the package does not
+need: the allocation lattice's join and meet, expected payments, and
+replaying a DST witness.
 """
 
 from dataclasses import dataclass
@@ -14,18 +17,42 @@ from itertools import product
 
 from procure import mech_single_item, mech_subadditive
 from procure.core import (
+    Alloc,
     Instance,
     NoThreshold,
     Rat,
     SearchSpaceTooLarge,
+    Seller,
     checked_bids,
+    format_rat,
+    parse_rat,
     unit_vector,
+    utility,
 )
 from procure.mech_additive import greedy_allocate, ranked_pairs
 from procure.mech_subadditive import group_from_mask, phi
 from procure.oracles import optimal_allocation
-from procure.valuations import Explicit
-from procure.verify import BUDGET_SLACK, GROUP_ENUM_MAX_SELLERS
+from procure.valuations import Explicit, domain
+from procure.verify import (
+    BUDGET_SLACK,
+    GROUP_ENUM_MAX_SELLERS,
+    run_scenario,
+    scenario_outcomes,
+)
+
+
+def join(a: Alloc, b: Alloc) -> Alloc:
+    """Item-wise max of two allocations of equal length."""
+    if len(a) != len(b):
+        raise ValueError(f"allocation length mismatch: {len(a)} vs {len(b)}")
+    return tuple(x if x >= y else y for x, y in zip(a, b))
+
+
+def meet(a: Alloc, b: Alloc) -> Alloc:
+    """Item-wise min of two allocations of equal length."""
+    if len(a) != len(b):
+        raise ValueError(f"allocation length mismatch: {len(a)} vs {len(b)}")
+    return tuple(x if x <= y else y for x, y in zip(a, b))
 
 
 def threshold_by_search(sold, candidates):
@@ -147,9 +174,52 @@ def brute_force_demand(valuation, prices, caps):
     return best[0]
 
 
+def explicit_from_function(caps, fn) -> Explicit:
+    """The explicit table of ``fn`` over every allocation within ``caps``."""
+    caps = tuple(caps)
+    entries = tuple(
+        (alloc, fn(alloc)) for alloc in domain(caps)
+    )
+    return Explicit(caps, entries)
+
+
 def as_explicit(valuation, caps) -> Explicit:
     """Materialize any valuation as an explicit table over ``caps``."""
-    return Explicit.from_function(caps, valuation.value)
+    return explicit_from_function(caps, valuation.value)
+
+
+def restricted_optimum(inst: Instance, members):
+    """Exact optimum (allocation, value) buying only from ``members``: every
+    other seller is priced at budget + 1, so not one of its units fits."""
+    allowed = set(members)
+    sellers = tuple(
+        s if i in allowed else Seller(s.units, inst.budget + 1)
+        for i, s in enumerate(inst.sellers)
+    )
+    return optimal_allocation(Instance(sellers, inst.budget, inst.valuation))
+
+
+def expected_payment(mech: str, inst: Instance, bids=None) -> float:
+    return sum(
+        s.probability * float(out.total_payment)
+        for s, out in scenario_outcomes(mech, inst, bids)
+    )
+
+
+def replay_witness(mech: str, inst: Instance, witness: dict) -> bool:
+    """Re-run a DST witness; True iff it reproduces the recorded violation."""
+    bids = tuple(parse_rat(b) for b in witness["bids"])
+    seller = witness["seller"]
+    branch = witness["scenario"]
+    dev = parse_rat(witness["deviation"])
+    u_true = utility(run_scenario(mech, inst, bids, branch), inst.costs, seller)
+    profile = bids[:seller] + (dev,) + bids[seller + 1 :]
+    u_dev = utility(run_scenario(mech, inst, profile, branch), inst.costs, seller)
+    return (
+        u_dev > u_true
+        and format_rat(u_true) == witness["u_true"]
+        and format_rat(u_dev) == witness["u_dev"]
+    )
 
 
 def pickup_flags(inst: Instance, bids=None):
@@ -228,8 +298,8 @@ def _dominance_events(inst: Instance) -> list:
     for mask in range(1 << inst.m):
         group = group_from_mask(mask, inst.m)
         rest = tuple(i for i in range(inst.m) if i not in set(group))
-        v_group = optimal_allocation(inst, members=group)[1]
-        v_rest = optimal_allocation(inst, members=rest)[1]
+        v_group = restricted_optimum(inst, group)[1]
+        v_rest = restricted_optimum(inst, rest)[1]
         events.append((group, v_rest >= v_group and 8 * v_group >= opt))
     return events
 

@@ -27,10 +27,8 @@ from procure.oracles import (
 from procure.valuations import BoundedKnapsack
 from procure.verify import (
     check_dst,
-    expected_payment,
     expected_value,
     measure_ratio,
-    replay_witness,
     scenario_outcomes,
 )
 
@@ -44,9 +42,11 @@ from corpora import (
 )
 from helpers import (
     brute_force_optimum,
+    expected_payment,
     greedy_marginal,
     independent_threshold,
     partition_success_frequency,
+    replay_witness,
 )
 
 

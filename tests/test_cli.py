@@ -4,9 +4,12 @@ import re
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procure.cli import main
 from procure.instances import (
+    InstanceFormatError,
     load_instance,
     parse_instance,
     save_instance,
@@ -141,12 +144,33 @@ _MALFORMED_INPUTS = {
         _valued({"type": "bounded_knapsack", "values": ["1"]}, units=10**12),
         r"^\$\.sellers: 1000000000000 units in total exceed the limit",
     ),
+    "zero-budget": (
+        _malformed(lambda o: o.update(budget="0")),
+        r"^\$\.budget: budget must be positive",
+    ),
+    "negative-budget": (
+        _malformed(lambda o: o.update(budget="-7/2")),
+        r"^\$\.budget: budget must be positive",
+    ),
+    "no-sellers": (
+        _malformed(lambda o: o.update(sellers=[])),
+        r"^\$\.sellers: instance needs at least one seller",
+    ),
+    "huge-budget": (
+        _malformed(lambda o: o.update(budget="1" + "0" * 400)),
+        r"^\$\.budget: rational literal too large",
+    ),
+    # Python refuses to convert integers of over 4300 digits.
+    "huge-json-number": (
+        _valued({"type": "bounded_knapsack", "values": ["1"]}, units=7).replace(
+            '"units": 7', '"units": ' + "9" * 5000
+        ),
+        r"^\$: not valid JSON",
+    ),
 }
 
 
 def test_parse_errors_name_path():
-    from procure.instances import InstanceFormatError
-
     with pytest.raises(InstanceFormatError, match=r"\$\.budget"):
         parse_instance(json.dumps({"version": "1", "budget": "x",
                                    "sellers": [], "valuation": {}}))
@@ -277,8 +301,8 @@ def test_verify_generator_spec(runner):
     assert bad.exit_code != 0
 
 
-# Counts below one, an empty range of n, and an n above the total-units
-# limit are usage errors that write nothing.
+# Counts below one, an empty range of n, and an n above the sweep's ceiling
+# are usage errors that write nothing.
 @pytest.mark.parametrize(
     "args",
     [["verify", "gen:concave-additive:-3:5"], ["verify", "gen:symmetric:0:5"],
@@ -286,7 +310,7 @@ def test_verify_generator_spec(runner):
      ["verify", "gen:concave-additive:1:5", "--grid", "0"],
      ["verify", "gen:concave-additive:1:5", "--grid", "-4"],
      ["ratio-sweep", "--n-min", "10", "--n-max", "4"],
-     ["ratio-sweep", "--n-max", "10001"]],
+     ["ratio-sweep", "--n-max", "10001"], ["ratio-sweep", "--n-max", "401"]],
 )
 def test_counts_below_one_are_usage_errors(runner, tmp_path, args):
     out = tmp_path / "out"
@@ -450,13 +474,17 @@ def test_run_seed_replay_is_pinned(runner, tmp_path, name, mech):
     assert sampled == _pinned_branches(PINNED_SAMPLES[name, mech])
 
 
-def _run_error(runner, path, *args):
-    result = runner.invoke(main, ["run", str(path), *args])
+def _cli_error(runner, *args):
+    result = runner.invoke(main, list(args))
     assert result.exit_code == 1, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
     return lines[0]
+
+
+def _run_error(runner, path, *args):
+    return _cli_error(runner, "run", str(path), *args)
 
 
 @pytest.mark.parametrize("mech", ["m_add", "m_sym", "m_add_firstprice"])
@@ -500,3 +528,71 @@ def test_run_malformed_input_is_an_error(runner, tmp_path, case):
     path.write_text(text)
     line = _run_error(runner, path, "--mechanism", "m_add")
     assert re.match(path_re, line.removeprefix("Error: ")), line
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
+def test_verify_malformed_input_is_an_error(runner, tmp_path, case):
+    text, path_re = _MALFORMED_INPUTS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    line = _cli_error(runner, "verify", str(path), "--mechanism", "m_add")
+    assert re.match(path_re, line.removeprefix(f"Error: {path}: ")), line
+
+
+def _json_paths(obj, path=()):
+    """Every path into a JSON value, the root () included."""
+    yield path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield from _json_paths(value, (*path, key))
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    obj[path[0]] = _replaced(obj[path[0]], path[1:], value)
+    return obj
+
+
+# Valid instance files, with bids, into which one field at a time is fuzzed.
+_FUZZ_BASES = tuple(
+    serialize_instance(inst, bids=inst.costs)
+    for inst in (gen_concave_additive(1), greedy_nonmonotone_instance())
+)
+_FUZZ_STRINGS = ("0", "-1", "1/0", "1/2", "-3/4", "01", " 2", "x", "", "9" * 400,
+                 "-" + "9" * 400, "1/" + "9" * 400, "explicit", "symmetric")
+
+
+def _json_containers(inner):
+    keys = st.sampled_from(("type", "units", "cost", "alloc", "value"))
+    return st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=3)
+
+
+_FUZZ_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(_FUZZ_STRINGS) | st.text(max_size=4),
+    _json_containers,
+    max_leaves=5,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_parse_instance_fuzz(data):
+    obj = json.loads(data.draw(st.sampled_from(_FUZZ_BASES)))
+    paths = list(_json_paths(obj))
+    # Pick the top-level field first, so the long valuation does not crowd
+    # out the short fields.
+    top = data.draw(st.sampled_from(sorted({p[:1] for p in paths}, key=str)))
+    path = data.draw(st.sampled_from([p for p in paths if p[:1] == top]))
+    text = json.dumps(_replaced(obj, path, data.draw(_FUZZ_VALUES)))
+    try:
+        parse_instance(text)
+    except InstanceFormatError:
+        pass

@@ -13,13 +13,13 @@ from procure.core import (
     Seller,
     format_rat,
     is_budget_feasible,
-    join,
-    meet,
     parse_rat,
     unit_vector,
     utility,
 )
 from procure.valuations import BoundedKnapsack
+
+from helpers import join, meet
 
 
 def test_parse_rat_forms():

@@ -1,8 +1,10 @@
-"""Every import in the package and the test suite is used.
+"""Every import in the package and the test suite is used, and every public
+function and class of the package is read by the package.
 
-A name counts as used when the module reads it anywhere or lists it in
-``__all__``; ``from __future__`` imports are compiler directives and are
-skipped.
+An imported name counts as used when the module reads it anywhere or lists
+it in ``__all__``; ``from __future__`` imports are compiler directives and
+are skipped.  A public name counts as read when another part of the package
+loads it, when ``procure.__all__`` lists it, or when it is a click command.
 """
 
 import ast
@@ -59,3 +61,87 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+PACKAGE = sorted((ROOT / "src" / "procure").glob("*.py"))
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_command(node) -> bool:
+    # @main.command(...) and @click.group() register a click command.
+    return any(
+        isinstance(d, ast.Call)
+        and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def unread_public_names(sources: dict) -> list:
+    """(module, name) of each public module-level function or class that no
+    module of the package reads outside its own definition, that the
+    package's ``__all__`` does not list, and that is not a click command.
+
+    ``sources`` maps module names to source text; ``__init__`` holds
+    ``__all__``.  A read is a loaded name or attribute; imports are not reads.
+    """
+    exported, definitions, reads = set(), [], []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+                if not _is_command(node):
+                    definitions.append((module, node))
+            elif module == "__init__" and isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported |= {e.value for e in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((module, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((module, node.attr, node.lineno))
+
+    def read_outside(module, node) -> bool:
+        return any(
+            name == node.name
+            and (where != module or not node.lineno <= line <= node.end_lineno)
+            for where, name, line in reads
+        )
+
+    return sorted(
+        (module, node.name)
+        for module, node in definitions
+        if node.name not in exported and not read_outside(module, node)
+    )
+
+
+def test_checker_flags_only_unread_public_names():
+    sources = {
+        "__init__": "from .a import exported\n__all__ = ['exported']\n",
+        "a": (
+            "import click\n"
+            "def exported(): pass\n"
+            "def used(): pass\n"
+            "def unread(): pass\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "def _private(): pass\n"
+            "class Unread: pass\n"
+            "class Annotated: pass\n"
+            "def typed() -> Annotated: pass\n"
+            "@click.group()\n"
+            "def main(): pass\n"
+            "@main.command('x')\n"
+            "def cmd(): pass\n"
+        ),
+        "b": "from .a import unread\nfrom . import a\nprint(a.used())\n",
+    }
+    assert unread_public_names(sources) == [
+        ("a", "Unread"), ("a", "recursive"), ("a", "typed"), ("a", "unread"),
+    ]
+
+
+def test_public_names_are_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unread_public_names(sources) == []

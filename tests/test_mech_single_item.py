@@ -2,10 +2,8 @@ import random
 
 import pytest
 
-from procure.core import Instance, Rat, Seller, utility
-from procure.instances import gen_explicit_monotone
+from procure.core import Instance, Rat, Seller, affordable_count, utility
 from procure.mech_single_item import (
-    affordable_count,
     plan_m_one,
     run_m_one,
     single_item_values,
@@ -13,7 +11,7 @@ from procure.mech_single_item import (
 from procure.oracles import adversarial_single_seller
 from procure.valuations import BoundedKnapsack, ConcaveAdditive
 
-from corpora import m_one_corpus
+from corpora import gen_explicit_monotone, m_one_corpus
 
 
 @pytest.fixture
@@ -169,9 +167,9 @@ def test_affordable_count_floor():
     inst = Instance(
         (Seller(5, Rat(3)),), Rat(10), BoundedKnapsack((Rat(1),))
     )
-    assert affordable_count(inst, 0, Rat(3)) == 3
-    assert affordable_count(inst, 0, Rat(0)) == 5
-    assert affordable_count(inst, 0, Rat(11)) == 0
+    assert affordable_count(inst.units[0], inst.budget, Rat(3)) == 3
+    assert affordable_count(inst.units[0], inst.budget, Rat(0)) == 5
+    assert affordable_count(inst.units[0], inst.budget, Rat(11)) == 0
 
 
 def test_explicit_nonconcave_corpus_members_work():

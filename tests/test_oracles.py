@@ -1,11 +1,7 @@
 import pytest
 
 from procure.core import Instance, Rat, Seller, unit_vector
-from procure.instances import (
-    gen_additive,
-    gen_bounded_knapsack,
-    gen_concave_additive,
-)
+from procure.instances import gen_bounded_knapsack, gen_concave_additive
 from procure.mech_single_item import plan_m_one
 from procure.oracles import (
     adversarial_single_seller,
@@ -13,8 +9,8 @@ from procure.oracles import (
 )
 from procure.valuations import BoundedKnapsack, ConcaveAdditive
 
-from corpora import greedy_nonmonotone_instance
-from helpers import brute_force_optimum
+from corpora import gen_additive, greedy_nonmonotone_instance
+from helpers import brute_force_optimum, restricted_optimum
 
 
 def test_optimum_examples():
@@ -44,13 +40,13 @@ def test_dp_matches_enumeration():
 def test_restricted_optimum():
     inst = gen_concave_additive(77)
     full = optimal_allocation(inst)[1]
-    nothing = optimal_allocation(inst, members=())
+    nothing = restricted_optimum(inst, ())
     assert nothing == ((0,) * inst.m, 0)
     for members in ((0,), tuple(range(inst.m))):
-        alloc, v = optimal_allocation(inst, members=members)
+        alloc, v = restricted_optimum(inst, members)
         assert v <= full
         assert all(a == 0 for i, a in enumerate(alloc) if i not in members)
-    assert optimal_allocation(inst, members=tuple(range(inst.m)))[1] == full
+    assert restricted_optimum(inst, tuple(range(inst.m)))[1] == full
 
 
 def optimal_single_item(inst):

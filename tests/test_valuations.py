@@ -15,7 +15,7 @@ from procure.valuations import (
     valuation_to_json,
 )
 from corpora import greedy_nonmonotone_instance
-from helpers import as_explicit, brute_force_demand
+from helpers import as_explicit, brute_force_demand, explicit_from_function
 
 CHAIN = (
     "bounded-knapsack",
@@ -130,7 +130,7 @@ def _caps_families():
         Additive(((Rat(1), Rat(3)), (Rat(2),))),
         ConcaveAdditive(((Rat(3), Rat(1)), (Rat(2),))),
         Symmetric((Rat(3), Rat(2), Rat(1))),
-        Explicit.from_function((2, 1), lambda a: Rat(sum(a))),
+        explicit_from_function((2, 1), lambda a: Rat(sum(a))),
     )
 
 
@@ -165,12 +165,9 @@ def test_caps_without_a_dimension_are_accepted():
 
 def test_value_monotone_for_accepted_valuations():
     rng = random.Random(91)
-    from procure.instances import (
-        gen_additive,
-        gen_concave_additive,
-        gen_explicit_monotone,
-        gen_symmetric,
-    )
+    from procure.instances import gen_concave_additive, gen_symmetric
+
+    from corpora import gen_additive, gen_explicit_monotone
 
     gens = (gen_concave_additive, gen_additive, gen_symmetric,
             gen_explicit_monotone)

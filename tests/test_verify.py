@@ -15,19 +15,19 @@ from procure.verify import (
     check_dst,
     check_ir,
     deviation_grid,
-    expected_payment,
     expected_value,
     measure_ratio,
-    replay_witness,
     run_scenario,
     verify_instance,
 )
 
 from corpora import greedy_nonmonotone_instance
 from helpers import (
+    expected_payment,
     greedy_marginal,
     partition_chain_records,
     partition_success_frequency,
+    replay_witness,
 )
 
 
