@@ -39,6 +39,14 @@ def main():
     """Budget-feasible multi-unit procurement mechanisms."""
 
 
+def _load(path):
+    """An instance file's instance and bids; a bad file is an error naming it."""
+    try:
+        return load_instance(path)
+    except (ProcurementError, OSError) as exc:
+        raise click.ClickException(f"{path}: {exc}")
+
+
 @main.command("run")
 @click.argument("instance_path", type=click.Path(exists=True, dir_okay=False))
 @click.option(
@@ -48,8 +56,8 @@ def main():
 @click.option("--seed", default=0, show_default=True, type=int)
 def cmd_run(instance_path, mechanism, scenario, seed):
     """Run one (sampled or replayed) realization and print the outcome."""
+    inst, bids = _load(instance_path)
     try:
-        inst, bids = load_instance(instance_path)
         lottery = MECHANISMS[mechanism]
         branch = scenario or lottery.sample(inst, random.Random(seed))
         outcome = lottery.run(inst, bids, branch)
@@ -100,11 +108,7 @@ def _verify_targets(specs):
             for s in range(seed, seed + count):
                 yield generator(s)
         else:
-            try:
-                inst, _ = load_instance(spec)
-            except (ProcurementError, OSError) as exc:
-                raise click.ClickException(f"{spec}: {exc}")
-            yield inst
+            yield _load(spec)[0]
 
 
 @main.command("verify")
@@ -189,8 +193,9 @@ def cmd_generate(family, seed, sellers, n, k, budget, out):
         click.echo(serialize_instance(inst), nl=False)
 
 
-# Largest n a sweep may reach: each point costs O(n^2 log n) rational
-# operations, and 400 units is the largest greedy run the bench times.
+# Largest n a sweep may reach: 400 units is the largest greedy run the bench
+# times.  The greedy branch costs O(n log n + m*n) rational operations, so the
+# knapsack DP optimum, about O(n^2), sets the cost of a point.
 RATIO_SWEEP_MAX_N = 400
 
 

@@ -137,7 +137,11 @@ def parse_instance(text: str):
 
 def load_instance(path):
     with open(path, encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceFormatError(f"$: not valid UTF-8 ({exc})") from exc
+    return parse_instance(text)
 
 
 def save_instance(path, inst: Instance, bids=None) -> None:

@@ -10,9 +10,13 @@ budget, and buying nothing.
 Rates fall and the value prefix grows along the ranking, so a pair is
 bought iff its own inequality holds.  A bought unit of value v, whose
 seller's units up to it are worth s, has critical bid
-min over alpha of max(r_alpha, v * B / (s + W_alpha)), where r_alpha is
-the bid ranking it behind the alpha-th rival pair (r_0 = 0, never
-decreasing) and W_alpha is the value of those alpha rival pairs.
+v * min over alpha of max(rho_alpha, B / (s + W_alpha)), where rho_alpha
+is the bid/value of the alpha-th rival pair (rho_0 = 0, never decreasing)
+and W_alpha is the value of the first alpha rival pairs.  The first term
+rises with alpha and the second falls, so the minimum sits at the first
+alpha where rho_alpha * (s + W_alpha) >= B or just before it, and a
+bisection finds it: one ranking prices all of a seller's units in
+O(n + units * log n) rational operations.
 
 The symmetric-valuation variant is the same greedy on the instance with
 every unit worth 1: it ranks units by bid, ties by (seller, unit), buys the
@@ -107,6 +111,38 @@ def greedy_allocate(inst: Instance, bids=None):
     return tuple(counts)
 
 
+def _seller_thresholds(pairs, i: int, count: int, budget):
+    """Critical bids of seller i's first ``count`` units, from one ranking."""
+    if count == 0:
+        return []
+    rates, prefixes = [], [Rat(0)]  # rho_alpha for alpha >= 1, W_alpha for alpha >= 0
+    for pr in pairs:
+        if pr.seller != i:
+            rates.append(pr.bid / pr.value)
+            prefixes.append(prefixes[-1] + pr.value)
+    out = []
+    share = Rat(0)
+    for pr in pairs:
+        if pr.seller != i:
+            continue
+        share += pr.value
+        # lo ends at the first alpha - 1 with rho_alpha * (s + W_alpha) >= B.
+        lo, hi = 0, len(rates)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if rates[mid] * (share + prefixes[mid + 1]) >= budget:
+                hi = mid
+            else:
+                lo = mid + 1
+        best = budget / (share + prefixes[lo])
+        if lo < len(rates):
+            best = min(best, rates[lo])
+        out.append(pr.value * best)
+        if len(out) == count:
+            break
+    return out
+
+
 def threshold(inst: Instance, i: int, j: int, bids=None):
     """Exact critical bid for seller i's j-th unit in the greedy branch.
 
@@ -117,37 +153,25 @@ def threshold(inst: Instance, i: int, j: int, bids=None):
     pairs = ranked_pairs(inst, bids)
     if not 0 <= i < inst.m:
         raise IndexError(f"seller index {i} out of range")
-    prefix = share = Rat(0)
+    prefix = Rat(0)
     for pr in pairs:
         prefix += pr.value
-        if pr.seller == i:
-            share += pr.value
-            if pr.unit == j:
-                break
+        if pr.seller == i and pr.unit == j:
+            break
     else:
         raise NoThreshold(f"unit {j} of seller {i} is never bought")
-    v, budget = pr.value, inst.budget
-    if pr.bid * prefix > budget * v:
+    if pr.bid * prefix > inst.budget * pr.value:
         raise NoThreshold(f"unit {j} of seller {i} is not bought under these bids")
-    best = v * budget / share  # alpha = 0: ahead of every rival pair
-    rivals_prefix = Rat(0)
-    for rival in pairs:
-        if rival.seller == i:
-            continue
-        rank_bid = v * rival.bid / rival.value
-        if rank_bid >= best:
-            break
-        rivals_prefix += rival.value
-        best = min(best, max(rank_bid, v * budget / (share + rivals_prefix)))
-    return best
+    return _seller_thresholds(pairs, i, j, inst.budget)[-1]
 
 
 def greedy_payments(inst: Instance, bids=None):
     """Threshold payments for the greedy-branch allocation."""
     bids = checked_bids(inst, bids)
     alloc = greedy_allocate(inst, bids)
+    pairs = ranked_pairs(inst, bids)
     return alloc, tuple(
-        sum((threshold(inst, i, j, bids) for j in range(1, a + 1)), Rat(0))
+        sum(_seller_thresholds(pairs, i, a, inst.budget), Rat(0))
         for i, a in enumerate(alloc)
     )
 

@@ -140,9 +140,8 @@ class GreedyLottery(Lottery):
         for po in own:
             for pr in rest:
                 points.add(po.value * pr.bid / pr.value)
-        alloc = mech_additive.greedy_allocate(inst, bids)
-        for j in range(1, alloc[seller] + 1):
-            points.add(mech_additive.threshold(inst, seller, j, bids))
+        bought = mech_additive.greedy_allocate(inst, bids)[seller]
+        points.update(mech_additive._seller_thresholds(pairs, seller, bought, inst.budget))
         return points
 
     def bound(self, n):
@@ -212,7 +211,7 @@ class SamplingLottery(Lottery):
         return None
 
     def scenarios(self, inst):
-        if inst.m > GROUP_ENUM_MAX_SELLERS:
+        if self.applicable(inst) is not None:
             raise SearchSpaceTooLarge(
                 f"2^{inst.m} sample groups exceed the enumeration guard"
             )

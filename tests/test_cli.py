@@ -527,7 +527,7 @@ def test_run_malformed_input_is_an_error(runner, tmp_path, case):
     path = tmp_path / "bad.json"
     path.write_text(text)
     line = _run_error(runner, path, "--mechanism", "m_add")
-    assert re.match(path_re, line.removeprefix("Error: ")), line
+    assert re.match(path_re, line.removeprefix(f"Error: {path}: ")), line
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
@@ -537,6 +537,14 @@ def test_verify_malformed_input_is_an_error(runner, tmp_path, case):
     path.write_text(text)
     line = _cli_error(runner, "verify", str(path), "--mechanism", "m_add")
     assert re.match(path_re, line.removeprefix(f"Error: {path}: ")), line
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_non_utf8_input_is_an_error(runner, tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    line = _cli_error(runner, command, str(path), "--mechanism", "m_add")
+    assert line.startswith(f"Error: {path}: $: not valid UTF-8"), line
 
 
 def _json_paths(obj, path=()):

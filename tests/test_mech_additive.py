@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from procure import mech_additive
 from procure.core import (
+    MAX_TOTAL_UNITS,
     Instance,
     NoThreshold,
     Rat,
@@ -11,6 +13,7 @@ from procure.core import (
     utility,
 )
 from procure.instances import gen_bounded_knapsack, gen_concave_additive, gen_symmetric
+from procure.oracles import adversarial_single_seller
 from procure.mech_additive import (
     greedy_allocate,
     greedy_payments,
@@ -179,6 +182,58 @@ def test_threshold_pinned_to_allocation_rule():
                     else:
                         with pytest.raises(NoThreshold):
                             threshold(inst, i, j, bids)
+
+
+def test_greedy_payments_equal_summed_thresholds():
+    # Each seller's greedy payment is the sum of its bought units' single-unit
+    # thresholds, on corpora with many sellers and on single-seller ladders.
+    corpus = (
+        list(concave_corpus()[:200])
+        + [gen_bounded_knapsack(52000 + s) for s in range(30)]
+        + [unit_values(inst) for inst in symmetric_corpus()]
+        + [adversarial_single_seller(n, n, n) for n in (1, 2, 3, 50, 400)]
+    )
+    for n, inst in enumerate(corpus):
+        for bids in _probe_profiles(inst, 54000 + n):
+            alloc = greedy_allocate(inst, bids)
+            summed = tuple(
+                sum((threshold(inst, i, j, bids) for j in range(1, a + 1)), Rat(0))
+                for i, a in enumerate(alloc)
+            )
+            assert greedy_payments(inst, bids) == (alloc, summed)
+
+
+def test_greedy_payments_rank_once(monkeypatch):
+    # One ranking for the allocation and one for the payments, whatever the
+    # size: no per-unit threshold query re-sorts the pairs.
+    calls = {"ranked_pairs": 0, "threshold": 0}
+
+    def counted(name):
+        inner = getattr(mech_additive, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mech_additive, name, counted(name))
+    corpus = [adversarial_single_seller(n, n, n) for n in (1, 2, 50, 400)]
+    corpus += list(concave_corpus()[:20])
+    for inst in corpus:
+        calls.update(ranked_pairs=0, threshold=0)
+        greedy_payments(inst)
+        assert calls["ranked_pairs"] <= 2
+        assert calls["threshold"] == 0
+
+
+def test_greedy_payments_at_unit_cap():
+    inst = adversarial_single_seller(MAX_TOTAL_UNITS, MAX_TOTAL_UNITS, MAX_TOTAL_UNITS)
+    alloc, payments = greedy_payments(inst)
+    assert alloc == (MAX_TOTAL_UNITS,)
+    for a, p, b in zip(alloc, payments, inst.costs):
+        assert p >= a * b
 
 
 def test_monotone_allocation_rule():

@@ -96,8 +96,11 @@ def test_scenario_guard_many_sellers():
         Rat(5),
         BoundedKnapsack((Rat(1),) * 17),
     )
-    with pytest.raises(SearchSpaceTooLarge):
+    with pytest.raises(SearchSpaceTooLarge, match=r"^2\^17 sample groups exceed the enumeration guard$"):
         MECHANISMS["m_rand"].scenarios(wide)
+    reason = "sample-group enumeration needs m <= 16"
+    assert MECHANISMS["m_rand"].applicable(wide) == reason
+    assert MECHANISMS["m_sub"].applicable(wide) == reason
 
 
 def test_check_dst_passes_and_fixture_fails(two_seller):
