@@ -126,7 +126,8 @@ def _seller_thresholds(pairs, i: int, count: int, budget):
         if pr.seller != i:
             continue
         share += pr.value
-        # lo ends at the first alpha - 1 with rho_alpha * (s + W_alpha) >= B.
+        # Bisect for the first alpha with rho_alpha * (s + W_alpha) >= B;
+        # lo ends at alpha - 1, or at len(rates) if no rival crosses.
         lo, hi = 0, len(rates)
         while lo < hi:
             mid = (lo + hi) // 2

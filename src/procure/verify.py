@@ -141,7 +141,9 @@ class GreedyLottery(Lottery):
             for pr in rest:
                 points.add(po.value * pr.bid / pr.value)
         bought = mech_additive.greedy_allocate(inst, bids)[seller]
-        points.update(mech_additive._seller_thresholds(pairs, seller, bought, inst.budget))
+        points.update(
+            mech_additive._seller_thresholds(pairs, seller, bought, inst.budget)
+        )
         return points
 
     def bound(self, n):

@@ -13,7 +13,6 @@ from procure.core import (
     utility,
 )
 from procure.instances import gen_bounded_knapsack, gen_concave_additive, gen_symmetric
-from procure.oracles import adversarial_single_seller
 from procure.mech_additive import (
     greedy_allocate,
     greedy_payments,
@@ -27,6 +26,7 @@ from procure.mech_additive import (
     threshold,
     unit_values,
 )
+from procure.oracles import adversarial_single_seller
 from procure.valuations import Additive, BoundedKnapsack, ConcaveAdditive, Symmetric
 from procure.verify import MECHANISMS
 

@@ -96,7 +96,8 @@ def test_scenario_guard_many_sellers():
         Rat(5),
         BoundedKnapsack((Rat(1),) * 17),
     )
-    with pytest.raises(SearchSpaceTooLarge, match=r"^2\^17 sample groups exceed the enumeration guard$"):
+    message = r"^2\^17 sample groups exceed the enumeration guard$"
+    with pytest.raises(SearchSpaceTooLarge, match=message):
         MECHANISMS["m_rand"].scenarios(wide)
     reason = "sample-group enumeration needs m <= 16"
     assert MECHANISMS["m_rand"].applicable(wide) == reason
