@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import log2
 
 from .core import Instance, Outcome, Rat, affordable_count, checked_bids
-from .valuations import demand
+from .valuations import demand, recall, remember
 
 ACCEPT_EPS = 1e-12
 
@@ -51,9 +51,23 @@ def a_max(valuation, budget, units, costs, members) -> MaxRun:
     ``units`` and ``costs`` are full-length profiles; sellers outside
     ``members`` are ignored.  Zero costs get the +inf floor convention
     (capped at the full supply).
+
+    Runs are memoised in the valuation memo (see ``valuations.recall``:
+    the most recent valuation only, by identity, at most MEMO_LIMIT
+    entries) under the budget, the units and the members' costs, which are
+    all it reads: a non-member's cost never changes the result.
     """
     budget = Rat(budget)
     members = tuple(sorted(set(members)))
+    units = tuple(units)
+    key = ("a_max", budget, units, tuple((i, costs[i]) for i in members))
+    run = recall(valuation, key)
+    if run is None:
+        run = remember(valuation, key, _a_max(valuation, budget, units, costs, members))
+    return run
+
+
+def _a_max(valuation, budget, units, costs, members) -> MaxRun:
     m = len(units)
     zero_alloc = (0,) * m
     capped = [0] * m

@@ -12,17 +12,36 @@ from __future__ import annotations
 from math import lcm
 
 from .core import Instance, Rat, SearchSpaceTooLarge, Seller
-from .valuations import ADDITIVE_FAMILIES, BoundedKnapsack, domain, domain_size
+from .valuations import (
+    ADDITIVE_FAMILIES,
+    BoundedKnapsack,
+    domain,
+    domain_size,
+    recall,
+    remember,
+)
 
 ENUM_LIMIT = 10**6
 DP_CELL_LIMIT = 4 * 10**6
 
 
 def optimal_allocation(inst: Instance):
-    """Exact optimum (allocation, value) of the budget-constrained problem."""
-    if isinstance(inst.valuation, ADDITIVE_FAMILIES):
-        return _optimal_additive_dp(inst)
-    return _optimal_enum(inst)
+    """Exact optimum (allocation, value) of the budget-constrained problem.
+
+    Memoised in the valuation memo (see ``valuations.recall``) under the
+    budget, units and costs, so mechanisms measured on one instance share
+    one optimum.
+    """
+    valuation = inst.valuation
+    key = ("optimum", inst.budget, inst.units, inst.costs)
+    best = recall(valuation, key)
+    if best is None:
+        if isinstance(valuation, ADDITIVE_FAMILIES):
+            best = _optimal_additive_dp(inst)
+        else:
+            best = _optimal_enum(inst)
+        remember(valuation, key, best)
+    return best
 
 
 def _optimal_enum(inst: Instance):

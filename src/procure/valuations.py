@@ -14,7 +14,6 @@ identical queries always return the same answer.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from math import prod
 
@@ -249,7 +248,62 @@ def _check_caps(valuation, caps) -> None:
         raise ValueError("caps must be >= 0")
 
 
-_demand_caches = weakref.WeakKeyDictionary()
+# The valuation memo: one results table, for the most recent valuation
+# only.  The owner is held, so its identity cannot be reused, and it is
+# matched by identity, never hashed per call.  Reading the table for another
+# valuation drops the previous table.  Owner and table are read as one tuple
+# in a single load, so a thread that races a switch of owner still gets its
+# own valuation's table; a race can cost memoised results, never mix them.
+MEMO_LIMIT = 2**16  # entries per table; a full table is cleared in place
+_memo = (None, {})
+
+
+class _OwnerTable:
+    """Maps the memo's owner, and nothing else, to its live table.
+
+    For readers that watch the table grow (bench/tracing.py counts a demand
+    call that does not grow it as a hit).  A view of ``_memo`` that matches
+    by identity, so it never hashes a valuation and never goes stale.
+    """
+
+    def get(self, valuation, default=None):
+        owner, table = _memo
+        return table if valuation is not None and owner is valuation else default
+
+
+_demand_caches = _OwnerTable()
+
+
+def _memo_table(valuation) -> dict:
+    global _memo
+    owner, table = _memo
+    if owner is not valuation:
+        table = {}
+        _memo = (valuation, table)
+    return table
+
+
+def recall(valuation, key):
+    """The memoised result for ``key`` under ``valuation``, or None.
+
+    Keys are the exact inputs a computation reads besides the valuation;
+    each caller leads its key with its own tag, except ``demand``, whose
+    keys are ``(prices, caps)``.  The valuation is matched by identity.
+    """
+    return _memo_table(valuation).get(key)
+
+
+def remember(valuation, key, result):
+    """Store ``result`` for ``key`` under ``valuation`` and return it.
+
+    Clears the table first when it already holds MEMO_LIMIT entries, so
+    it never holds more.
+    """
+    table = _memo_table(valuation)
+    if len(table) >= MEMO_LIMIT:
+        table.clear()
+    table[key] = result
+    return result
 
 
 def demand(valuation, prices, caps) -> Alloc:
@@ -257,16 +311,17 @@ def demand(valuation, prices, caps) -> Alloc:
 
     Deterministic: among maximizers, returns the lexicographically smallest
     count vector.  Additive families use a closed per-item form; other
-    families enumerate the capped domain (guarded).
+    families enumerate the capped domain (guarded).  Results are memoised
+    under ``(prices, caps)`` for the most recent valuation only (matched by
+    identity), in a table of at most MEMO_LIMIT entries; see ``recall``.
     """
     prices = _as_rats(prices)
     caps = tuple(int(c) for c in caps)
     if len(prices) != len(caps):
         raise ValueError("prices/caps length mismatch")
     _check_caps(valuation, caps)
-    cache = _demand_caches.setdefault(valuation, {})
     key = (prices, caps)
-    hit = cache.get(key)
+    hit = recall(valuation, key)
     if hit is not None:
         return hit
     if isinstance(valuation, ADDITIVE_FAMILIES):
@@ -276,8 +331,7 @@ def demand(valuation, prices, caps) -> Alloc:
         )
     else:
         result = _demand_enum(valuation, prices, caps)
-    cache[key] = result
-    return result
+    return remember(valuation, key, result)
 
 
 def _best_prefix(margins, price) -> int:

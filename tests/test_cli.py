@@ -340,18 +340,30 @@ def test_verify_skips_inapplicable(runner, tmp_path):
     assert "skip" in result.output
 
 
+# ``ratio-sweep --n-min 4 --n-max 8`` as written before the optimum was
+# shared between the two mechanisms of each n.
+RATIO_SWEEP_4_8 = """\
+n,mechanism,expected_value,optimum,ratio,greedy_lottery_bound,acceptance_factor
+4,m_add,1.3381195683928104,4,2.9892694901729318,9.545177444479563,0.0078125
+4,m_sub,1.0881195683928104,4,3.676066598000931,9.545177444479563,0.0078125
+5,m_add,1.4580607333431375,5,3.4292124365325107,10.437751649736402,0.008178300843036437
+5,m_sub,1.2080607333431375,5,4.13886476233956,10.437751649736402,0.008178300843036437
+6,m_add,1.5745911433514452,6,3.8105129863929466,11.16703787691222,0.008281934406469611
+6,m_sub,1.3245911433514452,6,4.5296996209856575,11.16703787691222,0.008281934406469611
+7,m_add,1.6880878312335392,7,4.14670366700344,11.783640596221254,0.008288559819786216
+7,m_sub,1.4380878312335392,7,4.867574739155991,11.783640596221254,0.008288559819786216
+8,m_add,1.7989368188551484,8,4.447071134544479,12.317766166719343,0.008255013024589355
+8,m_sub,1.5489368188551484,8,5.164833001976779,12.317766166719343,0.008255013024589355
+"""
+
+
 def test_ratio_sweep(runner, tmp_path):
     out = tmp_path / "sweep.csv"
     result = runner.invoke(
         main, ["ratio-sweep", "--n-min", "4", "--n-max", "8", "--out", str(out)]
     )
     assert result.exit_code == 0, result.output
-    with open(out) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][0] == "n"
-    assert len(rows) == 1 + 5 * 2  # n in 4..8, two mechanisms
-    by_n = {(r[0], r[1]): r for r in rows[1:]}
-    assert ("4", "m_add") in by_n and ("8", "m_sub") in by_n
+    assert out.read_bytes() == RATIO_SWEEP_4_8.replace("\n", "\r\n").encode()
 
 
 # Pinned replay values: each id's exact scenario list as (branch,

@@ -1,5 +1,8 @@
+import copy
+
 import pytest
 
+from procure import mech_subadditive, valuations
 from procure.core import Instance, Rat, Seller, utility
 from procure.instances import gen_explicit_subadditive
 from procure.mech_subadditive import (
@@ -163,3 +166,69 @@ def test_m_rand_concave_demand_path():
         assert out.total_payment <= inst.budget
         for i in group_from_mask(mask, 3):
             assert out.allocation[i] == 0
+
+
+# The valuation memo: a shallow copy of a valuation is equal to it but is
+# another object, so a call on the copy starts from a cold memo.
+def cold_a_max(valuation, *args):
+    return a_max(copy.copy(valuation), *args)
+
+
+def test_a_max_memo_ignores_non_member_costs():
+    inst = greedy_nonmonotone_instance()
+    v, b, u = inst.valuation, inst.budget, inst.units
+    run = a_max(v, b, u, (Rat(1), Rat(2), Rat(1)), (0, 2))
+    again = a_max(v, b, u, (Rat(1), Rat(7, 3), Rat(1)), (0, 2))
+    assert again is run
+    assert again == cold_a_max(v, b, u, (Rat(1), Rat(7, 3), Rat(1)), (0, 2))
+
+
+def test_a_max_memo_member_cost_change_matches_cold_call():
+    inst = greedy_nonmonotone_instance()
+    v, b, u = inst.valuation, inst.budget, inst.units
+    a_max(v, b, u, (Rat(1), Rat(2), Rat(1)), (0, 1, 2))
+    for c in (Rat(1, 2), Rat(3, 2), Rat(3)):
+        costs = (Rat(1), c, Rat(1))
+        assert a_max(v, b, u, costs, (0, 1, 2)) == cold_a_max(v, b, u, costs, (0, 1, 2))
+
+
+def test_a_max_memo_alternating_valuations_match_cold_calls():
+    x, y = gen_explicit_subadditive(15000), gen_explicit_subadditive(15001)
+    calls = [
+        (inst, tuple(inst.budget / k for _ in range(inst.m)))
+        for k in range(1, 7)
+        for inst in (x, y)
+    ]
+    for inst, costs in calls + calls:
+        args = (inst.budget, inst.units, costs, tuple(range(inst.m)))
+        assert a_max(inst.valuation, *args) == cold_a_max(inst.valuation, *args)
+
+
+def test_a_max_memo_bounded_table(monkeypatch):
+    inst = gen_explicit_subadditive(15002)
+    groups = [group_from_mask(mask, inst.m) for mask in range(1 << inst.m)]
+    twin = Instance(inst.sellers, inst.budget, copy.copy(inst.valuation))
+    expected = [m_rand_detail(twin, None, g) for g in groups]
+    monkeypatch.setattr(valuations, "MEMO_LIMIT", 4)
+    real_demand, sizes = mech_subadditive.demand, []
+
+    def demand(valuation, prices, caps):
+        result = real_demand(valuation, prices, caps)
+        sizes.append(len(valuations._demand_caches.get(valuation)))
+        return result
+
+    monkeypatch.setattr(mech_subadditive, "demand", demand)
+    got = []
+    for g in groups:
+        got.append(m_rand_detail(inst, None, g))
+        sizes.append(len(valuations._demand_caches.get(inst.valuation)))
+    assert got == expected
+    assert max(sizes) == 4
+
+
+def test_memo_keeps_only_the_latest_valuation():
+    x, y = gen_explicit_subadditive(15000), gen_explicit_subadditive(15001)
+    for inst in (x, y):
+        a_max(inst.valuation, inst.budget, inst.units, inst.costs, range(inst.m))
+    assert valuations._demand_caches.get(x.valuation) is None
+    assert valuations._demand_caches.get(y.valuation) is not None

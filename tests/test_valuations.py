@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -122,6 +124,39 @@ def test_demand_guard():
     v = Symmetric(margins)
     with pytest.raises(SearchSpaceTooLarge):
         demand(v, (Rat(1),) * 6, (20,) * 6)
+
+
+def test_demand_memo_is_per_valuation_under_threads():
+    # Each thread queries its own valuation with the same price keys, and
+    # the valuations disagree on most of them, so a thread handed another
+    # valuation's table in a race of owner switches would see a wrong answer.
+    caps = (3, 3)
+    vals = [BoundedKnapsack((Rat(k), Rat(5 - k))) for k in range(1, 5)]
+    prices = [(Rat(p), Rat(q)) for p in (2, 3) for q in (2, 3)]
+    expected = [[brute_force_demand(v, pr, caps) for pr in prices] for v in vals]
+    wrong = []
+
+    def worker(v, want):
+        for _ in range(500):
+            for pr, alloc in zip(prices, want):
+                if demand(v, pr, caps) != alloc:
+                    wrong.append((v, pr))
+
+    threads = [
+        threading.Thread(target=worker, args=(v, want))
+        for v, want in zip(vals, expected)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def _caps_families():

@@ -202,6 +202,22 @@ def test_measure_ratio_brackets():
     assert one.ratio == pytest.approx(1 + log(4), abs=1e-9)
 
 
+def test_measure_ratio_shares_one_optimum_per_instance(monkeypatch):
+    from procure import oracles
+
+    real_dp, solved = oracles._optimal_additive_dp, []
+
+    def dp(inst):
+        solved.append(inst)
+        return real_dp(inst)
+
+    monkeypatch.setattr(oracles, "_optimal_additive_dp", dp)
+    inst = adversarial_single_seller(6, 6, 6)
+    add, sub = measure_ratio("m_add", inst), measure_ratio("m_sub", inst)
+    assert add.optimum == sub.optimum == 6
+    assert solved == [inst]
+
+
 def test_expected_value_m_one_wiring():
     inst = adversarial_single_seller(5, 5, 5)
     ev = expected_value("m_one", inst)
