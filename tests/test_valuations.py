@@ -133,14 +133,14 @@ def test_demand_memo_is_per_valuation_under_threads():
     caps = (3, 3)
     vals = [BoundedKnapsack((Rat(k), Rat(5 - k))) for k in range(1, 5)]
     prices = [(Rat(p), Rat(q)) for p in (2, 3) for q in (2, 3)]
-    expected = [[brute_force_demand(v, pr, caps) for pr in prices] for v in vals]
+    expected = [[brute_force_demand(v, ps, caps) for ps in prices] for v in vals]
     wrong = []
 
     def worker(v, want):
         for _ in range(500):
-            for pr, alloc in zip(prices, want):
-                if demand(v, pr, caps) != alloc:
-                    wrong.append((v, pr))
+            for ps, alloc in zip(prices, want):
+                if demand(v, ps, caps) != alloc:
+                    wrong.append((v, ps))
 
     threads = [
         threading.Thread(target=worker, args=(v, want))
