@@ -48,7 +48,7 @@ class InvalidField(ValueError):
 
 
 # Largest total unit count an Instance accepts: ranked_pairs builds one
-# object per unit, and greedy payments rank every unit once per bought unit.
+# object per unit, and symmetric payments rank every unit once per bought unit.
 MAX_TOTAL_UNITS = 10**4
 
 # Literals must stay below this in magnitude, so that every float taken of a

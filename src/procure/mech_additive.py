@@ -1,13 +1,13 @@
 """Greedy value-rate lottery mechanism for concave additive valuations.
 
-The greedy branch ranks (seller, unit) pairs by marginal value per unit of
-bid, buys the longest prefix whose last pair still satisfies the
-proportional budget-share inequality bid * prefix <= B * value, and pays
-each bought unit its exact critical bid.  A three-way lottery mixes this
-branch with buying one unit from the highest-margin seller at the full
-budget, and buying nothing.
+The greedy branch ranks (seller i, unit j) pairs ascending by (rho, i, j),
+where rho = bid / marginal value (zero bids first), buys the longest prefix
+whose last pair still satisfies the proportional budget-share inequality
+bid * prefix <= B * value, and pays each bought unit its exact critical
+bid.  A three-way lottery mixes this branch with buying one unit from the
+highest-margin seller at the full budget, and buying nothing.
 
-Rates fall and the value prefix grows along the ranking, so a pair is
+rho and the value prefix both grow along the ranking, so a pair is
 bought iff its own inequality holds.  A bought unit of value v, whose
 seller's units up to it are worth s, has critical bid
 v * min over alpha of max(rho_alpha, B / (s + W_alpha)), where rho_alpha
@@ -26,7 +26,7 @@ closed-form thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     Instance,
@@ -40,20 +40,14 @@ from .core import (
 from .valuations import BoundedKnapsack, ConcaveAdditive, Symmetric
 
 
-@dataclass(frozen=True)
-class RankedPair:
-    """One unit of one seller in the greedy ranking."""
+class RankedPair(NamedTuple):
+    """One unit of one seller in the greedy ranking; tuple order is rank order."""
 
+    rho: object  # bid / value, exact
     seller: int  # 0-based
     unit: int  # 1-based
     value: object  # marginal value of this unit
     bid: object  # the seller's announced per-unit cost
-
-    def sort_key(self):
-        # Infinite-rate pairs first, then rate decreasing, ties by (i, j).
-        if self.bid == 0:
-            return (0, 0, self.seller, self.unit)
-        return (1, -(self.value / self.bid), self.seller, self.unit)
 
 
 def additive_reason(inst: Instance) -> str | None:
@@ -84,20 +78,18 @@ def ranked_pairs(inst: Instance, bids=None):
     bids = checked_bids(inst, bids)
     _require(additive_reason(inst))
     pairs = [
-        RankedPair(i, j, x, bids[i])
+        RankedPair(bids[i] / x, i, j, x, bids[i])
         for i, mm in enumerate(inst.valuation.margins(inst.units))
         for j, x in enumerate(mm, start=1)
         if x > 0
     ]
-    pairs.sort(key=RankedPair.sort_key)
+    pairs.sort()
     return pairs
 
 
-def greedy_allocate(inst: Instance, bids=None):
-    """Allocation bought by the greedy branch under the given bids."""
-    bids = checked_bids(inst, bids)
-    pairs = ranked_pairs(inst, bids)
-    budget = inst.budget
+def _bought(pairs, budget, m: int):
+    """Units bought from each of the m sellers: the longest prefix of the
+    ranked pairs whose last pair meets the budget-share inequality."""
     prefix = Rat(0)
     k = 0
     for rank, pr in enumerate(pairs, start=1):
@@ -105,10 +97,15 @@ def greedy_allocate(inst: Instance, bids=None):
         # bid/value <= B/prefix, cross-multiplied to stay exact.
         if pr.bid * prefix <= budget * pr.value:
             k = rank
-    counts = [0] * inst.m
+    counts = [0] * m
     for pr in pairs[:k]:
         counts[pr.seller] += 1
     return tuple(counts)
+
+
+def greedy_allocate(inst: Instance, bids=None):
+    """Allocation bought by the greedy branch under the given bids."""
+    return _bought(ranked_pairs(inst, bids), inst.budget, inst.m)
 
 
 def _seller_thresholds(pairs, i: int, count: int, budget):
@@ -118,7 +115,7 @@ def _seller_thresholds(pairs, i: int, count: int, budget):
     rates, prefixes = [], [Rat(0)]  # rho_alpha for alpha >= 1, W_alpha for alpha >= 0
     for pr in pairs:
         if pr.seller != i:
-            rates.append(pr.bid / pr.value)
+            rates.append(pr.rho)
             prefixes.append(prefixes[-1] + pr.value)
     out = []
     share = Rat(0)
@@ -154,27 +151,35 @@ def threshold(inst: Instance, i: int, j: int, bids=None):
     pairs = ranked_pairs(inst, bids)
     if not 0 <= i < inst.m:
         raise IndexError(f"seller index {i} out of range")
-    prefix = Rat(0)
-    for pr in pairs:
-        prefix += pr.value
-        if pr.seller == i and pr.unit == j:
-            break
-    else:
+    if not any(pr.seller == i and pr.unit == j for pr in pairs):
         raise NoThreshold(f"unit {j} of seller {i} is never bought")
-    if pr.bid * prefix > inst.budget * pr.value:
+    if _bought(pairs, inst.budget, inst.m)[i] < j:
         raise NoThreshold(f"unit {j} of seller {i} is not bought under these bids")
     return _seller_thresholds(pairs, i, j, inst.budget)[-1]
 
 
 def greedy_payments(inst: Instance, bids=None):
     """Threshold payments for the greedy-branch allocation."""
-    bids = checked_bids(inst, bids)
-    alloc = greedy_allocate(inst, bids)
     pairs = ranked_pairs(inst, bids)
+    alloc = _bought(pairs, inst.budget, inst.m)
     return alloc, tuple(
         sum(_seller_thresholds(pairs, i, a, inst.budget), Rat(0))
         for i, a in enumerate(alloc)
     )
+
+
+def greedy_breakpoints(inst: Instance, bids, seller: int) -> set:
+    """Bids besides B/rank where the seller's greedy allocation can change:
+    its rank crossings with every rival pair, and its bought units' critical
+    bids."""
+    pairs = ranked_pairs(inst, bids)
+    rival_rates = [pr.rho for pr in pairs if pr.seller != seller]
+    points = {
+        po.value * rho for po in pairs if po.seller == seller for rho in rival_rates
+    }
+    bought = _bought(pairs, inst.budget, inst.m)[seller]
+    points.update(_seller_thresholds(pairs, seller, bought, inst.budget))
+    return points
 
 
 def star_seller(inst: Instance) -> int:

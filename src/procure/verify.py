@@ -132,19 +132,7 @@ class GreedyLottery(Lottery):
         return mech_additive.run_m_add(inst, bids, branch)
 
     def breakpoints(self, inst, bids, seller):
-        # Rank crossings with every rival pair, and the seller's thresholds.
-        points = set()
-        pairs = mech_additive.ranked_pairs(inst, bids)
-        own = [p for p in pairs if p.seller == seller]
-        rest = [p for p in pairs if p.seller != seller]
-        for po in own:
-            for pr in rest:
-                points.add(po.value * pr.bid / pr.value)
-        bought = mech_additive.greedy_allocate(inst, bids)[seller]
-        points.update(
-            mech_additive._seller_thresholds(pairs, seller, bought, inst.budget)
-        )
-        return points
+        return mech_additive.greedy_breakpoints(inst, bids, seller)
 
     def bound(self, n):
         return 4.0 * harmonic_factor(n)

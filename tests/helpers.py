@@ -2,14 +2,14 @@
 internals, and the analysis devices of the paper's proofs.
 
 The oracles restate a rule directly (exhaustive optimum and demand, the
-cheapest-prefix rule, thresholds by search over breakpoints).  The analysis
-helpers are not mechanisms: the per-rank pick-up test of the greedy, the
-marginal value-rate greedy and its non-monotonicity, the sample-group
-dominance event of the random-sampling argument (with the optimum over a
-seller subset), and explicit tables materialized from any valuation for the
-classifier cross-check.  The rest are conveniences the package does not
-need: the allocation lattice's join and meet, expected payments, and
-replaying a DST witness.
+greedy rank order, the cheapest-prefix rule, thresholds by search over
+breakpoints).  The analysis helpers are not mechanisms: the per-rank
+pick-up test of the greedy, the marginal value-rate greedy and its
+non-monotonicity, the sample-group dominance event of the random-sampling
+argument (with the optimum over a seller subset), and explicit tables
+materialized from any valuation for the classifier cross-check.  The rest
+are conveniences the package does not need: the allocation lattice's join
+and meet, expected payments, and replaying a DST witness.
 """
 
 from dataclasses import dataclass
@@ -110,6 +110,14 @@ def independent_threshold(inst, seller, unit, bids=None):
         return greedy_allocate(inst, probe)[seller] >= unit
 
     return threshold_by_search(sold, candidates)
+
+
+def reference_rank_key(pair):
+    """Sort key of the greedy rank order stated directly: zero bids first,
+    then value per unit of bid decreasing, ties by (seller, unit)."""
+    if pair.bid == 0:
+        return (0, 0, pair.seller, pair.unit)
+    return (1, -(pair.value / pair.bid), pair.seller, pair.unit)
 
 
 def cheapest_prefix_allocate(inst, bids=None):

@@ -51,6 +51,17 @@ def test_generate_adversarial(runner, tmp_path):
     assert inst.total_units == 8
 
 
+@pytest.mark.parametrize("budget", ["-1", "0"])
+def test_generate_adversarial_nonpositive_budget_is_an_error(runner, budget):
+    # The generator checks the budget itself: a negative budget would
+    # otherwise surface as a negative seller cost.
+    result = runner.invoke(
+        main, ["generate", "--family", "adversarial", "--budget", budget]
+    )
+    assert result.exit_code == 1, result.output
+    assert result.output.strip().splitlines() == ["Error: budget must be positive"]
+
+
 def test_generate_explicit_subadditive(runner, tmp_path):
     from procure.valuations import classify
 

@@ -1,5 +1,6 @@
-"""Every import in the package and the test suite is used, and every public
-function and class of the package is read by the package.
+"""Every import in the package and the test suite is used, every public
+function and class of the package is read by the package, and no package
+module reads another package module's private name.
 
 An imported name counts as used when the module reads it anywhere or lists
 it in ``__all__``; ``from __future__`` imports are compiler directives and
@@ -145,3 +146,54 @@ def test_checker_flags_only_unread_public_names():
 def test_public_names_are_read():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unread_public_names(sources) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_cross_reads(sources: dict) -> list:
+    """(module, line, name) of each read of another package module's
+    ``_``-prefixed name, as ``module._name`` after ``from . import module``
+    or as ``from .module import _name``.  Dunder names are not private.
+    """
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        package_modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                for alias in node.names:
+                    if node.module is None:
+                        package_modules.add(alias.asname or alias.name)
+                    if _private(alias.name):
+                        found.append((module, node.lineno, alias.name))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in package_modules
+                and _private(node.attr)
+            ):
+                found.append((module, node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_checker_flags_only_cross_module_private_reads():
+    sources = {
+        "a": "_X = 1\ndef _p(): pass\ndef pub(): return _p()\n",
+        "b": (
+            "import json\n"
+            "from . import a as alias\n"
+            "from .a import _p, pub\n"
+            "print(alias._X, alias.pub, alias.__name__, json._default_decoder)\n"
+            "class C:\n"
+            "    def m(self): return self._y\n"
+        ),
+    }
+    assert private_cross_reads(sources) == [("b", 3, "_p"), ("b", 4, "_X")]
+
+
+def test_no_cross_module_private_reads():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert private_cross_reads(sources) == []

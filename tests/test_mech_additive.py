@@ -15,6 +15,7 @@ from procure.core import (
 from procure.instances import gen_bounded_knapsack, gen_concave_additive, gen_symmetric
 from procure.mech_additive import (
     greedy_allocate,
+    greedy_breakpoints,
     greedy_payments,
     ranked_pairs,
     run_m_add,
@@ -36,6 +37,7 @@ from helpers import (
     cheapest_prefix_threshold,
     independent_threshold,
     pickup_flags,
+    reference_rank_key,
 )
 
 
@@ -204,9 +206,10 @@ def test_greedy_payments_equal_summed_thresholds():
 
 
 def test_greedy_payments_rank_once(monkeypatch):
-    # One ranking for the allocation and one for the payments, whatever the
-    # size: no per-unit threshold query re-sorts the pairs.
-    calls = {"ranked_pairs": 0, "threshold": 0}
+    # One ranking per greedy_payments or greedy_breakpoints call, whatever the
+    # size: the bought units come from that ranking, not from greedy_allocate,
+    # and no per-unit threshold query re-sorts the pairs.
+    calls = {"ranked_pairs": 0, "greedy_allocate": 0, "threshold": 0}
 
     def counted(name):
         inner = getattr(mech_additive, name)
@@ -221,11 +224,32 @@ def test_greedy_payments_rank_once(monkeypatch):
         monkeypatch.setattr(mech_additive, name, counted(name))
     corpus = [adversarial_single_seller(n, n, n) for n in (1, 2, 50, 400)]
     corpus += list(concave_corpus()[:20])
+    one_ranking = {"ranked_pairs": 1, "greedy_allocate": 0, "threshold": 0}
     for inst in corpus:
-        calls.update(ranked_pairs=0, threshold=0)
+        calls.update(ranked_pairs=0, greedy_allocate=0, threshold=0)
         greedy_payments(inst)
-        assert calls["ranked_pairs"] <= 2
-        assert calls["threshold"] == 0
+        assert calls == one_ranking
+        for seller in range(inst.m):
+            calls.update(ranked_pairs=0, greedy_allocate=0, threshold=0)
+            greedy_breakpoints(inst, None, seller)
+            assert calls == one_ranking
+
+
+def test_ranking_matches_reference_order():
+    # Tuple order of the ranked pairs is the reference order: zero bids
+    # first, value per unit of bid decreasing, ties by (seller, unit).
+    corpus = (
+        list(concave_corpus()[:200])
+        + [gen_bounded_knapsack(52000 + s) for s in range(30)]
+        + [unit_values(inst) for inst in symmetric_corpus()]
+    )
+    for n, inst in enumerate(corpus):
+        for bids in _probe_profiles(inst, 55000 + n):
+            pairs = ranked_pairs(inst, bids)
+            expected = sorted(pairs, key=reference_rank_key)
+            assert [(p.seller, p.unit) for p in pairs] == [
+                (p.seller, p.unit) for p in expected
+            ]
 
 
 def test_greedy_payments_at_unit_cap():
