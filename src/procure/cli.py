@@ -182,8 +182,7 @@ def cmd_generate(family, seed, sellers, n, k, budget, out):
                 n, parse_rat(budget) if budget else n, k if k is not None else n
             )
         else:
-            size = "max_items" if family == "explicit-subadditive" else "max_sellers"
-            inst = _GENERATORS[family](seed, **{size: sellers})
+            inst = _GENERATORS[family](seed, max_sellers=sellers)
     except (ProcurementError, ValueError) as exc:
         raise click.ClickException(str(exc))
     if out:

@@ -1,8 +1,12 @@
-"""Instance file I/O and seeded instance generators.
+"""Instance files and seeded instance generators.
 
-Files are JSON with a fixed field order and rationals as strings, so
-serialize(parse(text)) is byte-identical for files this module writes.
-Generators are deterministic in their seed (MT19937 via random.Random).
+This module owns the instance file format: it alone reads and writes JSON,
+valuation sections included.  Files have a fixed field order and
+rationals as strings, so serialize(parse(text)) is byte-identical for
+files this module writes.  Every parse error is an InstanceFormatError
+that starts with the JSON path of the bad field, such as
+``$.valuation.margins[0][1]``.  Generators are deterministic in their seed
+(MT19937 via random.Random).
 """
 
 from __future__ import annotations
@@ -24,14 +28,13 @@ from .core import (
     parse_rat,
 )
 from .valuations import (
+    Additive,
     BoundedKnapsack,
     ConcaveAdditive,
     Explicit,
     Symmetric,
     classify,
     domain,
-    valuation_from_json,
-    valuation_to_json,
 )
 
 FILE_VERSION = "1"
@@ -43,6 +46,36 @@ class InstanceFormatError(ProcurementError):
 
 class GenerationError(ProcurementError):
     """Rejection sampling exhausted its retry budget."""
+
+
+def valuation_to_json(valuation) -> dict:
+    """JSON form of a valuation; rationals serialize as strings."""
+    if isinstance(valuation, BoundedKnapsack):
+        return {
+            "type": "bounded_knapsack",
+            "values": [format_rat(v) for v in valuation.values],
+        }
+    if isinstance(valuation, Additive):
+        concave = isinstance(valuation, ConcaveAdditive)
+        return {
+            "type": "concave_additive" if concave else "additive",
+            "margins": [[format_rat(v) for v in mm] for mm in valuation.per_item],
+        }
+    if isinstance(valuation, Symmetric):
+        return {
+            "type": "symmetric",
+            "margins": [format_rat(v) for v in valuation.margins],
+        }
+    if isinstance(valuation, Explicit):
+        return {
+            "type": "explicit",
+            "caps": list(valuation.caps),
+            "table": [
+                {"alloc": list(a), "value": format_rat(v)}
+                for a, v in valuation.entries
+            ],
+        }
+    raise TypeError(f"unknown valuation type {type(valuation).__name__}")
 
 
 def instance_to_obj(inst: Instance, bids=None) -> dict:
@@ -63,24 +96,86 @@ def serialize_instance(inst: Instance, bids=None) -> str:
     return json.dumps(instance_to_obj(inst, bids), indent=2) + "\n"
 
 
-def _expect(obj, key, path, kind=None):
-    if not isinstance(obj, dict) or key not in obj:
-        raise InstanceFormatError(f"{path}: missing field {key!r}")
-    val = obj[key]
+# Readers: each takes a JSON value and its path, and raises an
+# InstanceFormatError that starts with that path.
+
+
+def _typed(val, path, kind):
     # bool is an int subclass, but JSON true/false is never a count.
-    if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
+    if not isinstance(val, kind) or isinstance(val, bool):
         raise InstanceFormatError(
-            f"{path}.{key}: expected {kind.__name__}, got {type(val).__name__}"
+            f"{path}: expected {kind.__name__}, got {type(val).__name__}"
         )
     return val
 
 
-def _rat_field(obj, key, path):
-    raw = _expect(obj, key, path, str)
+def _rat(val, path):
     try:
-        return parse_rat(raw)
+        return parse_rat(_typed(val, path, str))
     except ValueError as exc:
-        raise InstanceFormatError(f"{path}.{key}: {exc}") from exc
+        raise InstanceFormatError(f"{path}: {exc}") from exc
+
+
+def _field(obj, key, path, read, *args):
+    """``read(obj[key], <path>.<key>, *args)``; obj must be an object with key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise InstanceFormatError(f"{path}: missing field {key!r}")
+    return read(obj[key], f"{path}.{key}", *args)
+
+
+def _array(val, path, read, *args):
+    """A tuple of ``read(x, <path>[i], *args)`` over the array's elements."""
+    items = _typed(val, path, list)
+    return tuple(read(x, f"{path}[{i}]", *args) for i, x in enumerate(items))
+
+
+def _seller(obj, path):
+    units = _field(obj, "units", path, _typed, int)
+    cost = _field(obj, "cost", path, _rat)
+    try:
+        return Seller(units, cost)
+    except ValueError as exc:
+        raise InstanceFormatError(f"{path}: {exc}") from exc
+
+
+def _bid(val, path):
+    bid = _rat(val, path)
+    if bid < 0:
+        raise InstanceFormatError(f"{path}: bids must be >= 0")
+    return bid
+
+
+def _table_row(obj, path):
+    alloc = _field(obj, "alloc", path, _array, _typed, int)
+    return alloc, _field(obj, "value", path, _rat)
+
+
+# Each valuation type's class, and the fields its constructor takes in
+# order, each with the readers of its value.
+_VALUATION_TYPES = {
+    "bounded_knapsack": (BoundedKnapsack, (("values", _array, _rat),)),
+    "concave_additive": (ConcaveAdditive, (("margins", _array, _array, _rat),)),
+    "additive": (Additive, (("margins", _array, _array, _rat),)),
+    "symmetric": (Symmetric, (("margins", _array, _rat),)),
+    "explicit": (
+        Explicit,
+        (("caps", _array, _typed, int), ("table", _array, _table_row)),
+    ),
+}
+
+
+def valuation_from_json(data):
+    """The valuation a file's ``$.valuation`` section describes."""
+    path = "$.valuation"
+    kind = _field(data, "type", path, _typed, str)
+    if kind not in _VALUATION_TYPES:
+        raise InstanceFormatError(f"{path}.type: unknown valuation type {kind!r}")
+    family, fields = _VALUATION_TYPES[kind]
+    args = [_field(data, key, path, *read) for key, *read in fields]
+    try:
+        return family(*args)
+    except (ProcurementError, ValueError) as exc:
+        raise InstanceFormatError(f"{path}: {exc}") from exc
 
 
 def parse_instance(text: str):
@@ -91,27 +186,14 @@ def parse_instance(text: str):
         raise InstanceFormatError(f"$: not valid JSON ({exc})") from exc
     except RecursionError as exc:
         raise InstanceFormatError("$: JSON nested too deeply") from exc
-    version = _expect(obj, "version", "$", str)
+    version = _field(obj, "version", "$", _typed, str)
     if version != FILE_VERSION:
         raise InstanceFormatError(f"$.version: unsupported version {version!r}")
-    budget = _rat_field(obj, "budget", "$")
-    sellers_raw = _expect(obj, "sellers", "$", list)
-    sellers = []
-    for idx, s in enumerate(sellers_raw):
-        path = f"$.sellers[{idx}]"
-        units = _expect(s, "units", path, int)
-        cost = _rat_field(s, "cost", path)
-        try:
-            sellers.append(Seller(units, cost))
-        except ValueError as exc:
-            raise InstanceFormatError(f"{path}: {exc}") from exc
-    val_raw = _expect(obj, "valuation", "$", dict)
+    budget = _field(obj, "budget", "$", _rat)
+    sellers = _field(obj, "sellers", "$", _array, _seller)
+    valuation = valuation_from_json(_field(obj, "valuation", "$", _typed, dict))
     try:
-        valuation = valuation_from_json(val_raw)
-    except (ProcurementError, ValueError) as exc:
-        raise InstanceFormatError(f"$.valuation: {exc}") from exc
-    try:
-        inst = Instance(tuple(sellers), budget, valuation)
+        inst = Instance(sellers, budget, valuation)
     except InvalidField as exc:
         raise InstanceFormatError(f"$.{exc.field}: {exc}") from exc
     except SearchSpaceTooLarge as exc:
@@ -120,18 +202,9 @@ def parse_instance(text: str):
         raise InstanceFormatError(f"$.valuation: {exc}") from exc
     bids = None
     if "bids" in obj:
-        raw = _expect(obj, "bids", "$", list)
-        if len(raw) != inst.m:
+        bids = _field(obj, "bids", "$", _array, _bid)
+        if len(bids) != inst.m:
             raise InstanceFormatError("$.bids: length mismatch with sellers")
-        bids = []
-        for idx, b in enumerate(raw):
-            try:
-                bids.append(parse_rat(b))
-            except (TypeError, ValueError) as exc:
-                raise InstanceFormatError(f"$.bids[{idx}]: {exc}") from exc
-            if bids[-1] < 0:
-                raise InstanceFormatError(f"$.bids[{idx}]: bids must be >= 0")
-        bids = tuple(bids)
     return inst, bids
 
 
@@ -187,54 +260,51 @@ def _rand_margin(rng):
     return Rat(rng.randint(0, 24), rng.choice((1, 2)))
 
 
+def _draw_market(rng, max_sellers, max_total_units):
+    """Sellers and budget of one draw: m, then units, budget and costs."""
+    m = rng.randint(1, max_sellers)
+    units = _split_units(rng, m, max_total_units)
+    budget = Rat(rng.randint(8, 40))
+    costs = [_rand_cost(rng, budget) for _ in range(m)]
+    return tuple(Seller(n, c) for n, c in zip(units, costs)), budget
+
+
 def gen_concave_additive(seed, max_sellers=5, max_total_units=12) -> Instance:
     rng = random.Random(seed)
     while True:
-        m = rng.randint(1, max_sellers)
-        units = _split_units(rng, m, max_total_units)
-        budget = Rat(rng.randint(8, 40))
-        costs = [_rand_cost(rng, budget) for _ in range(m)]
+        sellers, budget = _draw_market(rng, max_sellers, max_total_units)
         margins = []
-        for n in units:
-            mm = sorted((_rand_margin(rng) for _ in range(n)), reverse=True)
+        for s in sellers:
+            mm = sorted((_rand_margin(rng) for _ in range(s.units)), reverse=True)
             if rng.random() < 0.15:
                 mm[-1] = Rat(0)
             margins.append(tuple(mm))
         if any(v > 0 for mm in margins for v in mm):
-            sellers = tuple(Seller(n, c) for n, c in zip(units, costs))
             return Instance(sellers, budget, ConcaveAdditive(tuple(margins)))
 
 
 def gen_bounded_knapsack(seed, max_sellers=5, max_total_units=12) -> Instance:
     rng = random.Random(seed)
     while True:
-        m = rng.randint(1, max_sellers)
-        units = _split_units(rng, m, max_total_units)
-        budget = Rat(rng.randint(8, 40))
-        costs = [_rand_cost(rng, budget) for _ in range(m)]
-        values = tuple(_rand_margin(rng) for _ in range(m))
+        sellers, budget = _draw_market(rng, max_sellers, max_total_units)
+        values = tuple(_rand_margin(rng) for _ in sellers)
         if any(v > 0 for v in values):
-            sellers = tuple(Seller(n, c) for n, c in zip(units, costs))
             return Instance(sellers, budget, BoundedKnapsack(values))
 
 
 def gen_symmetric(seed, max_sellers=5, max_total_units=12) -> Instance:
     rng = random.Random(seed)
     while True:
-        m = rng.randint(1, max_sellers)
-        units = _split_units(rng, m, max_total_units)
-        budget = Rat(rng.randint(8, 40))
-        costs = [_rand_cost(rng, budget) for _ in range(m)]
-        margins = [_rand_margin(rng) for _ in range(sum(units))]
+        sellers, budget = _draw_market(rng, max_sellers, max_total_units)
+        margins = [_rand_margin(rng) for _ in range(sum(s.units for s in sellers))]
         if rng.random() < 0.7:
             margins.sort(reverse=True)
         if any(v > 0 for v in margins):
-            sellers = tuple(Seller(n, c) for n, c in zip(units, costs))
             return Instance(sellers, budget, Symmetric(tuple(margins)))
 
 
 def gen_explicit_subadditive(
-    seed, max_items=3, max_cap=2, retries=60
+    seed, max_sellers=3, max_cap=2, retries=60
 ) -> Instance:
     """Monotone sub-additive explicit table, validated by the classifier.
 
@@ -243,7 +313,7 @@ def gen_explicit_subadditive(
     if the classifier still certifies sub-additivity.
     """
     rng = random.Random(seed)
-    m = rng.randint(2, max_items)
+    m = rng.randint(2, max_sellers)
     caps = tuple(rng.randint(1, max_cap) for _ in range(m))
     for _ in range(retries):
         per_item = []

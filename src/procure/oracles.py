@@ -16,12 +16,10 @@ from .valuations import (
     ADDITIVE_FAMILIES,
     BoundedKnapsack,
     domain,
-    domain_size,
     recall,
     remember,
 )
 
-ENUM_LIMIT = 10**6
 DP_CELL_LIMIT = 4 * 10**6
 
 
@@ -45,15 +43,9 @@ def optimal_allocation(inst: Instance):
 
 
 def _optimal_enum(inst: Instance):
-    units = inst.units
-    size = domain_size(units)
-    if size > ENUM_LIMIT:
-        raise SearchSpaceTooLarge(
-            f"optimum enumeration over {size} allocations exceeds the guard"
-        )
     costs, budget = inst.costs, inst.budget
     best, best_v = None, None
-    for alloc in domain(units):
+    for alloc in domain(inst.units):
         if sum((a * c for a, c in zip(alloc, costs)), Rat(0)) > budget:
             continue
         v = inst.valuation.value(alloc)

@@ -17,19 +17,12 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .core import (
-    Alloc,
-    MalformedValuation,
-    Rat,
-    SearchSpaceTooLarge,
-    format_rat,
-    parse_rat,
-)
+from .core import Alloc, MalformedValuation, Rat, SearchSpaceTooLarge
 
-# Desk-scale enumeration guards; see the classifier notes for the pair guard.
-DEMAND_ENUM_LIMIT = 10**6
+# Desk-scale guards: ENUM_LIMIT bounds every capped domain that is enumerated
+# or tabulated; see the classifier notes for the pair guard.
+ENUM_LIMIT = 10**6
 CLASSIFY_PAIR_LIMIT = 10**6
-TABLE_LIMIT = 10**6
 
 
 def _as_rats(xs):
@@ -167,8 +160,6 @@ class Explicit:
         if any(c < 0 for c in self.caps):
             raise MalformedValuation("caps must be >= 0")
         size = domain_size(self.caps)
-        if size > TABLE_LIMIT:
-            raise SearchSpaceTooLarge(f"explicit table would need {size} entries")
         entries = tuple(
             (tuple(int(a) for a in alloc), Rat(v)) for alloc, v in self.entries
         )
@@ -231,12 +222,23 @@ ADDITIVE_FAMILIES = (BoundedKnapsack, Additive)  # ConcaveAdditive subclasses Ad
 
 
 def domain(caps):
-    """All allocations within caps, in lexicographic order."""
+    """All allocations within caps, in lexicographic order.
+
+    Raises SearchSpaceTooLarge, before yielding any, when there are more
+    than ENUM_LIMIT.
+    """
+    domain_size(caps)
     return itertools.product(*(range(c + 1) for c in caps))
 
 
 def domain_size(caps) -> int:
-    return prod(c + 1 for c in caps)
+    """The number of allocations within caps; SearchSpaceTooLarge past ENUM_LIMIT."""
+    size = prod(c + 1 for c in caps)
+    if size > ENUM_LIMIT:
+        raise SearchSpaceTooLarge(
+            f"{size} allocations exceed the enumeration guard of {ENUM_LIMIT}"
+        )
+    return size
 
 
 def _check_caps(valuation, caps) -> None:
@@ -346,11 +348,6 @@ def _best_prefix(margins, price) -> int:
 
 
 def _demand_enum(valuation, prices, caps) -> Alloc:
-    size = domain_size(caps)
-    if size > DEMAND_ENUM_LIMIT:
-        raise SearchSpaceTooLarge(
-            f"demand enumeration over {size} allocations exceeds the guard"
-        )
     best, best_obj = None, None
     for alloc in domain(caps):
         obj = valuation.value(alloc) - sum(
@@ -502,74 +499,3 @@ def _classify_explicit(valuation, caps) -> frozenset:
     if subadditive:
         labels.add("subadditive")
     return frozenset(labels)
-
-
-def valuation_to_json(valuation) -> dict:
-    """JSON form of a valuation; rationals serialize as strings."""
-    if isinstance(valuation, BoundedKnapsack):
-        return {
-            "type": "bounded_knapsack",
-            "values": [format_rat(v) for v in valuation.values],
-        }
-    if isinstance(valuation, Additive):
-        concave = isinstance(valuation, ConcaveAdditive)
-        return {
-            "type": "concave_additive" if concave else "additive",
-            "margins": [[format_rat(v) for v in mm] for mm in valuation.per_item],
-        }
-    if isinstance(valuation, Symmetric):
-        return {
-            "type": "symmetric",
-            "margins": [format_rat(v) for v in valuation.margins],
-        }
-    if isinstance(valuation, Explicit):
-        return {
-            "type": "explicit",
-            "caps": list(valuation.caps),
-            "table": [
-                {"alloc": list(a), "value": format_rat(v)}
-                for a, v in valuation.entries
-            ],
-        }
-    raise TypeError(f"unknown valuation type {type(valuation).__name__}")
-
-
-def _json_array(x) -> list:
-    # A JSON string is iterable too, but never stands for a list.
-    if not isinstance(x, list):
-        raise TypeError(f"expected an array, got {type(x).__name__}")
-    return x
-
-
-def _json_rats(xs) -> tuple:
-    return tuple(parse_rat(v) for v in _json_array(xs))
-
-
-def _json_counts(xs) -> tuple:
-    # bool is an int subclass, but JSON true/false is never a count.
-    if any(not isinstance(c, int) or isinstance(c, bool) for c in _json_array(xs)):
-        raise TypeError(f"expected integer counts, got {xs!r}")
-    return tuple(xs)
-
-
-def valuation_from_json(data: dict):
-    try:
-        kind = data["type"]
-        if kind == "bounded_knapsack":
-            return BoundedKnapsack(_json_rats(data["values"]))
-        if kind in ("concave_additive", "additive"):
-            family = ConcaveAdditive if kind == "concave_additive" else Additive
-            return family(tuple(_json_rats(mm) for mm in _json_array(data["margins"])))
-        if kind == "symmetric":
-            return Symmetric(_json_rats(data["margins"]))
-        if kind == "explicit":
-            return Explicit(
-                _json_counts(data["caps"]),
-                tuple(
-                    (_json_counts(row["alloc"]), parse_rat(row["value"]))
-                    for row in _json_array(data["table"])
-                ),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedValuation(f"bad valuation JSON: {exc}") from exc
-    raise MalformedValuation(f"unknown valuation type {kind!r}")

@@ -13,9 +13,9 @@ from functools import lru_cache
 from procure.core import Rat, Seller, Instance
 from procure.valuations import Additive, Explicit, domain
 from procure.instances import (
+    _draw_market,
     _rand_cost,
     _rand_margin,
-    _split_units,
     gen_bounded_knapsack,
     gen_concave_additive,
     gen_explicit_subadditive,
@@ -34,22 +34,18 @@ def gen_additive(seed, max_sellers=5, max_total_units=12) -> Instance:
     """Additive margins with no concavity requirement."""
     rng = random.Random(seed)
     while True:
-        m = rng.randint(1, max_sellers)
-        units = _split_units(rng, m, max_total_units)
-        budget = Rat(rng.randint(8, 40))
-        costs = [_rand_cost(rng, budget) for _ in range(m)]
+        sellers, budget = _draw_market(rng, max_sellers, max_total_units)
         margins = tuple(
-            tuple(_rand_margin(rng) for _ in range(n)) for n in units
+            tuple(_rand_margin(rng) for _ in range(s.units)) for s in sellers
         )
         if any(v > 0 for mm in margins for v in mm):
-            sellers = tuple(Seller(n, c) for n, c in zip(units, costs))
             return Instance(sellers, budget, Additive(margins))
 
 
-def gen_explicit_monotone(seed, max_items=3, max_cap=2) -> Instance:
+def gen_explicit_monotone(seed, max_sellers=3, max_cap=2) -> Instance:
     """Random monotone explicit table; generally neither additive nor concave."""
     rng = random.Random(seed)
-    m = rng.randint(2, max_items)
+    m = rng.randint(2, max_sellers)
     caps = tuple(rng.randint(1, max_cap) for _ in range(m))
     table = {}
     for alloc in domain(caps):
@@ -125,7 +121,7 @@ def explicit_subadditive_corpus():
         for i in range(EXPLICIT_SUBADD_SIZE - 8)
     ]
     out += [
-        gen_explicit_subadditive(7500 + i, max_items=4, max_cap=3)
+        gen_explicit_subadditive(7500 + i, max_sellers=4, max_cap=3)
         for i in range(5)
     ]
     out.append(_big_subadditive(81, (9, 9, 9, 9), 30))

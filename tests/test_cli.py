@@ -1,6 +1,8 @@
 import csv
 import json
 import re
+from functools import reduce
+from operator import getitem
 
 import pytest
 from click.testing import CliRunner
@@ -14,11 +16,14 @@ from procure.instances import (
     parse_instance,
     save_instance,
     serialize_instance,
+    gen_bounded_knapsack,
     gen_concave_additive,
+    gen_explicit_subadditive,
+    gen_symmetric,
 )
 from procure.mech_subadditive import run_m_rand
 
-from corpora import greedy_nonmonotone_instance
+from corpora import gen_additive, greedy_nonmonotone_instance
 
 
 @pytest.fixture
@@ -116,39 +121,48 @@ _MALFORMED_INPUTS = {
     ),
     "number-bid": (
         _malformed(lambda o: o.update(bids=[1, "1", "1"])),
-        r"^\$\.bids\[0\]: ",
+        r"^\$\.bids\[0\]: expected str, got int",
     ),
     "number-table-value": (
         _malformed(lambda o: o["valuation"]["table"][1].update(value=10)),
-        r"^\$\.valuation: ",
+        r"^\$\.valuation\.table\[1\]\.value: expected str, got int",
     ),
     "number-margin": (
         _valued({"type": "concave_additive", "margins": [[3]]}),
-        r"^\$\.valuation: ",
+        r"^\$\.valuation\.margins\[0\]\[0\]: expected str, got int",
     ),
     "string-margins": (
         _valued({"type": "symmetric", "margins": "12"}, units=2),
-        r"^\$\.valuation: ",
+        r"^\$\.valuation\.margins: expected list, got str",
     ),
     "string-values": (
         _valued({"type": "bounded_knapsack", "values": "5"}),
-        r"^\$\.valuation: ",
+        r"^\$\.valuation\.values: expected list, got str",
     ),
     "string-margin-list": (
         _valued({"type": "concave_additive", "margins": ["65"]}, units=2),
-        r"^\$\.valuation: ",
+        r"^\$\.valuation\.margins\[0\]: expected list, got str",
     ),
     "bool-cap": (
         _malformed(lambda o: o["valuation"].update(caps=[True, 2, 2])),
-        r"^\$\.valuation: ",
+        r"^\$\.valuation\.caps\[0\]: expected int, got bool",
     ),
     "float-cap": (
         _malformed(lambda o: o["valuation"].update(caps=[1.5, 2, 2])),
-        r"^\$\.valuation: ",
+        r"^\$\.valuation\.caps\[0\]: expected int, got float",
     ),
     "bool-alloc": (
         _malformed(lambda o: o["valuation"]["table"][-1].update(alloc=[True, 2, 2])),
-        r"^\$\.valuation: ",
+        r"^\$\.valuation\.table\[17\]\.alloc\[0\]: expected int, got bool",
+    ),
+    "unknown-type": (
+        _valued({"type": "nope"}),
+        r"^\$\.valuation\.type: unknown valuation type 'nope'",
+    ),
+    # A valuation constructor's own error names the whole section.
+    "increasing-margins": (
+        _valued({"type": "concave_additive", "margins": [["1", "2"]]}, units=2),
+        r"^\$\.valuation: item 0 margins increase",
     ),
     "deep-nesting": ("[" * 100000, r"^\$: "),
     "huge-units": (
@@ -338,6 +352,17 @@ def test_generate_above_total_units_limit_is_an_error(runner):
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
     assert "exceed the limit 10000" in lines[0]
+
+
+def test_generate_beyond_enumeration_guard_is_an_error(runner):
+    # Seed 0 draws 29 sellers, whose table would have about 1.2e12 entries:
+    # the guard must refuse it before any entry is built.
+    args = ["--family", "explicit-subadditive", "--sellers", "30", "--seed", "0"]
+    result = runner.invoke(main, ["generate", *args])
+    assert result.exit_code == 1, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    assert "exceed the enumeration guard" in lines[0]
 
 
 def test_verify_skips_inapplicable(runner, tmp_path):
@@ -590,6 +615,39 @@ def _replaced(obj, path, value):
     return obj
 
 
+def _path_text(path):
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+# One valid instance per valuation form, for the leaf-path test.
+_LEAF_FORMS = {
+    "concave": lambda: gen_concave_additive(1),
+    "bounded-knapsack": lambda: gen_bounded_knapsack(4),
+    "symmetric": lambda: gen_symmetric(5),
+    "explicit": lambda: gen_explicit_subadditive(51),
+    "additive": lambda: gen_additive(3),
+    "greedy-nonmonotone": greedy_nonmonotone_instance,
+}
+
+
+@pytest.mark.parametrize("form", sorted(_LEAF_FORMS))
+def test_every_leaf_error_names_its_path(form):
+    inst = _LEAF_FORMS[form]()
+    text = serialize_instance(inst, bids=inst.costs)
+    obj = json.loads(text)
+    leaves = [
+        p for p in _json_paths(obj)
+        if not isinstance(reduce(getitem, p, obj), (dict, list))
+    ]
+    wrong = []
+    for path in leaves:
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(json.dumps(_replaced(json.loads(text), path, True)))
+        if not str(err.value).startswith(_path_text(path) + ": "):
+            wrong.append(str(err.value))
+    assert wrong == []
+
+
 # Valid instance files, with bids, into which one field at a time is fuzzed.
 _FUZZ_BASES = tuple(
     serialize_instance(inst, bids=inst.costs)
@@ -625,5 +683,5 @@ def test_parse_instance_fuzz(data):
     text = json.dumps(_replaced(obj, path, data.draw(_FUZZ_VALUES)))
     try:
         parse_instance(text)
-    except InstanceFormatError:
-        pass
+    except InstanceFormatError as exc:
+        assert str(exc).startswith("$"), exc

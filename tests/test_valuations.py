@@ -5,6 +5,11 @@ import threading
 import pytest
 
 from procure.core import MalformedValuation, Rat, SearchSpaceTooLarge
+from procure.instances import (
+    InstanceFormatError,
+    valuation_from_json,
+    valuation_to_json,
+)
 from procure.valuations import (
     Additive,
     BoundedKnapsack,
@@ -13,8 +18,6 @@ from procure.valuations import (
     Symmetric,
     classify,
     demand,
-    valuation_from_json,
-    valuation_to_json,
 )
 from corpora import greedy_nonmonotone_instance
 from helpers import as_explicit, brute_force_demand, explicit_from_function
@@ -312,5 +315,5 @@ def test_valuation_json_round_trip():
     ]
     for v in cases:
         assert valuation_from_json(valuation_to_json(v)) == v
-    with pytest.raises(MalformedValuation):
+    with pytest.raises(InstanceFormatError, match=r"^\$\.valuation\.type: "):
         valuation_from_json({"type": "nope"})
