@@ -10,7 +10,7 @@ only in lottery probabilities (which involve logarithms).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import log
 
 try:
@@ -127,17 +127,25 @@ class Instance:
     """A complete procurement game: sellers, budget, and valuation.
 
     The valuation must be defined on every allocation within the sellers'
-    unit caps; this is checked at construction.  Instances are immutable
-    and safe to share across threads.
+    unit caps; this is checked at construction.  ``units``, ``costs`` and
+    ``total_units`` are derived from the sellers once, at construction.
+    Instances are immutable and safe to share across threads.
     """
 
     sellers: tuple
     budget: object
     valuation: object
+    units: tuple = field(init=False, repr=False, compare=False)
+    costs: tuple = field(init=False, repr=False, compare=False)
+    total_units: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sellers", tuple(self.sellers))
+        sellers = tuple(self.sellers)
+        object.__setattr__(self, "sellers", sellers)
         object.__setattr__(self, "budget", Rat(self.budget))
+        object.__setattr__(self, "units", tuple(s.units for s in sellers))
+        object.__setattr__(self, "costs", tuple(s.cost for s in sellers))
+        object.__setattr__(self, "total_units", sum(self.units))
         if len(self.sellers) < 1:
             raise InvalidField("sellers", "instance needs at least one seller")
         if self.budget <= 0:
@@ -151,18 +159,6 @@ class Instance:
     @property
     def m(self) -> int:
         return len(self.sellers)
-
-    @property
-    def units(self) -> tuple:
-        return tuple(s.units for s in self.sellers)
-
-    @property
-    def costs(self) -> tuple:
-        return tuple(s.cost for s in self.sellers)
-
-    @property
-    def total_units(self) -> int:
-        return sum(s.units for s in self.sellers)
 
     def validate_allocation(self, alloc: Alloc) -> None:
         if len(alloc) != self.m:

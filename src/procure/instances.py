@@ -33,6 +33,7 @@ from .valuations import (
     ConcaveAdditive,
     Explicit,
     Symmetric,
+    check_classifiable,
     classify,
     domain,
 )
@@ -45,7 +46,7 @@ class InstanceFormatError(ProcurementError):
 
 
 class GenerationError(ProcurementError):
-    """Rejection sampling exhausted its retry budget."""
+    """A generator's bounds admit no draw, or rejection sampling ran out."""
 
 
 def valuation_to_json(valuation) -> dict:
@@ -239,6 +240,17 @@ def instance_digest(inst: Instance) -> str:
 # ---------------------------------------------------------------------------
 # Seeded generators.  All draw from random.Random(seed) and nothing else.
 
+# Tables gen_explicit_subadditive draws before it gives up on a seed.
+SUBADDITIVE_ATTEMPTS = 60
+
+
+def _check_sellers(max_sellers, low, high=None):
+    """Refuse, before any draw, a seller bound that no draw can meet."""
+    if max_sellers < low or (high is not None and max_sellers > high):
+        span = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise GenerationError(f"max_sellers must be {span}, got {max_sellers}")
+
+
 def _split_units(rng, m, max_total):
     units = []
     remaining = max_total - m
@@ -270,6 +282,7 @@ def _draw_market(rng, max_sellers, max_total_units):
 
 
 def gen_concave_additive(seed, max_sellers=5, max_total_units=12) -> Instance:
+    _check_sellers(max_sellers, 1, max_total_units)
     rng = random.Random(seed)
     while True:
         sellers, budget = _draw_market(rng, max_sellers, max_total_units)
@@ -284,6 +297,7 @@ def gen_concave_additive(seed, max_sellers=5, max_total_units=12) -> Instance:
 
 
 def gen_bounded_knapsack(seed, max_sellers=5, max_total_units=12) -> Instance:
+    _check_sellers(max_sellers, 1, max_total_units)
     rng = random.Random(seed)
     while True:
         sellers, budget = _draw_market(rng, max_sellers, max_total_units)
@@ -293,6 +307,7 @@ def gen_bounded_knapsack(seed, max_sellers=5, max_total_units=12) -> Instance:
 
 
 def gen_symmetric(seed, max_sellers=5, max_total_units=12) -> Instance:
+    _check_sellers(max_sellers, 1, max_total_units)
     rng = random.Random(seed)
     while True:
         sellers, budget = _draw_market(rng, max_sellers, max_total_units)
@@ -303,19 +318,20 @@ def gen_symmetric(seed, max_sellers=5, max_total_units=12) -> Instance:
             return Instance(sellers, budget, Symmetric(tuple(margins)))
 
 
-def gen_explicit_subadditive(
-    seed, max_sellers=3, max_cap=2, retries=60
-) -> Instance:
+def gen_explicit_subadditive(seed, max_sellers=3, max_cap=2) -> Instance:
     """Monotone sub-additive explicit table, validated by the classifier.
 
     Base construction is an additive value capped at a ceiling (provably
     sub-additive); a small multiplicative perturbation is then accepted only
-    if the classifier still certifies sub-additivity.
+    if the classifier still certifies sub-additivity.  Caps the classifier
+    would refuse are refused before any table is built.
     """
+    _check_sellers(max_sellers, 2)
     rng = random.Random(seed)
     m = rng.randint(2, max_sellers)
     caps = tuple(rng.randint(1, max_cap) for _ in range(m))
-    for _ in range(retries):
+    check_classifiable(caps)
+    for _ in range(SUBADDITIVE_ATTEMPTS):
         per_item = []
         for c in caps:
             mm = sorted(
@@ -348,6 +364,7 @@ def gen_explicit_subadditive(
         sellers = tuple(Seller(c, _rand_cost(rng, budget)) for c in caps)
         return Instance(sellers, budget, valuation)
     raise GenerationError(
-        f"no sub-additive table found in {retries} attempts for seed {seed!r}"
+        f"no sub-additive table found in {SUBADDITIVE_ATTEMPTS} attempts"
+        f" for seed {seed!r}"
     )
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log2
 
-from .core import Instance, Outcome, Rat, affordable_count, checked_bids
+from .core import Instance, Outcome, Rat, affordable_count, checked_bids, unit_vector
 from .valuations import demand, recall, remember
 
 ACCEPT_EPS = 1e-12
@@ -36,11 +36,8 @@ def phi(total_units: int) -> float:
 
 @dataclass(frozen=True)
 class MaxRun:
-    """One a_max execution: caps, value grid, and winner."""
+    """One a_max execution: the winning allocation and its value."""
 
-    capped_units: tuple
-    anchor_value: object
-    grid: tuple
     winner: tuple
     winner_value: object
 
@@ -49,13 +46,13 @@ def a_max(valuation, budget, units, costs, members) -> MaxRun:
     """Deterministic 8-approximation of the budget-feasible optimum on a subset.
 
     ``units`` and ``costs`` are full-length profiles; sellers outside
-    ``members`` are ignored.  Zero costs get the +inf floor convention
-    (capped at the full supply).
+    ``members`` are ignored, and so is their cost, which may be anything.
+    Zero costs get the +inf floor convention (capped at the full supply).
 
     Runs are memoised in the valuation memo (see ``valuations.recall``:
     the most recent valuation only, by identity, at most MEMO_LIMIT
-    entries) under the budget, the units and the members' costs, which are
-    all it reads: a non-member's cost never changes the result.
+    entries) under ``("a_max", budget, units, members' costs)``, which is
+    all a run reads.
     """
     budget = Rat(budget)
     members = tuple(sorted(set(members)))
@@ -69,52 +66,41 @@ def a_max(valuation, budget, units, costs, members) -> MaxRun:
 
 def _a_max(valuation, budget, units, costs, members) -> MaxRun:
     m = len(units)
-    zero_alloc = (0,) * m
+    zero = Rat(0)
+    winner, winner_value = (0,) * m, zero
+    if not members:
+        return MaxRun(winner, winner_value)
     capped = [0] * m
     for i in members:
         capped[i] = affordable_count(units[i], budget, costs[i])
-    capped = tuple(capped)
-    if not members:
-        return MaxRun(capped, Rat(0), (), zero_alloc, Rat(0))
 
-    anchor = Rat(0)
-    for i in members:
-        v = valuation.value(tuple(capped[i] if j == i else 0 for j in range(m)))
-        if v > anchor:
-            anchor = v
+    # Values are non-negative, so the anchor is at least 0.
+    anchor = max(valuation.value(unit_vector(m, i, capped[i])) for i in members)
     if anchor == 0:
-        grid = (Rat(0),)
+        grid = (zero,)
     else:
         grid = tuple(k * anchor for k in range(len(members), 0, -1))
 
-    zero = Rat(0)
-    winner, winner_value = zero_alloc, zero
     for target in grid:
         prices = tuple(
             target * costs[i] / (2 * budget) if i in members else zero
             for i in range(m)
         )
         asked = demand(valuation, prices, capped)
-        candidate = zero_alloc
+        counts = [0] * m
         if valuation.value(asked) >= target / 2:
-            spend = sorted(
-                ((-(asked[i] * costs[i]), i) for i in members),
-            )
-            chosen = []
+            # Keep the longest prefix, costliest bundle first, within budget.
             cum = zero
-            for neg_cost, i in spend:
+            for neg_cost, i in sorted((-(asked[i] * costs[i]), i) for i in members):
                 cum -= neg_cost
                 if cum > budget:
                     break
-                chosen.append(i)
-            counts = [0] * m
-            for i in chosen:
                 counts[i] = asked[i]
-            candidate = tuple(counts)
+        candidate = tuple(counts)
         v = valuation.value(candidate)
         if v > winner_value:
             winner, winner_value = candidate, v
-    return MaxRun(capped, anchor, grid, winner, winner_value)
+    return MaxRun(winner, winner_value)
 
 
 @dataclass(frozen=True)
@@ -134,10 +120,11 @@ def m_rand_detail(inst: Instance, bids, sample_group) -> RandRun:
     round is accepted only for a strictly positive allocation value.
     """
     bids = checked_bids(inst, bids)
-    group = tuple(sorted(set(sample_group)))
+    sampled = set(sample_group)
+    group = tuple(sorted(sampled))
     if any(not 0 <= i < inst.m for i in group):
         raise ValueError("sample group indices out of range")
-    rest = tuple(i for i in range(inst.m) if i not in set(group))
+    rest = tuple(i for i in range(inst.m) if i not in sampled)
     calib = a_max(inst.valuation, inst.budget, inst.units, bids, group)
     target = calib.winner_value
     factor = phi(inst.total_units)
@@ -147,10 +134,8 @@ def m_rand_detail(inst: Instance, bids, sample_group) -> RandRun:
         posted = tuple(i for i in rest if bids[i] <= price)
         if not posted:
             continue
-        posted_set = set(posted)
-        costs_k = tuple(
-            price if i in posted_set else bids[i] for i in range(inst.m)
-        )
+        # a_max reads members' costs only: every posted seller costs price.
+        costs_k = (price,) * inst.m
         run = a_max(inst.valuation, inst.budget, inst.units, costs_k, posted)
         value = run.winner_value
         # A zero-value allocation never accepts: with a positive target the

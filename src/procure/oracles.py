@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .core import Instance, Rat, SearchSpaceTooLarge, Seller
+from .core import Instance, Rat, SearchSpaceTooLarge, Seller, ifloor
 from .valuations import (
     ADDITIVE_FAMILIES,
     BoundedKnapsack,
@@ -64,8 +64,7 @@ def _optimal_additive_dp(inst: Instance):
     for c in costs:
         q = c * scale
         weights.append(int(q.numerator))
-    cap_q = budget * scale
-    cap = int(cap_q.numerator // cap_q.denominator)
+    cap = ifloor(budget * scale)
     if (m + 1) * (cap + 1) > DP_CELL_LIMIT:
         raise SearchSpaceTooLarge(
             f"knapsack DP table of {(m + 1) * (cap + 1)} cells exceeds the guard"

@@ -17,12 +17,11 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .core import Alloc, MalformedValuation, Rat, SearchSpaceTooLarge
+from .core import Alloc, MalformedValuation, Rat, SearchSpaceTooLarge, unit_vector
 
-# Desk-scale guards: ENUM_LIMIT bounds every capped domain that is enumerated
-# or tabulated; see the classifier notes for the pair guard.
+# The desk-scale guard: ENUM_LIMIT bounds every capped domain that is
+# enumerated or tabulated, and the allocation pairs classification compares.
 ENUM_LIMIT = 10**6
-CLASSIFY_PAIR_LIMIT = 10**6
 
 
 def _as_rats(xs):
@@ -149,7 +148,8 @@ class Explicit:
     The table must cover every allocation with counts within ``caps``; no
     implicit completion is performed.  Zero allocation must map to zero and
     the table must be monotone under componentwise increase, both checked
-    at construction.
+    at construction.  The table then holds exactly the allocations within
+    caps, so a lookup is the domain check.
     """
 
     caps: tuple
@@ -211,11 +211,10 @@ class Explicit:
                 )
 
     def value(self, alloc: Alloc):
-        if len(alloc) != len(self.caps) or any(
-            not 0 <= a <= c for a, c in zip(alloc, self.caps)
-        ):
-            raise ValueError("allocation out of range")
-        return self._table[tuple(alloc)]
+        try:
+            return self._table[tuple(alloc)]
+        except KeyError:
+            raise ValueError("allocation out of range") from None
 
 
 ADDITIVE_FAMILIES = (BoundedKnapsack, Additive)  # ConcaveAdditive subclasses Additive
@@ -239,6 +238,16 @@ def domain_size(caps) -> int:
             f"{size} allocations exceed the enumeration guard of {ENUM_LIMIT}"
         )
     return size
+
+
+def check_classifiable(caps) -> None:
+    """SearchSpaceTooLarge unless classification over caps stays within
+    ENUM_LIMIT allocations and ENUM_LIMIT allocation pairs."""
+    size = domain_size(caps)
+    if size * size > ENUM_LIMIT:
+        raise SearchSpaceTooLarge(
+            f"classification over {size}^2 allocation pairs exceeds the guard"
+        )
 
 
 def _check_caps(valuation, caps) -> None:
@@ -288,9 +297,8 @@ def _memo_table(valuation) -> dict:
 def recall(valuation, key):
     """The memoised result for ``key`` under ``valuation``, or None.
 
-    Keys are the exact inputs a computation reads besides the valuation;
-    each caller leads its key with its own tag, except ``demand``, whose
-    keys are ``(prices, caps)``.  The valuation is matched by identity.
+    Keys are the exact inputs a computation reads besides the valuation,
+    led by the caller's own tag.  The valuation is matched by identity.
     """
     return _memo_table(valuation).get(key)
 
@@ -314,15 +322,16 @@ def demand(valuation, prices, caps) -> Alloc:
     Deterministic: among maximizers, returns the lexicographically smallest
     count vector.  Additive families use a closed per-item form; other
     families enumerate the capped domain (guarded).  Results are memoised
-    under ``(prices, caps)`` for the most recent valuation only (matched by
-    identity), in a table of at most MEMO_LIMIT entries; see ``recall``.
+    under ``("demand", prices, caps)`` for the most recent valuation only
+    (matched by identity), in a table of at most MEMO_LIMIT entries; see
+    ``recall``.
     """
     prices = _as_rats(prices)
     caps = tuple(int(c) for c in caps)
     if len(prices) != len(caps):
         raise ValueError("prices/caps length mismatch")
     _check_caps(valuation, caps)
-    key = (prices, caps)
+    key = ("demand", prices, caps)
     hit = recall(valuation, key)
     if hit is not None:
         return hit
@@ -361,8 +370,8 @@ def _demand_enum(valuation, prices, caps) -> Alloc:
 def classify(valuation, caps) -> frozenset:
     """Labels from the class hierarchy that the valuation satisfies on caps.
 
-    Explicit tables are checked by exhaustive quantifier enumeration
-    (two-allocation quantifiers are guarded by CLASSIFY_PAIR_LIMIT pairs);
+    Explicit tables are checked by exhaustive quantifier enumeration, over
+    at most ENUM_LIMIT allocation pairs (``check_classifiable``);
     parametric families are checked structurally.
     """
     caps = tuple(int(c) for c in caps)
@@ -424,11 +433,7 @@ def _classify_symmetric(margins, caps) -> frozenset:
 
 
 def _classify_explicit(valuation, caps) -> frozenset:
-    size = domain_size(caps)
-    if size * size > CLASSIFY_PAIR_LIMIT:
-        raise SearchSpaceTooLarge(
-            f"classification over {size}^2 allocation pairs exceeds the guard"
-        )
+    check_classifiable(caps)
     allocs = list(domain(caps))
     val = {a: valuation.value(a) for a in allocs}
     m = len(caps)
@@ -442,8 +447,7 @@ def _classify_explicit(valuation, caps) -> frozenset:
 
     chain_margins = [
         [
-            val[tuple(k if j == i else 0 for j in range(m))]
-            - val[tuple(k - 1 if j == i else 0 for j in range(m))]
+            val[unit_vector(m, i, k)] - val[unit_vector(m, i, k - 1)]
             for k in range(1, caps[i] + 1)
         ]
         for i in range(m)
@@ -485,17 +489,10 @@ def _classify_explicit(valuation, caps) -> frozenset:
     )
     if submodular:
         labels.add("submodular")
-    subadditive = True
-    for x in range(len(allocs)):
-        a = allocs[x]
-        for y in range(x + 1, len(allocs)):
-            b = allocs[y]
-            jo = tuple(max(p, q) for p, q in zip(a, b))
-            if val[jo] > val[a] + val[b]:
-                subadditive = False
-                break
-        if not subadditive:
-            break
+    subadditive = all(
+        val[tuple(map(max, a, b))] <= val[a] + val[b]
+        for a, b in itertools.combinations(allocs, 2)
+    )
     if subadditive:
         labels.add("subadditive")
     return frozenset(labels)

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procure.cli import main
+from procure.core import SearchSpaceTooLarge
 from procure.instances import (
+    GenerationError,
     InstanceFormatError,
     load_instance,
     parse_instance,
@@ -363,6 +365,42 @@ def test_generate_beyond_enumeration_guard_is_an_error(runner):
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
     assert "exceed the enumeration guard" in lines[0]
+
+
+def test_generator_refuses_a_table_it_cannot_classify(monkeypatch):
+    # Seed 0 draws 8 sellers and a 4,374-allocation table, whose pairs
+    # exceed the classifier's guard: no table may be built.
+    from procure import instances
+
+    def no_table(caps):
+        raise AssertionError(f"table built for caps {caps}")
+
+    monkeypatch.setattr(instances, "domain", no_table)
+    with pytest.raises(SearchSpaceTooLarge, match=r"^classification over 4374\^2 "):
+        instances.gen_explicit_subadditive(0, max_sellers=10)
+
+
+@pytest.mark.parametrize(
+    "family, sellers, message",
+    [
+        ("concave-additive", "20", "max_sellers must be in [1, 12], got 20"),
+        ("bounded-knapsack", "13", "max_sellers must be in [1, 12], got 13"),
+        ("symmetric", "0", "max_sellers must be in [1, 12], got 0"),
+        ("concave-additive", "-1", "max_sellers must be in [1, 12], got -1"),
+        ("explicit-subadditive", "1", "max_sellers must be at least 2, got 1"),
+    ],
+)
+def test_generate_refuses_seller_bounds_it_cannot_draw(runner, family, sellers, message):
+    args = ["generate", "--family", family, "--sellers", sellers, "--seed", "0"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert result.output.strip().splitlines() == [f"Error: {message}"]
+
+
+def test_more_sellers_than_units_fails_for_every_seed():
+    for seed in range(20):
+        with pytest.raises(GenerationError, match=r"^max_sellers must be in \[1, 4\]"):
+            gen_concave_additive(seed, max_sellers=5, max_total_units=4)
 
 
 def test_verify_skips_inapplicable(runner, tmp_path):

@@ -1,6 +1,6 @@
 """Every import in the package and the test suite is used, every public
-function and class of the package is read by the package, and no package
-module reads another package module's private name.
+function, class and UPPER_CASE constant of the package is read by the
+package, and no package module reads another package module's private name.
 
 An imported name counts as used when the module reads it anywhere or lists
 it in ``__all__``; ``from __future__`` imports are compiler directives and
@@ -9,6 +9,7 @@ loads it, when ``procure.__all__`` lists it, or when it is a click command.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,7 @@ def test_no_unused_imports(path):
 
 PACKAGE = sorted((ROOT / "src" / "procure").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
 def _is_command(node) -> bool:
@@ -79,9 +81,10 @@ def _is_command(node) -> bool:
 
 
 def unread_public_names(sources: dict) -> list:
-    """(module, name) of each public module-level function or class that no
-    module of the package reads outside its own definition, that the
-    package's ``__all__`` does not list, and that is not a click command.
+    """(module, name) of each public module-level function, class or
+    UPPER_CASE constant that no module of the package reads outside its own
+    definition, that the package's ``__all__`` does not list, and that is
+    not a click command.  A constant nothing reads is a dead option.
 
     ``sources`` maps module names to source text; ``__init__`` holds
     ``__all__``.  A read is a loaded name or attribute; imports are not reads.
@@ -92,28 +95,32 @@ def unread_public_names(sources: dict) -> list:
         for node in tree.body:
             if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
                 if not _is_command(node):
-                    definitions.append((module, node))
-            elif module == "__init__" and isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                exported |= {e.value for e in node.value.elts}
+                    definitions.append((module, node.name, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                if module == "__init__" and "__all__" in names:
+                    exported |= {e.value for e in node.value.elts}
+                definitions += [
+                    (module, name, node) for name in names if CONSTANT.fullmatch(name)
+                ]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads.append((module, node.id, node.lineno))
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 reads.append((module, node.attr, node.lineno))
 
-    def read_outside(module, node) -> bool:
+    def read_outside(module, defined, node) -> bool:
         return any(
-            name == node.name
+            name == defined
             and (where != module or not node.lineno <= line <= node.end_lineno)
             for where, name, line in reads
         )
 
     return sorted(
-        (module, node.name)
-        for module, node in definitions
-        if node.name not in exported and not read_outside(module, node)
+        (module, name)
+        for module, name, node in definitions
+        if name not in exported and not read_outside(module, name, node)
     )
 
 
@@ -140,6 +147,27 @@ def test_checker_flags_only_unread_public_names():
     }
     assert unread_public_names(sources) == [
         ("a", "Unread"), ("a", "recursive"), ("a", "typed"), ("a", "unread"),
+    ]
+
+
+def test_checker_flags_only_unread_constants():
+    sources = {
+        "__init__": "from .a import EXPORTED\n__all__ = ['EXPORTED']\n",
+        "a": (
+            "EXPORTED = 1\n"
+            "LIMIT = 10\n"
+            "UNREAD = 2\n"
+            "TYPED: int = 3\n"
+            "SELF_READ = [SELF_READ]\n"
+            "_PRIVATE = 5\n"
+            "Alias = tuple\n"
+            "def f(n):\n"
+            "    return n < LIMIT\n"
+        ),
+        "b": "from .a import UNREAD\nfrom . import a\nprint(a.TYPED)\n",
+    }
+    assert unread_public_names(sources) == [
+        ("a", "SELF_READ"), ("a", "UNREAD"), ("a", "f"),
     ]
 
 

@@ -63,6 +63,16 @@ def test_explicit_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "alloc", [(2,), (2, 1, 0), (-1, 0), (0, -1), (3, 0), (0, 2)]
+)
+def test_explicit_value_outside_caps_is_a_value_error(alloc):
+    table = as_explicit(ConcaveAdditive(((Rat(4), Rat(2)), (Rat(3),))), (2, 1))
+    assert table.value([2, 1]) == table.value((2, 1)) == 9
+    with pytest.raises(ValueError, match="^allocation out of range$"):
+        table.value(alloc)
+
+
 def test_concave_margin_validation():
     with pytest.raises(MalformedValuation):
         ConcaveAdditive(((Rat(1), Rat(2)),))
