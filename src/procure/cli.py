@@ -4,10 +4,12 @@ instances, and sweep measured ratios into CSV."""
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import random
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -39,11 +41,15 @@ def main():
     """Budget-feasible multi-unit procurement mechanisms."""
 
 
-def _load(path):
-    """An instance file's instance and bids; a bad file is an error naming it."""
+@contextmanager
+def _naming(path):
+    """Turn a ProcurementError or OSError while reading or writing ``path``
+    into a one-line error that names it."""
     try:
-        return load_instance(path)
-    except (ProcurementError, OSError) as exc:
+        yield
+    except OSError as exc:
+        raise click.ClickException(f"{path}: {exc.strerror or exc}")
+    except ProcurementError as exc:
         raise click.ClickException(f"{path}: {exc}")
 
 
@@ -56,7 +62,8 @@ def _load(path):
 @click.option("--seed", default=0, show_default=True, type=int)
 def cmd_run(instance_path, mechanism, scenario, seed):
     """Run one (sampled or replayed) realization and print the outcome."""
-    inst, bids = _load(instance_path)
+    with _naming(instance_path):
+        inst, bids = load_instance(instance_path)
     try:
         lottery = MECHANISMS[mechanism]
         branch = scenario or lottery.sample(inst, random.Random(seed))
@@ -89,7 +96,10 @@ _GENERATORS = {
 
 
 def _verify_targets(specs):
-    """Yield instances from file paths or gen:<family>:<count>:<seed> specs."""
+    """Instances from file paths or gen:<family>:<count>:<seed> specs.  All
+    specs are parsed and files loaded at once; generated instances are built
+    one at a time as the result is iterated."""
+    batches = []
     for spec in specs:
         if spec.startswith("gen:"):
             try:
@@ -105,10 +115,11 @@ def _verify_targets(specs):
                 raise click.UsageError(
                     f"bad generator spec {spec!r}; the count must be >= 1"
                 )
-            for s in range(seed, seed + count):
-                yield generator(s)
+            batches.append(map(generator, range(seed, seed + count)))
         else:
-            yield _load(spec)[0]
+            with _naming(spec):
+                batches.append((load_instance(spec)[0],))
+    return itertools.chain.from_iterable(batches)
 
 
 @main.command("verify")
@@ -133,8 +144,12 @@ def cmd_verify(targets, mechanisms, grid, strict, out):
     gen:<family>:<count>:<first-seed>.
     """
     mechanisms = mechanisms or MECHANISM_IDS
+    instances = _verify_targets(targets)
+    if out:
+        with _naming(out):
+            os.makedirs(out, exist_ok=True)
     reports = []
-    for inst in _verify_targets(targets):
+    for inst in instances:
         digest = instance_digest(inst)
         reports.extend(
             verify_instance(inst, mechanisms, grid, strict, digest=digest)
@@ -151,15 +166,15 @@ def cmd_verify(targets, mechanisms, grid, strict, out):
         )
         failures += rep.fail_count
     if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "reports.jsonl"), "w") as fh:
-            for rep in reports:
-                fh.write("\n".join(rep.json_lines()) + "\n")
-        with open(os.path.join(out, "summary.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for rep in reports:
-                writer.writerow(rep.csv_row())
+        with _naming(out):
+            with open(os.path.join(out, "reports.jsonl"), "w") as fh:
+                for rep in reports:
+                    fh.write("\n".join(rep.json_lines()) + "\n")
+            with open(os.path.join(out, "summary.csv"), "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(CSV_HEADER)
+                for rep in reports:
+                    writer.writerow(rep.csv_row())
     sys.exit(0 if failures == 0 else 1)
 
 
@@ -186,7 +201,8 @@ def cmd_generate(family, seed, sellers, n, k, budget, out):
     except (ProcurementError, ValueError) as exc:
         raise click.ClickException(str(exc))
     if out:
-        save_instance(out, inst)
+        with _naming(out):
+            save_instance(out, inst)
         click.echo(f"wrote {out} ({instance_digest(inst)})")
     else:
         click.echo(serialize_instance(inst), nl=False)
@@ -216,30 +232,30 @@ def cmd_ratio_sweep(n_min, n_max, mechanisms, out):
     if n_min > n_max:
         raise click.UsageError(f"--n-min {n_min} is above --n-max {n_max}")
     mechanisms = mechanisms or ("m_add", "m_sub")
-    rows = []
-    for n in range(n_min, n_max + 1):
-        inst = adversarial_single_seller(n, n, n)
-        for mech in mechanisms:
-            rep = measure_ratio(mech, inst)
-            rows.append(
-                [
-                    n,
-                    mech,
-                    rep.expected_value,
-                    format_rat(rep.optimum),
-                    rep.ratio,
-                    MECHANISMS["m_add"].bound(n),
-                    phi(n),
-                ]
-            )
-    with open(out, "w", newline="") as fh:
+    with _naming(out):
+        fh = open(out, "w", newline="")
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["n", "mechanism", "expected_value", "optimum", "ratio",
              "greedy_lottery_bound", "acceptance_factor"]
         )
-        writer.writerows(rows)
-    click.echo(f"wrote {out} ({len(rows)} rows)")
+        for n in range(n_min, n_max + 1):
+            inst = adversarial_single_seller(n, n, n)
+            for mech in mechanisms:
+                rep = measure_ratio(mech, inst)
+                writer.writerow(
+                    [
+                        n,
+                        mech,
+                        rep.expected_value,
+                        format_rat(rep.optimum),
+                        rep.ratio,
+                        MECHANISMS["m_add"].bound(n),
+                        phi(n),
+                    ]
+                )
+    click.echo(f"wrote {out} ({(n_max - n_min + 1) * len(mechanisms)} rows)")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Instance files and seeded instance generators.
 
 This module owns the instance file format: it alone reads and writes JSON,
-valuation sections included.  Files have a fixed field order and
+valuation sections included, from one table that states each valuation
+type for both reading and writing.  Files have a fixed field order and
 rationals as strings, so serialize(parse(text)) is byte-identical for
 files this module writes.  Every parse error is an InstanceFormatError
 that starts with the JSON path of the bad field, such as
@@ -11,6 +12,7 @@ that starts with the JSON path of the bad field, such as
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -47,54 +49,6 @@ class InstanceFormatError(ProcurementError):
 
 class GenerationError(ProcurementError):
     """A generator's bounds admit no draw, or rejection sampling ran out."""
-
-
-def valuation_to_json(valuation) -> dict:
-    """JSON form of a valuation; rationals serialize as strings."""
-    if isinstance(valuation, BoundedKnapsack):
-        return {
-            "type": "bounded_knapsack",
-            "values": [format_rat(v) for v in valuation.values],
-        }
-    if isinstance(valuation, Additive):
-        concave = isinstance(valuation, ConcaveAdditive)
-        return {
-            "type": "concave_additive" if concave else "additive",
-            "margins": [[format_rat(v) for v in mm] for mm in valuation.per_item],
-        }
-    if isinstance(valuation, Symmetric):
-        return {
-            "type": "symmetric",
-            "margins": [format_rat(v) for v in valuation.margins],
-        }
-    if isinstance(valuation, Explicit):
-        return {
-            "type": "explicit",
-            "caps": list(valuation.caps),
-            "table": [
-                {"alloc": list(a), "value": format_rat(v)}
-                for a, v in valuation.entries
-            ],
-        }
-    raise TypeError(f"unknown valuation type {type(valuation).__name__}")
-
-
-def instance_to_obj(inst: Instance, bids=None) -> dict:
-    obj = {
-        "version": FILE_VERSION,
-        "budget": format_rat(inst.budget),
-        "sellers": [
-            {"units": s.units, "cost": format_rat(s.cost)} for s in inst.sellers
-        ],
-        "valuation": valuation_to_json(inst.valuation),
-    }
-    if bids is not None:
-        obj["bids"] = [format_rat(Rat(b)) for b in bids]
-    return obj
-
-
-def serialize_instance(inst: Instance, bids=None) -> str:
-    return json.dumps(instance_to_obj(inst, bids), indent=2) + "\n"
 
 
 # Readers: each takes a JSON value and its path, and raises an
@@ -152,7 +106,8 @@ def _table_row(obj, path):
 
 
 # Each valuation type's class, and the fields its constructor takes in
-# order, each with the readers of its value.
+# order, each with the readers of its value.  The class's dataclass fields
+# hold the values in the same order, and the readers say how to write them.
 _VALUATION_TYPES = {
     "bounded_knapsack": (BoundedKnapsack, (("values", _array, _rat),)),
     "concave_additive": (ConcaveAdditive, (("margins", _array, _array, _rat),)),
@@ -163,6 +118,28 @@ _VALUATION_TYPES = {
         (("caps", _array, _typed, int), ("table", _array, _table_row)),
     ),
 }
+
+
+def _to_json(value, read):
+    """The JSON value that the reader chain ``read`` turns into ``value``."""
+    first, *rest = read
+    if first is _array:
+        return [_to_json(x, rest) for x in value]
+    if first is _table_row:
+        return {"alloc": list(value[0]), "value": format_rat(value[1])}
+    return format_rat(value) if first is _rat else value  # _typed keeps an int
+
+
+def valuation_to_json(valuation) -> dict:
+    """JSON form of a valuation, named by the first table type it is an
+    instance of (so a ConcaveAdditive writes as ``concave_additive``)."""
+    for kind, (family, fields) in _VALUATION_TYPES.items():
+        if isinstance(valuation, family):
+            values = (getattr(valuation, f.name) for f in dataclasses.fields(family))
+            return {"type": kind} | {
+                key: _to_json(v, read) for (key, *read), v in zip(fields, values)
+            }
+    raise TypeError(f"unknown valuation type {type(valuation).__name__}")
 
 
 def valuation_from_json(data):
@@ -209,6 +186,20 @@ def parse_instance(text: str):
     return inst, bids
 
 
+def serialize_instance(inst: Instance, bids=None) -> str:
+    obj = {
+        "version": FILE_VERSION,
+        "budget": format_rat(inst.budget),
+        "sellers": [
+            {"units": s.units, "cost": format_rat(s.cost)} for s in inst.sellers
+        ],
+        "valuation": valuation_to_json(inst.valuation),
+    }
+    if bids is not None:
+        obj["bids"] = [format_rat(Rat(b)) for b in bids]
+    return json.dumps(obj, indent=2) + "\n"
+
+
 def load_instance(path):
     with open(path, encoding="utf-8") as fh:
         try:
@@ -244,11 +235,11 @@ def instance_digest(inst: Instance) -> str:
 SUBADDITIVE_ATTEMPTS = 60
 
 
-def _check_sellers(max_sellers, low, high=None):
-    """Refuse, before any draw, a seller bound that no draw can meet."""
-    if max_sellers < low or (high is not None and max_sellers > high):
+def _check_bound(name, value, low, high=None):
+    """Refuse, before any draw, a generator bound that no draw can meet."""
+    if value < low or (high is not None and value > high):
         span = f"at least {low}" if high is None else f"in [{low}, {high}]"
-        raise GenerationError(f"max_sellers must be {span}, got {max_sellers}")
+        raise GenerationError(f"{name} must be {span}, got {value}")
 
 
 def _split_units(rng, m, max_total):
@@ -282,7 +273,7 @@ def _draw_market(rng, max_sellers, max_total_units):
 
 
 def gen_concave_additive(seed, max_sellers=5, max_total_units=12) -> Instance:
-    _check_sellers(max_sellers, 1, max_total_units)
+    _check_bound("max_sellers", max_sellers, 1, max_total_units)
     rng = random.Random(seed)
     while True:
         sellers, budget = _draw_market(rng, max_sellers, max_total_units)
@@ -297,7 +288,7 @@ def gen_concave_additive(seed, max_sellers=5, max_total_units=12) -> Instance:
 
 
 def gen_bounded_knapsack(seed, max_sellers=5, max_total_units=12) -> Instance:
-    _check_sellers(max_sellers, 1, max_total_units)
+    _check_bound("max_sellers", max_sellers, 1, max_total_units)
     rng = random.Random(seed)
     while True:
         sellers, budget = _draw_market(rng, max_sellers, max_total_units)
@@ -307,7 +298,7 @@ def gen_bounded_knapsack(seed, max_sellers=5, max_total_units=12) -> Instance:
 
 
 def gen_symmetric(seed, max_sellers=5, max_total_units=12) -> Instance:
-    _check_sellers(max_sellers, 1, max_total_units)
+    _check_bound("max_sellers", max_sellers, 1, max_total_units)
     rng = random.Random(seed)
     while True:
         sellers, budget = _draw_market(rng, max_sellers, max_total_units)
@@ -326,7 +317,8 @@ def gen_explicit_subadditive(seed, max_sellers=3, max_cap=2) -> Instance:
     if the classifier still certifies sub-additivity.  Caps the classifier
     would refuse are refused before any table is built.
     """
-    _check_sellers(max_sellers, 2)
+    _check_bound("max_sellers", max_sellers, 2)
+    _check_bound("max_cap", max_cap, 1)
     rng = random.Random(seed)
     m = rng.randint(2, max_sellers)
     caps = tuple(rng.randint(1, max_cap) for _ in range(m))
@@ -339,16 +331,12 @@ def gen_explicit_subadditive(seed, max_sellers=3, max_cap=2) -> Instance:
                 reverse=True,
             )
             per_item.append(mm)
-        total = sum((sum(mm, Rat(0)) for mm in per_item), Rat(0))
-        ceiling = total * Rat(rng.randint(5, 9), 10)
+        additive = Additive(per_item)
+        ceiling = additive.value(caps) * Rat(rng.randint(5, 9), 10)
         noisy = rng.random() < 0.5
 
         def base(alloc):
-            raw = sum(
-                (sum(per_item[i][: alloc[i]], Rat(0)) for i in range(m)),
-                Rat(0),
-            )
-            v = min(raw, ceiling)
+            v = min(additive.value(alloc), ceiling)
             if noisy and any(alloc):
                 v = v * (1 + Rat(rng.randint(0, 2), 50))
             return v

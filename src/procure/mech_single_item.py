@@ -64,8 +64,7 @@ def plan_m_one(inst: Instance, bids=None) -> OneLottery:
         v = inst.value(unit_vector(inst.m, winner, k))
         return v > values[rival] or (v == values[rival] and winner < rival)
 
-    if not first_at(count):
-        raise AssertionError("winner lost first place at its own count")
+    # At k = count the winner is worth values[winner], the first maximum.
     crossover = next(k for k in range(1, count + 1) if first_at(k))
     budget = inst.budget
     thresholds = tuple(budget / crossover for _ in range(crossover)) + tuple(

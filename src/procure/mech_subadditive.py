@@ -6,8 +6,9 @@ affordable single-item bundle, prices each grid point proportionally to
 cost, asks the demand oracle, and keeps the most valuable budget-feasible
 prefix of the answer.
 
-``run_m_rand`` samples half the sellers to calibrate a value target, then
-posts uniform unit prices B/k to the other half for k = 1, 2, ... and
+``m_rand_detail`` runs the random-sampling mechanism for one sample group:
+the sampled half of the sellers calibrates a value target, then the other
+half is posted uniform unit prices B/k for k = 1, 2, ... and the mechanism
 accepts the first round whose a_max allocation clears the target scaled by
 loglog(n)/(64 log(n)).  Mixing it 1:1 with the best-single-seller
 mechanism gives the sub-additive mechanism proper.
@@ -151,10 +152,6 @@ def m_rand_detail(inst: Instance, bids, sample_group) -> RandRun:
             payments = tuple(x * price for x in run.winner)
             return RandRun(target, k, Outcome(run.winner, payments))
     return RandRun(target, None, inst.empty_outcome())
-
-
-def run_m_rand(inst: Instance, bids, sample_group) -> Outcome:
-    return m_rand_detail(inst, bids, sample_group).outcome
 
 
 def group_from_mask(mask: int, m: int) -> tuple:

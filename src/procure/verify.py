@@ -27,7 +27,6 @@ from .core import (
     checked_bids,
     format_rat,
     harmonic_factor,
-    unit_vector,
     utility,
 )
 from .mech_subadditive import group_from_mask, phi
@@ -181,9 +180,8 @@ class SingleItemLottery(Lottery):
         return mech_single_item.run_m_one(inst, bids, branch)
 
     def benchmark(self, inst):
-        plan = mech_single_item.plan_m_one(inst)
-        opt = inst.value(unit_vector(inst.m, plan.winner, plan.count))
-        return "single-item-optimum", opt
+        # plan_m_one ranks sellers by these values; its winner is the first max.
+        return "single-item-optimum", max(mech_single_item.single_item_values(inst))
 
     def bound(self, n):
         return harmonic_factor(n)
@@ -220,7 +218,7 @@ class SamplingLottery(Lottery):
         except ValueError as exc:
             raise ValueError(f"bad sample-group mask {arg!r}") from exc
         group = group_from_mask(mask, inst.m)
-        return mech_subadditive.run_m_rand(inst, bids, group)
+        return mech_subadditive.m_rand_detail(inst, bids, group).outcome
 
     def sample(self, inst, rng):
         return f"rand:{rng.getrandbits(inst.m):#b}"
@@ -529,26 +527,26 @@ CSV_HEADER = ["instance", "mechanism", "ratio", "bound", "pass_count", "fail_cou
 def verify_instance(
     inst: Instance, mechanisms, resolution=GRID, strict=False, digest=""
 ) -> list:
-    """Run the full check battery for each applicable mechanism."""
+    """Run the full check battery for each applicable mechanism.  A mechanism
+    that does not apply, or needs a search a guard refuses, is skipped; the
+    ratio is measured first, so the optimum's guards refuse before the sweep."""
     reports = []
     for mech in mechanisms:
         lottery = _lottery(mech)
         reason = lottery.applicable(inst)
+        if reason is None:
+            try:
+                ratio = measure_ratio(mech, inst)
+                checks = (
+                    check_dst(mech, inst, resolution, strict)
+                    + check_ir(mech, inst)
+                    + check_budget(mech, inst)
+                )
+            except SearchSpaceTooLarge as exc:
+                reason = str(exc)
         if reason is not None:
             reports.append(Report(digest, mech, [], None, {"skipped": reason}))
             continue
-        try:
-            checks = (
-                check_dst(mech, inst, resolution, strict)
-                + check_ir(mech, inst)
-                + check_budget(mech, inst)
-            )
-            ratio = measure_ratio(mech, inst)
-        except SearchSpaceTooLarge as exc:
-            reports.append(Report(digest, mech, [], None, {"skipped": str(exc)}))
-            continue
-        reports.append(
-            Report(digest, mech, checks, ratio, lottery.notes(inst) or None)
-        )
+        reports.append(Report(digest, mech, checks, ratio, lottery.notes(inst) or None))
     return reports
 

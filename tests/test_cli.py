@@ -1,5 +1,7 @@
 import csv
+import errno
 import json
+import os
 import re
 from functools import reduce
 from operator import getitem
@@ -9,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from procure import cli
 from procure.cli import main
 from procure.core import SearchSpaceTooLarge
 from procure.instances import (
@@ -23,7 +26,7 @@ from procure.instances import (
     gen_explicit_subadditive,
     gen_symmetric,
 )
-from procure.mech_subadditive import run_m_rand
+from procure.mech_subadditive import m_rand_detail
 
 from corpora import gen_additive, greedy_nonmonotone_instance
 
@@ -230,7 +233,7 @@ def test_run_replay_matches_library(runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
-    direct = run_m_rand(inst, None, (0, 2))
+    direct = m_rand_detail(inst, None, (0, 2)).outcome
     assert tuple(payload["allocation"]) == direct.allocation
     assert payload["scenario"] == "rand:0b101"
     assert payload["budget_feasible"] is True
@@ -401,6 +404,56 @@ def test_more_sellers_than_units_fails_for_every_seed():
     for seed in range(20):
         with pytest.raises(GenerationError, match=r"^max_sellers must be in \[1, 4\]"):
             gen_concave_additive(seed, max_sellers=5, max_total_units=4)
+
+
+def test_explicit_generator_refuses_a_cap_it_cannot_draw(monkeypatch):
+    from procure import instances
+
+    monkeypatch.setattr(instances, "random", None)  # any draw would fail
+    for max_cap in (0, -1):
+        message = rf"^max_cap must be at least 1, got {max_cap}$"
+        with pytest.raises(GenerationError, match=message):
+            instances.gen_explicit_subadditive(0, max_cap=max_cap)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the targets were checked")
+
+
+def test_generate_into_a_missing_directory_is_an_error(runner, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    line = _cli_error(runner, "generate", "--family", "symmetric", "-o", str(out))
+    assert line == f"Error: {out}: {os.strerror(errno.ENOENT)}"
+
+
+def test_verify_out_under_a_file_is_an_error(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "verify_instance", _no_work)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    line = _cli_error(runner, "verify", "gen:symmetric:1:0", "--out", str(out))
+    assert line == f"Error: {out}: {os.strerror(errno.ENOTDIR)}"
+
+
+def test_ratio_sweep_into_a_missing_directory_is_an_error(
+    runner, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(cli, "measure_ratio", _no_work)
+    out = tmp_path / "missing" / "sweep.csv"
+    line = _cli_error(runner, "ratio-sweep", "--n-max", "5", "--out", str(out))
+    assert line == f"Error: {out}: {os.strerror(errno.ENOENT)}"
+
+
+def test_verify_refuses_a_bad_target_before_verifying_any(
+    runner, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(cli, "verify_instance", _no_work)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    for target, code in (("gen:concave-additive:1:x", 2), (str(bad), 1)):
+        args = ["verify", "gen:concave-additive:2:1", target]
+        result = runner.invoke(main, args)
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit)
 
 
 def test_verify_skips_inapplicable(runner, tmp_path):

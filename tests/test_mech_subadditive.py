@@ -10,7 +10,6 @@ from procure.mech_subadditive import (
     group_from_mask,
     m_rand_detail,
     phi,
-    run_m_rand,
 )
 from procure.oracles import adversarial_single_seller
 from procure.valuations import ConcaveAdditive, Explicit
@@ -112,7 +111,7 @@ def test_m_rand_overbid_excludes_from_round():
     base = m_rand_detail(inst, None, ())
     assert base.accepted_round == 1
     # bidding above every B/k price forfeits all rounds
-    out = run_m_rand(inst, (Rat(5),), ())
+    out = m_rand_detail(inst, (Rat(5),), ()).outcome
     assert out.allocation == (0,)
     assert utility(out, inst.costs, 0) == 0
 
@@ -120,7 +119,7 @@ def test_m_rand_overbid_excludes_from_round():
 def test_m_rand_ir_per_realization():
     inst = greedy_nonmonotone_instance()
     for mask in range(8):
-        out = run_m_rand(inst, None, group_from_mask(mask, 3))
+        out = m_rand_detail(inst, None, group_from_mask(mask, 3)).outcome
         for i in range(3):
             assert utility(out, inst.costs, i) >= 0
 
@@ -132,8 +131,9 @@ def test_scenario_descriptors():
     inst = greedy_nonmonotone_instance()
     assert m_sub.run(inst, None, "one:fire") == run_m_one(inst, None, "fire")
     assert m_sub.run(inst, None, "one:skip") == run_m_one(inst, None, "skip")
-    assert m_sub.run(inst, None, "rand:0b101") == run_m_rand(inst, None, (0, 2))
-    assert m_sub.run(inst, None, "rand:5") == run_m_rand(inst, None, (0, 2))
+    rand = m_rand_detail(inst, None, (0, 2)).outcome
+    assert m_sub.run(inst, None, "rand:0b101") == rand
+    assert m_sub.run(inst, None, "rand:5") == rand
     assert group_from_mask(0, 3) == ()
     with pytest.raises(ValueError):
         m_sub.run(inst, None, "rand:0b1000")
@@ -160,7 +160,7 @@ def test_m_rand_concave_demand_path():
         ConcaveAdditive(((Rat(6), Rat(4)), (Rat(5), Rat(2)), (Rat(7),))),
     )
     for mask in range(8):
-        out = run_m_rand(inst, None, group_from_mask(mask, 3))
+        out = m_rand_detail(inst, None, group_from_mask(mask, 3)).outcome
         assert out.total_payment <= inst.budget
         for i in group_from_mask(mask, 3):
             assert out.allocation[i] == 0

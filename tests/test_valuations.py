@@ -316,14 +316,45 @@ def test_classify_guard():
 
 
 def test_valuation_json_round_trip():
-    cases = [
-        BoundedKnapsack((Rat(1), Rat(5, 2))),
-        ConcaveAdditive(((Rat(6), Rat(4)), (Rat(5),))),
-        Additive(((Rat(1), Rat(4)),)),
-        Symmetric((Rat(10), Rat(6), Rat(3), Rat(1))),
-        greedy_nonmonotone_instance().valuation,
+    # Each case with the JSON object written for it; the file format fixes
+    # these byte for byte.
+    explicit_rows = [
+        ([0, 0, 0], "0"), ([0, 0, 1], "999/100"), ([0, 0, 2], "15"),
+        ([0, 1, 0], "1001/100"), ([0, 1, 1], "753/50"), ([0, 1, 2], "1607/100"),
+        ([0, 2, 0], "374/25"), ([0, 2, 1], "321/20"), ([0, 2, 2], "1607/100"),
+        ([1, 0, 0], "10"), ([1, 0, 1], "1499/100"), ([1, 0, 2], "16"),
+        ([1, 1, 0], "301/20"), ([1, 1, 1], "401/25"), ([1, 1, 2], "1607/100"),
+        ([1, 2, 0], "803/50"), ([1, 2, 1], "1607/100"), ([1, 2, 2], "1607/100"),
     ]
-    for v in cases:
-        assert valuation_from_json(valuation_to_json(v)) == v
+    cases = [
+        (
+            BoundedKnapsack((Rat(1), Rat(5, 2))),
+            {"type": "bounded_knapsack", "values": ["1", "5/2"]},
+        ),
+        (
+            ConcaveAdditive(((Rat(6), Rat(4)), (Rat(5),))),
+            {"type": "concave_additive", "margins": [["6", "4"], ["5"]]},
+        ),
+        (
+            Additive(((Rat(1), Rat(4)),)),
+            {"type": "additive", "margins": [["1", "4"]]},
+        ),
+        (
+            Symmetric((Rat(10), Rat(6), Rat(3), Rat(1))),
+            {"type": "symmetric", "margins": ["10", "6", "3", "1"]},
+        ),
+        (
+            greedy_nonmonotone_instance().valuation,
+            {
+                "type": "explicit",
+                "caps": [1, 2, 2],
+                "table": [{"alloc": a, "value": v} for a, v in explicit_rows],
+            },
+        ),
+    ]
+    for v, obj in cases:
+        assert valuation_to_json(v) == obj
+        assert list(valuation_to_json(v)) == list(obj)
+        assert valuation_from_json(obj) == v
     with pytest.raises(InstanceFormatError, match=r"^\$\.valuation\.type: "):
         valuation_from_json({"type": "nope"})

@@ -297,6 +297,28 @@ def test_verify_instance_reports(two_seller):
     assert len(row) == len(CSV_HEADER)
 
 
+def test_optimum_guard_skips_before_the_sweep(monkeypatch):
+    # 20 one-unit sellers: the optimum would enumerate 2^20 allocations, so
+    # the mechanism is skipped before any deviation is tried.
+    from procure import verify
+    from procure.valuations import Symmetric
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the DST sweep ran")
+
+    monkeypatch.setattr(verify, "check_dst", no_sweep)
+    inst = Instance(
+        tuple(Seller(1, Rat(i % 7 + 1, 2)) for i in range(20)),
+        Rat(30),
+        Symmetric(tuple(Rat(20 - k, 2) for k in range(20))),
+    )
+    (report,) = verify_instance(inst, ["m_sym"])
+    assert report.checks == [] and report.ratio is None
+    assert report.notes == {
+        "skipped": "1048576 allocations exceed the enumeration guard of 1000000"
+    }
+
+
 def test_run_scenario_dispatch(two_seller):
     inst3 = greedy_nonmonotone_instance()
     assert run_scenario("m_add", two_seller, None, "bot").total_payment == 0
