@@ -417,7 +417,7 @@ def test_explicit_generator_refuses_a_cap_it_cannot_draw(monkeypatch):
 
 
 def _no_work(*args, **kwargs):
-    raise AssertionError("work started before the targets were checked")
+    raise AssertionError("work started before the arguments were checked")
 
 
 def test_generate_into_a_missing_directory_is_an_error(runner, tmp_path):
