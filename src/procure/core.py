@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import log
+from math import lcm, log
 
 try:
     from gmpy2 import mpq as Rat
@@ -84,6 +84,19 @@ def format_rat(q) -> str:
 def ifloor(q) -> int:
     """Exact floor of a rational, as a Python int."""
     return int(q.numerator // q.denominator)
+
+
+def denominator_lcm(values) -> int:
+    """Least common multiple of the denominators of a sequence of rationals:
+    the smallest scale that makes every one of them an integer.
+
+    Folded one denominator at a time, so no tuple of them is ever built.
+    ``math.lcm`` takes ``gmpy2`` denominators too (``mpz``).
+    """
+    scale = 1
+    for q in values:
+        scale = lcm(scale, q.denominator)
+    return scale
 
 
 def harmonic_factor(n: int) -> float:

@@ -16,7 +16,27 @@ and W_alpha is the value of the first alpha rival pairs.  The first term
 rises with alpha and the second falls, so the minimum sits at the first
 alpha where rho_alpha * (s + W_alpha) >= B or just before it, and a
 bisection finds it: one ranking prices all of a seller's units in
-O(n + units * log n) rational operations.
+O(n + units * log n) integer operations and one rational per unit.
+
+Every comparison runs in exact integers.  With S_v the lcm of the margin
+denominators and S_b the lcm of the budget's and the bids' denominators,
+a pair carries ivalue = value * S_v and ibid = bid * S_b, and the ranking
+carries ibudget = B * S_b.  Then, multiplying through by S_v * S_b:
+
+* the bought rule is ibid * iprefix <= ibudget * ivalue, with iprefix the
+  scaled value prefix;
+* the bisection tests ibid_alpha * (is + iW_alpha) >= ibudget * ivalue_alpha;
+* the min picks rho_alpha over B / (s + W_alpha) iff
+  ibid_alpha * (is + iW_alpha) < ibudget * ivalue_alpha; with num / den the
+  picked one of ibid_alpha / ivalue_alpha and ibudget / (is + iW_alpha),
+  the threshold leaves as the one rational ivalue * num / (den * S_b).
+
+The rank key is ibid * Q**2 // ivalue, with Q the largest ivalue.  rho is
+ibid / ivalue times the constant S_v / S_b, so this ratio orders the pairs
+as rho does.  Two different ratios a/b and c/d with b, d <= Q differ by at
+least 1/(b*d) >= 1/Q**2, so at scale Q**2 they lie at least 1 apart and
+their floors keep their order; equal ratios get equal keys, and ties fall
+to (seller, unit).  A zero bid gets key 0 and a positive one at least Q.
 
 The symmetric-valuation variant is the same greedy on the instance with
 every unit worth 1: it ranks units by bid, ties by (seller, unit), buys the
@@ -35,6 +55,7 @@ from .core import (
     Rat,
     WrongValuationClass,
     checked_bids,
+    denominator_lcm,
     unit_vector,
 )
 from .valuations import BoundedKnapsack, ConcaveAdditive, Symmetric
@@ -43,11 +64,24 @@ from .valuations import BoundedKnapsack, ConcaveAdditive, Symmetric
 class RankedPair(NamedTuple):
     """One unit of one seller in the greedy ranking; tuple order is rank order."""
 
-    rho: object  # bid / value, exact
+    key: int  # ibid * Q**2 // ivalue, ordered as bid / value
     seller: int  # 0-based
     unit: int  # 1-based
     value: object  # marginal value of this unit
     bid: object  # the seller's announced per-unit cost
+    ivalue: int  # value * S_v
+    ibid: int  # bid * S_b
+
+    @property
+    def rho(self):
+        """bid / value, exact."""
+        return self.bid / self.value
+
+
+class Ranking(list):
+    """The ranked pairs, with ibudget = B * S_b and S_b (``bid_scale``)."""
+
+    __slots__ = ("ibudget", "bid_scale")
 
 
 def additive_reason(inst: Instance) -> str | None:
@@ -69,7 +103,7 @@ def _require(reason: str | None) -> None:
         raise WrongValuationClass(f"mechanism {reason}")
 
 
-def ranked_pairs(inst: Instance, bids=None):
+def ranked_pairs(inst: Instance, bids=None) -> Ranking:
     """All positive-value (seller, unit) pairs in greedy rank order.
 
     Zero margins form a suffix of each list in the additive classes, so
@@ -77,25 +111,34 @@ def ranked_pairs(inst: Instance, bids=None):
     """
     bids = checked_bids(inst, bids)
     _require(additive_reason(inst))
-    pairs = [
-        RankedPair(bids[i] / x, i, j, x, bids[i])
-        for i, mm in enumerate(inst.valuation.margins(inst.units))
-        for j, x in enumerate(mm, start=1)
-        if x > 0
-    ]
+    margins = inst.valuation.margins(inst.units)
+    value_scale = denominator_lcm(x for mm in margins for x in mm)
+    bid_scale = denominator_lcm((inst.budget, *bids))
+    ivalues = [[x.numerator * (value_scale // x.denominator) for x in mm] for mm in margins]
+    ibids = [b.numerator * (bid_scale // b.denominator) for b in bids]
+    q2 = max((max(row, default=0) for row in ivalues), default=0) ** 2
+    pairs = Ranking(
+        RankedPair(ibids[i] * q2 // iv, i, j, x, bids[i], iv, ibids[i])
+        for i, (mm, row) in enumerate(zip(margins, ivalues))
+        for j, (x, iv) in enumerate(zip(mm, row), start=1)
+        if iv > 0
+    )
     pairs.sort()
+    pairs.ibudget = inst.budget.numerator * (bid_scale // inst.budget.denominator)
+    pairs.bid_scale = bid_scale
     return pairs
 
 
-def _bought(pairs, budget, m: int):
+def _bought(pairs: Ranking, m: int):
     """Units bought from each of the m sellers: the longest prefix of the
     ranked pairs whose last pair meets the budget-share inequality."""
-    prefix = Rat(0)
+    ibudget = pairs.ibudget
+    iprefix = 0
     k = 0
     for rank, pr in enumerate(pairs, start=1):
-        prefix += pr.value
-        # bid/value <= B/prefix, cross-multiplied to stay exact.
-        if pr.bid * prefix <= budget * pr.value:
+        iprefix += pr.ivalue
+        # bid/value <= B/prefix, cross-multiplied in the integer scales.
+        if pr.ibid * iprefix <= ibudget * pr.ivalue:
             k = rank
     counts = [0] * m
     for pr in pairs[:k]:
@@ -105,37 +148,42 @@ def _bought(pairs, budget, m: int):
 
 def greedy_allocate(inst: Instance, bids=None):
     """Allocation bought by the greedy branch under the given bids."""
-    return _bought(ranked_pairs(inst, bids), inst.budget, inst.m)
+    return _bought(ranked_pairs(inst, bids), inst.m)
 
 
-def _seller_thresholds(pairs, i: int, count: int, budget):
+def _seller_thresholds(pairs: Ranking, i: int, count: int):
     """Critical bids of seller i's first ``count`` units, from one ranking."""
     if count == 0:
         return []
-    rates, prefixes = [], [Rat(0)]  # rho_alpha for alpha >= 1, W_alpha for alpha >= 0
+    ibudget = pairs.ibudget
+    rivals, prefixes = [], [0]  # pair alpha for alpha >= 1, iW_alpha for alpha >= 0
     for pr in pairs:
         if pr.seller != i:
-            rates.append(pr.rho)
-            prefixes.append(prefixes[-1] + pr.value)
+            rivals.append(pr)
+            prefixes.append(prefixes[-1] + pr.ivalue)
     out = []
-    share = Rat(0)
+    share = 0
     for pr in pairs:
         if pr.seller != i:
             continue
-        share += pr.value
+        share += pr.ivalue
         # Bisect for the first alpha with rho_alpha * (s + W_alpha) >= B;
-        # lo ends at alpha - 1, or at len(rates) if no rival crosses.
-        lo, hi = 0, len(rates)
+        # lo ends at alpha - 1, or at len(rivals) if no rival crosses.
+        lo, hi = 0, len(rivals)
         while lo < hi:
             mid = (lo + hi) // 2
-            if rates[mid] * (share + prefixes[mid + 1]) >= budget:
+            rival = rivals[mid]
+            if rival.ibid * (share + prefixes[mid + 1]) >= ibudget * rival.ivalue:
                 hi = mid
             else:
                 lo = mid + 1
-        best = budget / (share + prefixes[lo])
-        if lo < len(rates):
-            best = min(best, rates[lo])
-        out.append(pr.value * best)
+        # min(B / (s + W_lo), rho_lo) as num / den, the rate scaled by S_v / S_b.
+        num, den = ibudget, share + prefixes[lo]
+        if lo < len(rivals):
+            rival = rivals[lo]
+            if rival.ibid * den < num * rival.ivalue:
+                num, den = rival.ibid, rival.ivalue
+        out.append(Rat(pr.ivalue * num, den * pairs.bid_scale))
         if len(out) == count:
             break
     return out
@@ -153,18 +201,17 @@ def threshold(inst: Instance, i: int, j: int, bids=None):
         raise IndexError(f"seller index {i} out of range")
     if not any(pr.seller == i and pr.unit == j for pr in pairs):
         raise NoThreshold(f"unit {j} of seller {i} is never bought")
-    if _bought(pairs, inst.budget, inst.m)[i] < j:
+    if _bought(pairs, inst.m)[i] < j:
         raise NoThreshold(f"unit {j} of seller {i} is not bought under these bids")
-    return _seller_thresholds(pairs, i, j, inst.budget)[-1]
+    return _seller_thresholds(pairs, i, j)[-1]
 
 
 def greedy_payments(inst: Instance, bids=None):
     """Threshold payments for the greedy-branch allocation."""
     pairs = ranked_pairs(inst, bids)
-    alloc = _bought(pairs, inst.budget, inst.m)
+    alloc = _bought(pairs, inst.m)
     return alloc, tuple(
-        sum(_seller_thresholds(pairs, i, a, inst.budget), Rat(0))
-        for i, a in enumerate(alloc)
+        sum(_seller_thresholds(pairs, i, a), Rat(0)) for i, a in enumerate(alloc)
     )
 
 
@@ -177,8 +224,8 @@ def greedy_breakpoints(inst: Instance, bids, seller: int) -> set:
     points = {
         po.value * rho for po in pairs if po.seller == seller for rho in rival_rates
     }
-    bought = _bought(pairs, inst.budget, inst.m)[seller]
-    points.update(_seller_thresholds(pairs, seller, bought, inst.budget))
+    bought = _bought(pairs, inst.m)[seller]
+    points.update(_seller_thresholds(pairs, seller, bought))
     return points
 
 

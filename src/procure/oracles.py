@@ -9,9 +9,7 @@ comparable in tests.
 
 from __future__ import annotations
 
-from math import lcm
-
-from .core import Instance, Rat, SearchSpaceTooLarge, Seller, ifloor
+from .core import Instance, Rat, SearchSpaceTooLarge, Seller, denominator_lcm
 from .valuations import (
     ADDITIVE_FAMILIES,
     BoundedKnapsack,
@@ -59,12 +57,9 @@ def _optimal_additive_dp(inst: Instance):
     margs = inst.valuation.margins(units)
     costs, budget = inst.costs, inst.budget
     m = inst.m
-    scale = lcm(budget.denominator, *(c.denominator for c in costs))
-    weights = []
-    for c in costs:
-        q = c * scale
-        weights.append(int(q.numerator))
-    cap = ifloor(budget * scale)
+    scale = denominator_lcm((budget, *costs))
+    weights = [int(c.numerator * (scale // c.denominator)) for c in costs]
+    cap = int(budget.numerator * (scale // budget.denominator))
     if (m + 1) * (cap + 1) > DP_CELL_LIMIT:
         raise SearchSpaceTooLarge(
             f"knapsack DP table of {(m + 1) * (cap + 1)} cells exceeds the guard"

@@ -3,7 +3,8 @@ internals, and the analysis devices of the paper's proofs.
 
 The oracles restate a rule directly (exhaustive optimum and demand, the
 greedy rank order, the cheapest-prefix rule, thresholds by search over
-breakpoints).  The analysis helpers are not mechanisms: the per-rank
+breakpoints), or keep an earlier implementation as the reference (the
+greedy's bought rule and thresholds in rational arithmetic).  The analysis helpers are not mechanisms: the per-rank
 pick-up test of the greedy, the marginal value-rate greedy and its
 non-monotonicity, the sample-group dominance event of the random-sampling
 argument (with the optimum over a seller subset), and explicit tables
@@ -118,6 +119,77 @@ def reference_rank_key(pair):
     if pair.bid == 0:
         return (0, 0, pair.seller, pair.unit)
     return (1, -(pair.value / pair.bid), pair.seller, pair.unit)
+
+
+def reference_bought(pairs, budget, m: int):
+    """The greedy's bought units, compared in rationals: the longest prefix
+    of the ranked pairs whose last pair meets the budget-share inequality."""
+    prefix = Rat(0)
+    k = 0
+    for rank, pr in enumerate(pairs, start=1):
+        prefix += pr.value
+        # bid/value <= B/prefix, cross-multiplied to stay exact.
+        if pr.bid * prefix <= budget * pr.value:
+            k = rank
+    counts = [0] * m
+    for pr in pairs[:k]:
+        counts[pr.seller] += 1
+    return tuple(counts)
+
+
+def reference_seller_thresholds(pairs, i: int, count: int, budget):
+    """Critical bids of seller i's first ``count`` units, in rationals."""
+    if count == 0:
+        return []
+    rates, prefixes = [], [Rat(0)]  # rho_alpha for alpha >= 1, W_alpha for alpha >= 0
+    for pr in pairs:
+        if pr.seller != i:
+            rates.append(pr.rho)
+            prefixes.append(prefixes[-1] + pr.value)
+    out = []
+    share = Rat(0)
+    for pr in pairs:
+        if pr.seller != i:
+            continue
+        share += pr.value
+        # Bisect for the first alpha with rho_alpha * (s + W_alpha) >= B;
+        # lo ends at alpha - 1, or at len(rates) if no rival crosses.
+        lo, hi = 0, len(rates)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if rates[mid] * (share + prefixes[mid + 1]) >= budget:
+                hi = mid
+            else:
+                lo = mid + 1
+        best = budget / (share + prefixes[lo])
+        if lo < len(rates):
+            best = min(best, rates[lo])
+        out.append(pr.value * best)
+        if len(out) == count:
+            break
+    return out
+
+
+def reference_greedy_payments(inst, bids=None):
+    """greedy_payments from the rational bought rule and thresholds."""
+    pairs = ranked_pairs(inst, bids)
+    alloc = reference_bought(pairs, inst.budget, inst.m)
+    return alloc, tuple(
+        sum(reference_seller_thresholds(pairs, i, a, inst.budget), Rat(0))
+        for i, a in enumerate(alloc)
+    )
+
+
+def reference_greedy_breakpoints(inst, bids, seller: int) -> set:
+    """greedy_breakpoints from the rational bought rule and thresholds."""
+    pairs = ranked_pairs(inst, bids)
+    rival_rates = [pr.rho for pr in pairs if pr.seller != seller]
+    points = {
+        po.value * rho for po in pairs if po.seller == seller for rho in rival_rates
+    }
+    bought = reference_bought(pairs, inst.budget, inst.m)[seller]
+    points.update(reference_seller_thresholds(pairs, seller, bought, inst.budget))
+    return points
 
 
 def cheapest_prefix_allocate(inst, bids=None):

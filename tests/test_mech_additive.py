@@ -29,7 +29,7 @@ from procure.mech_additive import (
 )
 from procure.oracles import adversarial_single_seller
 from procure.valuations import Additive, BoundedKnapsack, ConcaveAdditive, Symmetric
-from procure.verify import MECHANISMS
+from procure.verify import MECHANISMS, deviation_grid
 
 from corpora import concave_corpus, symmetric_corpus
 from helpers import (
@@ -37,6 +37,8 @@ from helpers import (
     cheapest_prefix_threshold,
     independent_threshold,
     pickup_flags,
+    reference_greedy_breakpoints,
+    reference_greedy_payments,
     reference_rank_key,
 )
 
@@ -250,6 +252,92 @@ def test_ranking_matches_reference_order():
             assert [(p.seller, p.unit) for p in pairs] == [
                 (p.seller, p.unit) for p in expected
             ]
+
+
+def _first_primes(count):
+    primes = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+def _near_tie_profiles():
+    """(instance, bids) pairs whose rank order a float key gets wrong or ties."""
+    tiny = Rat(1, 10**40)
+    one_each = ConcaveAdditive(((Rat(1),), (Rat(1),), (Rat(1),)))
+    yield (
+        Instance((Seller(1, 1 + tiny), Seller(1, Rat(1)), Seller(1, Rat(1))), Rat(3), one_each),
+        None,
+    )
+    primes = _first_primes(20)
+    sellers = tuple(
+        Seller(2, (1 + (20 - i) * Rat(1, 10**30)) / p) for i, p in enumerate(primes)
+    )
+    margins = ConcaveAdditive(tuple((Rat(1, p), Rat(1, p)) for p in primes))
+    for budget in (Rat(1, 10), Rat(1, 3), Rat(1)):
+        yield Instance(sellers, budget, margins), None
+    equal_rates = Instance(
+        (Seller(2, Rat(3)), Seller(1, Rat(1)), Seller(1, Rat(3, 2) + tiny)),
+        Rat(12),
+        ConcaveAdditive(((Rat(6), Rat(2)), (Rat(2),), (Rat(3),))),
+    )
+    yield equal_rates, None
+    yield equal_rates, (Rat(1), Rat(1, 2), Rat(3, 2))
+    zero_bids = Instance(
+        (Seller(2, Rat(0)), Seller(1, Rat(1)), Seller(2, Rat(0))),
+        Rat(2),
+        ConcaveAdditive(((Rat(1, 7), Rat(1, 9)), (Rat(5),), (Rat(3), Rat(1, 11)))),
+    )
+    yield zero_bids, None
+    yield zero_bids, (Rat(0), Rat(0), tiny)
+
+
+def test_rank_key_exact_at_near_ties():
+    # Ratios 1 and 1 + 10^-40, ratios 1 + k*10^-30 over a 20-prime value scale,
+    # equal ratios written differently (1/2 and 3/6), and zero bids: the rank
+    # order is the reference order, and the integer greedy pays as the
+    # rational one does.
+    float_misorders = 0
+    for inst, bids in _near_tie_profiles():
+        pairs = ranked_pairs(inst, bids)
+        order = [(p.seller, p.unit) for p in pairs]
+        assert order == [(p.seller, p.unit) for p in sorted(pairs, key=reference_rank_key)]
+        by_float = sorted(pairs, key=lambda p: (float(p.rho), p.seller, p.unit))
+        float_misorders += order != [(p.seller, p.unit) for p in by_float]
+        assert greedy_payments(inst, bids) == reference_greedy_payments(inst, bids)
+        for seller in range(inst.m):
+            assert greedy_breakpoints(inst, bids, seller) == reference_greedy_breakpoints(
+                inst, bids, seller
+            )
+    assert float_misorders >= 4  # the profiles do defeat a float key
+
+
+def test_greedy_matches_rational_reference_on_deviation_grids():
+    # Every seller of every instance, on its grid-16 deviation grid: payments
+    # and breakpoints equal the rational bought rule and thresholds of
+    # tests/helpers.py.  Every fourth grid point, offset by the seller, keeps
+    # the sweep near 15 s; all 53,504 points take about 42 s on a 2-core host.
+    corpus = list(concave_corpus()[:60]) + [unit_values(inst) for inst in symmetric_corpus()]
+    profiles = 0
+    for inst in corpus:
+        for seller in range(inst.m):
+            for dev in deviation_grid("m_add", inst, inst.costs, seller)[seller % 4 :: 4]:
+                bids = inst.costs[:seller] + (dev,) + inst.costs[seller + 1 :]
+                assert greedy_payments(inst, bids) == reference_greedy_payments(inst, bids)
+                assert greedy_breakpoints(inst, bids, seller) == reference_greedy_breakpoints(
+                    inst, bids, seller
+                )
+                profiles += 1
+    assert profiles > 12_000
+
+
+def test_rho_is_bid_over_value():
+    for inst in concave_corpus()[:40]:
+        for pr in ranked_pairs(inst):
+            assert type(pr.rho) is Rat and pr.rho == pr.bid / pr.value
 
 
 def test_greedy_payments_at_unit_cap():
