@@ -177,7 +177,7 @@ def _seller_thresholds(pairs: Ranking, i: int, count: int):
                 hi = mid
             else:
                 lo = mid + 1
-        # min(B / (s + W_lo), rho_lo) as num / den, the rate scaled by S_v / S_b.
+        # min(B / (s + W_lo), rho_lo), each as num / den scaled by S_b / S_v.
         num, den = ibudget, share + prefixes[lo]
         if lo < len(rivals):
             rival = rivals[lo]

@@ -4,8 +4,9 @@ internals, and the analysis devices of the paper's proofs.
 The oracles restate a rule directly (exhaustive optimum and demand, the
 greedy rank order, the cheapest-prefix rule, thresholds by search over
 breakpoints), or keep an earlier implementation as the reference (the
-greedy's bought rule and thresholds in rational arithmetic).  The analysis helpers are not mechanisms: the per-rank
-pick-up test of the greedy, the marginal value-rate greedy and its
+greedy's bought rule and thresholds in rational arithmetic).  The
+analysis helpers are not mechanisms: the per-rank pick-up test of the
+greedy, the marginal value-rate greedy and its
 non-monotonicity, the sample-group dominance event of the random-sampling
 argument (with the optimum over a seller subset), and explicit tables
 materialized from any valuation for the classifier cross-check.  The rest
