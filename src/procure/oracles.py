@@ -1,10 +1,13 @@
 """Non-strategic benchmarks: exact budget-constrained optima and worst-case instances.
 
 The optimum oracle solves max V(A) subject to sum(a_i * c_i) <= B exactly.
-Additive families go through a grouped knapsack DP over integer-scaled
-costs; other families enumerate the capped domain.  Both paths break ties
-toward the lexicographically smallest allocation, so they are directly
-comparable in tests.
+Additive families go through a grouped knapsack DP in integers: costs and
+budget are scaled by the lcm of their denominators, margins by the lcm of
+theirs.  The DP keeps one row of best values and, per seller, the fewest
+units that reach each cell's best, so the allocation is read back from
+those choices.  Other families enumerate the capped domain.  Both paths
+break ties toward the lexicographically smallest allocation, so they are
+directly comparable in tests.
 """
 
 from __future__ import annotations
@@ -64,49 +67,35 @@ def _optimal_additive_dp(inst: Instance):
         raise SearchSpaceTooLarge(
             f"knapsack DP table of {(m + 1) * (cap + 1)} cells exceeds the guard"
         )
+    vscale = denominator_lcm(v for row in margs for v in row)
 
-    prefix = []
-    for i in range(m):
-        row = [Rat(0)]
-        for v in margs[i][: units[i]]:
-            row.append(row[-1] + v)
-        prefix.append(row)
-
-    zero = Rat(0)
-    # suffix[i][b]: best value from sellers i.. with integerized budget b.
-    suffix = [[zero] * (cap + 1) for _ in range(m + 1)]
+    # best[b]: best scaled value from sellers i.. with integerized budget b.
+    # picks[i][b]: the fewest units of seller i that reach it, so reading the
+    # picks forward from seller 0 gives the lexicographically smallest optimum.
+    best = [0] * (cap + 1)
+    picks = [None] * m
     for i in range(m - 1, -1, -1):
-        nxt, cur = suffix[i + 1], suffix[i]
-        w, pref = weights[i], prefix[i]
-        top = units[i]
+        w, pref = weights[i], [0]
+        for v in margs[i]:
+            pref.append(pref[-1] + int(v.numerator * (vscale // v.denominator)))
+        cur, pick = best[:], [0] * (cap + 1)
         for b in range(cap + 1):
-            best = nxt[b]
-            for a in range(1, top + 1):
+            top = cur[b]
+            for a in range(1, len(pref)):
                 spend = a * w
                 if spend > b:
                     break
-                cand = pref[a] + nxt[b - spend]
-                if cand > best:
-                    best = cand
-            cur[b] = best
+                cand = pref[a] + best[b - spend]
+                if cand > top:
+                    top, pick[b] = cand, a
+            cur[b] = top
+        best, picks[i] = cur, pick
 
-    opt = suffix[0][cap]
-    counts = []
-    b = cap
-    got = zero
-    for i in range(m):
-        for a in range(units[i] + 1):
-            spend = a * weights[i]
-            if spend > b:
-                break
-            if got + prefix[i][a] + suffix[i + 1][b - spend] == opt:
-                counts.append(a)
-                got += prefix[i][a]
-                b -= spend
-                break
-        else:  # pragma: no cover - DP reconstruction always succeeds
-            raise AssertionError("knapsack reconstruction failed")
-    return tuple(counts), opt
+    counts, b = [], cap
+    for w, pick in zip(weights, picks):
+        counts.append(pick[b])
+        b -= pick[b] * w
+    return tuple(counts), Rat(best[cap], vscale)
 
 
 def adversarial_single_seller(n: int, budget, k: int) -> Instance:

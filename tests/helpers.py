@@ -4,10 +4,10 @@ internals, and the analysis devices of the paper's proofs.
 The oracles restate a rule directly (exhaustive optimum and demand, the
 greedy rank order, the cheapest-prefix rule, thresholds by search over
 breakpoints), or keep an earlier implementation as the reference (the
-greedy's bought rule and thresholds in rational arithmetic).  The
-analysis helpers are not mechanisms: the per-rank pick-up test of the
-greedy, the marginal value-rate greedy and its
-non-monotonicity, the sample-group dominance event of the random-sampling
+greedy's bought rule and thresholds in rational arithmetic, and the
+knapsack optimum's rational suffix tables).  The analysis helpers are not
+mechanisms: the per-rank pick-up test of the greedy, the marginal
+value-rate greedy and its non-monotonicity, the sample-group dominance event of the random-sampling
 argument (with the optimum over a seller subset), and explicit tables
 materialized from any valuation for the classifier cross-check.  The rest
 are conveniences the package does not need: the allocation lattice's join
@@ -26,6 +26,7 @@ from procure.core import (
     SearchSpaceTooLarge,
     Seller,
     checked_bids,
+    denominator_lcm,
     format_rat,
     parse_rat,
     unit_vector,
@@ -33,7 +34,7 @@ from procure.core import (
 )
 from procure.mech_additive import greedy_allocate, ranked_pairs
 from procure.mech_subadditive import group_from_mask, phi
-from procure.oracles import optimal_allocation
+from procure.oracles import DP_CELL_LIMIT, optimal_allocation
 from procure.valuations import Explicit, domain
 from procure.verify import (
     BUDGET_SLACK,
@@ -241,6 +242,65 @@ def brute_force_optimum(inst):
         if best is None or v > best[1]:
             best = (alloc, v)
     return best
+
+
+def reference_optimal_additive_dp(inst: Instance):
+    """The knapsack optimum with rational (m+1)-row suffix tables and a
+    second search for the allocation: the reference for the integer DP."""
+    units = inst.units
+    margs = inst.valuation.margins(units)
+    costs, budget = inst.costs, inst.budget
+    m = inst.m
+    scale = denominator_lcm((budget, *costs))
+    weights = [int(c.numerator * (scale // c.denominator)) for c in costs]
+    cap = int(budget.numerator * (scale // budget.denominator))
+    if (m + 1) * (cap + 1) > DP_CELL_LIMIT:
+        raise SearchSpaceTooLarge(
+            f"knapsack DP table of {(m + 1) * (cap + 1)} cells exceeds the guard"
+        )
+
+    prefix = []
+    for i in range(m):
+        row = [Rat(0)]
+        for v in margs[i][: units[i]]:
+            row.append(row[-1] + v)
+        prefix.append(row)
+
+    zero = Rat(0)
+    # suffix[i][b]: best value from sellers i.. with integerized budget b.
+    suffix = [[zero] * (cap + 1) for _ in range(m + 1)]
+    for i in range(m - 1, -1, -1):
+        nxt, cur = suffix[i + 1], suffix[i]
+        w, pref = weights[i], prefix[i]
+        top = units[i]
+        for b in range(cap + 1):
+            best = nxt[b]
+            for a in range(1, top + 1):
+                spend = a * w
+                if spend > b:
+                    break
+                cand = pref[a] + nxt[b - spend]
+                if cand > best:
+                    best = cand
+            cur[b] = best
+
+    opt = suffix[0][cap]
+    counts = []
+    b = cap
+    got = zero
+    for i in range(m):
+        for a in range(units[i] + 1):
+            spend = a * weights[i]
+            if spend > b:
+                break
+            if got + prefix[i][a] + suffix[i + 1][b - spend] == opt:
+                counts.append(a)
+                got += prefix[i][a]
+                b -= spend
+                break
+        else:  # pragma: no cover - DP reconstruction always succeeds
+            raise AssertionError("knapsack reconstruction failed")
+    return tuple(counts), opt
 
 
 def brute_force_demand(valuation, prices, caps):

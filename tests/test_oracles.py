@@ -1,16 +1,22 @@
 import pytest
 
-from procure.core import Instance, Rat, Seller, unit_vector
+from procure.core import Instance, Rat, SearchSpaceTooLarge, Seller, unit_vector
 from procure.instances import gen_bounded_knapsack, gen_concave_additive
 from procure.mech_single_item import plan_m_one
 from procure.oracles import (
+    DP_CELL_LIMIT,
+    _optimal_additive_dp,
     adversarial_single_seller,
     optimal_allocation,
 )
-from procure.valuations import BoundedKnapsack, ConcaveAdditive
+from procure.valuations import Additive, BoundedKnapsack, ConcaveAdditive
 
-from corpora import gen_additive, greedy_nonmonotone_instance
-from helpers import brute_force_optimum, restricted_optimum
+from corpora import concave_corpus, gen_additive, greedy_nonmonotone_instance
+from helpers import (
+    brute_force_optimum,
+    reference_optimal_additive_dp,
+    restricted_optimum,
+)
 
 
 def test_optimum_examples():
@@ -35,6 +41,81 @@ def test_dp_matches_enumeration():
         gen = (gen_concave_additive, gen_bounded_knapsack, gen_additive)[i % 3]
         inst = gen(9000 + i, max_sellers=4, max_total_units=8)
         assert optimal_allocation(inst) == brute_force_optimum(inst)
+
+
+
+def test_dp_matches_rational_reference():
+    instances = [
+        *concave_corpus(),
+        *(gen_bounded_knapsack(8000 + s) for s in range(200)),
+        *(gen_additive(8500 + s) for s in range(100)),
+        *(
+            adversarial_single_seller(n, n, k)
+            for n in (1, 2, 7, 100)
+            for k in (1, n)
+        ),
+    ]
+    for inst in instances:
+        alloc, value = _optimal_additive_dp(inst)
+        assert (alloc, value) == reference_optimal_additive_dp(inst)
+        assert type(value) is Rat
+
+
+@pytest.mark.parametrize(
+    "inst, expected",
+    [
+        # Equal sellers and a budget for one unit: the later seller's unit.
+        (
+            Instance(
+                (Seller(1, Rat(2)), Seller(1, Rat(2))),
+                Rat(3),
+                BoundedKnapsack((Rat(4), Rat(4))),
+            ),
+            ((0, 1), 4),
+        ),
+        # A zero margin at the end of the list is never bought.
+        (
+            Instance(
+                (Seller(3, Rat(1)),),
+                Rat(10),
+                Additive(((Rat(3), Rat(1, 2), Rat(0)),)),
+            ),
+            ((2,), Rat(7, 2)),
+        ),
+        # A free seller with margins (5, 0) buys one unit.
+        (
+            Instance(
+                (Seller(2, Rat(0)), Seller(1, Rat(1))),
+                Rat(1),
+                Additive(((Rat(5), Rat(0)), (Rat(2),))),
+            ),
+            ((1, 1), 7),
+        ),
+        # The budget exactly affords the optimum, at fractional costs.
+        (
+            Instance(
+                (Seller(2, Rat(1, 3)), Seller(1, Rat(1, 2))),
+                Rat(7, 6),
+                ConcaveAdditive(((Rat(3, 2), Rat(1)), (Rat(2),))),
+            ),
+            ((2, 1), Rat(9, 2)),
+        ),
+    ],
+)
+def test_dp_tie_break(inst, expected):
+    assert optimal_allocation(inst) == expected
+    assert brute_force_optimum(inst) == expected
+
+
+def test_dp_guard_refuses_before_building():
+    # One seller and an integer budget of DP_CELL_LIMIT / 2: (m + 1) * (cap + 1)
+    # is two cells over the guard.
+    inst = adversarial_single_seller(4, DP_CELL_LIMIT // 2, 4)
+    with pytest.raises(
+        SearchSpaceTooLarge,
+        match=r"^knapsack DP table of \d+ cells exceeds the guard$",
+    ):
+        optimal_allocation(inst)
 
 
 def test_restricted_optimum():

@@ -6,7 +6,7 @@ import pytest
 
 from procure.core import Instance, Rat, Seller
 from procure.instances import instance_digest
-from procure.oracles import adversarial_single_seller
+from procure.oracles import DP_CELL_LIMIT, adversarial_single_seller
 from procure.valuations import BoundedKnapsack, ConcaveAdditive
 from procure.verify import (
     CSV_HEADER,
@@ -318,6 +318,15 @@ def test_optimum_guard_skips_before_the_sweep(monkeypatch):
         "skipped": "1048576 allocations exceed the enumeration guard of 1000000"
     }
 
+
+
+def test_dp_guard_skips_the_mechanism():
+    inst = adversarial_single_seller(4, DP_CELL_LIMIT // 2, 4)
+    (report,) = verify_instance(inst, ["m_add"])
+    assert report.checks == [] and report.ratio is None
+    assert report.notes == {
+        "skipped": f"knapsack DP table of {DP_CELL_LIMIT + 2} cells exceeds the guard"
+    }
 
 def test_run_scenario_dispatch(two_seller):
     inst3 = greedy_nonmonotone_instance()
