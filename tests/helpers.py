@@ -7,11 +7,12 @@ breakpoints), or keep an earlier implementation as the reference (the
 greedy's bought rule and thresholds in rational arithmetic, and the
 knapsack optimum's rational suffix tables).  The analysis helpers are not
 mechanisms: the per-rank pick-up test of the greedy, the marginal
-value-rate greedy and its non-monotonicity, the sample-group dominance event of the random-sampling
-argument (with the optimum over a seller subset), and explicit tables
-materialized from any valuation for the classifier cross-check.  The rest
-are conveniences the package does not need: the allocation lattice's join
-and meet, expected payments, and replaying a DST witness.
+value-rate greedy and its non-monotonicity, the sample-group dominance
+event of the random-sampling argument (with the optimum over a seller
+subset), and explicit tables materialized from any valuation for the
+classifier cross-check.  The rest are conveniences the package does not
+need: the allocation lattice's join and meet, expected payments, and
+replaying a DST witness.
 """
 
 from dataclasses import dataclass

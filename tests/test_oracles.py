@@ -43,7 +43,6 @@ def test_dp_matches_enumeration():
         assert optimal_allocation(inst) == brute_force_optimum(inst)
 
 
-
 def test_dp_matches_rational_reference():
     instances = [
         *concave_corpus(),

@@ -319,7 +319,6 @@ def test_optimum_guard_skips_before_the_sweep(monkeypatch):
     }
 
 
-
 def test_dp_guard_skips_the_mechanism():
     inst = adversarial_single_seller(4, DP_CELL_LIMIT // 2, 4)
     (report,) = verify_instance(inst, ["m_add"])
@@ -327,6 +326,7 @@ def test_dp_guard_skips_the_mechanism():
     assert report.notes == {
         "skipped": f"knapsack DP table of {DP_CELL_LIMIT + 2} cells exceeds the guard"
     }
+
 
 def test_run_scenario_dispatch(two_seller):
     inst3 = greedy_nonmonotone_instance()
