@@ -3,8 +3,11 @@
 A procurement game has m sellers, each offering up to ``units`` copies of
 their item at a private per-unit cost, one buyer with a hard ``budget``,
 and a valuation over allocations.  Every cost, value, payment, and
-threshold in this package is an exact rational; floating point appears
-only in lottery probabilities (which involve logarithms).
+threshold in this package is an exact rational.  Floating point appears
+in three places: the lottery probabilities; the harmonic payment caps and
+the expected-payment check, both checked with ``verify.BUDGET_SLACK``; and
+``m_rand``'s acceptance factor, checked with
+``mech_subadditive.ACCEPT_EPS``.  Deciding these exactly is ROADMAP item 2.
 """
 
 from __future__ import annotations

@@ -67,15 +67,8 @@ class RankedPair(NamedTuple):
     key: int  # ibid * Q**2 // ivalue, ordered as bid / value
     seller: int  # 0-based
     unit: int  # 1-based
-    value: object  # marginal value of this unit
-    bid: object  # the seller's announced per-unit cost
-    ivalue: int  # value * S_v
-    ibid: int  # bid * S_b
-
-    @property
-    def rho(self):
-        """bid / value, exact."""
-        return self.bid / self.value
+    ivalue: int  # marginal value of this unit, times S_v
+    ibid: int  # the seller's announced per-unit cost, times S_b
 
 
 class Ranking(list):
@@ -118,9 +111,9 @@ def ranked_pairs(inst: Instance, bids=None) -> Ranking:
     ibids = [b.numerator * (bid_scale // b.denominator) for b in bids]
     q2 = max((max(row, default=0) for row in ivalues), default=0) ** 2
     pairs = Ranking(
-        RankedPair(ibids[i] * q2 // iv, i, j, x, bids[i], iv, ibids[i])
-        for i, (mm, row) in enumerate(zip(margins, ivalues))
-        for j, (x, iv) in enumerate(zip(mm, row), start=1)
+        RankedPair(ibids[i] * q2 // iv, i, j, iv, ibids[i])
+        for i, row in enumerate(ivalues)
+        for j, iv in enumerate(row, start=1)
         if iv > 0
     )
     pairs.sort()
@@ -220,9 +213,13 @@ def greedy_breakpoints(inst: Instance, bids, seller: int) -> set:
     its rank crossings with every rival pair, and its bought units' critical
     bids."""
     pairs = ranked_pairs(inst, bids)
-    rival_rates = [pr.rho for pr in pairs if pr.seller != seller]
+    # value_o * rho_r = (ivalue_o / S_v) * (ibid_r / S_b) / (ivalue_r / S_v).
+    rivals = [pr for pr in pairs if pr.seller != seller]
     points = {
-        po.value * rho for po in pairs if po.seller == seller for rho in rival_rates
+        Rat(po.ivalue * pr.ibid, pr.ivalue * pairs.bid_scale)
+        for po in pairs
+        if po.seller == seller
+        for pr in rivals
     }
     bought = _bought(pairs, inst.m)[seller]
     points.update(_seller_thresholds(pairs, seller, bought))
@@ -233,11 +230,7 @@ def star_seller(inst: Instance) -> int:
     """Seller whose first unit has the highest marginal value (lowest index wins)."""
     _require(additive_reason(inst))
     firsts = [mm[0] for mm in inst.valuation.margins(inst.units)]
-    best = 0
-    for i, x in enumerate(firsts):
-        if x > firsts[best]:
-            best = i
-    return best
+    return max(range(inst.m), key=firsts.__getitem__)  # max keeps the first maximum
 
 
 def _posted_branch(inst: Instance, branch: str) -> Outcome:

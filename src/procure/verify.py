@@ -4,8 +4,11 @@
 branches.  Exact expectations come from enumerating the branch space (3
 branches for the additive lotteries, 2 for the single-item one, 2^m sample
 groups for the random-sampling one, and the 1:1 mix of the last two).
-Per-branch payments and values stay rational; only the probability
-weighting is floating point.
+Per-branch payments and values stay rational.  Floating point appears in
+the probability weighting, in the harmonic payment caps and the
+expected-payment check (both checked with BUDGET_SLACK), and in
+``m_rand``'s acceptance factor (checked with ``ACCEPT_EPS``); deciding
+these exactly is ROADMAP item 2.
 
 The harness checks dominant-strategy truthfulness on deviation grids built
 from the allocation rules' breakpoints, individual rationality, per-branch

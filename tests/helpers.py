@@ -17,6 +17,7 @@ replaying a DST witness.
 
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from procure import mech_single_item, mech_subadditive
 from procure.core import (
@@ -33,7 +34,7 @@ from procure.core import (
     unit_vector,
     utility,
 )
-from procure.mech_additive import greedy_allocate, ranked_pairs
+from procure.mech_additive import greedy_allocate
 from procure.mech_subadditive import group_from_mask, phi
 from procure.oracles import DP_CELL_LIMIT, optimal_allocation
 from procure.valuations import Explicit, domain
@@ -96,9 +97,10 @@ def independent_threshold(inst, seller, unit, bids=None):
     probed strictly between candidates, so no case analysis is shared with
     the closed-form threshold algorithm under test.
     """
-    bids = inst.costs if bids is None else tuple(Rat(b) for b in bids)
-    rivals = [p for p in ranked_pairs(inst, bids) if p.seller != seller]
-    own = [p for p in ranked_pairs(inst, bids) if p.seller == seller]
+    bids = checked_bids(inst, bids)
+    pairs = reference_pairs(inst, bids)
+    rivals = [p for p in pairs if p.seller != seller]
+    own = [p for p in pairs if p.seller == seller]
     v_unit = next(p.value for p in own if p.unit == unit)
     own_prefix = sum((p.value for p in own if p.unit <= unit), Rat(0))
     candidates = set()
@@ -116,12 +118,40 @@ def independent_threshold(inst, seller, unit, bids=None):
     return threshold_by_search(sold, candidates)
 
 
+class ReferencePair(NamedTuple):
+    """One unit of one seller in the rational reference ranking."""
+
+    seller: int  # 0-based
+    unit: int  # 1-based
+    value: object  # marginal value of this unit
+    bid: object  # the seller's announced per-unit cost
+
+    @property
+    def rho(self):
+        """bid / value, exact."""
+        return self.bid / self.value
+
+
 def reference_rank_key(pair):
     """Sort key of the greedy rank order stated directly: zero bids first,
     then value per unit of bid decreasing, ties by (seller, unit)."""
     if pair.bid == 0:
         return (0, 0, pair.seller, pair.unit)
     return (1, -(pair.value / pair.bid), pair.seller, pair.unit)
+
+
+def reference_pairs(inst, bids=None):
+    """The greedy ranking in rationals, built apart from ranked_pairs: every
+    positive-margin (seller, unit) pair, sorted by reference_rank_key."""
+    bids = checked_bids(inst, bids)
+    margins = inst.valuation.margins(inst.units)
+    pairs = [
+        ReferencePair(i, j, x, bids[i])
+        for i, mm in enumerate(margins)
+        for j, x in enumerate(mm, start=1)
+        if x > 0
+    ]
+    return sorted(pairs, key=reference_rank_key)
 
 
 def reference_bought(pairs, budget, m: int):
@@ -174,8 +204,8 @@ def reference_seller_thresholds(pairs, i: int, count: int, budget):
 
 
 def reference_greedy_payments(inst, bids=None):
-    """greedy_payments from the rational bought rule and thresholds."""
-    pairs = ranked_pairs(inst, bids)
+    """greedy_payments from the rational ranking, bought rule and thresholds."""
+    pairs = reference_pairs(inst, bids)
     alloc = reference_bought(pairs, inst.budget, inst.m)
     return alloc, tuple(
         sum(reference_seller_thresholds(pairs, i, a, inst.budget), Rat(0))
@@ -184,8 +214,9 @@ def reference_greedy_payments(inst, bids=None):
 
 
 def reference_greedy_breakpoints(inst, bids, seller: int) -> set:
-    """greedy_breakpoints from the rational bought rule and thresholds."""
-    pairs = ranked_pairs(inst, bids)
+    """greedy_breakpoints from the rational ranking, bought rule and
+    thresholds."""
+    pairs = reference_pairs(inst, bids)
     rival_rates = [pr.rho for pr in pairs if pr.seller != seller]
     points = {
         po.value * rho for po in pairs if po.seller == seller for rho in rival_rates
@@ -370,11 +401,9 @@ def pickup_flags(inst: Instance, bids=None):
     Equivalent to the longest-prefix rule of greedy_allocate; exposed so
     tests can check the equivalence directly.
     """
-    bids = checked_bids(inst, bids)
-    pairs = ranked_pairs(inst, bids)
     flags = []
     prefix = Rat(0)
-    for pr in pairs:
+    for pr in reference_pairs(inst, bids):
         prefix += pr.value
         flags.append((pr, pr.bid * prefix <= inst.budget * pr.value))
     return flags

@@ -15,7 +15,6 @@ from procure.cli import main as cli_main
 from procure.mech_additive import (
     greedy_allocate,
     greedy_payments,
-    ranked_pairs,
     threshold,
 )
 from procure.mech_single_item import plan_m_one
@@ -46,6 +45,7 @@ from helpers import (
     greedy_marginal,
     independent_threshold,
     partition_success_frequency,
+    reference_pairs,
     replay_witness,
 )
 
@@ -88,7 +88,7 @@ def test_criterion_2_harmonic_payment_bound():
             harmonic_viol += 1
         bought = [
             (pr.value, pr.seller, pr.unit)
-            for pr in ranked_pairs(inst)
+            for pr in reference_pairs(inst)
             if alloc[pr.seller] >= pr.unit
         ]
         bought.sort(key=lambda t: (-t[0], t[1], t[2]))

@@ -39,7 +39,7 @@ from helpers import (
     pickup_flags,
     reference_greedy_breakpoints,
     reference_greedy_payments,
-    reference_rank_key,
+    reference_pairs,
 )
 
 
@@ -237,6 +237,10 @@ def test_greedy_payments_rank_once(monkeypatch):
             assert calls == one_ranking
 
 
+def _order(pairs):
+    return [(p.seller, p.unit) for p in pairs]
+
+
 def test_ranking_matches_reference_order():
     # Tuple order of the ranked pairs is the reference order: zero bids
     # first, value per unit of bid decreasing, ties by (seller, unit).
@@ -247,11 +251,7 @@ def test_ranking_matches_reference_order():
     )
     for n, inst in enumerate(corpus):
         for bids in _probe_profiles(inst, 55000 + n):
-            pairs = ranked_pairs(inst, bids)
-            expected = sorted(pairs, key=reference_rank_key)
-            assert [(p.seller, p.unit) for p in pairs] == [
-                (p.seller, p.unit) for p in expected
-            ]
+            assert _order(ranked_pairs(inst, bids)) == _order(reference_pairs(inst, bids))
 
 
 def _first_primes(count):
@@ -302,11 +302,11 @@ def test_rank_key_exact_at_near_ties():
     # rational one does.
     float_misorders = 0
     for inst, bids in _near_tie_profiles():
-        pairs = ranked_pairs(inst, bids)
-        order = [(p.seller, p.unit) for p in pairs]
-        assert order == [(p.seller, p.unit) for p in sorted(pairs, key=reference_rank_key)]
-        by_float = sorted(pairs, key=lambda p: (float(p.rho), p.seller, p.unit))
-        float_misorders += order != [(p.seller, p.unit) for p in by_float]
+        order = _order(ranked_pairs(inst, bids))
+        reference = reference_pairs(inst, bids)
+        assert order == _order(reference)
+        by_float = sorted(reference, key=lambda p: (float(p.rho), p.seller, p.unit))
+        float_misorders += order != _order(by_float)
         assert greedy_payments(inst, bids) == reference_greedy_payments(inst, bids)
         for seller in range(inst.m):
             assert greedy_breakpoints(inst, bids, seller) == reference_greedy_breakpoints(
@@ -316,16 +316,18 @@ def test_rank_key_exact_at_near_ties():
 
 
 def test_greedy_matches_rational_reference_on_deviation_grids():
-    # Every seller of every instance, on its grid-16 deviation grid: payments
-    # and breakpoints equal the rational bought rule and thresholds of
-    # tests/helpers.py.  Every fourth grid point, offset by the seller, keeps
-    # the sweep near 15 s; all 53,504 points take about 42 s on a 2-core host.
+    # Every seller of every instance, on its grid-16 deviation grid: the rank
+    # order, payments and breakpoints equal the rational ranking, bought rule
+    # and thresholds of tests/helpers.py.  Every fourth grid point, offset by
+    # the seller, keeps the sweep near 15 s; all 53,504 points take about
+    # 42 s on a 2-core host.
     corpus = list(concave_corpus()[:60]) + [unit_values(inst) for inst in symmetric_corpus()]
     profiles = 0
     for inst in corpus:
         for seller in range(inst.m):
             for dev in deviation_grid("m_add", inst, inst.costs, seller)[seller % 4 :: 4]:
                 bids = inst.costs[:seller] + (dev,) + inst.costs[seller + 1 :]
+                assert _order(ranked_pairs(inst, bids)) == _order(reference_pairs(inst, bids))
                 assert greedy_payments(inst, bids) == reference_greedy_payments(inst, bids)
                 assert greedy_breakpoints(inst, bids, seller) == reference_greedy_breakpoints(
                     inst, bids, seller
@@ -334,10 +336,18 @@ def test_greedy_matches_rational_reference_on_deviation_grids():
     assert profiles > 12_000
 
 
-def test_rho_is_bid_over_value():
+def test_ranked_pair_integers_are_exact_scalings():
+    # ibid / S_b is the seller's bid, ibudget / S_b the budget, and every
+    # pair's ivalue is its margin times one common scale.
     for inst in concave_corpus()[:40]:
-        for pr in ranked_pairs(inst):
-            assert type(pr.rho) is Rat and pr.rho == pr.bid / pr.value
+        pairs = ranked_pairs(inst)
+        margins = inst.valuation.margins(inst.units)
+        assert Rat(pairs.ibudget, pairs.bid_scale) == inst.budget
+        scales = set()
+        for pr in pairs:
+            assert Rat(pr.ibid, pairs.bid_scale) == inst.costs[pr.seller]
+            scales.add(pr.ivalue / margins[pr.seller][pr.unit - 1])
+        assert len(scales) == 1 and min(scales) > 0
 
 
 def test_greedy_payments_at_unit_cap():

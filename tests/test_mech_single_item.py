@@ -4,6 +4,7 @@ import pytest
 
 from procure.core import Instance, Rat, Seller, affordable_count, utility
 from procure.mech_single_item import (
+    OneLottery,
     plan_m_one,
     run_m_one,
     single_item_values,
@@ -52,6 +53,32 @@ def test_plan_empty_when_unaffordable():
     plan = plan_m_one(inst)
     assert plan.count == 0 and plan.thresholds == ()
     assert run_m_one(inst, None, "fire").allocation == (0, 0)
+
+
+def test_plan_and_fire_at_zero_count():
+    # No seller affords a unit: the plan is all zeros and firing it buys
+    # exactly the empty outcome.
+    inst = Instance(
+        (Seller(2, Rat(9)), Seller(1, Rat(8))),
+        Rat(7),
+        BoundedKnapsack((Rat(1), Rat(1))),
+    )
+    assert plan_m_one(inst) == OneLottery(0, 0, 0, ())
+    assert run_m_one(inst, None, "fire") == inst.empty_outcome()
+
+
+def test_rival_tie_goes_to_lower_index():
+    # Sellers 0 and 2 tie as the winner's rival at value 4.  The first of
+    # them, seller 0, has a lower index than the winner, so the winner needs
+    # all 5 units to beat it; seller 2 as rival would give crossover 4.
+    inst = Instance(
+        (Seller(2, Rat(5)), Seller(5, Rat(2)), Seller(2, Rat(5))),
+        Rat(10),
+        BoundedKnapsack((Rat(2), Rat(1), Rat(2))),
+    )
+    plan = plan_m_one(inst)
+    assert (plan.winner, plan.count, plan.crossover) == (1, 5, 5)
+    assert plan.thresholds == (Rat(2),) * 5
 
 
 def test_run_m_one_skip(tie_blocked):
