@@ -38,6 +38,17 @@ class SearchSpaceTooLarge(ProcurementError):
     """An exhaustive enumeration or DP would exceed the desk-scale guard."""
 
 
+def refuse_over(count: int, limit: int, message: str) -> None:
+    """The rule of every work guard: SearchSpaceTooLarge when ``count``
+    exceeds ``limit``, with ``message`` formatted with both.  A count below
+    10^100 is written in full and a larger one as ``over 10^100``, so no
+    message writes out an unbounded count (str() refuses past 4,300 digits).
+    """
+    if count > limit:
+        written = str(count) if count < 10**100 else "over 10^100"
+        raise SearchSpaceTooLarge(message.format(count=written, limit=limit))
+
+
 class NoThreshold(ProcurementError):
     """Threshold queried for a unit the allocation rule never buys."""
 
@@ -166,10 +177,9 @@ class Instance:
             raise InvalidField("sellers", "instance needs at least one seller")
         if self.budget <= 0:
             raise InvalidField("budget", "budget must be positive")
-        if self.total_units > MAX_TOTAL_UNITS:
-            raise SearchSpaceTooLarge(
-                f"{self.total_units} units in total exceed the limit {MAX_TOTAL_UNITS}"
-            )
+        refuse_over(
+            self.total_units, MAX_TOTAL_UNITS, "{count} units in total exceed the limit {limit}"
+        )
         self.valuation.check_units(self.units)
 
     @property

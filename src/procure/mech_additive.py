@@ -233,9 +233,13 @@ def star_seller(inst: Instance) -> int:
     return max(range(inst.m), key=firsts.__getitem__)  # max keeps the first maximum
 
 
-def _posted_branch(inst: Instance, branch: str) -> Outcome:
-    """The branches that ignore bids: star buys the star seller's first unit
-    at price B, bot buys nothing."""
+def run_m_add(inst: Instance, bids, branch: str) -> Outcome:
+    """One deterministic branch of the concave-additive lottery mechanism:
+    the greedy, or one of the branches that ignore bids (star buys the star
+    seller's first unit at price B, bot buys nothing)."""
+    _require(additive_reason(inst))  # class check even on the branches ignoring bids
+    if branch == "greedy":
+        return Outcome(*greedy_payments(inst, bids))
     if branch == "star":
         i = star_seller(inst)
         payments = [Rat(0)] * inst.m
@@ -244,14 +248,6 @@ def _posted_branch(inst: Instance, branch: str) -> Outcome:
     if branch == "bot":
         return inst.empty_outcome()
     raise ValueError(f"unknown branch {branch!r}")
-
-
-def run_m_add(inst: Instance, bids, branch: str) -> Outcome:
-    """One deterministic branch of the concave-additive lottery mechanism."""
-    _require(additive_reason(inst))  # class check even on the branches ignoring bids
-    if branch == "greedy":
-        return Outcome(*greedy_payments(inst, bids))
-    return _posted_branch(inst, branch)
 
 
 def unit_values(inst: Instance) -> Instance:
@@ -271,7 +267,6 @@ def sym_threshold(inst: Instance, i: int, j: int, bids=None):
 
 
 def sym_payments(inst: Instance, bids=None):
-    bids = checked_bids(inst, bids)
     alloc = sym_allocate(inst, bids)
     return alloc, tuple(
         sum((sym_threshold(inst, i, j, bids) for j in range(1, a + 1)), Rat(0))
@@ -284,4 +279,4 @@ def run_m_sym(inst: Instance, bids, branch: str) -> Outcome:
     view = unit_values(inst)  # class check even on the branches ignoring bids
     if branch == "greedy":
         return Outcome(*sym_payments(inst, bids))
-    return _posted_branch(view, branch)
+    return run_m_add(view, bids, branch)

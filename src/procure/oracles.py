@@ -12,7 +12,7 @@ directly comparable in tests.
 
 from __future__ import annotations
 
-from .core import Instance, Rat, SearchSpaceTooLarge, Seller, denominator_lcm
+from .core import Instance, Rat, Seller, denominator_lcm, refuse_over
 from .valuations import (
     ADDITIVE_FAMILIES,
     BoundedKnapsack,
@@ -63,10 +63,9 @@ def _optimal_additive_dp(inst: Instance):
     scale = denominator_lcm((budget, *costs))
     weights = [int(c.numerator * (scale // c.denominator)) for c in costs]
     cap = int(budget.numerator * (scale // budget.denominator))
-    if (m + 1) * (cap + 1) > DP_CELL_LIMIT:
-        raise SearchSpaceTooLarge(
-            f"knapsack DP table of {(m + 1) * (cap + 1)} cells exceeds the guard"
-        )
+    refuse_over(
+        (m + 1) * (cap + 1), DP_CELL_LIMIT, "knapsack DP table of {count} cells exceeds the guard"
+    )
     vscale = denominator_lcm(v for row in margs for v in row)
 
     # best[b]: best scaled value from sellers i.. with integerized budget b.

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
+from math import isqrt
 
-from .core import Alloc, MalformedValuation, Rat, SearchSpaceTooLarge, unit_vector
+from .core import Alloc, MalformedValuation, Rat, refuse_over, unit_vector
 
 # The desk-scale guard: ENUM_LIMIT bounds every capped domain that is
 # enumerated or tabulated, and the allocation pairs classification compares.
@@ -232,22 +232,24 @@ def domain(caps):
 
 def domain_size(caps) -> int:
     """The number of allocations within caps; SearchSpaceTooLarge past ENUM_LIMIT."""
-    size = prod(c + 1 for c in caps)
-    if size > ENUM_LIMIT:
-        raise SearchSpaceTooLarge(
-            f"{size} allocations exceed the enumeration guard of {ENUM_LIMIT}"
-        )
+    size = 1
+    for c in caps:
+        size *= c + 1
+        if size > ENUM_LIMIT and size >= 10**100:
+            break  # refuse_over writes no larger count in full
+    refuse_over(size, ENUM_LIMIT, "{count} allocations exceed the enumeration guard of {limit}")
     return size
 
 
 def check_classifiable(caps) -> None:
     """SearchSpaceTooLarge unless classification over caps stays within
     ENUM_LIMIT allocations and ENUM_LIMIT allocation pairs."""
-    size = domain_size(caps)
-    if size * size > ENUM_LIMIT:
-        raise SearchSpaceTooLarge(
-            f"classification over {size}^2 allocation pairs exceeds the guard"
-        )
+    # size * size > ENUM_LIMIT exactly when size > isqrt(ENUM_LIMIT).
+    refuse_over(
+        domain_size(caps),
+        isqrt(ENUM_LIMIT),
+        "classification over {count}^2 allocation pairs exceeds the guard",
+    )
 
 
 def _check_caps(valuation, caps) -> None:

@@ -30,6 +30,7 @@ from .core import (
     checked_bids,
     format_rat,
     harmonic_factor,
+    refuse_over,
     utility,
 )
 from .mech_subadditive import group_from_mask, phi
@@ -202,10 +203,9 @@ class SamplingLottery(Lottery):
         return None
 
     def scenarios(self, inst):
-        if self.applicable(inst) is not None:
-            raise SearchSpaceTooLarge(
-                f"2^{inst.m} sample groups exceed the enumeration guard"
-            )
+        refuse_over(
+            inst.m, GROUP_ENUM_MAX_SELLERS, "2^{count} sample groups exceed the enumeration guard"
+        )
         p = 0.5**inst.m
         return [
             Scenario(f"rand:{mask:#b}", p, inst.budget)

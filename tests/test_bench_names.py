@@ -1,33 +1,62 @@
-"""The bench's per-layer metrics name real functions of the package.
+"""The bench names only real functions of the package.
 
 ``bench/tracing.py`` wraps each ``module.function`` of ``LAYER_METRICS`` by
-name, so renaming or deleting one of them breaks only a traced bench run.
-This test catches that in the ordinary suite.  The traced run also counts
-a ``demand`` call as a cache hit when ``valuations._demand_caches`` maps the
-valuation to a dict that the call did not grow; the last test pins that.
+name, ``bench/plan.py`` names each workload's generators and mechanisms,
+and ``bench/items.py`` and ``bench/run.py`` call the package through module
+attributes, so renaming or deleting any of them breaks only a bench run.
+These tests catch that in the ordinary suite.  The traced run also counts a ``demand``
+call as a cache hit when ``valuations._demand_caches`` maps the valuation
+to a dict that the call did not grow; the last test pins that.
 """
 
+import ast
 import importlib.util
+import sys
 from pathlib import Path
 
-from procure import valuations
+from procure import core, instances, mech_additive, oracles, valuations, verify
 from procure.core import Rat
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
 def test_layer_metrics_name_public_functions():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     public = tracing.layer_functions()
     missing = [fn for fn, _, _ in tracing.LAYER_METRICS if fn not in public]
     assert not missing, f"LAYER_METRICS names no public procure function: {missing}"
+
+
+def test_workloads_name_generators_and_mechanisms():
+    kinds = [kind for kinds in _load("plan").WORKLOADS.values() for kind in kinds]
+    generators = {k.generator for k in kinds} - {"adversarial"}
+    assert generators and all(callable(getattr(instances, g, None)) for g in generators)
+    assert {k.mech for k in kinds} <= set(verify.MECHANISMS)
+
+
+def test_bench_reads_existing_attributes():
+    modules = {
+        m.__name__.rpartition(".")[2]: m for m in (core, instances, mech_additive, oracles, verify)
+    }
+    read = {
+        (node.value.id, node.attr)
+        for name in ("items.py", "run.py")
+        for node in ast.walk(ast.parse((BENCH / name).read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert read
+    missing = [f"{m}.{a}" for m, a in sorted(read) if not hasattr(modules[m], a)]
+    assert not missing, f"the bench reads attributes procure lacks: {missing}"
 
 
 def test_demand_cache_grows_by_one_per_new_query():

@@ -383,6 +383,48 @@ def test_generator_refuses_a_table_it_cannot_classify(monkeypatch):
         instances.gen_explicit_subadditive(0, max_sellers=10)
 
 
+def test_generator_refuses_a_million_sellers_at_once():
+    # The draw's 2^m-scale domain stops being multiplied out past 10^100.
+    message = r"^over 10\^100 allocations exceed the enumeration guard of 1000000$"
+    with pytest.raises(SearchSpaceTooLarge, match=message):
+        gen_explicit_subadditive(2, max_sellers=10**6)
+
+
+def test_units_too_long_to_write_name_the_sellers():
+    # Two 4,300-digit supplies sum to 4,301 digits, more than str() writes.
+    units = "9" * 4300
+    text = _valued({"type": "bounded_knapsack", "values": ["1", "1"]}).replace(
+        '"sellers": [{"units": 1, "cost": "1"}]',
+        f'"sellers": [{{"units": {units}, "cost": "1"}}, {{"units": {units}, "cost": "1"}}]',
+    )
+    with pytest.raises(
+        InstanceFormatError,
+        match=r"^\$\.sellers: over 10\^100 units in total exceed the limit 10000$",
+    ):
+        parse_instance(text)
+
+
+def test_verify_skips_a_dp_table_too_long_to_write(runner, tmp_path):
+    # Every literal is under 4,300 digits and 10^300 in size, but the
+    # knapsack DP's integer budget has about 4,500 digits.
+    path = tmp_path / "dp.json"
+    path.write_text(json.dumps({
+        "version": "1",
+        "budget": f"{10**299}/{10**4200 + 1}",
+        "sellers": [{"units": 1, "cost": f"1/{10**4200 + 3}"}],
+        "valuation": {"type": "bounded_knapsack", "values": ["1"]},
+    }))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["verify", str(path), "--mechanism", "m_add", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].endswith(" m_add: skip pass=0 fail=0"), result.output
+    (report,) = [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]
+    assert report["notes"] == {
+        "skipped": "knapsack DP table of over 10^100 cells exceeds the guard"
+    }
+
+
 @pytest.mark.parametrize(
     "family, sellers, message",
     [

@@ -14,6 +14,7 @@ from procure.core import (
     format_rat,
     is_budget_feasible,
     parse_rat,
+    refuse_over,
     unit_vector,
     utility,
 )
@@ -138,6 +139,17 @@ def test_instance_total_units_guard():
     assert at_limit.total_units == MAX_TOTAL_UNITS
     with pytest.raises(SearchSpaceTooLarge, match="exceed the limit"):
         Instance((Seller(half, 1), Seller(MAX_TOTAL_UNITS - half + 1, 1)), 5, v)
+
+
+def test_refuse_over_writes_long_counts_as_a_bound():
+    refuse_over(10, 10, "{count} of {limit}")
+    with pytest.raises(SearchSpaceTooLarge, match=r"^11 of 10$"):
+        refuse_over(11, 10, "{count} of {limit}")
+    with pytest.raises(SearchSpaceTooLarge, match=r"^9{100} of 10$"):
+        refuse_over(10**100 - 1, 10, "{count} of {limit}")
+    for count in (10**100, 10**5000):
+        with pytest.raises(SearchSpaceTooLarge, match=r"^over 10\^100 of 10$"):
+            refuse_over(count, 10, "{count} of {limit}")
 
 
 def test_unit_vector():

@@ -575,3 +575,21 @@ def test_run_m_sym_branches(sym_inst):
     assert star.allocation == (1, 0)
     assert star.payments[0] == sym_inst.budget
     assert run_m_sym(sym_inst, None, "bot").allocation == (0, 0)
+
+
+def test_m_sym_is_m_add_on_unit_values():
+    # Every seller of every symmetric instance, on each point of its grid-16
+    # m_sym deviation grid (about 16,800 profiles): the symmetric greedy,
+    # priced unit by unit, equals the m_add greedy on unit values.  The
+    # bid-free branches are m_add's on unit values by construction.
+    profiles = 0
+    for inst in symmetric_corpus():
+        view = unit_values(inst)
+        for branch in ("star", "bot"):
+            assert run_m_sym(inst, None, branch) == run_m_add(view, None, branch)
+        for seller in range(inst.m):
+            for dev in deviation_grid("m_sym", inst, inst.costs, seller, 16):
+                bids = inst.costs[:seller] + (dev,) + inst.costs[seller + 1 :]
+                assert run_m_sym(inst, bids, "greedy") == run_m_add(view, bids, "greedy")
+                profiles += 1
+    assert profiles > 16_000

@@ -117,6 +117,21 @@ def test_dp_guard_refuses_before_building():
         optimal_allocation(inst)
 
 
+def test_dp_guard_names_a_count_too_long_to_write():
+    # Budget 10^299 / (10^4200 + 1) and cost 1 / (10^4200 + 3) scale the
+    # budget to about 10^4499 cells, more digits than str() writes.
+    inst = Instance(
+        (Seller(1, Rat(1, 10**4200 + 3)),),
+        Rat(10**299, 10**4200 + 1),
+        BoundedKnapsack((Rat(1),)),
+    )
+    with pytest.raises(
+        SearchSpaceTooLarge,
+        match=r"^knapsack DP table of over 10\^100 cells exceeds the guard$",
+    ):
+        optimal_allocation(inst)
+
+
 def test_restricted_optimum():
     inst = gen_concave_additive(77)
     full = optimal_allocation(inst)[1]

@@ -18,6 +18,7 @@ from procure.valuations import (
     Symmetric,
     classify,
     demand,
+    domain_size,
 )
 from corpora import greedy_nonmonotone_instance
 from helpers import as_explicit, brute_force_demand, explicit_from_function
@@ -307,6 +308,28 @@ def test_classify_structural_matches_enumeration():
         structural = classify(v, caps)
         enumerated = classify(as_explicit(v, caps), caps)
         assert structural == enumerated, (kind, v, caps)
+
+
+def test_domain_guard_stops_at_counts_too_long_to_write():
+    # 2^20,000 allocations have 6,021 digits, more than str() writes.
+    with pytest.raises(SearchSpaceTooLarge) as info:
+        domain_size((1,) * 20_000)
+    assert str(info.value) == "over 10^100 allocations exceed the enumeration guard of 1000000"
+    assert len(str(info.value)) < 200
+
+
+def test_explicit_section_with_300000_caps_is_refused():
+    # The guard refuses the caps before any table entry is read.
+    caps = (1,) * 300_000
+    with pytest.raises(SearchSpaceTooLarge) as info:
+        Explicit(caps, ())
+    assert len(str(info.value)) < 200
+    section = {"type": "explicit", "caps": list(caps), "table": []}
+    with pytest.raises(InstanceFormatError) as info:
+        valuation_from_json(section)
+    assert str(info.value).startswith("$.valuation: over 10^100 allocations exceed")
+    assert isinstance(info.value.__cause__, SearchSpaceTooLarge)
+    assert len(str(info.value)) < 200
 
 
 def test_classify_guard():
