@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log2
 
-from .core import Instance, Outcome, Rat, affordable_count, checked_bids, unit_vector
-from .valuations import demand, recall, remember
+from .core import Instance, Outcome, Rat, checked_bids, denominator_lcm, unit_vector
+from .valuations import demand, recall, remember, scaled_values
 
 ACCEPT_EPS = 1e-12
 
@@ -50,15 +50,26 @@ def a_max(valuation, budget, units, costs, members) -> MaxRun:
     ``members`` are ignored, and so is their cost, which may be anything.
     Zero costs get the +inf floor convention (capped at the full supply).
 
+    The loop compares scaled integers: values times S_V (the valuation's
+    ``scaled_values`` scale), and the budget and members' costs times S_c,
+    the lcm of their denominators.  Each grid price is handed to ``demand``
+    as one exact rational, and the winner's value leaves as one.
+
     Runs are memoised in the valuation memo (see ``valuations.recall``:
     the most recent valuation only, by identity, at most MEMO_LIMIT
     entries) under ``("a_max", budget, units, members' costs)``, which is
-    all a run reads.
+    all a run reads; the rationals are keyed as (numerator, denominator)
+    pairs, which are canonical and cheaper to hash.
     """
     budget = Rat(budget)
     members = tuple(sorted(set(members)))
     units = tuple(units)
-    key = ("a_max", budget, units, tuple((i, costs[i]) for i in members))
+    key = (
+        "a_max",
+        (budget.numerator, budget.denominator),
+        units,
+        tuple((i, costs[i].numerator, costs[i].denominator) for i in members),
+    )
     run = recall(valuation, key)
     if run is None:
         run = remember(valuation, key, _a_max(valuation, budget, units, costs, members))
@@ -67,41 +78,45 @@ def a_max(valuation, budget, units, costs, members) -> MaxRun:
 
 def _a_max(valuation, budget, units, costs, members) -> MaxRun:
     m = len(units)
-    zero = Rat(0)
-    winner, winner_value = (0,) * m, zero
     if not members:
-        return MaxRun(winner, winner_value)
+        return MaxRun((0,) * m, Rat(0))
+    view = scaled_values(valuation)
+    ivalue = view.value
+    cost_scale = denominator_lcm((budget, *(costs[i] for i in members)))
+    ibudget = budget.numerator * (cost_scale // budget.denominator)
+    icosts = [0] * m
     capped = [0] * m
     for i in members:
-        capped[i] = affordable_count(units[i], budget, costs[i])
+        icosts[i] = costs[i].numerator * (cost_scale // costs[i].denominator)
+        capped[i] = min(units[i], ibudget // icosts[i]) if icosts[i] else units[i]
 
-    # Values are non-negative, so the anchor is at least 0.
-    anchor = max(valuation.value(unit_vector(m, i, capped[i])) for i in members)
-    if anchor == 0:
-        grid = (zero,)
-    else:
-        grid = tuple(k * anchor for k in range(len(members), 0, -1))
-
-    for target in grid:
-        prices = tuple(
-            target * costs[i] / (2 * budget) if i in members else zero
-            for i in range(m)
-        )
+    # Values are non-negative, so the anchor is at least 0.  Targets are
+    # k * anchor, and prices k * anchor * c_i / (2B), all times S_V.
+    anchor = max(ivalue(unit_vector(m, i, capped[i])) for i in members)
+    grid = range(len(members), 0, -1) if anchor else (0,)
+    denom = 2 * view.scale * ibudget
+    zero = Rat(0)
+    winner, winner_value = (0,) * m, 0
+    for k in grid:
+        target = k * anchor
+        prices = [zero] * m
+        for i in members:
+            prices[i] = Rat(target * icosts[i], denom)
         asked = demand(valuation, prices, capped)
         counts = [0] * m
-        if valuation.value(asked) >= target / 2:
+        if 2 * ivalue(asked) >= target:
             # Keep the longest prefix, costliest bundle first, within budget.
-            cum = zero
-            for neg_cost, i in sorted((-(asked[i] * costs[i]), i) for i in members):
-                cum -= neg_cost
-                if cum > budget:
+            spent = 0
+            for neg_cost, i in sorted((-asked[i] * icosts[i], i) for i in members):
+                spent -= neg_cost
+                if spent > ibudget:
                     break
                 counts[i] = asked[i]
         candidate = tuple(counts)
-        v = valuation.value(candidate)
+        v = ivalue(candidate)
         if v > winner_value:
             winner, winner_value = candidate, v
-    return MaxRun(winner, winner_value)
+    return MaxRun(winner, Rat(winner_value, view.scale))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ explicit tables over a capped domain.  All values are exact rationals.
 The demand oracle returns, for per-unit prices and unit caps, an
 allocation maximizing value minus price, ignoring any budget.  Ties are
 broken toward the lexicographically smallest count vector so repeated
-identical queries always return the same answer.
+identical queries always return the same answer.  It compares scaled
+integers: ``scaled_values`` gives each valuation's values times the lcm of
+their denominators, and the prices are scaled by the lcm of theirs.
 """
 
 from __future__ import annotations
@@ -16,8 +18,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import isqrt
+from operator import mul
+from typing import Callable
 
-from .core import Alloc, MalformedValuation, Rat, refuse_over, unit_vector
+from .core import (
+    Alloc,
+    MalformedValuation,
+    Rat,
+    denominator_lcm,
+    refuse_over,
+    unit_vector,
+)
 
 # The desk-scale guard: ENUM_LIMIT bounds every capped domain that is
 # enumerated or tabulated, and the allocation pairs classification compares.
@@ -318,15 +329,77 @@ def remember(valuation, key, result):
     return result
 
 
+@dataclass(frozen=True)
+class ScaledValues:
+    """A valuation's values as integers over one scale.
+
+    ``scale`` is the lcm of the denominators of every value the valuation
+    holds, and ``value(alloc)`` is the integer ``valuation.value(alloc) *
+    scale`` for an allocation within the valuation's caps.  For the additive
+    families ``margins(units)`` is ``valuation.margins(units)`` scaled the
+    same way; for the others it is None.
+    """
+
+    scale: int
+    value: Callable
+    margins: Callable | None = None
+
+
+def scaled_values(valuation) -> ScaledValues:
+    """The valuation's ``ScaledValues``, built on first use and memoised
+    under ``("scaled_values",)`` (see ``recall``)."""
+    key = ("scaled_values",)
+    view = recall(valuation, key)
+    if view is None:
+        # Use the view this call built: a full table or another valuation
+        # can drop it from the memo before the caller reads it.
+        view = remember(valuation, key, _scale_values(valuation))
+    return view
+
+
+def _scaled(values, scale) -> tuple:
+    return tuple(x.numerator * (scale // x.denominator) for x in values)
+
+
+def _scale_values(valuation) -> ScaledValues:
+    if isinstance(valuation, BoundedKnapsack):
+        scale = denominator_lcm(valuation.values)
+        ivalues = _scaled(valuation.values, scale)
+        return ScaledValues(
+            scale,
+            lambda alloc: sum(map(mul, alloc, ivalues)),
+            lambda units: [[v] * n for v, n in zip(ivalues, units)],
+        )
+    if isinstance(valuation, Additive):
+        scale = denominator_lcm(x for mm in valuation.per_item for x in mm)
+        per_item = tuple(_scaled(mm, scale) for mm in valuation.per_item)
+        prefixes = tuple(tuple(itertools.accumulate(mm, initial=0)) for mm in per_item)
+        return ScaledValues(
+            scale,
+            lambda alloc: sum(p[a] for p, a in zip(prefixes, alloc)),
+            lambda units: [mm[:n] for mm, n in zip(per_item, units)],
+        )
+    if isinstance(valuation, Symmetric):
+        scale = denominator_lcm(valuation.margins)
+        prefix = tuple(itertools.accumulate(_scaled(valuation.margins, scale), initial=0))
+        return ScaledValues(scale, lambda alloc: prefix[sum(alloc)])
+    table = valuation._table
+    scale = denominator_lcm(table.values())
+    itable = dict(zip(table, _scaled(table.values(), scale)))
+    return ScaledValues(scale, itable.__getitem__)
+
+
 def demand(valuation, prices, caps) -> Alloc:
     """Exact maximizer of value(A) minus sum of a_i * prices[i] within caps.
 
     Deterministic: among maximizers, returns the lexicographically smallest
     count vector.  Additive families use a closed per-item form; other
-    families enumerate the capped domain (guarded).  Results are memoised
-    under ``("demand", prices, caps)`` for the most recent valuation only
-    (matched by identity), in a table of at most MEMO_LIMIT entries; see
-    ``recall``.
+    families enumerate the capped domain (guarded).  Both compare the
+    objective scaled by S_V * S_p as integers, where S_V is the valuation's
+    ``scaled_values`` scale and S_p the lcm of the prices' denominators.
+    Results are memoised under ``("demand", prices, caps)`` for the most
+    recent valuation only (matched by identity), in a table of at most
+    MEMO_LIMIT entries; see ``recall``.
     """
     prices = _as_rats(prices)
     caps = tuple(int(c) for c in caps)
@@ -337,36 +410,36 @@ def demand(valuation, prices, caps) -> Alloc:
     hit = recall(valuation, key)
     if hit is not None:
         return hit
-    if isinstance(valuation, ADDITIVE_FAMILIES):
-        margs = valuation.margins(caps)
+    view = scaled_values(valuation)
+    price_scale = denominator_lcm(prices)
+    # Objective times S_V * S_p: value(A) * S_V * S_p - S_V * sum(a_i * p_i * S_p).
+    iprices = tuple(p * view.scale for p in _scaled(prices, price_scale))
+    if view.margins is not None:
         result = tuple(
-            _best_prefix(mm, p) for mm, p in zip(margs, prices)
+            _best_prefix(mm, p, price_scale)
+            for mm, p in zip(view.margins(caps), iprices)
         )
     else:
-        result = _demand_enum(valuation, prices, caps)
+        best, best_obj, ivalue = None, None, view.value
+        for alloc in domain(caps):
+            obj = ivalue(alloc) * price_scale - sum(map(mul, alloc, iprices))
+            if best is None or obj > best_obj:
+                best, best_obj = alloc, obj
+        result = best
     return remember(valuation, key, result)
 
 
-def _best_prefix(margins, price) -> int:
+def _best_prefix(margins, price, price_scale) -> int:
     # Smallest prefix length maximizing the prefix sum of (margin - price);
-    # units with margin == price are skipped, matching the lexicographic rule.
-    best_a, best_obj, run = 0, Rat(0), Rat(0)
+    # units with margin == price are skipped, matching the lexicographic
+    # rule.  Margins are times S_V and the price times S_V * S_p, so the
+    # running sum is the objective times S_V * S_p.
+    best_a, best_obj, run = 0, 0, 0
     for a, v in enumerate(margins, start=1):
-        run += v - price
+        run += v * price_scale - price
         if run > best_obj:
             best_a, best_obj = a, run
     return best_a
-
-
-def _demand_enum(valuation, prices, caps) -> Alloc:
-    best, best_obj = None, None
-    for alloc in domain(caps):
-        obj = valuation.value(alloc) - sum(
-            (a * p for a, p in zip(alloc, prices)), Rat(0)
-        )
-        if best is None or obj > best_obj:
-            best, best_obj = alloc, obj
-    return best
 
 
 def classify(valuation, caps) -> frozenset:

@@ -4,7 +4,8 @@ internals, and the analysis devices of the paper's proofs.
 The oracles restate a rule directly (exhaustive optimum and demand, the
 greedy rank order, the cheapest-prefix rule, thresholds by search over
 breakpoints), or keep an earlier implementation as the reference (the
-greedy's bought rule and thresholds in rational arithmetic, and the
+greedy's bought rule and thresholds in rational arithmetic, the demand
+oracle's closed form and ``a_max``'s loop in rational arithmetic, and the
 knapsack optimum's rational suffix tables).  The analysis helpers are not
 mechanisms: the per-rank pick-up test of the greedy, the marginal
 value-rate greedy and its non-monotonicity, the sample-group dominance
@@ -27,6 +28,7 @@ from procure.core import (
     Rat,
     SearchSpaceTooLarge,
     Seller,
+    affordable_count,
     checked_bids,
     denominator_lcm,
     format_rat,
@@ -37,7 +39,7 @@ from procure.core import (
 from procure.mech_additive import greedy_allocate
 from procure.mech_subadditive import group_from_mask, phi
 from procure.oracles import DP_CELL_LIMIT, optimal_allocation
-from procure.valuations import Explicit, domain
+from procure.valuations import ADDITIVE_FAMILIES, Explicit, domain
 from procure.verify import (
     BUDGET_SLACK,
     GROUP_ENUM_MAX_SELLERS,
@@ -345,6 +347,66 @@ def brute_force_demand(valuation, prices, caps):
         if best is None or obj > best[1]:
             best = (alloc, obj)
     return best[0]
+
+
+def reference_demand(valuation, prices, caps):
+    """demand in rationals and without the memo: the per-item closed form
+    for the additive families, exhaustive enumeration for the others."""
+    prices = tuple(Rat(p) for p in prices)
+    caps = tuple(caps)
+    if not isinstance(valuation, ADDITIVE_FAMILIES):
+        return brute_force_demand(valuation, prices, caps)
+    return tuple(
+        _reference_best_prefix(mm, p) for mm, p in zip(valuation.margins(caps), prices)
+    )
+
+
+def _reference_best_prefix(margins, price) -> int:
+    # Smallest prefix length maximizing the prefix sum of (margin - price).
+    best_a, best_obj, run = 0, Rat(0), Rat(0)
+    for a, v in enumerate(margins, start=1):
+        run += v - price
+        if run > best_obj:
+            best_a, best_obj = a, run
+    return best_a
+
+
+def reference_a_max(valuation, budget, units, costs, members):
+    """a_max's loop in rationals, asking reference_demand, without the memo."""
+    budget = Rat(budget)
+    members = tuple(sorted(set(members)))
+    m = len(units)
+    zero = Rat(0)
+    winner, winner_value = (0,) * m, zero
+    if not members:
+        return mech_subadditive.MaxRun(winner, winner_value)
+    capped = [0] * m
+    for i in members:
+        capped[i] = affordable_count(units[i], budget, costs[i])
+    anchor = max(valuation.value(unit_vector(m, i, capped[i])) for i in members)
+    if anchor == 0:
+        grid = (zero,)
+    else:
+        grid = tuple(k * anchor for k in range(len(members), 0, -1))
+    for target in grid:
+        prices = tuple(
+            target * costs[i] / (2 * budget) if i in members else zero
+            for i in range(m)
+        )
+        asked = reference_demand(valuation, prices, capped)
+        counts = [0] * m
+        if valuation.value(asked) >= target / 2:
+            cum = zero
+            for neg_cost, i in sorted((-(asked[i] * costs[i]), i) for i in members):
+                cum -= neg_cost
+                if cum > budget:
+                    break
+                counts[i] = asked[i]
+        candidate = tuple(counts)
+        v = valuation.value(candidate)
+        if v > winner_value:
+            winner, winner_value = candidate, v
+    return mech_subadditive.MaxRun(winner, winner_value)
 
 
 def explicit_from_function(caps, fn) -> Explicit:

@@ -6,7 +6,9 @@ and ``bench/items.py`` and ``bench/run.py`` call the package through module
 attributes, so renaming or deleting any of them breaks only a bench run.
 These tests catch that in the ordinary suite.  The traced run also counts a ``demand``
 call as a cache hit when ``valuations._demand_caches`` maps the valuation
-to a dict that the call did not grow; the last test pins that.
+to a dict that the call did not grow, and it predicts ``demand`` calls on
+dst-sampling, which come from ``a_max`` through the public ``demand``; the
+last two tests pin those.
 """
 
 import ast
@@ -14,7 +16,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from procure import core, instances, mech_additive, oracles, valuations, verify
+from procure import core, instances, mech_additive, mech_subadditive, oracles, valuations, verify
 from procure.core import Rat
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -69,3 +71,19 @@ def test_demand_cache_grows_by_one_per_new_query():
     assert len(valuations._demand_caches.get(v)) == size
     valuations.demand(v, (Rat(2), Rat(1)), (2, 1))
     assert valuations._demand_caches.get(v) is cache and len(cache) == size + 1
+
+
+def test_a_max_asks_the_public_demand(monkeypatch):
+    calls = []
+
+    def counted(valuation, prices, caps):
+        calls.append(valuation)
+        return valuations.demand(valuation, prices, caps)
+
+    monkeypatch.setattr(mech_subadditive, "demand", counted)
+    concave = instances.gen_concave_additive(3)
+    table = instances.gen_explicit_subadditive(3)
+    for inst in (concave, table):
+        members = tuple(range(inst.m))
+        mech_subadditive.a_max(inst.valuation, inst.budget, inst.units, inst.costs, members)
+        assert calls and calls[-1] is inst.valuation

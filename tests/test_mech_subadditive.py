@@ -13,10 +13,10 @@ from procure.mech_subadditive import (
 )
 from procure.oracles import adversarial_single_seller
 from procure.valuations import ConcaveAdditive, Explicit
-from procure.verify import MECHANISMS
+from procure.verify import MECHANISMS, deviation_grid
 
-from corpora import greedy_nonmonotone_instance
-from helpers import brute_force_optimum
+from corpora import dst_corpora, greedy_nonmonotone_instance
+from helpers import brute_force_optimum, reference_a_max
 
 
 def test_phi_guard():
@@ -222,6 +222,71 @@ def test_a_max_memo_bounded_table(monkeypatch):
         sizes.append(len(valuations._demand_caches.get(inst.valuation)))
     assert got == expected
     assert max(sizes) == 4
+
+
+def _sampling_corpus():
+    """The criterion-8 corpora of m_rand and m_sub, each instance once."""
+    seen, out = set(), []
+    for mech in ("m_rand", "m_sub"):
+        for inst in dst_corpora()[mech]:
+            if id(inst) not in seen:
+                seen.add(id(inst))
+                out.append(inst)
+    return out
+
+
+def test_a_max_matches_rational_reference_on_every_sample_group():
+    for n, inst in enumerate(_sampling_corpus()):
+        v, b, u = inst.valuation, inst.budget, inst.units
+        for mask in range(1 << inst.m):
+            group = group_from_mask(mask, inst.m)
+            rest = tuple(i for i in range(inst.m) if i not in group)
+            # Zero costs for every other member, and non-members' costs that
+            # a run must not read.
+            odd = tuple(
+                (Rat(0) if i % 2 == n % 2 else c) if i in group else Rat(10**9 + 7, i + 2)
+                for i, c in enumerate(inst.costs)
+            )
+            calls = [(inst.costs, group), (odd, group)]
+            calls += [((b / k,) * inst.m, rest) for k in (1, 2, inst.total_units)]
+            for costs, members in calls:
+                got = cold_a_max(v, b, u, costs, members)
+                assert got == reference_a_max(v, b, u, costs, members), (n, costs, members)
+
+
+def test_m_rand_detail_matches_rational_reference_on_deviation_grids(monkeypatch):
+    # A prefix of each family keeps this near 10 s: the reference has no memo.
+    corpus = _sampling_corpus()
+    tables = [inst for inst in corpus if isinstance(inst.valuation, Explicit)]
+    concave = [inst for inst in corpus if isinstance(inst.valuation, ConcaveAdditive)]
+    profiles = []
+    for inst in concave[:20] + tables[:20]:
+        groups = [group_from_mask(mask, inst.m) for mask in range(1 << inst.m)]
+        for seller in range(inst.m):
+            for bid in deviation_grid("m_rand", inst, inst.costs, seller, 16):
+                bids = inst.costs[:seller] + (bid,) + inst.costs[seller + 1 :]
+                profiles += [(inst, bids, g) for g in groups]
+    got = [m_rand_detail(*p) for p in profiles]
+    monkeypatch.setattr(mech_subadditive, "a_max", reference_a_max)
+    assert [m_rand_detail(*p) for p in profiles] == got
+
+
+@pytest.mark.parametrize("limit", [1, 2])
+def test_m_rand_detail_matches_cold_runs_when_every_clear_drops_the_view(monkeypatch, limit):
+    # At these limits a memo clear falls between building the integer view
+    # and reading it, inside a_max and inside demand.
+    concave = Instance(
+        (Seller(2, Rat(2)), Seller(2, Rat(1)), Seller(1, Rat(3))),
+        Rat(6),
+        ConcaveAdditive(((Rat(6), Rat(4)), (Rat(5), Rat(2)), (Rat(7),))),
+    )
+    for inst in (gen_explicit_subadditive(15002), concave):
+        groups = [group_from_mask(mask, inst.m) for mask in range(1 << inst.m)]
+        twin = Instance(inst.sellers, inst.budget, copy.copy(inst.valuation))
+        expected = [m_rand_detail(twin, None, g) for g in groups]
+        with monkeypatch.context() as patch:
+            patch.setattr(valuations, "MEMO_LIMIT", limit)
+            assert [m_rand_detail(inst, None, g) for g in groups] == expected
 
 
 def test_memo_keeps_only_the_latest_valuation():

@@ -18,10 +18,17 @@ from procure.valuations import (
     Symmetric,
     classify,
     demand,
+    domain,
     domain_size,
+    scaled_values,
 )
 from corpora import greedy_nonmonotone_instance
-from helpers import as_explicit, brute_force_demand, explicit_from_function
+from helpers import (
+    as_explicit,
+    brute_force_demand,
+    explicit_from_function,
+    reference_demand,
+)
 
 CHAIN = (
     "bounded-knapsack",
@@ -131,6 +138,75 @@ def test_demand_matches_enumeration_symmetric():
         v = Symmetric(tuple(Rat(rng.randint(0, 9)) for _ in range(sum(caps))))
         prices = tuple(Rat(rng.randint(0, 6), rng.choice((1, 2))) for _ in range(m))
         assert demand(v, prices, caps) == brute_force_demand(v, prices, caps)
+
+
+def _random_valuation(rng, family, caps):
+    def rat():
+        return Rat(rng.randint(0, 40), rng.choice((1, 2, 3, 7, 999_983)))
+
+    if family == "bk":
+        return BoundedKnapsack(tuple(rat() for _ in caps))
+    if family == "add":
+        return Additive(tuple(tuple(rat() for _ in range(c)) for c in caps))
+    if family == "concave":
+        return ConcaveAdditive(
+            tuple(tuple(sorted((rat() for _ in range(c)), reverse=True)) for c in caps)
+        )
+    if family == "sym":
+        return Symmetric(tuple(rat() for _ in range(sum(caps))))
+    table = {}
+    for alloc in domain(caps):  # lexicographic, so every lower neighbour is set
+        lower = [
+            table[alloc[:i] + (a - 1,) + alloc[i + 1 :]] for i, a in enumerate(alloc) if a
+        ]
+        table[alloc] = max(lower) + rat() if lower else Rat(0)
+    return Explicit.from_mapping(caps, table)
+
+
+def _chain_margins(valuation, caps):
+    m = len(caps)
+    return [
+        [
+            valuation.value(tuple(k if j == i else 0 for j in range(m)))
+            - valuation.value(tuple(k - 1 if j == i else 0 for j in range(m)))
+            for k in range(1, c + 1)
+        ]
+        for i, c in enumerate(caps)
+    ]
+
+
+def test_demand_matches_rational_reference_on_every_family():
+    rng = random.Random(20)
+    primes = (999_983, 1_000_003, 1_000_033, 10**9 + 7)
+    for trial in range(600):
+        family = ("bk", "add", "concave", "sym", "explicit")[trial % 5]
+        caps = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
+        v = _random_valuation(rng, family, caps)
+        margins = _chain_margins(v, caps)
+        kind = rng.choice(("margin", "zero", "coprime", "mixed"))
+        prices = []
+        for i, mm in enumerate(margins):
+            pick = rng.choice(("margin", "zero", "coprime")) if kind == "mixed" else kind
+            if pick == "margin" and mm:
+                prices.append(rng.choice(mm))
+            elif pick == "coprime":
+                prices.append(Rat(rng.randint(0, 40 * primes[i]), primes[i]))
+            else:
+                prices.append(Rat(0))
+        prices = tuple(prices)
+        assert demand(v, prices, caps) == reference_demand(v, prices, caps), (v, prices, caps)
+
+
+def test_scaled_values_are_exact_on_every_family():
+    rng = random.Random(21)
+    for trial in range(100):
+        family = ("bk", "add", "concave", "sym", "explicit")[trial % 5]
+        caps = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
+        v = _random_valuation(rng, family, caps)
+        view = scaled_values(v)
+        assert scaled_values(v) is view
+        for alloc in domain(caps):
+            assert Rat(view.value(alloc), view.scale) == v.value(alloc)
 
 
 def test_demand_guard():
