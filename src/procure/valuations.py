@@ -21,14 +21,7 @@ from math import isqrt
 from operator import mul
 from typing import Callable
 
-from .core import (
-    Alloc,
-    MalformedValuation,
-    Rat,
-    denominator_lcm,
-    refuse_over,
-    unit_vector,
-)
+from .core import Alloc, MalformedValuation, Rat, denominator_lcm, refuse_over, unit_vector
 
 # The desk-scale guard: ENUM_LIMIT bounds every capped domain that is
 # enumerated or tabulated, and the allocation pairs classification compares.
