@@ -100,17 +100,19 @@ def ifloor(q) -> int:
     return int(q.numerator // q.denominator)
 
 
-def denominator_lcm(values) -> int:
-    """Least common multiple of the denominators of a sequence of rationals:
-    the smallest scale that makes every one of them an integer.
+def scaled(values) -> tuple:
+    """``(scale, ints)``: the rationals as integers over one scale.
 
-    Folded one denominator at a time, so no tuple of them is ever built.
+    ``scale`` is the lcm of their denominators, the smallest scale that
+    makes every one an integer, and ``ints[k]`` is ``values[k] * scale``.
+    This is the package's one exact-integer rule.  Scaling every side of a
+    comparison, sum or ratio by the same positive constant keeps its
+    outcome, so any common scale decides it as the rationals would.
     ``math.lcm`` takes ``gmpy2`` denominators too (``mpz``).
     """
-    scale = 1
-    for q in values:
-        scale = lcm(scale, q.denominator)
-    return scale
+    values = tuple(values)
+    scale = lcm(*(q.denominator for q in values))
+    return scale, [q.numerator * (scale // q.denominator) for q in values]
 
 
 def harmonic_factor(n: int) -> float:

@@ -18,10 +18,14 @@ alpha where rho_alpha * (s + W_alpha) >= B or just before it, and a
 bisection finds it: one ranking prices all of a seller's units in
 O(n + units * log n) integer operations and one rational per unit.
 
-Every comparison runs in exact integers.  With S_v the lcm of the margin
-denominators and S_b the lcm of the budget's and the bids' denominators,
-a pair carries ivalue = value * S_v and ibid = bid * S_b, and the ranking
-carries ibudget = B * S_b.  Then, multiplying through by S_v * S_b:
+Every comparison runs in exact integers.  With S_v the valuation's
+``scaled_values`` scale and S_b the ``core.scaled`` scale of the budget
+and bids, a pair carries ivalue = value * S_v and ibid = bid * S_b, and
+the ranking carries ibudget = B * S_b.  S_v covers every value the
+valuation holds, offered or not, and any common scale gives the same
+result: ranks, the bought rule, rank crossings and thresholds depend on
+the values only through their ratios, from which a common factor
+cancels.  Then, multiplying through by S_v * S_b:
 
 * the bought rule is ibid * iprefix <= ibudget * ivalue, with iprefix the
   scaled value prefix;
@@ -55,10 +59,10 @@ from .core import (
     Rat,
     WrongValuationClass,
     checked_bids,
-    denominator_lcm,
+    scaled,
     unit_vector,
 )
-from .valuations import BoundedKnapsack, ConcaveAdditive, Symmetric
+from .valuations import BoundedKnapsack, ConcaveAdditive, Symmetric, scaled_values
 
 
 class RankedPair(NamedTuple):
@@ -67,7 +71,7 @@ class RankedPair(NamedTuple):
     key: int  # ibid * Q**2 // ivalue, ordered as bid / value
     seller: int  # 0-based
     unit: int  # 1-based
-    ivalue: int  # marginal value of this unit, times S_v
+    ivalue: int  # marginal value of this unit, times S_v (the scaled_values scale)
     ibid: int  # the seller's announced per-unit cost, times S_b
 
 
@@ -104,11 +108,8 @@ def ranked_pairs(inst: Instance, bids=None) -> Ranking:
     """
     bids = checked_bids(inst, bids)
     _require(additive_reason(inst))
-    margins = inst.valuation.margins(inst.units)
-    value_scale = denominator_lcm(x for mm in margins for x in mm)
-    bid_scale = denominator_lcm((inst.budget, *bids))
-    ivalues = [[x.numerator * (value_scale // x.denominator) for x in mm] for mm in margins]
-    ibids = [b.numerator * (bid_scale // b.denominator) for b in bids]
+    ivalues = scaled_values(inst.valuation).margins(inst.units)
+    bid_scale, (ibudget, *ibids) = scaled((inst.budget, *bids))
     q2 = max((max(row, default=0) for row in ivalues), default=0) ** 2
     pairs = Ranking(
         RankedPair(ibids[i] * q2 // iv, i, j, iv, ibids[i])
@@ -117,7 +118,7 @@ def ranked_pairs(inst: Instance, bids=None) -> Ranking:
         if iv > 0
     )
     pairs.sort()
-    pairs.ibudget = inst.budget.numerator * (bid_scale // inst.budget.denominator)
+    pairs.ibudget = ibudget
     pairs.bid_scale = bid_scale
     return pairs
 
@@ -229,7 +230,7 @@ def greedy_breakpoints(inst: Instance, bids, seller: int) -> set:
 def star_seller(inst: Instance) -> int:
     """Seller whose first unit has the highest marginal value (lowest index wins)."""
     _require(additive_reason(inst))
-    firsts = [mm[0] for mm in inst.valuation.margins(inst.units)]
+    firsts = [mm[0] for mm in scaled_values(inst.valuation).margins(inst.units)]
     return max(range(inst.m), key=firsts.__getitem__)  # max keeps the first maximum
 
 

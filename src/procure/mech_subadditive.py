@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log2
 
-from .core import Instance, Outcome, Rat, checked_bids, denominator_lcm, unit_vector
+from .core import Instance, Outcome, Rat, checked_bids, scaled, unit_vector
 from .valuations import demand, recall, remember, scaled_values
 
 ACCEPT_EPS = 1e-12
@@ -52,7 +52,7 @@ def a_max(valuation, budget, units, costs, members) -> MaxRun:
 
     The loop compares scaled integers: values times S_V (the valuation's
     ``scaled_values`` scale), and the budget and members' costs times S_c,
-    the lcm of their denominators.  Each grid price is handed to ``demand``
+    their ``core.scaled`` scale.  Each grid price is handed to ``demand``
     as one exact rational, and the winner's value leaves as one.
 
     Runs are memoised in the valuation memo (see ``valuations.recall``:
@@ -82,13 +82,12 @@ def _a_max(valuation, budget, units, costs, members) -> MaxRun:
         return MaxRun((0,) * m, Rat(0))
     view = scaled_values(valuation)
     ivalue = view.value
-    cost_scale = denominator_lcm((budget, *(costs[i] for i in members)))
-    ibudget = budget.numerator * (cost_scale // budget.denominator)
+    _, (ibudget, *imembers) = scaled((budget, *(costs[i] for i in members)))
     icosts = [0] * m
     capped = [0] * m
-    for i in members:
-        icosts[i] = costs[i].numerator * (cost_scale // costs[i].denominator)
-        capped[i] = min(units[i], ibudget // icosts[i]) if icosts[i] else units[i]
+    for i, icost in zip(members, imembers):
+        icosts[i] = icost
+        capped[i] = min(units[i], ibudget // icost) if icost else units[i]
 
     # Values are non-negative, so the anchor is at least 0.  Targets are
     # k * anchor, and prices k * anchor * c_i / (2B), all times S_V.

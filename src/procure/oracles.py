@@ -2,23 +2,26 @@
 
 The optimum oracle solves max V(A) subject to sum(a_i * c_i) <= B exactly.
 Additive families go through a grouped knapsack DP in integers: costs and
-budget are scaled by the lcm of their denominators, margins by the lcm of
-theirs.  The DP keeps one row of best values and, per seller, the fewest
-units that reach each cell's best, so the allocation is read back from
-those choices.  Other families enumerate the capped domain.  Both paths
-break ties toward the lexicographically smallest allocation, so they are
-directly comparable in tests.
+budget go through ``core.scaled``, and the margins come from the
+valuation's ``scaled_values``.  The DP keeps one row of best values and,
+per seller, the fewest units that reach each cell's best, so the
+allocation is read back from those choices.  Other families enumerate
+the capped domain.  Both paths break ties toward the lexicographically
+smallest allocation, so they are directly comparable in tests.
 """
 
 from __future__ import annotations
 
-from .core import Instance, Rat, Seller, denominator_lcm, refuse_over
+from itertools import accumulate
+
+from .core import Instance, Rat, Seller, refuse_over, scaled
 from .valuations import (
     ADDITIVE_FAMILIES,
     BoundedKnapsack,
     domain,
     recall,
     remember,
+    scaled_values,
 )
 
 DP_CELL_LIMIT = 4 * 10**6
@@ -56,17 +59,13 @@ def _optimal_enum(inst: Instance):
 
 
 def _optimal_additive_dp(inst: Instance):
-    units = inst.units
-    margs = inst.valuation.margins(units)
-    costs, budget = inst.costs, inst.budget
     m = inst.m
-    scale = denominator_lcm((budget, *costs))
-    weights = [int(c.numerator * (scale // c.denominator)) for c in costs]
-    cap = int(budget.numerator * (scale // budget.denominator))
+    _, (cap, *weights) = scaled((inst.budget, *inst.costs))
     refuse_over(
         (m + 1) * (cap + 1), DP_CELL_LIMIT, "knapsack DP table of {count} cells exceeds the guard"
     )
-    vscale = denominator_lcm(v for row in margs for v in row)
+    view = scaled_values(inst.valuation)
+    margs = view.margins(inst.units)
 
     # best[b]: best scaled value from sellers i.. with integerized budget b.
     # picks[i][b]: the fewest units of seller i that reach it, so reading the
@@ -74,9 +73,7 @@ def _optimal_additive_dp(inst: Instance):
     best = [0] * (cap + 1)
     picks = [None] * m
     for i in range(m - 1, -1, -1):
-        w, pref = weights[i], [0]
-        for v in margs[i]:
-            pref.append(pref[-1] + int(v.numerator * (vscale // v.denominator)))
+        w, pref = weights[i], list(accumulate(margs[i], initial=0))
         cur, pick = best[:], [0] * (cap + 1)
         for b in range(cap + 1):
             top = cur[b]
@@ -94,7 +91,7 @@ def _optimal_additive_dp(inst: Instance):
     for w, pick in zip(weights, picks):
         counts.append(pick[b])
         b -= pick[b] * w
-    return tuple(counts), Rat(best[cap], vscale)
+    return tuple(counts), Rat(best[cap], view.scale)
 
 
 def adversarial_single_seller(n: int, budget, k: int) -> Instance:

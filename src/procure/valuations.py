@@ -21,7 +21,7 @@ from math import isqrt
 from operator import mul
 from typing import Callable
 
-from .core import Alloc, MalformedValuation, Rat, denominator_lcm, refuse_over, unit_vector
+from .core import Alloc, MalformedValuation, Rat, refuse_over, scaled, unit_vector
 
 # The desk-scale guard: ENUM_LIMIT bounds every capped domain that is
 # enumerated or tabulated, and the allocation pairs classification compares.
@@ -350,22 +350,18 @@ def scaled_values(valuation) -> ScaledValues:
     return view
 
 
-def _scaled(values, scale) -> tuple:
-    return tuple(x.numerator * (scale // x.denominator) for x in values)
-
-
 def _scale_values(valuation) -> ScaledValues:
     if isinstance(valuation, BoundedKnapsack):
-        scale = denominator_lcm(valuation.values)
-        ivalues = _scaled(valuation.values, scale)
+        scale, ivalues = scaled(valuation.values)
         return ScaledValues(
             scale,
             lambda alloc: sum(map(mul, alloc, ivalues)),
             lambda units: [[v] * n for v, n in zip(ivalues, units)],
         )
     if isinstance(valuation, Additive):
-        scale = denominator_lcm(x for mm in valuation.per_item for x in mm)
-        per_item = tuple(_scaled(mm, scale) for mm in valuation.per_item)
+        scale, flat = scaled(x for mm in valuation.per_item for x in mm)
+        rest = iter(flat)
+        per_item = tuple(tuple(itertools.islice(rest, len(mm))) for mm in valuation.per_item)
         prefixes = tuple(tuple(itertools.accumulate(mm, initial=0)) for mm in per_item)
         return ScaledValues(
             scale,
@@ -373,12 +369,12 @@ def _scale_values(valuation) -> ScaledValues:
             lambda units: [mm[:n] for mm, n in zip(per_item, units)],
         )
     if isinstance(valuation, Symmetric):
-        scale = denominator_lcm(valuation.margins)
-        prefix = tuple(itertools.accumulate(_scaled(valuation.margins, scale), initial=0))
+        scale, imargins = scaled(valuation.margins)
+        prefix = tuple(itertools.accumulate(imargins, initial=0))
         return ScaledValues(scale, lambda alloc: prefix[sum(alloc)])
     table = valuation._table
-    scale = denominator_lcm(table.values())
-    itable = dict(zip(table, _scaled(table.values(), scale)))
+    scale, ivalues = scaled(table.values())
+    itable = dict(zip(table, ivalues))
     return ScaledValues(scale, itable.__getitem__)
 
 
@@ -404,9 +400,9 @@ def demand(valuation, prices, caps) -> Alloc:
     if hit is not None:
         return hit
     view = scaled_values(valuation)
-    price_scale = denominator_lcm(prices)
+    price_scale, iprices = scaled(prices)
     # Objective times S_V * S_p: value(A) * S_V * S_p - S_V * sum(a_i * p_i * S_p).
-    iprices = tuple(p * view.scale for p in _scaled(prices, price_scale))
+    iprices = [p * view.scale for p in iprices]
     if view.margins is not None:
         result = tuple(
             _best_prefix(mm, p, price_scale)

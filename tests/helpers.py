@@ -30,9 +30,9 @@ from procure.core import (
     Seller,
     affordable_count,
     checked_bids,
-    denominator_lcm,
     format_rat,
     parse_rat,
+    scaled,
     unit_vector,
     utility,
 )
@@ -285,9 +285,7 @@ def reference_optimal_additive_dp(inst: Instance):
     margs = inst.valuation.margins(units)
     costs, budget = inst.costs, inst.budget
     m = inst.m
-    scale = denominator_lcm((budget, *costs))
-    weights = [int(c.numerator * (scale // c.denominator)) for c in costs]
-    cap = int(budget.numerator * (scale // budget.denominator))
+    _, (cap, *weights) = scaled((budget, *costs))
     if (m + 1) * (cap + 1) > DP_CELL_LIMIT:
         raise SearchSpaceTooLarge(
             f"knapsack DP table of {(m + 1) * (cap + 1)} cells exceeds the guard"

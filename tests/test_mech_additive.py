@@ -10,6 +10,7 @@ from procure.core import (
     Rat,
     Seller,
     WrongValuationClass,
+    scaled,
     utility,
 )
 from procure.instances import gen_bounded_knapsack, gen_concave_additive, gen_symmetric
@@ -27,8 +28,14 @@ from procure.mech_additive import (
     threshold,
     unit_values,
 )
-from procure.oracles import adversarial_single_seller
-from procure.valuations import Additive, BoundedKnapsack, ConcaveAdditive, Symmetric
+from procure.oracles import adversarial_single_seller, optimal_allocation
+from procure.valuations import (
+    Additive,
+    BoundedKnapsack,
+    ConcaveAdditive,
+    Symmetric,
+    scaled_values,
+)
 from procure.verify import MECHANISMS, deviation_grid
 
 from corpora import concave_corpus, symmetric_corpus
@@ -39,6 +46,7 @@ from helpers import (
     pickup_flags,
     reference_greedy_breakpoints,
     reference_greedy_payments,
+    reference_optimal_additive_dp,
     reference_pairs,
 )
 
@@ -348,6 +356,39 @@ def test_ranked_pair_integers_are_exact_scalings():
             assert Rat(pr.ibid, pairs.bid_scale) == inst.costs[pr.seller]
             scales.add(pr.ivalue / margins[pr.seller][pr.unit - 1])
         assert len(scales) == 1 and min(scales) > 0
+
+
+def _with_unoffered_tail(inst):
+    """The instance with two more margins per seller, past its units, whose
+    denominators 999,983 and 10^9 + 7 enlarge the valuation's value scale
+    without changing any offered margin."""
+    per_item = tuple(
+        (*mm, min(mm[-1], Rat(1, 999_983)), min(mm[-1], Rat(1, 10**9 + 7)))
+        for mm in inst.valuation.margins(inst.units)
+    )
+    return Instance(inst.sellers, inst.budget, ConcaveAdditive(per_item))
+
+
+def test_greedy_and_optimum_ignore_the_value_scale():
+    # Ranks, payments, breakpoints, the star seller and the knapsack optimum
+    # depend on values only through their ratios, so a value scale enlarged
+    # by margins no seller offers gives the rational references' results.
+    enlarged = 0
+    for n, base in enumerate(concave_corpus()[:120]):
+        inst = _with_unoffered_tail(base)
+        offered = inst.valuation.margins(inst.units)
+        enlarged += scaled_values(inst.valuation).scale != scaled(sum(offered, []))[0]
+        firsts = [mm[0] for mm in offered]
+        assert star_seller(inst) == firsts.index(max(firsts))
+        assert optimal_allocation(inst) == reference_optimal_additive_dp(inst)
+        for bids in _probe_profiles(inst, 56000 + n):
+            assert _order(ranked_pairs(inst, bids)) == _order(reference_pairs(inst, bids))
+            assert greedy_payments(inst, bids) == reference_greedy_payments(inst, bids)
+            for seller in range(inst.m):
+                assert greedy_breakpoints(inst, bids, seller) == reference_greedy_breakpoints(
+                    inst, bids, seller
+                )
+    assert enlarged >= 100
 
 
 def test_greedy_payments_at_unit_cap():

@@ -4,12 +4,13 @@ import threading
 
 import pytest
 
-from procure.core import MalformedValuation, Rat, SearchSpaceTooLarge
+from procure.core import Instance, MalformedValuation, Rat, SearchSpaceTooLarge, Seller
 from procure.instances import (
     InstanceFormatError,
     valuation_from_json,
     valuation_to_json,
 )
+from procure.mech_additive import greedy_allocate
 from procure.valuations import (
     Additive,
     BoundedKnapsack,
@@ -27,7 +28,9 @@ from helpers import (
     as_explicit,
     brute_force_demand,
     explicit_from_function,
+    reference_bought,
     reference_demand,
+    reference_pairs,
 )
 
 CHAIN = (
@@ -220,21 +223,32 @@ def test_demand_memo_is_per_valuation_under_threads():
     # Each thread queries its own valuation with the same price keys, and
     # the valuations disagree on most of them, so a thread handed another
     # valuation's table in a race of owner switches would see a wrong answer.
+    # The greedy reads the same memo through scaled_values, and the four
+    # two-seller instances are each bought differently.  A worker records
+    # its exception, so a thread that dies fails the test.
     caps = (3, 3)
     vals = [BoundedKnapsack((Rat(k), Rat(5 - k))) for k in range(1, 5)]
     prices = [(Rat(p), Rat(q)) for p in (2, 3) for q in (2, 3)]
     expected = [[brute_force_demand(v, ps, caps) for ps in prices] for v in vals]
-    wrong = []
+    insts = [Instance((Seller(3, 1), Seller(3, 1)), 6, v) for v in vals]
+    bought = [reference_bought(reference_pairs(inst), inst.budget, inst.m) for inst in insts]
+    assert len(set(bought)) == len(vals)
+    wrong, errors = [], []
 
-    def worker(v, want):
-        for _ in range(500):
-            for ps, alloc in zip(prices, want):
-                if demand(v, ps, caps) != alloc:
-                    wrong.append((v, ps))
+    def worker(v, want, inst, alloc_want):
+        try:
+            for _ in range(500):
+                for ps, alloc in zip(prices, want):
+                    if demand(v, ps, caps) != alloc:
+                        wrong.append((v, ps))
+                if greedy_allocate(inst) != alloc_want:
+                    wrong.append((v, "greedy"))
+        except BaseException as exc:
+            errors.append(exc)
 
     threads = [
-        threading.Thread(target=worker, args=(v, want))
-        for v, want in zip(vals, expected)
+        threading.Thread(target=worker, args=args)
+        for args in zip(vals, expected, insts, bought)
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -246,6 +260,7 @@ def test_demand_memo_is_per_valuation_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    assert errors == []
     assert wrong == []
 
 
