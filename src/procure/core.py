@@ -95,11 +95,6 @@ def format_rat(q) -> str:
     return str(Rat(q))
 
 
-def ifloor(q) -> int:
-    """Exact floor of a rational, as a Python int."""
-    return int(q.numerator // q.denominator)
-
-
 def scaled(values) -> tuple:
     """``(scale, ints)``: the rationals as integers over one scale.
 
@@ -121,10 +116,12 @@ def harmonic_factor(n: int) -> float:
 
 
 def affordable_count(units: int, budget, bid) -> int:
-    """min(units, floor(budget / bid)); a zero bid affords the full supply."""
-    if bid == 0:
-        return units
-    return min(units, ifloor(budget / bid))
+    """min(units, floor(budget / bid)); a zero bid affords the full supply.
+
+    Exact for rationals and for ints; ``int`` keeps a ``gmpy2`` ``mpz``
+    out of allocations.
+    """
+    return units if bid == 0 else min(units, int(budget // bid))
 
 
 # An allocation is a tuple of per-seller unit counts.

@@ -18,8 +18,8 @@ alpha where rho_alpha * (s + W_alpha) >= B or just before it, and a
 bisection finds it: one ranking prices all of a seller's units in
 O(n + units * log n) integer operations and one rational per unit.
 
-Every comparison runs in exact integers.  With S_v the valuation's
-``scaled_values`` scale and S_b the ``core.scaled`` scale of the budget
+Every comparison runs in exact integers.  With S_v the valuation's own
+``scale`` (see ``valuations``) and S_b the ``core.scaled`` scale of the budget
 and bids, a pair carries ivalue = value * S_v and ibid = bid * S_b, and
 the ranking carries ibudget = B * S_b.  S_v covers every value the
 valuation holds, offered or not, and any common scale gives the same
@@ -62,7 +62,7 @@ from .core import (
     scaled,
     unit_vector,
 )
-from .valuations import BoundedKnapsack, ConcaveAdditive, Symmetric, scaled_values
+from .valuations import BoundedKnapsack, ConcaveAdditive, Symmetric
 
 
 class RankedPair(NamedTuple):
@@ -71,7 +71,7 @@ class RankedPair(NamedTuple):
     key: int  # ibid * Q**2 // ivalue, ordered as bid / value
     seller: int  # 0-based
     unit: int  # 1-based
-    ivalue: int  # marginal value of this unit, times S_v (the scaled_values scale)
+    ivalue: int  # marginal value of this unit, times S_v (the valuation's scale)
     ibid: int  # the seller's announced per-unit cost, times S_b
 
 
@@ -108,7 +108,7 @@ def ranked_pairs(inst: Instance, bids=None) -> Ranking:
     """
     bids = checked_bids(inst, bids)
     _require(additive_reason(inst))
-    ivalues = scaled_values(inst.valuation).margins(inst.units)
+    ivalues = inst.valuation.imargins(inst.units)
     bid_scale, (ibudget, *ibids) = scaled((inst.budget, *bids))
     q2 = max((max(row, default=0) for row in ivalues), default=0) ** 2
     pairs = Ranking(
@@ -230,7 +230,7 @@ def greedy_breakpoints(inst: Instance, bids, seller: int) -> set:
 def star_seller(inst: Instance) -> int:
     """Seller whose first unit has the highest marginal value (lowest index wins)."""
     _require(additive_reason(inst))
-    firsts = [mm[0] for mm in scaled_values(inst.valuation).margins(inst.units)]
+    firsts = [mm[0] for mm in inst.valuation.imargins(inst.units)]
     return max(range(inst.m), key=firsts.__getitem__)  # max keeps the first maximum
 
 

@@ -4,7 +4,9 @@
 subset to within a factor of 8: it anchors a value grid on the best
 affordable single-item bundle, prices each grid point proportionally to
 cost, asks the demand oracle, and keeps the most valuable budget-feasible
-prefix of the answer.
+prefix of the answer.  It reads values in the valuation's own integer
+form (``scale`` and ``ivalue``, see ``valuations``); the memo holds only
+its runs.
 
 ``m_rand_detail`` runs the random-sampling mechanism for one sample group:
 the sampled half of the sellers calibrates a value target, then the other
@@ -19,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log2
 
-from .core import Instance, Outcome, Rat, checked_bids, scaled, unit_vector
-from .valuations import demand, recall, remember, scaled_values
+from .core import Instance, Outcome, Rat, affordable_count, checked_bids, scaled, unit_vector
+from .valuations import demand, recall, remember
 
 ACCEPT_EPS = 1e-12
 
@@ -50,10 +52,10 @@ def a_max(valuation, budget, units, costs, members) -> MaxRun:
     ``members`` are ignored, and so is their cost, which may be anything.
     Zero costs get the +inf floor convention (capped at the full supply).
 
-    The loop compares scaled integers: values times S_V (the valuation's
-    ``scaled_values`` scale), and the budget and members' costs times S_c,
-    their ``core.scaled`` scale.  Each grid price is handed to ``demand``
-    as one exact rational, and the winner's value leaves as one.
+    The loop compares scaled integers: values times S_V, the valuation's
+    own ``scale`` (its ``ivalue``), and the budget and members' costs times
+    S_c, their ``core.scaled`` scale.  Each grid price is handed to
+    ``demand`` as one exact rational, and the winner's value leaves as one.
 
     Runs are memoised in the valuation memo (see ``valuations.recall``:
     the most recent valuation only, by identity, at most MEMO_LIMIT
@@ -80,20 +82,19 @@ def _a_max(valuation, budget, units, costs, members) -> MaxRun:
     m = len(units)
     if not members:
         return MaxRun((0,) * m, Rat(0))
-    view = scaled_values(valuation)
-    ivalue = view.value
+    ivalue = valuation.ivalue
     _, (ibudget, *imembers) = scaled((budget, *(costs[i] for i in members)))
     icosts = [0] * m
     capped = [0] * m
     for i, icost in zip(members, imembers):
         icosts[i] = icost
-        capped[i] = min(units[i], ibudget // icost) if icost else units[i]
+        capped[i] = affordable_count(units[i], ibudget, icost)
 
     # Values are non-negative, so the anchor is at least 0.  Targets are
     # k * anchor, and prices k * anchor * c_i / (2B), all times S_V.
     anchor = max(ivalue(unit_vector(m, i, capped[i])) for i in members)
     grid = range(len(members), 0, -1) if anchor else (0,)
-    denom = 2 * view.scale * ibudget
+    denom = 2 * valuation.scale * ibudget
     zero = Rat(0)
     winner, winner_value = (0,) * m, 0
     for k in grid:
@@ -115,7 +116,7 @@ def _a_max(valuation, budget, units, costs, members) -> MaxRun:
         v = ivalue(candidate)
         if v > winner_value:
             winner, winner_value = candidate, v
-    return MaxRun(winner, Rat(winner_value, view.scale))
+    return MaxRun(winner, Rat(winner_value, valuation.scale))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 The optimum oracle solves max V(A) subject to sum(a_i * c_i) <= B exactly.
 Additive families go through a grouped knapsack DP in integers: costs and
-budget go through ``core.scaled``, and the margins come from the
-valuation's ``scaled_values``.  The DP keeps one row of best values and,
+budget go through ``core.scaled``, and the margins are the valuation's own
+integer ``imargins``.  The DP keeps one row of best values and,
 per seller, the fewest units that reach each cell's best, so the
 allocation is read back from those choices.  Other families enumerate
 the capped domain.  Both paths break ties toward the lexicographically
@@ -15,14 +15,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .core import Instance, Rat, Seller, refuse_over, scaled
-from .valuations import (
-    ADDITIVE_FAMILIES,
-    BoundedKnapsack,
-    domain,
-    recall,
-    remember,
-    scaled_values,
-)
+from .valuations import ADDITIVE_FAMILIES, BoundedKnapsack, domain, recall, remember
 
 DP_CELL_LIMIT = 4 * 10**6
 
@@ -64,8 +57,7 @@ def _optimal_additive_dp(inst: Instance):
     refuse_over(
         (m + 1) * (cap + 1), DP_CELL_LIMIT, "knapsack DP table of {count} cells exceeds the guard"
     )
-    view = scaled_values(inst.valuation)
-    margs = view.margins(inst.units)
+    margs = inst.valuation.imargins(inst.units)
 
     # best[b]: best scaled value from sellers i.. with integerized budget b.
     # picks[i][b]: the fewest units of seller i that reach it, so reading the
@@ -91,7 +83,7 @@ def _optimal_additive_dp(inst: Instance):
     for w, pick in zip(weights, picks):
         counts.append(pick[b])
         b -= pick[b] * w
-    return tuple(counts), Rat(best[cap], view.scale)
+    return tuple(counts), Rat(best[cap], inst.valuation.scale)
 
 
 def adversarial_single_seller(n: int, budget, k: int) -> Instance:

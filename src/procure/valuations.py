@@ -9,17 +9,24 @@ The demand oracle returns, for per-unit prices and unit caps, an
 allocation maximizing value minus price, ignoring any budget.  Ties are
 broken toward the lexicographically smallest count vector so repeated
 identical queries always return the same answer.  It compares scaled
-integers: ``scaled_values`` gives each valuation's values times the lcm of
-their denominators, and the prices are scaled by the lcm of theirs.
+integers: the prices are scaled by the lcm of their denominators.
+
+Each valuation owns its integer form, built on first use and kept on the
+object: ``scale`` is the lcm of the denominators of every value it holds,
+``ivalue(alloc)`` is ``value(alloc) * scale`` as an int, and the additive
+families' ``imargins(units)`` is ``margins(units)`` times ``scale``.  It is
+a ``functools.cached_property``, not a field, so equality, hash, repr and
+serialization ignore it, and it holds only ints in tuples, lists and
+dicts, so a valuation still copies and pickles.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 from operator import mul
-from typing import Callable
 
 from .core import Alloc, MalformedValuation, Rat, refuse_over, scaled, unit_vector
 
@@ -32,8 +39,17 @@ def _as_rats(xs):
     return tuple(Rat(x) for x in xs)
 
 
+class _IntegerForm:
+    """Base of the families: ``_ints`` is each one's cached integer form,
+    a tuple led by its scale."""
+
+    @property
+    def scale(self) -> int:
+        return self._ints[0]
+
+
 @dataclass(frozen=True)
-class BoundedKnapsack:
+class BoundedKnapsack(_IntegerForm):
     """Additive valuation where every unit of item i is worth ``values[i]``."""
 
     values: tuple
@@ -54,14 +70,24 @@ class BoundedKnapsack:
             raise ValueError("allocation length mismatch")
         if any(a < 0 for a in alloc):
             raise ValueError("allocation out of range")
-        return sum((a * v for a, v in zip(alloc, self.values)), Rat(0))
+        return Rat(self.ivalue(alloc), self.scale)
 
     def margins(self, units):
         return [[v] * n for v, n in zip(self.values, units)]
 
+    @cached_property
+    def _ints(self):
+        return scaled(self.values)
+
+    def ivalue(self, alloc) -> int:
+        return sum(map(mul, alloc, self._ints[1]))
+
+    def imargins(self, units):
+        return [[v] * n for v, n in zip(self._ints[1], units)]
+
 
 @dataclass(frozen=True)
-class Additive:
+class Additive(_IntegerForm):
     """Additive valuation given by per-item marginal value lists.
 
     ``margins[i][k]`` is the extra value of the (k+1)-th unit of item i.
@@ -93,15 +119,27 @@ class Additive:
     def value(self, alloc: Alloc):
         if len(alloc) != len(self.per_item):
             raise ValueError("allocation length mismatch")
-        total = Rat(0)
-        for a, mm in zip(alloc, self.per_item):
-            if not 0 <= a <= len(mm):
-                raise ValueError("allocation out of range")
-            total += sum(mm[:a], Rat(0))
-        return total
+        if any(not 0 <= a <= len(mm) for a, mm in zip(alloc, self.per_item)):
+            raise ValueError("allocation out of range")
+        return Rat(self.ivalue(alloc), self.scale)
 
     def margins(self, units):
         return [list(mm[:n]) for mm, n in zip(self.per_item, units)]
+
+    @cached_property
+    def _ints(self):
+        # (scale, per-item scaled margins, per-item prefix sums of them)
+        scale, flat = scaled(x for mm in self.per_item for x in mm)
+        rest = iter(flat)
+        per_item = tuple(tuple(itertools.islice(rest, len(mm))) for mm in self.per_item)
+        prefixes = tuple(tuple(itertools.accumulate(mm, initial=0)) for mm in per_item)
+        return scale, per_item, prefixes
+
+    def ivalue(self, alloc) -> int:
+        return sum(p[a] for p, a in zip(self._ints[2], alloc))
+
+    def imargins(self, units):
+        return [mm[:n] for mm, n in zip(self._ints[1], units)]
 
 
 @dataclass(frozen=True)
@@ -116,7 +154,7 @@ class ConcaveAdditive(Additive):
 
 
 @dataclass(frozen=True)
-class Symmetric:
+class Symmetric(_IntegerForm):
     """Valuation depending only on the total unit count.
 
     An allocation with k units in total is worth the sum of the first k
@@ -139,14 +177,22 @@ class Symmetric:
     def value(self, alloc: Alloc):
         if any(a < 0 for a in alloc):
             raise ValueError("allocation out of range")
-        k = sum(alloc)
-        if k > len(self.margins):
+        if sum(alloc) > len(self.margins):
             raise ValueError("allocation out of range")
-        return sum(self.margins[:k], Rat(0))
+        return Rat(self.ivalue(alloc), self.scale)
+
+    @cached_property
+    def _ints(self):
+        # (scale, prefix sums of the scaled margins)
+        scale, imargins = scaled(self.margins)
+        return scale, tuple(itertools.accumulate(imargins, initial=0))
+
+    def ivalue(self, alloc) -> int:
+        return self._ints[1][sum(alloc)]
 
 
 @dataclass(frozen=True)
-class Explicit:
+class Explicit(_IntegerForm):
     """Valuation given by a total table over a capped domain.
 
     The table must cover every allocation with counts within ``caps``; no
@@ -220,6 +266,15 @@ class Explicit:
         except KeyError:
             raise ValueError("allocation out of range") from None
 
+    @cached_property
+    def _ints(self):
+        # (scale, the table with every value scaled)
+        scale, ivalues = scaled(self._table.values())
+        return scale, dict(zip(self._table, ivalues))
+
+    def ivalue(self, alloc) -> int:
+        return self._ints[1][alloc]
+
 
 ADDITIVE_FAMILIES = (BoundedKnapsack, Additive)  # ConcaveAdditive subclasses Additive
 
@@ -266,7 +321,10 @@ def _check_caps(valuation, caps) -> None:
 
 
 # The valuation memo: one results table, for the most recent valuation
-# only.  The owner is held, so its identity cannot be reused, and it is
+# only.  It holds results (``a_max``, ``demand`` and ``optimum`` runs), never
+# a valuation's integer form, which the valuation keeps itself; a
+# computation that reads only that form never switches the owner.  The
+# owner is held, so its identity cannot be reused, and it is
 # matched by identity, never hashed per call.  Reading the table for another
 # valuation drops the previous table.  Owner and table are read as one tuple
 # in a single load, so a thread that races a switch of owner still gets its
@@ -279,8 +337,9 @@ class _OwnerTable:
     """Maps the memo's owner, and nothing else, to its live table.
 
     For readers that watch the table grow (bench/tracing.py counts a demand
-    call that does not grow it as a hit).  A view of ``_memo`` that matches
-    by identity, so it never hashes a valuation and never goes stale.
+    call that does not grow it as a hit: a miss adds its one result).  A
+    view of ``_memo`` that matches by identity, so it never hashes a
+    valuation and never goes stale.
     """
 
     def get(self, valuation, default=None):
@@ -322,62 +381,6 @@ def remember(valuation, key, result):
     return result
 
 
-@dataclass(frozen=True)
-class ScaledValues:
-    """A valuation's values as integers over one scale.
-
-    ``scale`` is the lcm of the denominators of every value the valuation
-    holds, and ``value(alloc)`` is the integer ``valuation.value(alloc) *
-    scale`` for an allocation within the valuation's caps.  For the additive
-    families ``margins(units)`` is ``valuation.margins(units)`` scaled the
-    same way; for the others it is None.
-    """
-
-    scale: int
-    value: Callable
-    margins: Callable | None = None
-
-
-def scaled_values(valuation) -> ScaledValues:
-    """The valuation's ``ScaledValues``, built on first use and memoised
-    under ``("scaled_values",)`` (see ``recall``)."""
-    key = ("scaled_values",)
-    view = recall(valuation, key)
-    if view is None:
-        # Use the view this call built: a full table or another valuation
-        # can drop it from the memo before the caller reads it.
-        view = remember(valuation, key, _scale_values(valuation))
-    return view
-
-
-def _scale_values(valuation) -> ScaledValues:
-    if isinstance(valuation, BoundedKnapsack):
-        scale, ivalues = scaled(valuation.values)
-        return ScaledValues(
-            scale,
-            lambda alloc: sum(map(mul, alloc, ivalues)),
-            lambda units: [[v] * n for v, n in zip(ivalues, units)],
-        )
-    if isinstance(valuation, Additive):
-        scale, flat = scaled(x for mm in valuation.per_item for x in mm)
-        rest = iter(flat)
-        per_item = tuple(tuple(itertools.islice(rest, len(mm))) for mm in valuation.per_item)
-        prefixes = tuple(tuple(itertools.accumulate(mm, initial=0)) for mm in per_item)
-        return ScaledValues(
-            scale,
-            lambda alloc: sum(p[a] for p, a in zip(prefixes, alloc)),
-            lambda units: [mm[:n] for mm, n in zip(per_item, units)],
-        )
-    if isinstance(valuation, Symmetric):
-        scale, imargins = scaled(valuation.margins)
-        prefix = tuple(itertools.accumulate(imargins, initial=0))
-        return ScaledValues(scale, lambda alloc: prefix[sum(alloc)])
-    table = valuation._table
-    scale, ivalues = scaled(table.values())
-    itable = dict(zip(table, ivalues))
-    return ScaledValues(scale, itable.__getitem__)
-
-
 def demand(valuation, prices, caps) -> Alloc:
     """Exact maximizer of value(A) minus sum of a_i * prices[i] within caps.
 
@@ -385,7 +388,7 @@ def demand(valuation, prices, caps) -> Alloc:
     count vector.  Additive families use a closed per-item form; other
     families enumerate the capped domain (guarded).  Both compare the
     objective scaled by S_V * S_p as integers, where S_V is the valuation's
-    ``scaled_values`` scale and S_p the lcm of the prices' denominators.
+    own ``scale`` and S_p the lcm of the prices' denominators.
     Results are memoised under ``("demand", prices, caps)`` for the most
     recent valuation only (matched by identity), in a table of at most
     MEMO_LIMIT entries; see ``recall``.
@@ -399,17 +402,16 @@ def demand(valuation, prices, caps) -> Alloc:
     hit = recall(valuation, key)
     if hit is not None:
         return hit
-    view = scaled_values(valuation)
     price_scale, iprices = scaled(prices)
     # Objective times S_V * S_p: value(A) * S_V * S_p - S_V * sum(a_i * p_i * S_p).
-    iprices = [p * view.scale for p in iprices]
-    if view.margins is not None:
+    iprices = [p * valuation.scale for p in iprices]
+    if isinstance(valuation, ADDITIVE_FAMILIES):
         result = tuple(
             _best_prefix(mm, p, price_scale)
-            for mm, p in zip(view.margins(caps), iprices)
+            for mm, p in zip(valuation.imargins(caps), iprices)
         )
     else:
-        best, best_obj, ivalue = None, None, view.value
+        best, best_obj, ivalue = None, None, valuation.ivalue
         for alloc in domain(caps):
             obj = ivalue(alloc) * price_scale - sum(map(mul, alloc, iprices))
             if best is None or obj > best_obj:

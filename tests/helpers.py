@@ -3,10 +3,11 @@ internals, and the analysis devices of the paper's proofs.
 
 The oracles restate a rule directly (exhaustive optimum and demand, the
 greedy rank order, the cheapest-prefix rule, thresholds by search over
-breakpoints), or keep an earlier implementation as the reference (the
-greedy's bought rule and thresholds in rational arithmetic, the demand
-oracle's closed form and ``a_max``'s loop in rational arithmetic, and the
-knapsack optimum's rational suffix tables).  The analysis helpers are not
+breakpoints), or keep an earlier implementation as the reference (each
+valuation family's value as a rational sum, the greedy's bought rule and
+thresholds in rational arithmetic, the demand oracle's closed form and
+``a_max``'s loop in rational arithmetic, and the knapsack optimum's
+rational suffix tables).  The analysis helpers are not
 mechanisms: the per-rank pick-up test of the greedy, the marginal
 value-rate greedy and its non-monotonicity, the sample-group dominance
 event of the random-sampling argument (with the optimum over a seller
@@ -39,7 +40,14 @@ from procure.core import (
 from procure.mech_additive import greedy_allocate
 from procure.mech_subadditive import group_from_mask, phi
 from procure.oracles import DP_CELL_LIMIT, optimal_allocation
-from procure.valuations import ADDITIVE_FAMILIES, Explicit, domain
+from procure.valuations import (
+    ADDITIVE_FAMILIES,
+    Additive,
+    BoundedKnapsack,
+    Explicit,
+    Symmetric,
+    domain,
+)
 from procure.verify import (
     BUDGET_SLACK,
     GROUP_ENUM_MAX_SELLERS,
@@ -263,6 +271,20 @@ def cheapest_prefix_threshold(inst, seller, unit, bids=None):
     return threshold_by_search(sold, candidates)
 
 
+def reference_value(valuation, alloc):
+    """The valuation's value as a rational sum, for an allocation within its
+    caps: the reference for the families' integer ``value``.  An Explicit
+    table is its own definition, so it is looked up."""
+    zero = Rat(0)
+    if isinstance(valuation, BoundedKnapsack):
+        return sum((a * v for a, v in zip(alloc, valuation.values)), zero)
+    if isinstance(valuation, Additive):
+        return sum((sum(mm[:a], zero) for a, mm in zip(alloc, valuation.per_item)), zero)
+    if isinstance(valuation, Symmetric):
+        return sum(valuation.margins[: sum(alloc)], zero)
+    return valuation.value(alloc)
+
+
 def brute_force_optimum(inst):
     """Exhaustive budget-constrained optimum, lexicographically smallest."""
     best = None
@@ -272,7 +294,7 @@ def brute_force_optimum(inst):
         )
         if cost > inst.budget:
             continue
-        v = inst.valuation.value(alloc)
+        v = reference_value(inst.valuation, alloc)
         if best is None or v > best[1]:
             best = (alloc, v)
     return best
@@ -339,7 +361,7 @@ def brute_force_demand(valuation, prices, caps):
     """Exhaustive demand maximizer, lexicographically smallest."""
     best = None
     for alloc in product(*(range(c + 1) for c in caps)):
-        obj = valuation.value(alloc) - sum(
+        obj = reference_value(valuation, alloc) - sum(
             (a * p for a, p in zip(alloc, prices)), Rat(0)
         )
         if best is None or obj > best[1]:
@@ -381,7 +403,7 @@ def reference_a_max(valuation, budget, units, costs, members):
     capped = [0] * m
     for i in members:
         capped[i] = affordable_count(units[i], budget, costs[i])
-    anchor = max(valuation.value(unit_vector(m, i, capped[i])) for i in members)
+    anchor = max(reference_value(valuation, unit_vector(m, i, capped[i])) for i in members)
     if anchor == 0:
         grid = (zero,)
     else:
@@ -393,7 +415,7 @@ def reference_a_max(valuation, budget, units, costs, members):
         )
         asked = reference_demand(valuation, prices, capped)
         counts = [0] * m
-        if valuation.value(asked) >= target / 2:
+        if reference_value(valuation, asked) >= target / 2:
             cum = zero
             for neg_cost, i in sorted((-(asked[i] * costs[i]), i) for i in members):
                 cum -= neg_cost
@@ -401,7 +423,7 @@ def reference_a_max(valuation, budget, units, costs, members):
                     break
                 counts[i] = asked[i]
         candidate = tuple(counts)
-        v = valuation.value(candidate)
+        v = reference_value(valuation, candidate)
         if v > winner_value:
             winner, winner_value = candidate, v
     return mech_subadditive.MaxRun(winner, winner_value)

@@ -4,7 +4,8 @@ import pytest
 
 from procure import mech_subadditive, valuations
 from procure.core import Instance, Rat, Seller, utility
-from procure.instances import gen_explicit_subadditive
+from procure.instances import gen_concave_additive, gen_explicit_subadditive
+from procure.mech_additive import ranked_pairs
 from procure.mech_subadditive import (
     a_max,
     group_from_mask,
@@ -272,9 +273,10 @@ def test_m_rand_detail_matches_rational_reference_on_deviation_grids(monkeypatch
 
 
 @pytest.mark.parametrize("limit", [1, 2])
-def test_m_rand_detail_matches_cold_runs_when_every_clear_drops_the_view(monkeypatch, limit):
-    # At these limits a memo clear falls between building the integer view
-    # and reading it, inside a_max and inside demand.
+def test_m_rand_detail_matches_cold_runs_at_tiny_memo_limits(monkeypatch, limit):
+    # At these limits the memo clears its a_max and demand entries between
+    # one run's own calls.  A clear cannot drop an integer form: each
+    # valuation keeps its own.
     concave = Instance(
         (Seller(2, Rat(2)), Seller(2, Rat(1)), Seller(1, Rat(3))),
         Rat(6),
@@ -294,4 +296,10 @@ def test_memo_keeps_only_the_latest_valuation():
     for inst in (x, y):
         a_max(inst.valuation, inst.budget, inst.units, inst.costs, range(inst.m))
     assert valuations._demand_caches.get(x.valuation) is None
-    assert valuations._demand_caches.get(y.valuation) is not None
+    table = valuations._demand_caches.get(y.valuation)
+    assert table is not None
+    # The greedy reads only its valuation's own integer form, so y keeps
+    # the memo.
+    size = len(table)
+    ranked_pairs(gen_concave_additive(15003))
+    assert valuations._demand_caches.get(y.valuation) is table and len(table) == size

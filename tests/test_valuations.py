@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 import threading
@@ -21,7 +23,6 @@ from procure.valuations import (
     demand,
     domain,
     domain_size,
-    scaled_values,
 )
 from corpora import greedy_nonmonotone_instance
 from helpers import (
@@ -31,6 +32,7 @@ from helpers import (
     reference_bought,
     reference_demand,
     reference_pairs,
+    reference_value,
 )
 
 CHAIN = (
@@ -201,15 +203,27 @@ def test_demand_matches_rational_reference_on_every_family():
 
 
 def test_scaled_values_are_exact_on_every_family():
+    # value and the integer form both match the rational reference.  The
+    # form is built once and is not a field: repr and hash do not change,
+    # and a copy or a pickle round trip is an equal valuation of equal scale.
     rng = random.Random(21)
     for trial in range(100):
         family = ("bk", "add", "concave", "sym", "explicit")[trial % 5]
         caps = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
         v = _random_valuation(rng, family, caps)
-        view = scaled_values(v)
-        assert scaled_values(v) is view
+        text, digest = repr(v), hash(v)
+        built = v._ints
         for alloc in domain(caps):
-            assert Rat(view.value(alloc), view.scale) == v.value(alloc)
+            want = reference_value(v, alloc)
+            assert v.value(alloc) == want, (v, alloc)
+            assert Rat(v.ivalue(alloc), v.scale) == want, (v, alloc)
+        if family in ("bk", "add", "concave"):
+            rows = [[Rat(x, v.scale) for x in row] for row in v.imargins(caps)]
+            assert rows == v.margins(caps)
+        assert v._ints is built
+        assert (repr(v), hash(v)) == (text, digest)
+        for twin in (copy.copy(v), pickle.loads(pickle.dumps(v))):
+            assert twin == v and twin.scale == v.scale
 
 
 def test_demand_guard():
@@ -223,9 +237,10 @@ def test_demand_memo_is_per_valuation_under_threads():
     # Each thread queries its own valuation with the same price keys, and
     # the valuations disagree on most of them, so a thread handed another
     # valuation's table in a race of owner switches would see a wrong answer.
-    # The greedy reads the same memo through scaled_values, and the four
-    # two-seller instances are each bought differently.  A worker records
-    # its exception, so a thread that dies fails the test.
+    # The greedy reads each valuation's own integer form, first built here
+    # under the four threads, and the four two-seller instances are each
+    # bought differently.  A worker records its exception, so a thread that
+    # dies fails the test.
     caps = (3, 3)
     vals = [BoundedKnapsack((Rat(k), Rat(5 - k))) for k in range(1, 5)]
     prices = [(Rat(p), Rat(q)) for p in (2, 3) for q in (2, 3)]

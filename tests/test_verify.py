@@ -5,7 +5,7 @@ from math import log
 import pytest
 
 from procure.core import Instance, Rat, Seller
-from procure.instances import instance_digest
+from procure.instances import gen_symmetric, instance_digest
 from procure.oracles import DP_CELL_LIMIT, adversarial_single_seller
 from procure.valuations import BoundedKnapsack, ConcaveAdditive
 from procure.verify import (
@@ -205,17 +205,29 @@ def test_measure_ratio_brackets():
 def test_measure_ratio_shares_one_optimum_per_instance(monkeypatch):
     from procure import oracles
 
-    real_dp, solved = oracles._optimal_additive_dp, []
+    solved = []
 
-    def dp(inst):
-        solved.append(inst)
-        return real_dp(inst)
+    def counted(solve):
+        def solve_counted(inst):
+            solved.append(inst)
+            return solve(inst)
 
-    monkeypatch.setattr(oracles, "_optimal_additive_dp", dp)
+        return solve_counted
+
+    for name in ("_optimal_additive_dp", "_optimal_enum"):
+        monkeypatch.setattr(oracles, name, counted(getattr(oracles, name)))
     inst = adversarial_single_seller(6, 6, 6)
     add, sub = measure_ratio("m_add", inst), measure_ratio("m_sub", inst)
     assert add.optimum == sub.optimum == 6
     assert solved == [inst]
+    # An m_sym run reads a fresh unit-value valuation, which must not evict
+    # the symmetric valuation's optimum between the mechanisms.
+    solved.clear()
+    sym = gen_symmetric(9100)
+    first = measure_ratio("m_sym", sym)
+    check_dst("m_sym", sym, 16)
+    assert measure_ratio("m_rand", sym).optimum == first.optimum
+    assert solved == [sym]
 
 
 def test_expected_value_m_one_wiring():
