@@ -1,20 +1,22 @@
 """Best-single-seller mechanism: buy as many units as possible from the
 seller whose affordable single-item bundle is worth the most.
 
-The plan is computed from bids alone and needs only the single-item values
-V(count * e_i); the valuation just has to be non-decreasing across units of
-the same item.  The threshold of the winner's r-th unit is B / max(r, k),
-where k is the smallest rank at which the winner would still be ranked
-first bidding B/k: the harmonic shape B/k, ..., B/k, B/(k+1), ...,
-B/count.  The whole plan fires with probability 1/(1 + ln n) and otherwise
-buys nothing.
+The plan is computed from bids alone and compares integers only: the
+budget and bids through ``core.scaled``, and the single-item values
+V(count * e_i) as the valuation's ``ivalue``, which just has to be
+non-decreasing across units of the same item.  The threshold of the
+winner's r-th unit is B / max(r, k), where k, found by bisection, is the
+smallest rank at which the winner would still be ranked first bidding
+B/k: the harmonic shape B/k, ..., B/k, B/(k+1), ..., B/count.  The whole
+plan fires with probability 1/(1 + ln n) and otherwise buys nothing.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .core import Instance, Outcome, Rat, affordable_count, checked_bids, unit_vector
+from .core import Instance, Outcome, Rat, affordable_count, checked_bids, scaled, unit_vector
 
 
 @dataclass(frozen=True)
@@ -31,38 +33,42 @@ class OneLottery:
         return sum(self.thresholds, Rat(0))
 
 
+def _single_items(inst: Instance, bids):
+    """Each seller's affordable count, and the ``ivalue`` of that bundle."""
+    _, (ibudget, *ibids) = scaled((inst.budget, *bids))
+    counts = [affordable_count(n, ibudget, b) for n, b in zip(inst.units, ibids)]
+    ivalue = inst.valuation.ivalue
+    return counts, [ivalue(unit_vector(inst.m, i, c)) for i, c in enumerate(counts)]
+
+
 def single_item_values(inst: Instance, bids=None):
-    """Value of each seller's affordable single-item bundle under the bids."""
-    bids = checked_bids(inst, bids)
-    units, budget = inst.units, inst.budget
-    return tuple(
-        inst.value(unit_vector(inst.m, i, affordable_count(units[i], budget, b)))
-        for i, b in enumerate(bids)
-    )
+    """Rational value of each seller's affordable single-item bundle."""
+    _, ivalues = _single_items(inst, checked_bids(inst, bids))
+    return tuple(Rat(v, inst.valuation.scale) for v in ivalues)
 
 
 def plan_m_one(inst: Instance, bids=None) -> OneLottery:
-    bids = checked_bids(inst, bids)
-    values = single_item_values(inst, bids)
+    counts, values = _single_items(inst, checked_bids(inst, bids))
     # max returns the first maximal item: ties go to the lowest index.
     winner = max(range(inst.m), key=values.__getitem__)
-    count = affordable_count(inst.units[winner], inst.budget, bids[winner])
+    count = counts[winner]
 
     # Rivals' values are fixed while the winner's bid is replaced, so the
     # first-place test only needs the best rival (lowest index on ties).
     rivals = (i for i in range(inst.m) if i != winner)
     rival = max(rivals, key=values.__getitem__, default=None)
 
-    def first_at(k: int) -> bool:
-        if rival is None:
-            return True
-        v = inst.value(unit_vector(inst.m, winner, k))
-        return v > values[rival] or (v == values[rival] and winner < rival)
-
-    # At k = count the winner is worth values[winner], the first maximum;
-    # with no affordable unit there is no rank, and no threshold.
-    crossover = next((k for k in range(1, count + 1) if first_at(k)), 0)
-    thresholds = tuple(inst.budget / max(rank, crossover) for rank in range(1, count + 1))
+    # The winner is first at rank k when its value there beats the rival's,
+    # or ties it from a lower index: the first rank worth >= the rival
+    # (bisect_left) or > it (bisect_right); with no rival, rank 1.  At
+    # k = count it is worth values[winner], the first maximum; with no
+    # affordable unit there is no rank, and no threshold.
+    find = bisect_right if rival is not None and rival < winner else bisect_left
+    target = 0 if rival is None else values[rival]
+    ivalue, ranks = inst.valuation.ivalue, range(1, count + 1)
+    k = find(ranks, target, key=lambda r: ivalue(unit_vector(inst.m, winner, r)))
+    crossover = min(count, 1 + k)
+    thresholds = tuple(inst.budget / max(rank, crossover) for rank in ranks)
     return OneLottery(winner, count, crossover, thresholds)
 
 

@@ -1,18 +1,19 @@
 """Non-strategic benchmarks: exact budget-constrained optima and worst-case instances.
 
-The optimum oracle solves max V(A) subject to sum(a_i * c_i) <= B exactly.
-Additive families go through a grouped knapsack DP in integers: costs and
-budget go through ``core.scaled``, and the margins are the valuation's own
-integer ``imargins``.  The DP keeps one row of best values and,
-per seller, the fewest units that reach each cell's best, so the
-allocation is read back from those choices.  Other families enumerate
-the capped domain.  Both paths break ties toward the lexicographically
-smallest allocation, so they are directly comparable in tests.
+The optimum oracle solves max V(A) subject to sum(a_i * c_i) <= B exactly,
+in integers: costs and budget go through ``core.scaled``, values are the
+valuation's own integer form, and only the optimum's value is rational.
+Additive families go through a grouped knapsack DP on ``imargins`` that
+keeps one row of best values and, per seller, the fewest units that reach
+each cell's best, so the allocation is read back from those choices.
+Other families enumerate the capped domain.  Both paths break ties toward
+the lexicographically smallest allocation, so they are comparable in tests.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import mul
 
 from .core import Instance, Rat, Seller, refuse_over, scaled
 from .valuations import ADDITIVE_FAMILIES, BoundedKnapsack, domain, recall, remember
@@ -40,15 +41,16 @@ def optimal_allocation(inst: Instance):
 
 
 def _optimal_enum(inst: Instance):
-    costs, budget = inst.costs, inst.budget
+    _, (budget, *costs) = scaled((inst.budget, *inst.costs))
+    ivalue = inst.valuation.ivalue
     best, best_v = None, None
     for alloc in domain(inst.units):
-        if sum((a * c for a, c in zip(alloc, costs)), Rat(0)) > budget:
+        if sum(map(mul, alloc, costs)) > budget:
             continue
-        v = inst.valuation.value(alloc)
+        v = ivalue(alloc)
         if best is None or v > best_v:
             best, best_v = alloc, v
-    return best, best_v
+    return best, Rat(best_v, inst.valuation.scale)
 
 
 def _optimal_additive_dp(inst: Instance):

@@ -14,10 +14,11 @@ integers: the prices are scaled by the lcm of their denominators.
 Each valuation owns its integer form, built on first use and kept on the
 object: ``scale`` is the lcm of the denominators of every value it holds,
 ``ivalue(alloc)`` is ``value(alloc) * scale`` as an int, and the additive
-families' ``imargins(units)`` is ``margins(units)`` times ``scale``.  It is
-a ``functools.cached_property``, not a field, so equality, hash, repr and
-serialization ignore it, and it holds only ints in tuples, lists and
-dicts, so a valuation still copies and pickles.
+families' ``imargins(units)`` is each item's first margins times ``scale``.
+Every family computes ``value`` from it, and demand and the classifier
+compare it.  It is a ``functools.cached_property``, not a field, so
+equality, hash, repr and serialization ignore it, and it holds only ints
+in tuples, lists and dicts, so a valuation still copies and pickles.
 """
 
 from __future__ import annotations
@@ -72,9 +73,6 @@ class BoundedKnapsack(_IntegerForm):
             raise ValueError("allocation out of range")
         return Rat(self.ivalue(alloc), self.scale)
 
-    def margins(self, units):
-        return [[v] * n for v, n in zip(self.values, units)]
-
     @cached_property
     def _ints(self):
         return scaled(self.values)
@@ -122,9 +120,6 @@ class Additive(_IntegerForm):
         if any(not 0 <= a <= len(mm) for a, mm in zip(alloc, self.per_item)):
             raise ValueError("allocation out of range")
         return Rat(self.ivalue(alloc), self.scale)
-
-    def margins(self, units):
-        return [list(mm[:n]) for mm, n in zip(self.per_item, units)]
 
     @cached_property
     def _ints(self):
@@ -217,7 +212,6 @@ class Explicit(_IntegerForm):
         table = dict(self.entries)
         if len(table) != len(self.entries):
             raise MalformedValuation("duplicate table entries")
-        object.__setattr__(self, "_table", table)
         self._validate(table, size)
 
     def _validate(self, table, size):
@@ -262,15 +256,15 @@ class Explicit(_IntegerForm):
 
     def value(self, alloc: Alloc):
         try:
-            return self._table[tuple(alloc)]
+            return Rat(self.ivalue(tuple(alloc)), self.scale)
         except KeyError:
             raise ValueError("allocation out of range") from None
 
     @cached_property
     def _ints(self):
         # (scale, the table with every value scaled)
-        scale, ivalues = scaled(self._table.values())
-        return scale, dict(zip(self._table, ivalues))
+        scale, ivalues = scaled(v for _, v in self.entries)
+        return scale, {alloc: v for (alloc, _), v in zip(self.entries, ivalues)}
 
     def ivalue(self, alloc) -> int:
         return self._ints[1][alloc]
@@ -443,9 +437,9 @@ def classify(valuation, caps) -> frozenset:
     caps = tuple(int(c) for c in caps)
     _check_caps(valuation, caps)
     if isinstance(valuation, ADDITIVE_FAMILIES):
-        return _classify_margins(valuation.margins(caps))
+        return _classify_margins(valuation.imargins(caps))
     if isinstance(valuation, Symmetric):
-        return _classify_symmetric(valuation.margins, caps)
+        return _classify_symmetric(valuation, caps)
     return _classify_explicit(valuation, caps)
 
 
@@ -467,9 +461,11 @@ def _classify_margins(margs) -> frozenset:
     return frozenset(labels)
 
 
-def _classify_symmetric(margins, caps) -> frozenset:
+def _classify_symmetric(valuation, caps) -> frozenset:
     total = sum(caps)
-    reach = list(margins[:total])
+    # g[k]: the value of k units, scaled; reach: the margins within caps.
+    g = [valuation.ivalue((k,)) for k in range(total + 1)]
+    reach = [y - x for x, y in zip(g, g[1:])]
     if sum(1 for c in caps if c > 0) <= 1:
         # With one item in reach the valuation is that item's margin list.
         return _classify_margins([reach])
@@ -486,9 +482,6 @@ def _classify_symmetric(margins, caps) -> frozenset:
         }
     # Sufficient scalar test; caps may make some (x, y) splits unrealizable,
     # in which case this can under-label exotic cases.
-    g = [Rat(0)]
-    for v in reach:
-        g.append(g[-1] + v)
     if all(
         g[min(x + y, total)] <= g[x] + g[y]
         for x in range(1, total + 1)
@@ -501,7 +494,7 @@ def _classify_symmetric(margins, caps) -> frozenset:
 def _classify_explicit(valuation, caps) -> frozenset:
     check_classifiable(caps)
     allocs = list(domain(caps))
-    val = {a: valuation.value(a) for a in allocs}
+    val = {a: valuation.ivalue(a) for a in allocs}
     m = len(caps)
     labels = set()
 
@@ -519,9 +512,7 @@ def _classify_explicit(valuation, caps) -> frozenset:
         for i in range(m)
     ]
     additive = all(
-        val[a]
-        == sum((sum(chain_margins[i][: a[i]], Rat(0)) for i in range(m)), Rat(0))
-        for a in allocs
+        val[a] == sum(sum(chain_margins[i][: a[i]]) for i in range(m)) for a in allocs
     )
     if additive:
         labels.add("additive")

@@ -5,9 +5,10 @@ The oracles restate a rule directly (exhaustive optimum and demand, the
 greedy rank order, the cheapest-prefix rule, thresholds by search over
 breakpoints), or keep an earlier implementation as the reference (each
 valuation family's value as a rational sum, the greedy's bought rule and
-thresholds in rational arithmetic, the demand oracle's closed form and
-``a_max``'s loop in rational arithmetic, and the knapsack optimum's
-rational suffix tables).  The analysis helpers are not
+thresholds in rational arithmetic, the additive families' rational margin
+lists, the demand oracle's closed form and ``a_max``'s loop in rational
+arithmetic, ``m_one``'s crossover scan over every rank, and the knapsack
+optimum's rational suffix tables).  The analysis helpers are not
 mechanisms: the per-rank pick-up test of the greedy, the marginal
 value-rate greedy and its non-monotonicity, the sample-group dominance
 event of the random-sampling argument (with the optimum over a seller
@@ -17,8 +18,10 @@ need: the allocation lattice's join and meet, expected payments, and
 replaying a DST witness.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import NamedTuple
 
 from procure import mech_single_item, mech_subadditive
@@ -154,7 +157,7 @@ def reference_pairs(inst, bids=None):
     """The greedy ranking in rationals, built apart from ranked_pairs: every
     positive-margin (seller, unit) pair, sorted by reference_rank_key."""
     bids = checked_bids(inst, bids)
-    margins = inst.valuation.margins(inst.units)
+    margins = reference_margins(inst.valuation, inst.units)
     pairs = [
         ReferencePair(i, j, x, bids[i])
         for i, mm in enumerate(margins)
@@ -274,7 +277,8 @@ def cheapest_prefix_threshold(inst, seller, unit, bids=None):
 def reference_value(valuation, alloc):
     """The valuation's value as a rational sum, for an allocation within its
     caps: the reference for the families' integer ``value``.  An Explicit
-    table is its own definition, so it is looked up."""
+    table is its own definition, so it is looked up in the sorted
+    ``entries``."""
     zero = Rat(0)
     if isinstance(valuation, BoundedKnapsack):
         return sum((a * v for a, v in zip(alloc, valuation.values)), zero)
@@ -282,7 +286,19 @@ def reference_value(valuation, alloc):
         return sum((sum(mm[:a], zero) for a, mm in zip(alloc, valuation.per_item)), zero)
     if isinstance(valuation, Symmetric):
         return sum(valuation.margins[: sum(alloc)], zero)
-    return valuation.value(alloc)
+    entries, alloc = valuation.entries, tuple(alloc)
+    at = bisect_left(entries, alloc, key=itemgetter(0))
+    if at == len(entries) or entries[at][0] != alloc:
+        raise ValueError("allocation out of range")
+    return entries[at][1]
+
+
+def reference_margins(valuation, units):
+    """The additive families' margin lists, truncated to ``units``, as
+    rationals: the reference for their integer ``imargins``."""
+    if isinstance(valuation, BoundedKnapsack):
+        return [[v] * n for v, n in zip(valuation.values, units)]
+    return [list(mm[:n]) for mm, n in zip(valuation.per_item, units)]
 
 
 def brute_force_optimum(inst):
@@ -304,7 +320,7 @@ def reference_optimal_additive_dp(inst: Instance):
     """The knapsack optimum with rational (m+1)-row suffix tables and a
     second search for the allocation: the reference for the integer DP."""
     units = inst.units
-    margs = inst.valuation.margins(units)
+    margs = reference_margins(inst.valuation, units)
     costs, budget = inst.costs, inst.budget
     m = inst.m
     _, (cap, *weights) = scaled((budget, *costs))
@@ -377,7 +393,8 @@ def reference_demand(valuation, prices, caps):
     if not isinstance(valuation, ADDITIVE_FAMILIES):
         return brute_force_demand(valuation, prices, caps)
     return tuple(
-        _reference_best_prefix(mm, p) for mm, p in zip(valuation.margins(caps), prices)
+        _reference_best_prefix(mm, p)
+        for mm, p in zip(reference_margins(valuation, caps), prices)
     )
 
 
@@ -427,6 +444,31 @@ def reference_a_max(valuation, budget, units, costs, members):
         if v > winner_value:
             winner, winner_value = candidate, v
     return mech_subadditive.MaxRun(winner, winner_value)
+
+
+def reference_plan_m_one(inst: Instance, bids=None):
+    """plan_m_one in rationals: the single-item values through ``inst.value``
+    and the crossover by a scan of every rank from 1, without bisection."""
+    bids = checked_bids(inst, bids)
+    units, budget = inst.units, inst.budget
+    values = tuple(
+        inst.value(unit_vector(inst.m, i, affordable_count(units[i], budget, b)))
+        for i, b in enumerate(bids)
+    )
+    winner = max(range(inst.m), key=values.__getitem__)
+    count = affordable_count(inst.units[winner], inst.budget, bids[winner])
+    rivals = (i for i in range(inst.m) if i != winner)
+    rival = max(rivals, key=values.__getitem__, default=None)
+
+    def first_at(k: int) -> bool:
+        if rival is None:
+            return True
+        v = inst.value(unit_vector(inst.m, winner, k))
+        return v > values[rival] or (v == values[rival] and winner < rival)
+
+    crossover = next((k for k in range(1, count + 1) if first_at(k)), 0)
+    thresholds = tuple(inst.budget / max(rank, crossover) for rank in range(1, count + 1))
+    return mech_single_item.OneLottery(winner, count, crossover, thresholds)
 
 
 def explicit_from_function(caps, fn) -> Explicit:

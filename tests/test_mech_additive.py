@@ -45,6 +45,7 @@ from helpers import (
     pickup_flags,
     reference_greedy_breakpoints,
     reference_greedy_payments,
+    reference_margins,
     reference_optimal_additive_dp,
     reference_pairs,
 )
@@ -348,7 +349,7 @@ def test_ranked_pair_integers_are_exact_scalings():
     # pair's ivalue is its margin times one common scale.
     for inst in concave_corpus()[:40]:
         pairs = ranked_pairs(inst)
-        margins = inst.valuation.margins(inst.units)
+        margins = reference_margins(inst.valuation, inst.units)
         assert Rat(pairs.ibudget, pairs.bid_scale) == inst.budget
         scales = set()
         for pr in pairs:
@@ -363,7 +364,7 @@ def _with_unoffered_tail(inst):
     without changing any offered margin."""
     per_item = tuple(
         (*mm, min(mm[-1], Rat(1, 999_983)), min(mm[-1], Rat(1, 10**9 + 7)))
-        for mm in inst.valuation.margins(inst.units)
+        for mm in reference_margins(inst.valuation, inst.units)
     )
     return Instance(inst.sellers, inst.budget, ConcaveAdditive(per_item))
 
@@ -375,7 +376,7 @@ def test_greedy_and_optimum_ignore_the_value_scale():
     enlarged = 0
     for n, base in enumerate(concave_corpus()[:120]):
         inst = _with_unoffered_tail(base)
-        offered = inst.valuation.margins(inst.units)
+        offered = reference_margins(inst.valuation, inst.units)
         enlarged += inst.valuation.scale != scaled(sum(offered, []))[0]
         firsts = [mm[0] for mm in offered]
         assert star_seller(inst) == firsts.index(max(firsts))

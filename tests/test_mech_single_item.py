@@ -10,9 +10,11 @@ from procure.mech_single_item import (
     single_item_values,
 )
 from procure.oracles import adversarial_single_seller
-from procure.valuations import BoundedKnapsack, ConcaveAdditive
+from procure.valuations import Additive, BoundedKnapsack, ConcaveAdditive
+from procure.verify import deviation_grid
 
-from corpora import gen_explicit_monotone, m_one_corpus
+from corpora import dst_corpora, gen_explicit_monotone, m_one_corpus
+from helpers import reference_plan_m_one
 
 
 @pytest.fixture
@@ -164,11 +166,16 @@ class _PerItemMonotone:
         }
         self.table = b
 
+    scale = 1
+
     def check_units(self, units):
         assert units == (2, 1)
 
     def value(self, alloc):
         return self.table[tuple(alloc)]
+
+    def ivalue(self, alloc):
+        return int(self.table[tuple(alloc)])
 
 
 def test_plan_needs_only_per_item_monotonicity():
@@ -203,3 +210,59 @@ def test_explicit_nonconcave_corpus_members_work():
     inst = gen_explicit_monotone(123)
     plan = plan_m_one(inst)
     assert 0 <= plan.count <= inst.units[plan.winner]
+
+
+def _harmonic(n):
+    # Winner margins 1, 1/2, ..., 1/n; the rival is worth just under the
+    # winner's whole bundle, so the crossover is the last rank.
+    margins = tuple(Rat(1, k) for k in range(1, n + 1))
+    rival = sum(margins, Rat(0)) - Rat(1, 2 * n)
+    return Instance(
+        (Seller(n, Rat(1)), Seller(1, Rat(1))), Rat(n), ConcaveAdditive((margins, (rival,)))
+    )
+
+
+def _plateau_tie(winner):
+    # The winner's values 2, 4, 4, 5, 6 tie the rival's 4 at ranks 2 and 3:
+    # from a lower index it is first at rank 2, from a higher one at rank 4.
+    per_item = [(Rat(4),)] * 2
+    per_item[winner] = (Rat(2), Rat(2), Rat(0), Rat(1), Rat(1))
+    sellers = [Seller(1, Rat(1))] * 2
+    sellers[winner] = Seller(5, Rat(1))
+    return Instance(tuple(sellers), Rat(5), Additive(tuple(per_item)))
+
+
+_HAND_BUILT = {
+    "tie-rival-lower-index": (lambda: _plateau_tie(1), 4),
+    "tie-rival-higher-index": (lambda: _plateau_tie(0), 2),
+    "count-0": (
+        lambda: Instance(
+            (Seller(2, Rat(9)), Seller(1, Rat(8))), Rat(7), BoundedKnapsack((Rat(1), Rat(1)))
+        ),
+        0,
+    ),
+    "single-seller": (lambda: adversarial_single_seller(5, 5, 5), 1),
+    "harmonic-4000-units": (lambda: _harmonic(4000), 4000),
+}
+
+
+@pytest.mark.parametrize("case", _HAND_BUILT)
+def test_bisected_crossover_matches_rational_scan_on_hand_built_cases(case):
+    build, crossover = _HAND_BUILT[case]
+    inst = build()
+    plan = plan_m_one(inst)
+    assert plan == reference_plan_m_one(inst)
+    assert plan.crossover == crossover
+
+
+def test_bisected_crossover_matches_rational_scan_on_deviation_grids():
+    # Every grid-16 deviation point of every seller of the m_one corpus and
+    # the m_sub criterion-8 corpus.
+    profiles = 0
+    for inst in m_one_corpus() + dst_corpora()["m_sub"]:
+        for seller in range(inst.m):
+            for bid in deviation_grid("m_one", inst, inst.costs, seller, 16):
+                bids = inst.costs[:seller] + (bid,) + inst.costs[seller + 1 :]
+                assert plan_m_one(inst, bids) == reference_plan_m_one(inst, bids), (inst, bids)
+                profiles += 1
+    assert profiles >= 19_452 + 3_096
