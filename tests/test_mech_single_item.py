@@ -155,6 +155,8 @@ def test_zero_cost_winner():
 class _PerItemMonotone:
     """Monotone along each item's axis but not globally monotone."""
 
+    scale = 1
+
     def __init__(self):
         b = {
             (0, 0): Rat(0),
@@ -165,8 +167,6 @@ class _PerItemMonotone:
             (2, 1): Rat(5),
         }
         self.table = b
-
-    scale = 1
 
     def check_units(self, units):
         assert units == (2, 1)
