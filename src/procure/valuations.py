@@ -5,6 +5,15 @@ Five concrete families are supported: per-item constant unit values
 requirement, a global margin list over unit counts (symmetric), and fully
 explicit tables over a capped domain.  All values are exact rationals.
 
+Each family states its domain once, as one rule on allocations: the right
+length (bounded knapsack), each count within its item's margin list
+(additive families), the total within the margin list (symmetric), each
+count within its cap (explicit).  Every domain holds the zero allocation
+and is downward closed, so units fit the valuation exactly when the
+full-supply allocation lies in the domain.  The supply check, the range of
+``value``, the caps accepted by demand and the classifier and the entries
+of an explicit table are all this rule.
+
 The demand oracle returns, for per-unit prices and unit caps, an
 allocation maximizing value minus price, ignoring any budget.  Ties are
 broken toward the lexicographically smallest count vector so repeated
@@ -42,11 +51,29 @@ def _as_rats(xs):
 
 class _IntegerForm:
     """Base of the families: ``_ints`` is each one's cached integer form,
-    a tuple led by its scale."""
+    a tuple led by its scale, and ``_outside(alloc)`` its domain rule.
+
+    ``_outside`` says why a non-negative allocation lies outside the
+    family's domain, or returns None.  Every domain contains the zero
+    allocation and is downward closed, so units fit the valuation exactly
+    when the full-supply allocation lies inside: ``check_units``, ``value``,
+    the caps check of ``demand`` and ``classify`` and the ``Explicit`` table
+    check all apply this one rule.
+    """
 
     @property
     def scale(self) -> int:
         return self._ints[0]
+
+    def check_units(self, units) -> None:
+        reason = self._outside(units)
+        if reason:
+            raise MalformedValuation(reason)
+
+    def value(self, alloc: Alloc):
+        if any(a < 0 for a in alloc) or self._outside(alloc):
+            raise ValueError("allocation out of range")
+        return Rat(self.ivalue(tuple(alloc)), self.scale)
 
 
 @dataclass(frozen=True)
@@ -60,18 +87,9 @@ class BoundedKnapsack(_IntegerForm):
         if any(v < 0 for v in self.values):
             raise MalformedValuation("bounded-knapsack values must be >= 0")
 
-    def check_units(self, units) -> None:
-        if len(units) != len(self.values):
-            raise MalformedValuation(
-                f"{len(self.values)} item values for {len(units)} sellers"
-            )
-
-    def value(self, alloc: Alloc):
+    def _outside(self, alloc):
         if len(alloc) != len(self.values):
-            raise ValueError("allocation length mismatch")
-        if any(a < 0 for a in alloc):
-            raise ValueError("allocation out of range")
-        return Rat(self.ivalue(alloc), self.scale)
+            return f"{len(self.values)} item values for {len(alloc)} sellers"
 
     @cached_property
     def _ints(self):
@@ -103,23 +121,12 @@ class Additive(_IntegerForm):
             if any(v < 0 for v in mm):
                 raise MalformedValuation(f"item {i} has a negative margin")
 
-    def check_units(self, units) -> None:
-        if len(units) != len(self.per_item):
-            raise MalformedValuation(
-                f"{len(self.per_item)} margin lists for {len(units)} sellers"
-            )
-        for i, (mm, n) in enumerate(zip(self.per_item, units)):
-            if len(mm) < n:
-                raise MalformedValuation(
-                    f"item {i} has {len(mm)} margins but {n} units"
-                )
-
-    def value(self, alloc: Alloc):
+    def _outside(self, alloc):
         if len(alloc) != len(self.per_item):
-            raise ValueError("allocation length mismatch")
-        if any(not 0 <= a <= len(mm) for a, mm in zip(alloc, self.per_item)):
-            raise ValueError("allocation out of range")
-        return Rat(self.ivalue(alloc), self.scale)
+            return f"{len(self.per_item)} margin lists for {len(alloc)} sellers"
+        for i, (mm, n) in enumerate(zip(self.per_item, alloc)):
+            if len(mm) < n:
+                return f"item {i} has {len(mm)} margins but {n} units"
 
     @cached_property
     def _ints(self):
@@ -163,18 +170,9 @@ class Symmetric(_IntegerForm):
         if any(v < 0 for v in self.margins):
             raise MalformedValuation("symmetric margins must be >= 0")
 
-    def check_units(self, units) -> None:
-        if len(self.margins) < sum(units):
-            raise MalformedValuation(
-                f"{len(self.margins)} margins for {sum(units)} total units"
-            )
-
-    def value(self, alloc: Alloc):
-        if any(a < 0 for a in alloc):
-            raise ValueError("allocation out of range")
-        if sum(alloc) > len(self.margins):
-            raise ValueError("allocation out of range")
-        return Rat(self.ivalue(alloc), self.scale)
+    def _outside(self, alloc):
+        if len(self.margins) < sum(alloc):
+            return f"{len(self.margins)} margins for {sum(alloc)} total units"
 
     @cached_property
     def _ints(self):
@@ -222,9 +220,7 @@ class Explicit(_IntegerForm):
         m = len(self.caps)
         zero = (0,) * m
         for alloc, v in table.items():
-            if len(alloc) != m or any(
-                not 0 <= a <= c for a, c in zip(alloc, self.caps)
-            ):
+            if any(a < 0 for a in alloc) or self._outside(alloc):
                 raise MalformedValuation(f"table entry {alloc} outside the domain")
             if v < 0:
                 raise MalformedValuation(f"negative value at {alloc}")
@@ -243,22 +239,12 @@ class Explicit(_IntegerForm):
     def from_mapping(cls, caps, mapping):
         return cls(tuple(caps), tuple(mapping.items()))
 
-    def check_units(self, units) -> None:
-        if len(units) != len(self.caps):
-            raise MalformedValuation(
-                f"{len(self.caps)} capped items for {len(units)} sellers"
-            )
-        for i, (c, n) in enumerate(zip(self.caps, units)):
+    def _outside(self, alloc):
+        if len(alloc) != len(self.caps):
+            return f"{len(self.caps)} capped items for {len(alloc)} sellers"
+        for i, (c, n) in enumerate(zip(self.caps, alloc)):
             if c < n:
-                raise MalformedValuation(
-                    f"item {i} capped at {c} but seller offers {n} units"
-                )
-
-    def value(self, alloc: Alloc):
-        try:
-            return Rat(self.ivalue(tuple(alloc)), self.scale)
-        except KeyError:
-            raise ValueError("allocation out of range") from None
+                return f"item {i} capped at {c} but seller offers {n} units"
 
     @cached_property
     def _ints(self):
@@ -306,10 +292,9 @@ def check_classifiable(caps) -> None:
 
 
 def _check_caps(valuation, caps) -> None:
-    try:
-        valuation.check_units(caps)
-    except MalformedValuation as exc:
-        raise ValueError(f"caps do not fit the valuation: {exc}") from exc
+    reason = valuation._outside(caps)
+    if reason:
+        raise ValueError(f"caps do not fit the valuation: {reason}")
     if any(c < 0 for c in caps):
         raise ValueError("caps must be >= 0")
 

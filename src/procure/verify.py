@@ -293,18 +293,18 @@ def run_scenario(mech: str, inst: Instance, bids, branch: str) -> Outcome:
     return _lottery(mech).run(inst, bids, branch)
 
 
-def scenario_outcomes(mech: str, inst: Instance, bids=None):
-    bids = checked_bids(inst, bids)
+def scenario_outcomes(mech: str, inst: Instance):
+    """Each scenario of the mechanism's lottery with its truthful outcome."""
     return [
-        (s, run_scenario(mech, inst, bids, s.branch))
+        (s, run_scenario(mech, inst, inst.costs, s.branch))
         for s in _lottery(mech).scenarios(inst)
     ]
 
 
-def expected_value(mech: str, inst: Instance, bids=None) -> float:
+def expected_value(mech: str, inst: Instance) -> float:
     return sum(
         s.probability * float(inst.value(out.allocation))
-        for s, out in scenario_outcomes(mech, inst, bids)
+        for s, out in scenario_outcomes(mech, inst)
     )
 
 

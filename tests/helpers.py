@@ -496,10 +496,10 @@ def restricted_optimum(inst: Instance, members):
     return optimal_allocation(Instance(sellers, inst.budget, inst.valuation))
 
 
-def expected_payment(mech: str, inst: Instance, bids=None) -> float:
+def expected_payment(mech: str, inst: Instance) -> float:
     return sum(
         s.probability * float(out.total_payment)
-        for s, out in scenario_outcomes(mech, inst, bids)
+        for s, out in scenario_outcomes(mech, inst)
     )
 
 

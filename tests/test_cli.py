@@ -169,6 +169,41 @@ _MALFORMED_INPUTS = {
         _valued({"type": "concave_additive", "margins": [["1", "2"]]}, units=2),
         r"^\$\.valuation: item 0 margins increase",
     ),
+    # Each family's supply check (check_units), as the whole line.
+    "supply-item-values": (
+        _valued({"type": "bounded_knapsack", "values": ["1", "1"]}),
+        r"^\$\.valuation: 2 item values for 1 sellers$",
+    ),
+    "supply-margin-lists": (
+        _valued({"type": "additive", "margins": [["1"], ["1"]]}),
+        r"^\$\.valuation: 2 margin lists for 1 sellers$",
+    ),
+    "supply-item-margins": (
+        _valued({"type": "concave_additive", "margins": [["1"]]}, units=2),
+        r"^\$\.valuation: item 0 has 1 margins but 2 units$",
+    ),
+    "supply-total-margins": (
+        _valued({"type": "symmetric", "margins": ["1"]}, units=2),
+        r"^\$\.valuation: 1 margins for 2 total units$",
+    ),
+    "supply-capped-items": (
+        _valued({"type": "explicit", "caps": [1, 1], "table": [
+            {"alloc": [a, b], "value": str(a + b)} for a in (0, 1) for b in (0, 1)
+        ]}),
+        r"^\$\.valuation: 2 capped items for 1 sellers$",
+    ),
+    "supply-item-cap": (
+        _valued({"type": "explicit", "caps": [1], "table": [
+            {"alloc": [0], "value": "0"}, {"alloc": [1], "value": "1"},
+        ]}, units=2),
+        r"^\$\.valuation: item 0 capped at 1 but seller offers 2 units$",
+    ),
+    "table-entry-outside": (
+        _valued({"type": "explicit", "caps": [1], "table": [
+            {"alloc": [0], "value": "0"}, {"alloc": [2], "value": "1"},
+        ]}),
+        r"^\$\.valuation: table entry \(2,\) outside the domain$",
+    ),
     "deep-nesting": ("[" * 100000, r"^\$: "),
     "huge-units": (
         _valued({"type": "bounded_knapsack", "values": ["1"]}, units=10**12),

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 import sys
@@ -24,7 +25,14 @@ from procure.valuations import (
     domain,
     domain_size,
 )
-from corpora import greedy_nonmonotone_instance
+from corpora import (
+    concave_corpus,
+    explicit_subadditive_corpus,
+    gen_additive,
+    greedy_nonmonotone_instance,
+    m_one_corpus,
+    symmetric_corpus,
+)
 from helpers import (
     as_explicit,
     brute_force_demand,
@@ -291,23 +299,87 @@ def _caps_families():
 
 
 def test_bad_caps_raise_value_error():
+    # demand and classify refuse caps outside the valuation's domain with
+    # its supply-check message, and negative caps that do fit with their own.
     bk, add, concave, sym, table = _caps_families()
     cases = [
         # wrong length
-        (bk, (1,)), (bk, (1, 1, 1)), (add, (1,)), (concave, (1, 1, 1)),
-        (table, (1,)), (table, (1, 1, 1)),
+        (bk, (1,), "2 item values for 1 sellers"),
+        (bk, (1, 1, 1), "2 item values for 3 sellers"),
+        (add, (1,), "2 margin lists for 1 sellers"),
+        (concave, (1, 1, 1), "2 margin lists for 3 sellers"),
+        (table, (1,), "2 capped items for 1 sellers"),
+        (table, (1, 1, 1), "2 capped items for 3 sellers"),
         # beyond the family's unit dimension
-        (add, (3, 1)), (concave, (2, 2)), (sym, (2, 2)), (sym, (4,)),
-        (table, (3, 1)), (table, (2, 2)),
-        # negative
-        (bk, (-1, 1)), (add, (1, -1)), (concave, (-1, 0)), (sym, (-1, 1)),
-        (table, (0, -1)),
+        (add, (3, 1), "item 0 has 2 margins but 3 units"),
+        (concave, (2, 2), "item 1 has 1 margins but 2 units"),
+        (sym, (2, 2), "3 margins for 4 total units"),
+        (sym, (4,), "3 margins for 4 total units"),
+        (table, (3, 1), "item 0 capped at 2 but seller offers 3 units"),
+        (table, (2, 2), "item 1 capped at 1 but seller offers 2 units"),
+        # negative and outside the domain: the domain message comes first
+        (bk, (-1, 1, 1), "2 item values for 3 sellers"),
+        (sym, (-1, 5), "3 margins for 4 total units"),
     ]
-    for valuation, caps in cases:
-        with pytest.raises(ValueError):
+    cases = [(v, caps, f"caps do not fit the valuation: {why}") for v, caps, why in cases]
+    # negative
+    cases += [
+        (v, caps, "caps must be >= 0")
+        for v, caps in [
+            (bk, (-1, 1)), (add, (1, -1)), (concave, (-1, 0)), (sym, (-1, 1)),
+            (table, (0, -1)),
+        ]
+    ]
+    for valuation, caps, message in cases:
+        with pytest.raises(ValueError) as info:
             demand(valuation, (Rat(1),) * len(caps), caps)
-        with pytest.raises(ValueError):
+        assert str(info.value) == message, (valuation, caps)
+        with pytest.raises(ValueError) as info:
             classify(valuation, caps)
+        assert str(info.value) == message, (valuation, caps)
+
+
+def test_one_domain_rule_for_supply_value_and_caps():
+    # Every family's domain holds zero and is downward closed, so one rule
+    # decides all three: value refuses an allocation exactly when
+    # check_units does or a count is negative, and demand refuses caps
+    # exactly when check_units does, with its message.  Allocations lie
+    # around each supply: every count at 0, at the supply and one past it,
+    # plus a negative count and both wrong lengths.
+    insts = (
+        m_one_corpus()[::5]  # concave, bounded knapsack, symmetric, explicit
+        + concave_corpus()[:20]
+        + symmetric_corpus()[:20]
+        + explicit_subadditive_corpus()[::10]
+        + explicit_subadditive_corpus()[-3:]
+        + tuple(gen_additive(seed) for seed in range(20))
+    )
+    families = {type(inst.valuation) for inst in insts}
+    assert families == {BoundedKnapsack, Additive, ConcaveAdditive, Symmetric, Explicit}
+    for inst in insts:
+        v, units = inst.valuation, inst.units
+        around = list(itertools.product(*((0, n, n + 1) for n in units)))
+        around += [(-1,) + units[1:], units + (0,), units[1:]]
+        for alloc in around:
+            try:
+                v.check_units(alloc)
+                reason = None
+            except MalformedValuation as exc:
+                reason = str(exc)
+            if reason is None and min(alloc, default=0) >= 0:
+                assert v.value(alloc) == reference_value(v, alloc), (v, alloc)
+            else:
+                with pytest.raises(ValueError, match="^allocation out of range$"):
+                    v.value(alloc)
+            try:
+                demand(v, (Rat(0),) * len(alloc), alloc)
+                refused = None
+            except ValueError as exc:
+                refused = str(exc)
+            if reason is None:
+                assert refused in (None, "caps must be >= 0"), (v, alloc)
+            else:
+                assert refused == f"caps do not fit the valuation: {reason}", (v, alloc)
 
 
 def test_caps_without_a_dimension_are_accepted():
