@@ -302,33 +302,31 @@ def test_bad_caps_raise_value_error():
     # demand and classify refuse caps outside the valuation's domain with
     # its supply-check message, and negative caps that do fit with their own.
     bk, add, concave, sym, table = _caps_families()
+    unfit = "caps do not fit the valuation: "
     cases = [
         # wrong length
-        (bk, (1,), "2 item values for 1 sellers"),
-        (bk, (1, 1, 1), "2 item values for 3 sellers"),
-        (add, (1,), "2 margin lists for 1 sellers"),
-        (concave, (1, 1, 1), "2 margin lists for 3 sellers"),
-        (table, (1,), "2 capped items for 1 sellers"),
-        (table, (1, 1, 1), "2 capped items for 3 sellers"),
+        (bk, (1,), unfit + "2 item values for 1 sellers"),
+        (bk, (1, 1, 1), unfit + "2 item values for 3 sellers"),
+        (add, (1,), unfit + "2 margin lists for 1 sellers"),
+        (concave, (1, 1, 1), unfit + "2 margin lists for 3 sellers"),
+        (table, (1,), unfit + "2 capped items for 1 sellers"),
+        (table, (1, 1, 1), unfit + "2 capped items for 3 sellers"),
         # beyond the family's unit dimension
-        (add, (3, 1), "item 0 has 2 margins but 3 units"),
-        (concave, (2, 2), "item 1 has 1 margins but 2 units"),
-        (sym, (2, 2), "3 margins for 4 total units"),
-        (sym, (4,), "3 margins for 4 total units"),
-        (table, (3, 1), "item 0 capped at 2 but seller offers 3 units"),
-        (table, (2, 2), "item 1 capped at 1 but seller offers 2 units"),
+        (add, (3, 1), unfit + "item 0 has 2 margins but 3 units"),
+        (concave, (2, 2), unfit + "item 1 has 1 margins but 2 units"),
+        (sym, (2, 2), unfit + "3 margins for 4 total units"),
+        (sym, (4,), unfit + "3 margins for 4 total units"),
+        (table, (3, 1), unfit + "item 0 capped at 2 but seller offers 3 units"),
+        (table, (2, 2), unfit + "item 1 capped at 1 but seller offers 2 units"),
         # negative and outside the domain: the domain message comes first
-        (bk, (-1, 1, 1), "2 item values for 3 sellers"),
-        (sym, (-1, 5), "3 margins for 4 total units"),
-    ]
-    cases = [(v, caps, f"caps do not fit the valuation: {why}") for v, caps, why in cases]
-    # negative
-    cases += [
-        (v, caps, "caps must be >= 0")
-        for v, caps in [
-            (bk, (-1, 1)), (add, (1, -1)), (concave, (-1, 0)), (sym, (-1, 1)),
-            (table, (0, -1)),
-        ]
+        (bk, (-1, 1, 1), unfit + "2 item values for 3 sellers"),
+        (sym, (-1, 5), unfit + "3 margins for 4 total units"),
+        # negative
+        (bk, (-1, 1), "caps must be >= 0"),
+        (add, (1, -1), "caps must be >= 0"),
+        (concave, (-1, 0), "caps must be >= 0"),
+        (sym, (-1, 1), "caps must be >= 0"),
+        (table, (0, -1), "caps must be >= 0"),
     ]
     for valuation, caps, message in cases:
         with pytest.raises(ValueError) as info:
