@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm, log
 
 try:
@@ -155,6 +156,10 @@ class Instance:
     The valuation must be defined on every allocation within the sellers'
     unit caps; this is checked at construction.  ``units``, ``costs`` and
     ``total_units`` are derived from the sellers once, at construction.
+    ``_unit_values``, the same sellers and budget with every unit worth 1,
+    is built on first use and kept on the instance; like the valuations'
+    integer forms it is a ``functools.cached_property``, not a field, so
+    equality, hash, repr and serialization ignore it.
     Instances are immutable and safe to share across threads.
     """
 
@@ -197,9 +202,20 @@ class Instance:
                 )
 
     def value(self, alloc: Alloc):
-        """Exact valuation of an allocation, validated against unit caps."""
+        """Exact valuation of an allocation, validated against unit caps.
+
+        The caps lie in the valuation's downward-closed domain (checked at
+        construction), so a validated allocation needs no second check.
+        """
         self.validate_allocation(alloc)
-        return self.valuation.value(alloc)
+        valuation = self.valuation
+        return Rat(valuation.ivalue(tuple(alloc)), valuation.scale)
+
+    @cached_property
+    def _unit_values(self) -> "Instance":
+        from .valuations import BoundedKnapsack  # valuations imports core
+
+        return Instance(self.sellers, self.budget, BoundedKnapsack((1,) * self.m))
 
     def empty_outcome(self) -> "Outcome":
         zero = Rat(0)
@@ -224,9 +240,10 @@ class Outcome:
         for i, (a, p) in enumerate(zip(self.allocation, self.payments)):
             if a < 0:
                 raise ValueError(f"allocation[{i}] negative")
-            if p < 0:
+            # Sign tests on the numerator: an int comparison, not a rational one.
+            if p.numerator < 0:
                 raise ValueError(f"payment[{i}] negative")
-            if a == 0 and p != 0:
+            if a == 0 and p.numerator != 0:
                 raise ValueError(f"payment[{i}] nonzero without allocation")
 
     @property
@@ -238,10 +255,10 @@ def checked_bids(inst: Instance, bids):
     """A bid profile as exact rationals; None stands for truthful bids."""
     if bids is None:
         return inst.costs
-    bids = tuple(Rat(b) for b in bids)
+    bids = tuple(b if type(b) is Rat else Rat(b) for b in bids)
     if len(bids) != inst.m:
         raise ValueError("bid profile length mismatch")
-    if any(b < 0 for b in bids):
+    if any(b.numerator < 0 for b in bids):
         raise ValueError("bids must be >= 0")
     return bids
 
@@ -250,7 +267,8 @@ def utility(outcome: Outcome, true_costs, i: int):
     """Seller i's exact utility: payment minus incurred cost."""
     if not 0 <= i < len(outcome.allocation):
         raise IndexError(f"seller index {i} out of range")
-    return outcome.payments[i] - outcome.allocation[i] * true_costs[i]
+    # Rational times int takes the rational's forward operator.
+    return outcome.payments[i] - true_costs[i] * outcome.allocation[i]
 
 
 def is_budget_feasible(outcome: Outcome, budget) -> bool:

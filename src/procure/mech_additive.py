@@ -252,9 +252,14 @@ def run_m_add(inst: Instance, bids, branch: str) -> Outcome:
 
 
 def unit_values(inst: Instance) -> Instance:
-    """The symmetric instance with every unit of every seller worth 1."""
+    """The symmetric instance with every unit of every seller worth 1.
+
+    The view is built once per instance and kept on it, so every call on
+    one instance returns the same object, its valuation's integer form
+    included; the class check runs on every call.
+    """
     _require(symmetric_reason(inst))
-    return Instance(inst.sellers, inst.budget, BoundedKnapsack((1,) * inst.m))
+    return inst._unit_values
 
 
 def sym_allocate(inst: Instance, bids=None):

@@ -26,6 +26,7 @@ from . import mech_additive, mech_single_item, mech_subadditive
 from .core import (
     Instance,
     Outcome,
+    Rat,
     SearchSpaceTooLarge,
     checked_bids,
     format_rat,
@@ -316,19 +317,28 @@ def deviation_grid(mech, inst, bids, seller, resolution: int = GRID):
     for every rank, plus the mechanism's own.  Utility is piecewise constant
     between them, so straddling each one catches every allocation change a
     uniform grid could miss.
+
+    Every point is built as one rational from integers, a straddle point as
+    bp * (10^6 - 1) / 10^6 or bp * (10^6 + 1) / 10^6, and the grid is
+    sorted by the integer key num * D**2 // den, with D its largest
+    denominator.  Two distinct points a/b and c/d with b, d <= D differ by
+    at least 1/(b*d) >= 1/D**2, so at scale D**2 they lie at least 1 apart
+    and their floors keep the rational order.
     """
     if resolution < 1:
         raise ValueError(f"deviation grid resolution must be >= 1, got {resolution}")
-    budget = inst.budget
-    points = {budget / rank for rank in range(1, inst.total_units + 1)}
+    bnum, bden = inst.budget.numerator, inst.budget.denominator
+    points = {Rat(bnum, bden * rank) for rank in range(1, inst.total_units + 1)}
     points |= _lottery(mech).breakpoints(inst, bids, seller)
     grid = {bids[seller]}
     for bp in points:
-        if bp > 0:
-            delta = bp / 10**6
-            grid |= {bp - delta, bp, bp + delta}
-    grid |= {budget * t / resolution for t in range(1, resolution + 1)}
-    return sorted(grid)
+        num = bp.numerator
+        if num > 0:
+            den = bp.denominator * 10**6
+            grid |= {Rat(num * (10**6 - 1), den), bp, Rat(num * (10**6 + 1), den)}
+    grid |= {Rat(bnum * t, bden * resolution) for t in range(1, resolution + 1)}
+    d2 = max(q.denominator for q in grid) ** 2
+    return sorted(grid, key=lambda q: q.numerator * d2 // q.denominator)
 
 
 def check_dst(

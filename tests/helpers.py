@@ -7,8 +7,9 @@ breakpoints), or keep an earlier implementation as the reference (each
 valuation family's value as a rational sum, the greedy's bought rule and
 thresholds in rational arithmetic, the additive families' rational margin
 lists, the demand oracle's closed form and ``a_max``'s loop in rational
-arithmetic, ``m_one``'s crossover scan over every rank, and the knapsack
-optimum's rational suffix tables).  The analysis helpers are not
+arithmetic, ``m_one``'s crossover scan over every rank, the knapsack
+optimum's rational suffix tables, and the deviation grid's rational
+straddle and sort).  The analysis helpers are not
 mechanisms: the per-rank pick-up test of the greedy, the marginal
 value-rate greedy and its non-monotonicity, the sample-group dominance
 event of the random-sampling argument (with the optimum over a seller
@@ -53,7 +54,9 @@ from procure.valuations import (
 )
 from procure.verify import (
     BUDGET_SLACK,
+    GRID,
     GROUP_ENUM_MAX_SELLERS,
+    MECHANISMS,
     run_scenario,
     scenario_outcomes,
 )
@@ -501,6 +504,21 @@ def expected_payment(mech: str, inst: Instance) -> float:
         s.probability * float(out.total_payment)
         for s, out in scenario_outcomes(mech, inst)
     )
+
+
+def reference_deviation_grid(mech: str, inst: Instance, bids, seller: int, resolution: int = GRID):
+    """``verify.deviation_grid`` in rational arithmetic: each straddle point
+    as bp -+ bp/10^6 and the grid sorted by rational comparison."""
+    budget = inst.budget
+    points = {budget / rank for rank in range(1, inst.total_units + 1)}
+    points |= MECHANISMS[mech].breakpoints(inst, bids, seller)
+    grid = {bids[seller]}
+    for bp in points:
+        if bp > 0:
+            delta = bp / 10**6
+            grid |= {bp - delta, bp, bp + delta}
+    grid |= {budget * t / resolution for t in range(1, resolution + 1)}
+    return sorted(grid)
 
 
 def replay_witness(mech: str, inst: Instance, witness: dict) -> bool:

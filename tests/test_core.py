@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from procure.core import (
     Rat,
     SearchSpaceTooLarge,
     Seller,
+    checked_bids,
     format_rat,
     is_budget_feasible,
     parse_rat,
@@ -20,6 +23,7 @@ from procure.core import (
 )
 from procure.valuations import BoundedKnapsack
 
+from corpora import dst_corpora
 from helpers import join, meet
 
 
@@ -112,6 +116,54 @@ def test_outcome_invariants():
         Outcome((1,), (Rat(-1),))
     with pytest.raises(ValueError):
         Outcome((1, 0), (Rat(1),))
+    # The sign tests read the numerator, so the smallest nonzero payments
+    # still count.
+    with pytest.raises(ValueError, match=r"^payment\[0\] negative$"):
+        Outcome((1,), (Rat(-1, 10**40),))
+    assert Outcome((0,), (Rat(0),)).total_payment == 0
+    with pytest.raises(ValueError, match=r"^payment\[0\] nonzero without allocation$"):
+        Outcome((0,), (Rat(1, 10**40),))
+
+
+def test_checked_bids():
+    inst = Instance(
+        (Seller(2, Rat(1)), Seller(1, Rat(3, 2))), Rat(5), BoundedKnapsack((1, 1))
+    )
+    assert checked_bids(inst, None) is inst.costs
+    for bids in ((1, 2), (Rat(1), Rat(2)), (Rat(1), 2)):
+        got = checked_bids(inst, bids)
+        assert got == (Rat(1), Rat(2))
+        assert all(type(b) is Rat for b in got)
+    with pytest.raises(ValueError, match=r"^bids must be >= 0$"):
+        checked_bids(inst, (Rat(1), Rat(-1, 10**40)))
+    with pytest.raises(ValueError, match=r"^bid profile length mismatch$"):
+        checked_bids(inst, (Rat(1),))
+
+
+def test_instance_value_is_the_valuations_value():
+    # Instance.value checks the caps and reads the integer form once; on
+    # every criterion-8 corpus it agrees with the valuation's own value.
+    rng = random.Random(25)
+    for corpus in dst_corpora().values():
+        for inst in corpus:
+            some = tuple(rng.randint(0, u) for u in inst.units)
+            for alloc in ((0,) * inst.m, inst.units, some):
+                assert inst.value(alloc) == inst.valuation.value(alloc), (inst, alloc)
+
+
+def test_instance_value_messages():
+    inst = Instance(
+        (Seller(2, Rat(1)), Seller(1, Rat(1))), Rat(5), BoundedKnapsack((1, 3))
+    )
+    assert inst.value((2, 1)) == 5
+    for alloc, message in (
+        ((3, 0), "allocation[0] = 3 outside [0, 2]"),
+        ((0, -1), "allocation[1] = -1 outside [0, 1]"),
+        ((1,), "allocation length 1 != seller count 2"),
+        ((1, 0, 0), "allocation length 3 != seller count 2"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            inst.value(alloc)
 
 
 def test_instance_validation():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -13,7 +15,12 @@ from procure.core import (
     scaled,
     utility,
 )
-from procure.instances import gen_bounded_knapsack, gen_concave_additive, gen_symmetric
+from procure.instances import (
+    gen_bounded_knapsack,
+    gen_concave_additive,
+    gen_symmetric,
+    serialize_instance,
+)
 from procure.mech_additive import (
     greedy_allocate,
     greedy_breakpoints,
@@ -634,3 +641,26 @@ def test_m_sym_is_m_add_on_unit_values():
                 assert run_m_sym(inst, bids, "greedy") == run_m_add(view, bids, "greedy")
                 profiles += 1
     assert profiles > 16_000
+
+
+def test_unit_values_view_is_built_once_per_instance():
+    # The view is kept on the instance it comes from: every call returns the
+    # same object, and keeping it changes nothing that reads the instance.
+    inst = gen_symmetric(2507)
+    fresh = Instance(inst.sellers, inst.budget, inst.valuation)
+
+    def readings(x):
+        return x == fresh, fresh == x, hash(x), repr(x), serialize_instance(x)
+
+    before = readings(inst)
+    view = unit_values(inst)
+    assert unit_values(inst) is view
+    assert view == Instance(inst.sellers, inst.budget, BoundedKnapsack((1,) * inst.m))
+    assert readings(inst) == before
+    for twin in (copy.copy(inst), pickle.loads(pickle.dumps(inst))):
+        assert readings(twin) == before
+        assert unit_values(twin) == view
+    concave = gen_concave_additive(2507)
+    for _ in range(2):
+        with pytest.raises(WrongValuationClass):
+            unit_values(concave)

@@ -21,12 +21,13 @@ from procure.verify import (
     verify_instance,
 )
 
-from corpora import greedy_nonmonotone_instance
+from corpora import dst_corpora, greedy_nonmonotone_instance
 from helpers import (
     expected_payment,
     greedy_marginal,
     partition_chain_records,
     partition_success_frequency,
+    reference_deviation_grid,
     replay_witness,
 )
 
@@ -120,6 +121,34 @@ def test_grid_resolution_below_one_raises(two_seller, resolution):
         deviation_grid("m_add", two_seller, two_seller.costs, 0, resolution)
     with pytest.raises(ValueError, match="resolution"):
         check_dst("m_add", two_seller, resolution=resolution)
+
+
+def _near_prime_costs():
+    # Four unit-value sellers whose costs 1/(p + d) lie about 10^-18 apart,
+    # with p = 10^9 + 7: each seller's rank crossings sit on its rivals'
+    # costs, so a grid holds points far closer than 1 / D, D its largest
+    # denominator (about 10^15).  A key num * D // den ties them.
+    p = 10**9 + 7
+    return Instance(
+        tuple(Seller(2, Rat(1, p + d)) for d in (0, 2, 6, 12)),
+        Rat(1),
+        BoundedKnapsack((1, 1, 1, 1)),
+    )
+
+
+@pytest.mark.parametrize("mech", ["m_add", "m_sym", "m_one", "m_rand"])
+def test_deviation_grid_matches_rational_reference(mech):
+    # The integer-keyed grid is the rational one as a list, order included,
+    # for every seller of the criterion-8 corpus at two resolutions.
+    corpus = list(dst_corpora()[mech])
+    if mech == "m_add":
+        corpus.append(_near_prime_costs())
+    for inst in corpus:
+        for seller in range(inst.m):
+            for resolution in (16, 64):
+                got = deviation_grid(mech, inst, inst.costs, seller, resolution)
+                want = reference_deviation_grid(mech, inst, inst.costs, seller, resolution)
+                assert got == want, (mech, inst, seller, resolution)
 
 
 def test_check_dst_strict_mode(two_seller):
