@@ -264,11 +264,18 @@ def checked_bids(inst: Instance, bids):
 
 
 def utility(outcome: Outcome, true_costs, i: int):
-    """Seller i's exact utility: payment minus incurred cost."""
+    """Seller i's exact utility: payment minus incurred cost.
+
+    A seller with no units has no cost, and ``Outcome`` holds its payment
+    at zero, so that payment is its utility, with no rational arithmetic.
+    """
     if not 0 <= i < len(outcome.allocation):
         raise IndexError(f"seller index {i} out of range")
+    a = outcome.allocation[i]
+    if a == 0:
+        return outcome.payments[i]
     # Rational times int takes the rational's forward operator.
-    return outcome.payments[i] - true_costs[i] * outcome.allocation[i]
+    return outcome.payments[i] - true_costs[i] * a
 
 
 def is_budget_feasible(outcome: Outcome, budget) -> bool:

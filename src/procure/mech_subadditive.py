@@ -61,9 +61,10 @@ def a_max(valuation, budget, units, costs, members) -> MaxRun:
     the most recent valuation only, by identity, at most MEMO_LIMIT
     entries) under ``("a_max", budget, units, members' costs)``, which is
     all a run reads; the rationals are keyed as (numerator, denominator)
-    pairs, which are canonical and cheaper to hash.
+    pairs, which are canonical and cheaper to hash.  A budget that is
+    already a ``Rat`` is used as it is, not copied.
     """
-    budget = Rat(budget)
+    budget = budget if type(budget) is Rat else Rat(budget)
     members = tuple(sorted(set(members)))
     units = tuple(units)
     key = (
@@ -164,7 +165,7 @@ def m_rand_detail(inst: Instance, bids, sample_group) -> RandRun:
         else:
             accepted = float(value) >= factor * float(target) - ACCEPT_EPS
         if accepted:
-            payments = tuple(x * price for x in run.winner)
+            payments = tuple(price * x for x in run.winner)
             return RandRun(target, k, Outcome(run.winner, payments))
     return RandRun(target, None, inst.empty_outcome())
 

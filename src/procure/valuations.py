@@ -46,7 +46,7 @@ ENUM_LIMIT = 10**6
 
 
 def _as_rats(xs):
-    return tuple(Rat(x) for x in xs)
+    return tuple(x if type(x) is Rat else Rat(x) for x in xs)
 
 
 class _IntegerForm:
@@ -368,20 +368,23 @@ def demand(valuation, prices, caps) -> Alloc:
     families enumerate the capped domain (guarded).  Both compare the
     objective scaled by S_V * S_p as integers, where S_V is the valuation's
     own ``scale`` and S_p the lcm of the prices' denominators.
-    Results are memoised under ``("demand", prices, caps)`` for the most
-    recent valuation only (matched by identity), in a table of at most
-    MEMO_LIMIT entries; see ``recall``.
+    Results are memoised under ``("demand", S_p, prices times S_p, caps)``
+    for the most recent valuation only (matched by identity), in a table of
+    at most MEMO_LIMIT entries; see ``recall``.  The key is canonical and
+    one-to-one, since S_p is the lcm of the reduced denominators and each
+    price is its integer over S_p, and integers hash without the modular
+    inverse a rational's hash takes.
     """
     prices = _as_rats(prices)
     caps = tuple(int(c) for c in caps)
     if len(prices) != len(caps):
         raise ValueError("prices/caps length mismatch")
     _check_caps(valuation, caps)
-    key = ("demand", prices, caps)
+    price_scale, iprices = scaled(prices)
+    key = ("demand", price_scale, tuple(iprices), caps)
     hit = recall(valuation, key)
     if hit is not None:
         return hit
-    price_scale, iprices = scaled(prices)
     # Objective times S_V * S_p: value(A) * S_V * S_p - S_V * sum(a_i * p_i * S_p).
     iprices = [p * valuation.scale for p in iprices]
     if isinstance(valuation, ADDITIVE_FAMILIES):

@@ -165,7 +165,7 @@ class FirstPriceLottery(GreedyLottery):
             return super().run(inst, bids, branch)
         bids = checked_bids(inst, bids)
         alloc = mech_additive.greedy_allocate(inst, bids)
-        return Outcome(alloc, tuple(a * b for a, b in zip(alloc, bids)))
+        return Outcome(alloc, tuple(b * a for a, b in zip(alloc, bids)))
 
     def bound(self, n):
         return None

@@ -203,6 +203,15 @@ def test_a_max_memo_alternating_valuations_match_cold_calls():
         assert a_max(inst.valuation, *args) == cold_a_max(inst.valuation, *args)
 
 
+def test_a_max_int_budget_matches_equal_rat():
+    for inst in (gen_concave_additive(0), gen_explicit_subadditive(15003)):
+        assert inst.budget.denominator == 1
+        args = (inst.units, inst.costs, tuple(range(inst.m)))
+        as_int = cold_a_max(inst.valuation, int(inst.budget), *args)
+        assert as_int == cold_a_max(inst.valuation, inst.budget, *args)
+        assert type(as_int.winner_value) is Rat
+
+
 def test_a_max_memo_bounded_table(monkeypatch):
     inst = gen_explicit_subadditive(15002)
     groups = [group_from_mask(mask, inst.m) for mask in range(1 << inst.m)]

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from procure import valuations
 from procure.core import Instance, MalformedValuation, Rat, SearchSpaceTooLarge, Seller
 from procure.instances import (
     InstanceFormatError,
@@ -114,6 +115,31 @@ def test_demand_examples():
     # zero prices on a strictly monotone valuation buy everything
     strict = ConcaveAdditive(((Rat(3), Rat(2)), (Rat(5),)))
     assert demand(strict, (Rat(0), Rat(0)), (2, 1)) == (2, 1)
+
+
+def test_demand_memo_keys_equal_prices_once():
+    # The key is the prices' scale S_p and their integers over it: equal
+    # rationals share one entry whatever their type, and prices with equal
+    # integers over different scales do not.
+    v = ConcaveAdditive(((Rat(3), Rat(1)),))
+
+    def entries():
+        return len(valuations._demand_caches.get(v))
+
+    assert demand(v, (1,), (2,)) == (1,)
+    size = entries()
+    assert demand(v, (Rat(2, 2),), (2,)) == demand(v, (Rat(1),), (2,)) == (1,)
+    assert entries() == size
+    assert demand(v, (Rat(1, 2),), (2,)) == (2,)
+    assert demand(v, (Rat(1, 4),), (2,)) == (2,)
+    assert entries() == size + 2
+
+
+def test_as_rats_keeps_rats_and_converts_the_rest():
+    q = Rat(3, 4)
+    kept, converted = valuations._as_rats((q, 2))
+    assert kept is q
+    assert type(converted) is Rat and converted == 2
 
 
 def test_demand_zero_objective_floor():

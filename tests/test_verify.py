@@ -4,7 +4,7 @@ from math import log
 
 import pytest
 
-from procure.core import Instance, Rat, Seller
+from procure.core import Instance, Rat, Seller, utility
 from procure.instances import gen_symmetric, instance_digest
 from procure.oracles import DP_CELL_LIMIT, adversarial_single_seller
 from procure.valuations import BoundedKnapsack, ConcaveAdditive
@@ -149,6 +149,27 @@ def test_deviation_grid_matches_rational_reference(mech):
                 got = deviation_grid(mech, inst, inst.costs, seller, resolution)
                 want = reference_deviation_grid(mech, inst, inst.costs, seller, resolution)
                 assert got == want, (mech, inst, seller, resolution)
+
+
+def test_utility_is_payment_minus_cost_on_sweep_outcomes():
+    # Every seller's utility in every branch outcome, at truthful bids and
+    # at the lowest, middle and highest point of each seller's grid.
+    for mech, corpus in dst_corpora().items():
+        lottery = MECHANISMS[mech]
+        for inst in corpus[:20]:
+            costs = inst.costs
+            profiles = [costs]
+            for i in range(inst.m):
+                grid = deviation_grid(mech, inst, costs, i)
+                for dev in (grid[0], grid[len(grid) // 2], grid[-1]):
+                    profiles.append(costs[:i] + (dev,) + costs[i + 1 :])
+            for scen in lottery.scenarios(inst):
+                for bids in profiles:
+                    out = run_scenario(mech, inst, bids, scen.branch)
+                    for j in range(inst.m):
+                        u = utility(out, costs, j)
+                        assert type(u) is Rat, (mech, inst, scen.branch, bids, j)
+                        assert u == out.payments[j] - costs[j] * out.allocation[j]
 
 
 def test_check_dst_strict_mode(two_seller):
