@@ -211,19 +211,21 @@ def greedy_payments(inst: Instance, bids=None):
 
 def greedy_breakpoints(inst: Instance, bids, seller: int) -> set:
     """Bids besides B/rank where the seller's greedy allocation can change:
-    its rank crossings with every rival pair, and its bought units' critical
-    bids."""
+    its rank crossings with every rival pair, and the critical bids of all
+    its positive-value units, bought at these bids or not.  A critical bid
+    does not read the seller's own bid, so each is where the allocation
+    changes whatever the seller bids."""
     pairs = ranked_pairs(inst, bids)
     # value_o * rho_r = (ivalue_o / S_v) * (ibid_r / S_b) / (ivalue_r / S_v).
     rivals = [pr for pr in pairs if pr.seller != seller]
+    own = len(pairs) - len(rivals)
     points = {
         Rat(po.ivalue * pr.ibid, pr.ivalue * pairs.bid_scale)
         for po in pairs
         if po.seller == seller
         for pr in rivals
     }
-    bought = _bought(pairs, inst.m)[seller]
-    points.update(_seller_thresholds(pairs, seller, bought))
+    points.update(_seller_thresholds(pairs, seller, own))
     return points
 
 

@@ -230,15 +230,15 @@ def reference_greedy_payments(inst, bids=None):
 
 
 def reference_greedy_breakpoints(inst, bids, seller: int) -> set:
-    """greedy_breakpoints from the rational ranking, bought rule and
-    thresholds."""
+    """greedy_breakpoints from the rational ranking and thresholds: every
+    rank crossing and every positive-value unit's critical bid."""
     pairs = reference_pairs(inst, bids)
     rival_rates = [pr.rho for pr in pairs if pr.seller != seller]
+    own = len(pairs) - len(rival_rates)
     points = {
         po.value * rho for po in pairs if po.seller == seller for rho in rival_rates
     }
-    bought = reference_bought(pairs, inst.budget, inst.m)[seller]
-    points.update(reference_seller_thresholds(pairs, seller, bought, inst.budget))
+    points.update(reference_seller_thresholds(pairs, seller, own, inst.budget))
     return points
 
 

@@ -252,6 +252,20 @@ def test_greedy_payments_rank_once(monkeypatch):
             assert calls == one_ranking
 
 
+def test_every_positive_value_units_threshold_is_a_breakpoint():
+    # The search oracle's critical bid of each positive-value unit, bought
+    # at truthful bids or not, is one of the seller's greedy breakpoints.
+    # In concave_corpus()[2], seller 0 (cost 75/4) buys none of its units,
+    # whose thresholds are 168/11, 425/47 and 225/103.
+    for inst in concave_corpus()[:100]:
+        for i in range(inst.m):
+            points = greedy_breakpoints(inst, inst.costs, i)
+            for pr in reference_pairs(inst):
+                if pr.seller == i:
+                    t = independent_threshold(inst, i, pr.unit)
+                    assert t in points, (inst, i, pr.unit, t)
+
+
 def _order(pairs):
     return [(p.seller, p.unit) for p in pairs]
 
@@ -593,16 +607,18 @@ def test_sym_rule_matches_cheapest_prefix_reference():
 
 def test_sym_breakpoints_are_rival_bids_and_thresholds():
     # m_sym's deviation-grid breakpoints stated directly: every positive
-    # rival bid and the threshold of each unit the seller sells.
+    # rival bid and the threshold of each of the seller's units.  A threshold
+    # does not depend on the seller's own bid, so each is taken at bid 0,
+    # where the seller sells every unit.
     lottery = MECHANISMS["m_sym"]
     rng = random.Random(37)
     for inst in symmetric_corpus():
         for bids in _symmetric_bid_profiles(inst, rng):
-            alloc = sym_allocate(inst, bids)
             for i in range(inst.m):
                 expected = {b for k, b in enumerate(bids) if k != i and b > 0}
+                free = bids[:i] + (Rat(0),) + bids[i + 1 :]
                 expected |= {
-                    sym_threshold(inst, i, j, bids) for j in range(1, alloc[i] + 1)
+                    sym_threshold(inst, i, j, free) for j in range(1, inst.units[i] + 1)
                 }
                 points = lottery.breakpoints(inst, bids, i)
                 assert {p for p in points if p > 0} == expected
