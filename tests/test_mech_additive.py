@@ -258,9 +258,10 @@ def test_every_positive_value_units_threshold_is_a_breakpoint():
     # In concave_corpus()[2], seller 0 (cost 75/4) buys none of its units,
     # whose thresholds are 168/11, 425/47 and 225/103.
     for inst in concave_corpus()[:100]:
+        pairs = reference_pairs(inst)
         for i in range(inst.m):
             points = greedy_breakpoints(inst, inst.costs, i)
-            for pr in reference_pairs(inst):
+            for pr in pairs:
                 if pr.seller == i:
                     t = independent_threshold(inst, i, pr.unit)
                     assert t in points, (inst, i, pr.unit, t)
