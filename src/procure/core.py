@@ -62,8 +62,11 @@ class InvalidField(ValueError):
         self.field = field
 
 
-# Largest total unit count an Instance accepts: ranked_pairs builds one
-# object per unit, and symmetric payments rank every unit once per bought unit.
+# Largest total unit count an Instance accepts.  The greedy ranks a bid
+# profile once, one object per unit, and prices every unit from that ranking
+# in O(n log n) integer steps.  The guard bounds what stays quadratic in n:
+# greedy_breakpoints forms one rank crossing per (own unit, rival unit), at
+# most (10^4 / 2)^2 = 2.5 * 10^7 rationals, and the deviation grid on them.
 MAX_TOTAL_UNITS = 10**4
 
 # Literals must stay below this in magnitude, so that every float taken of a

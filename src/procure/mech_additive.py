@@ -42,6 +42,27 @@ least 1/(b*d) >= 1/Q**2, so at scale Q**2 they lie at least 1 apart and
 their floors keep their order; equal ratios get equal keys, and ties fall
 to (seller, unit).  A zero bid gets key 0 and a positive one at least Q.
 
+A seller's payment is the sum of its bought units' thresholds n_k / (d_k *
+S_b), taken exactly in integers: with L the lcm of the d_k, it is the one
+rational (sum of n_k * L / d_k) / (L * S_b).  A canonical rational has one
+form, so this is bit for bit the sum of the thresholds as rationals.
+
+Each bid profile is ranked once.  A one-entry memo holds the most recent
+instance, matched by identity and held so that its identity cannot be
+reused, with its skeleton (Q**2, the positive-value (seller, unit, ivalue)
+triples and each seller's count of them), and that instance's most recent
+ranking, matched by equal checked bids.  A ranking is an immutable tuple
+that keeps what it computes: the bought units, and per seller the longest
+prefix of integer thresholds (n, d) asked for so far.  So greedy_allocate,
+greedy_payments, threshold and greedy_breakpoints on one profile share one
+sort and one bisection per unit, and a sweep that changes one seller's bid
+keeps the skeleton.  The memo entry, the bought units and each prefix are
+each replaced as one whole tuple in a single store, never changed in
+place, so a thread racing another reads a complete entry of some instance
+it matched by identity; a race can cost a rebuild, never mix two results.
+Every public function is still called as before, and ``ranked_pairs``
+still checks the bids and the valuation class on every call.
+
 The symmetric-valuation variant is the same greedy on the instance with
 every unit worth 1: it ranks units by bid, ties by (seller, unit), buys the
 longest prefix whose last unit has bid * rank <= budget, and pays the same
@@ -50,6 +71,7 @@ closed-form thresholds.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import NamedTuple
 
 from .core import (
@@ -75,10 +97,26 @@ class RankedPair(NamedTuple):
     ibid: int  # the seller's announced per-unit cost, times S_b
 
 
-class Ranking(list):
-    """The ranked pairs, with ibudget = B * S_b and S_b (``bid_scale``)."""
+class Ranking(tuple):
+    """The ranked pairs, with ibudget = B * S_b, S_b (``bid_scale``) and each
+    seller's count of positive-value units (``positive``).
 
-    __slots__ = ("ibudget", "bid_scale")
+    Immutable, so the memo hands one ranking to every caller and thread.
+    Two results read nothing else and are kept on it once computed:
+    ``bought`` (None until then) and ``thresholds``, per seller the longest
+    prefix of its units' critical bids computed so far.  Each is replaced
+    as one whole tuple, never extended in place, so a reader racing a
+    writer sees the old value or the new one.
+    """
+
+    def __new__(cls, pairs, ibudget: int, bid_scale: int, positive: tuple):
+        self = super().__new__(cls, pairs)
+        self.ibudget = ibudget
+        self.bid_scale = bid_scale
+        self.positive = positive
+        self.bought = None
+        self.thresholds = {}
+        return self
 
 
 def additive_reason(inst: Instance) -> str | None:
@@ -100,32 +138,57 @@ def _require(reason: str | None) -> None:
         raise WrongValuationClass(f"mechanism {reason}")
 
 
-def ranked_pairs(inst: Instance, bids=None) -> Ranking:
-    """All positive-value (seller, unit) pairs in greedy rank order.
+# The one-entry ranking memo (see the module docstring): the instance, its
+# skeleton, the checked bids and their ranking, read and replaced as one tuple.
+_memo = (None, None, None, None)
 
-    Zero margins form a suffix of each list in the additive classes, so
-    dropping them keeps every unit its number.
-    """
-    bids = checked_bids(inst, bids)
-    _require(additive_reason(inst))
+
+def _skeleton(inst: Instance):
+    """What the ranking reads of the instance besides the bids: Q**2, the
+    positive-value (seller, unit, ivalue) triples, and each seller's count
+    of them.  Zero margins form a suffix of each list in the additive
+    classes, so dropping them keeps every unit its number."""
     ivalues = inst.valuation.imargins(inst.units)
-    bid_scale, (ibudget, *ibids) = scaled((inst.budget, *bids))
     q2 = max((max(row, default=0) for row in ivalues), default=0) ** 2
-    pairs = Ranking(
-        RankedPair(ibids[i] * q2 // iv, i, j, iv, ibids[i])
+    triples = tuple(
+        (i, j, iv)
         for i, row in enumerate(ivalues)
         for j, iv in enumerate(row, start=1)
         if iv > 0
     )
-    pairs.sort()
-    pairs.ibudget = ibudget
-    pairs.bid_scale = bid_scale
-    return pairs
+    positive = tuple(sum(1 for iv in row if iv > 0) for row in ivalues)
+    return q2, triples, positive
 
 
-def _bought(pairs: Ranking, m: int):
-    """Units bought from each of the m sellers: the longest prefix of the
-    ranked pairs whose last pair meets the budget-share inequality."""
+def ranked_pairs(inst: Instance, bids=None) -> Ranking:
+    """All positive-value (seller, unit) pairs in greedy rank order.
+
+    The bids and the valuation class are checked on every call; the ranking
+    comes from the memo when the instance and the checked bids are the last
+    ones ranked.
+    """
+    global _memo
+    bids = checked_bids(inst, bids)
+    _require(additive_reason(inst))
+    owner, skeleton, ranked_bids, ranking = _memo
+    if owner is inst:
+        if ranked_bids == bids:
+            return ranking
+    else:
+        skeleton = _skeleton(inst)
+    q2, triples, positive = skeleton
+    bid_scale, (ibudget, *ibids) = scaled((inst.budget, *bids))
+    pairs = sorted(RankedPair(ibids[i] * q2 // iv, i, j, iv, ibids[i]) for i, j, iv in triples)
+    ranking = Ranking(pairs, ibudget, bid_scale, positive)
+    _memo = (inst, skeleton, bids, ranking)
+    return ranking
+
+
+def _bought(pairs: Ranking):
+    """Units bought from each seller: the longest prefix of the ranked pairs
+    whose last pair meets the budget-share inequality."""
+    if pairs.bought is not None:
+        return pairs.bought
     ibudget = pairs.ibudget
     iprefix = 0
     k = 0
@@ -134,21 +197,26 @@ def _bought(pairs: Ranking, m: int):
         # bid/value <= B/prefix, cross-multiplied in the integer scales.
         if pr.ibid * iprefix <= ibudget * pr.ivalue:
             k = rank
-    counts = [0] * m
+    counts = [0] * len(pairs.positive)
     for pr in pairs[:k]:
         counts[pr.seller] += 1
-    return tuple(counts)
+    pairs.bought = tuple(counts)
+    return pairs.bought
 
 
 def greedy_allocate(inst: Instance, bids=None):
     """Allocation bought by the greedy branch under the given bids."""
-    return _bought(ranked_pairs(inst, bids), inst.m)
+    return _bought(ranked_pairs(inst, bids))
 
 
-def _seller_thresholds(pairs: Ranking, i: int, count: int):
-    """Critical bids of seller i's first ``count`` units, from one ranking."""
-    if count == 0:
-        return []
+def _seller_thresholds(pairs: Ranking, i: int, count: int) -> tuple:
+    """Critical bids of seller i's units, from one ranking: at least the
+    first ``count`` of them, each as integers (n, d) for the rational
+    n / (d * S_b).  The longest prefix computed so far is kept on the
+    ranking and returned whole."""
+    kept = pairs.thresholds.get(i, ())
+    if len(kept) >= count:
+        return kept
     ibudget = pairs.ibudget
     rivals, prefixes = [], [0]  # pair alpha for alpha >= 1, iW_alpha for alpha >= 0
     for pr in pairs:
@@ -177,10 +245,11 @@ def _seller_thresholds(pairs: Ranking, i: int, count: int):
             rival = rivals[lo]
             if rival.ibid * den < num * rival.ivalue:
                 num, den = rival.ibid, rival.ivalue
-        out.append(Rat(pr.ivalue * num, den * pairs.bid_scale))
+        out.append((pr.ivalue * num, den))
         if len(out) == count:
             break
-    return out
+    pairs.thresholds[i] = kept = tuple(out)
+    return kept
 
 
 def threshold(inst: Instance, i: int, j: int, bids=None):
@@ -193,20 +262,29 @@ def threshold(inst: Instance, i: int, j: int, bids=None):
     pairs = ranked_pairs(inst, bids)
     if not 0 <= i < inst.m:
         raise IndexError(f"seller index {i} out of range")
-    if not any(pr.seller == i and pr.unit == j for pr in pairs):
+    if not 1 <= j <= pairs.positive[i]:
         raise NoThreshold(f"unit {j} of seller {i} is never bought")
-    if _bought(pairs, inst.m)[i] < j:
+    bought = _bought(pairs)[i]
+    if bought < j:
         raise NoThreshold(f"unit {j} of seller {i} is not bought under these bids")
-    return _seller_thresholds(pairs, i, j)[-1]
+    # The bought prefix, which greedy_payments reads too.
+    n, d = _seller_thresholds(pairs, i, bought)[j - 1]
+    return Rat(n, d * pairs.bid_scale)
+
+
+def _payment(pairs: Ranking, i: int, count: int):
+    """The sum of seller i's first ``count`` critical bids, summed exactly
+    in integers over the lcm of their denominators: one rational."""
+    terms = _seller_thresholds(pairs, i, count)[:count]
+    scale = lcm(*(d for _, d in terms))
+    return Rat(sum(n * (scale // d) for n, d in terms), scale * pairs.bid_scale)
 
 
 def greedy_payments(inst: Instance, bids=None):
     """Threshold payments for the greedy-branch allocation."""
     pairs = ranked_pairs(inst, bids)
-    alloc = _bought(pairs, inst.m)
-    return alloc, tuple(
-        sum(_seller_thresholds(pairs, i, a), Rat(0)) for i, a in enumerate(alloc)
-    )
+    alloc = _bought(pairs)
+    return alloc, tuple(_payment(pairs, i, a) for i, a in enumerate(alloc))
 
 
 def greedy_breakpoints(inst: Instance, bids, seller: int) -> set:
@@ -225,7 +303,9 @@ def greedy_breakpoints(inst: Instance, bids, seller: int) -> set:
         if po.seller == seller
         for pr in rivals
     }
-    points.update(_seller_thresholds(pairs, seller, own))
+    points.update(
+        Rat(n, d * pairs.bid_scale) for n, d in _seller_thresholds(pairs, seller, own)
+    )
     return points
 
 

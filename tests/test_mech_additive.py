@@ -55,6 +55,7 @@ from helpers import (
     reference_margins,
     reference_optimal_additive_dp,
     reference_pairs,
+    reference_seller_thresholds,
 )
 
 
@@ -223,10 +224,14 @@ def test_greedy_payments_equal_summed_thresholds():
 
 
 def test_greedy_payments_rank_once(monkeypatch):
-    # One ranking per greedy_payments or greedy_breakpoints call, whatever the
-    # size: the bought units come from that ranking, not from greedy_allocate,
-    # and no per-unit threshold query re-sorts the pairs.
-    calls = {"ranked_pairs": 0, "greedy_allocate": 0, "threshold": 0}
+    # One ranking per call, whatever the size.  greedy_payments and
+    # greedy_breakpoints price every unit from their one ranked_pairs call.
+    # sym_payments and run_m_sym's greedy keep one ranked_pairs call per
+    # bought unit (the traced bench counts them), but only the first builds
+    # a ranking: a ranking is built where ``scaled`` runs, and the memo
+    # serves the rest.  Consecutive instances differ, so each first call
+    # ranks anew; a repeated call builds nothing.
+    calls = dict.fromkeys(("ranked_pairs", "greedy_allocate", "threshold", "scaled"), 0)
 
     def counted(name):
         inner = getattr(mech_additive, name)
@@ -239,17 +244,40 @@ def test_greedy_payments_rank_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(mech_additive, name, counted(name))
+
+    def run(fn, *args):
+        calls.update(dict.fromkeys(calls, 0))
+        return fn(*args), dict(calls)
+
     corpus = [adversarial_single_seller(n, n, n) for n in (1, 2, 50, 400)]
     corpus += list(concave_corpus()[:20])
-    one_ranking = {"ranked_pairs": 1, "greedy_allocate": 0, "threshold": 0}
     for inst in corpus:
-        calls.update(ranked_pairs=0, greedy_allocate=0, threshold=0)
-        greedy_payments(inst)
-        assert calls == one_ranking
+        _, counts = run(greedy_payments, inst)
+        assert counts == {"ranked_pairs": 1, "greedy_allocate": 0, "threshold": 0, "scaled": 1}
         for seller in range(inst.m):
-            calls.update(ranked_pairs=0, greedy_allocate=0, threshold=0)
-            greedy_breakpoints(inst, None, seller)
-            assert calls == one_ranking
+            _, counts = run(greedy_breakpoints, inst, None, seller)
+            assert counts == {"ranked_pairs": 1, "greedy_allocate": 0, "threshold": 0, "scaled": 0}
+    wide = Instance(
+        (Seller(300, Rat(1)), Seller(300, Rat(3, 2))), Rat(600), Symmetric((Rat(1),) * 600)
+    )
+
+    def sym_payments_alloc(inst):
+        return sym_payments(inst)[0]
+
+    def run_m_sym_alloc(inst):
+        return run_m_sym(inst, None, "greedy").allocation
+
+    for greedy in (sym_payments_alloc, run_m_sym_alloc):
+        for inst in list(symmetric_corpus()[:20]) + [wide]:
+            for built in (1, 0):
+                alloc, counts = run(greedy, inst)
+                assert counts == {
+                    "ranked_pairs": 1 + sum(alloc),
+                    "greedy_allocate": 1,
+                    "threshold": sum(alloc),
+                    "scaled": built,
+                }
+        assert alloc == (300, 100)
 
 
 def test_every_positive_value_units_threshold_is_a_breakpoint():
@@ -364,6 +392,83 @@ def test_greedy_matches_rational_reference_on_deviation_grids():
                 )
                 profiles += 1
     assert profiles > 12_000
+
+
+def _matches_reference(inst, bids, breakpoints_first):
+    """Every greedy query on one profile equals the rational reference,
+    with the breakpoints asked before the payments or after them."""
+    pairs = reference_pairs(inst, bids)
+    alloc, payments = reference_greedy_payments(inst, bids)
+
+    def breakpoints():
+        for seller in range(inst.m):
+            assert greedy_breakpoints(inst, bids, seller) == reference_greedy_breakpoints(
+                inst, bids, seller
+            )
+
+    if breakpoints_first:
+        breakpoints()
+    for i, a in enumerate(alloc):
+        assert [threshold(inst, i, j, bids) for j in range(1, a + 1)] == (
+            reference_seller_thresholds(pairs, i, a, inst.budget)
+        )
+    assert greedy_payments(inst, bids) == (alloc, payments)
+    if not breakpoints_first:
+        breakpoints()
+    assert greedy_allocate(inst, bids) == alloc
+
+
+def test_ranking_memo_never_serves_a_stale_profile():
+    # The memo keeps the last instance and its last ranking.  Each instance
+    # runs truthful bids, one deviation-grid point of one seller, then
+    # truthful bids again.  Pairs of instances alternate between running
+    # their profiles interleaved, so that every query follows a switch of
+    # instance, and one instance after the other, so that every profile
+    # follows another profile of the same instance.  The order of queries
+    # alternates too.
+    concave = concave_corpus()[:40]
+    views = [unit_values(inst) for inst in symmetric_corpus()[:40]]
+    checked = 0
+    for k, pair in enumerate(zip(concave, views)):
+        runs = []
+        for inst in pair:
+            seller = k % inst.m
+            grid = deviation_grid("m_add", inst, inst.costs, seller)
+            grid.remove(inst.costs[seller])
+            dev = grid[(k * 7) % len(grid)]
+            deviated = inst.costs[:seller] + (dev,) + inst.costs[seller + 1 :]
+            runs.append([(inst, bids) for bids in (None, deviated, inst.costs)])
+        order = zip(*runs) if k % 2 else runs
+        for step, (inst, bids) in enumerate(run for group in order for run in group):
+            _matches_reference(inst, bids, (k + step) % 2 == 0)
+            checked += 1
+    assert checked == 240
+
+
+def test_threshold_errors_under_the_memo():
+    # Seller 0's third unit has zero margin and is stripped before ranking;
+    # its second is ranked but not bought at these bids.  Each error keeps
+    # its order and message whatever the memo holds.
+    inst = Instance(
+        (Seller(3, Rat(2)), Seller(1, Rat(1))),
+        Rat(6),
+        ConcaveAdditive(((Rat(5), Rat(1), Rat(0)), (Rat(4),))),
+    )
+    alloc = reference_greedy_payments(inst)[0]
+    assert alloc == (1, 1)
+    for _ in range(2):
+        assert threshold(inst, 0, 1) == reference_seller_thresholds(
+            reference_pairs(inst), 0, 1, inst.budget
+        )[0]
+        for j in (0, 3, 4):
+            with pytest.raises(NoThreshold, match=f"unit {j} of seller 0 is never bought"):
+                threshold(inst, 0, j)
+        with pytest.raises(NoThreshold, match="unit 2 of seller 0 is not bought under these bids"):
+            threshold(inst, 0, 2)
+        with pytest.raises(IndexError, match="seller index 2 out of range"):
+            threshold(inst, 2, 0)
+        with pytest.raises(ValueError, match="bid profile length mismatch"):
+            threshold(inst, 2, 0, (Rat(1),))
 
 
 def test_ranked_pair_integers_are_exact_scalings():

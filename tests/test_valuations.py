@@ -14,7 +14,7 @@ from procure.instances import (
     valuation_from_json,
     valuation_to_json,
 )
-from procure.mech_additive import greedy_allocate
+from procure.mech_additive import greedy_allocate, greedy_payments, threshold
 from procure.valuations import (
     Additive,
     BoundedKnapsack,
@@ -38,10 +38,11 @@ from helpers import (
     as_explicit,
     brute_force_demand,
     explicit_from_function,
-    reference_bought,
     reference_demand,
+    reference_greedy_payments,
     reference_margins,
     reference_pairs,
+    reference_seller_thresholds,
     reference_value,
 )
 
@@ -274,18 +275,26 @@ def test_demand_memo_is_per_valuation_under_threads():
     # valuation's table in a race of owner switches would see a wrong answer.
     # The greedy reads each valuation's own integer form, first built here
     # under the four threads, and the four two-seller instances are each
-    # bought differently.  A worker records its exception, so a thread that
+    # bought differently.  The ranking memo switches instance under the
+    # same races, so each thread also checks its payments and every bought
+    # unit's threshold.  A worker records its exception, so a thread that
     # dies fails the test.
     caps = (3, 3)
     vals = [BoundedKnapsack((Rat(k), Rat(5 - k))) for k in range(1, 5)]
     prices = [(Rat(p), Rat(q)) for p in (2, 3) for q in (2, 3)]
     expected = [[brute_force_demand(v, ps, caps) for ps in prices] for v in vals]
     insts = [Instance((Seller(3, 1), Seller(3, 1)), 6, v) for v in vals]
-    bought = [reference_bought(reference_pairs(inst), inst.budget, inst.m) for inst in insts]
-    assert len(set(bought)) == len(vals)
+    greedy = []
+    for inst in insts:
+        pairs = reference_pairs(inst)
+        alloc, payments = reference_greedy_payments(inst)
+        units = [reference_seller_thresholds(pairs, i, a, inst.budget) for i, a in enumerate(alloc)]
+        greedy.append((alloc, payments, units))
+    assert len({alloc for alloc, _, _ in greedy}) == len(vals)
     wrong, errors = [], []
 
-    def worker(v, want, inst, alloc_want):
+    def worker(v, want, inst, greedy_want):
+        alloc_want, payments_want, units_want = greedy_want
         try:
             for _ in range(500):
                 for ps, alloc in zip(prices, want):
@@ -293,12 +302,20 @@ def test_demand_memo_is_per_valuation_under_threads():
                         wrong.append((v, ps))
                 if greedy_allocate(inst) != alloc_want:
                     wrong.append((v, "greedy"))
+                if greedy_payments(inst) != (alloc_want, payments_want):
+                    wrong.append((v, "payments"))
+                units = [
+                    [threshold(inst, i, j) for j in range(1, a + 1)]
+                    for i, a in enumerate(alloc_want)
+                ]
+                if units != units_want:
+                    wrong.append((v, "thresholds"))
         except BaseException as exc:
             errors.append(exc)
 
     threads = [
         threading.Thread(target=worker, args=args)
-        for args in zip(vals, expected, insts, bought)
+        for args in zip(vals, expected, insts, greedy)
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
