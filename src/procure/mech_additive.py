@@ -51,7 +51,7 @@ Each bid profile is ranked once.  A one-entry memo holds the most recent
 instance, matched by identity and held so that its identity cannot be
 reused, with its skeleton (Q**2, the positive-value (seller, unit, ivalue)
 triples and each seller's count of them), and that instance's most recent
-ranking, matched by equal checked bids.  A ranking is an immutable tuple
+ranking, matched by equal checked bids.  A ranking is a tuple of pairs
 that keeps what it computes: the bought units, and per seller the longest
 prefix of integer thresholds (n, d) asked for so far.  So greedy_allocate,
 greedy_payments, threshold and greedy_breakpoints on one profile share one
@@ -101,12 +101,12 @@ class Ranking(tuple):
     """The ranked pairs, with ibudget = B * S_b, S_b (``bid_scale``) and each
     seller's count of positive-value units (``positive``).
 
-    Immutable, so the memo hands one ranking to every caller and thread.
-    Two results read nothing else and are kept on it once computed:
-    ``bought`` (None until then) and ``thresholds``, per seller the longest
-    prefix of its units' critical bids computed so far.  Each is replaced
-    as one whole tuple, never extended in place, so a reader racing a
-    writer sees the old value or the new one.
+    A tuple, so its pairs cannot change and the memo can hand one ranking
+    to every caller and thread.  Two results read nothing else and are kept
+    on it once computed: ``bought`` (None until then) and ``thresholds``,
+    per seller the longest prefix of its units' critical bids computed so
+    far.  Each is replaced as one whole tuple, never extended in place, so
+    a reader racing a writer sees the old value or the new one.
     """
 
     def __new__(cls, pairs, ibudget: int, bid_scale: int, positive: tuple):
@@ -117,6 +117,10 @@ class Ranking(tuple):
         self.bought = None
         self.thresholds = {}
         return self
+
+    def __reduce__(self):
+        # A copy or pickle keeps the pairs and scales and recomputes the rest.
+        return Ranking, (tuple(self), self.ibudget, self.bid_scale, self.positive)
 
 
 def additive_reason(inst: Instance) -> str | None:

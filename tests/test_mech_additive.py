@@ -485,6 +485,21 @@ def test_ranked_pair_integers_are_exact_scalings():
         assert len(scales) == 1 and min(scales) > 0
 
 
+def test_ranking_copies_and_pickles():
+    # A ranking that has priced its units copies and pickles with its pairs
+    # and scales.
+    inst = concave_corpus()[3]
+    greedy_payments(inst)
+    pairs = ranked_pairs(inst)
+    for twin in (copy.copy(pairs), copy.deepcopy(pairs), pickle.loads(pickle.dumps(pairs))):
+        assert type(twin) is type(pairs) and twin == pairs
+        assert (twin.ibudget, twin.bid_scale, twin.positive) == (
+            pairs.ibudget,
+            pairs.bid_scale,
+            pairs.positive,
+        )
+
+
 def _with_unoffered_tail(inst):
     """The instance with two more margins per seller, past its units, whose
     denominators 999,983 and 10^9 + 7 enlarge the valuation's value scale
