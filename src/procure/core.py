@@ -64,9 +64,9 @@ class InvalidField(ValueError):
 
 # Largest total unit count an Instance accepts.  The greedy ranks a bid
 # profile once, one object per unit, and prices every unit from that ranking
-# in O(n log n) integer steps.  The guard bounds what stays quadratic in n:
-# greedy_breakpoints forms one rank crossing per (own unit, rival unit), at
-# most (10^4 / 2)^2 = 2.5 * 10^7 rationals, and the deviation grid on them.
+# in O(n log n) integer steps.  A seller's deviation grid straddles B/rank and
+# its own units' critical bids, O(n) points.  The guard bounds these per-run
+# sizes, not a DST sweep's run count: one run per grid point and scenario.
 MAX_TOTAL_UNITS = 10**4
 
 # Literals must stay below this in magnitude, so that every float taken of a

@@ -16,16 +16,18 @@ and W_alpha is the value of the first alpha rival pairs.  The first term
 rises with alpha and the second falls, so the minimum sits at the first
 alpha where rho_alpha * (s + W_alpha) >= B or just before it, and a
 bisection finds it: one ranking prices all of a seller's units in
-O(n + units * log n) integer operations and one rational per unit.
+O(n + units * log n) integer operations and one rational per unit.  The
+critical bids do not read the seller's own bid, so its outcome changes
+only where that bid crosses one of them: they are its greedy breakpoints.
 
 Every comparison runs in exact integers.  With S_v the valuation's own
 ``scale`` (see ``valuations``) and S_b the ``core.scaled`` scale of the budget
 and bids, a pair carries ivalue = value * S_v and ibid = bid * S_b, and
 the ranking carries ibudget = B * S_b.  S_v covers every value the
 valuation holds, offered or not, and any common scale gives the same
-result: ranks, the bought rule, rank crossings and thresholds depend on
-the values only through their ratios, from which a common factor
-cancels.  Then, multiplying through by S_v * S_b:
+result: ranks, the bought rule and thresholds depend on the values only
+through their ratios, from which a common factor cancels.  Then,
+multiplying through by S_v * S_b:
 
 * the bought rule is ibid * iprefix <= ibudget * ivalue, with iprefix the
   scaled value prefix;
@@ -293,24 +295,15 @@ def greedy_payments(inst: Instance, bids=None):
 
 def greedy_breakpoints(inst: Instance, bids, seller: int) -> set:
     """Bids besides B/rank where the seller's greedy allocation can change:
-    its rank crossings with every rival pair, and the critical bids of all
-    its positive-value units, bought at these bids or not.  A critical bid
-    does not read the seller's own bid, so each is where the allocation
-    changes whatever the seller bids."""
+    the critical bids of all its positive-value units, bought at these bids
+    or not.  A critical bid does not read the seller's own bid, and a unit
+    is bought iff the bid is at most its critical bid, so the seller's
+    allocation and payment change only where its bid crosses one of them."""
     pairs = ranked_pairs(inst, bids)
-    # value_o * rho_r = (ivalue_o / S_v) * (ibid_r / S_b) / (ivalue_r / S_v).
-    rivals = [pr for pr in pairs if pr.seller != seller]
-    own = len(pairs) - len(rivals)
-    points = {
-        Rat(po.ivalue * pr.ibid, pr.ivalue * pairs.bid_scale)
-        for po in pairs
-        if po.seller == seller
-        for pr in rivals
+    return {
+        Rat(n, d * pairs.bid_scale)
+        for n, d in _seller_thresholds(pairs, seller, pairs.positive[seller])
     }
-    points.update(
-        Rat(n, d * pairs.bid_scale) for n, d in _seller_thresholds(pairs, seller, own)
-    )
-    return points
 
 
 def star_seller(inst: Instance) -> int:

@@ -350,7 +350,8 @@ def check_dst(
     check and is recorded with a replayable witness.  Opponents bid
     truthfully; ``strict`` adds a ``dst-strict`` sweep on instances with at
     most two sellers, where opponents range over their own (coarser)
-    deviation grids, approximating the full dominant-strategy quantifier.
+    deviation grids and one bid past each, approximating the full
+    dominant-strategy quantifier.
     """
     checks = _dst_sweep("dst", mech, inst, resolution, False)
     if strict and inst.m <= 2:
@@ -378,7 +379,9 @@ def _dst_sweep(name, mech, inst, resolution, sweep_opponents) -> list:
     grids = [
         deviation_grid(mech, inst, costs, i, resolution) for i in range(inst.m)
     ]
-    rival_bids = [grid if sweep_opponents else (c,) for grid, c in zip(grids, costs)]
+    # Strict opponents also bid twice their grid's top, past B and every cut:
+    # a greedy opponent there sells nothing but can still rank before the seller.
+    rival_bids = [g + [2 * g[-1]] if sweep_opponents else (c,) for g, c in zip(grids, costs)]
     checks = []
     for scen in scenarios:
         for i in range(inst.m):

@@ -231,15 +231,10 @@ def reference_greedy_payments(inst, bids=None):
 
 def reference_greedy_breakpoints(inst, bids, seller: int) -> set:
     """greedy_breakpoints from the rational ranking and thresholds: every
-    rank crossing and every positive-value unit's critical bid."""
+    positive-value unit's critical bid."""
     pairs = reference_pairs(inst, bids)
-    rival_rates = [pr.rho for pr in pairs if pr.seller != seller]
-    own = len(pairs) - len(rival_rates)
-    points = {
-        po.value * rho for po in pairs if po.seller == seller for rho in rival_rates
-    }
-    points.update(reference_seller_thresholds(pairs, seller, own, inst.budget))
-    return points
+    own = sum(1 for pr in pairs if pr.seller == seller)
+    return set(reference_seller_thresholds(pairs, seller, own, inst.budget))
 
 
 def cheapest_prefix_allocate(inst, bids=None):

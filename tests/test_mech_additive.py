@@ -9,6 +9,7 @@ from procure.core import (
     MAX_TOTAL_UNITS,
     Instance,
     NoThreshold,
+    Outcome,
     Rat,
     Seller,
     WrongValuationClass,
@@ -54,6 +55,7 @@ from helpers import (
     reference_greedy_payments,
     reference_margins,
     reference_optimal_additive_dp,
+    reference_bought,
     reference_pairs,
     reference_seller_thresholds,
 )
@@ -207,6 +209,8 @@ def test_threshold_pinned_to_allocation_rule():
 def test_greedy_payments_equal_summed_thresholds():
     # Each seller's greedy payment is the sum of its bought units' single-unit
     # thresholds, on corpora with many sellers and on single-seller ladders.
+    # Both sides read one kept ranking, so each is compared with the rational
+    # reference ranking, bought rule and thresholds on its own.
     corpus = (
         list(concave_corpus()[:200])
         + [gen_bounded_knapsack(52000 + s) for s in range(30)]
@@ -215,11 +219,16 @@ def test_greedy_payments_equal_summed_thresholds():
     )
     for n, inst in enumerate(corpus):
         for bids in _probe_profiles(inst, 54000 + n):
-            alloc = greedy_allocate(inst, bids)
-            summed = tuple(
-                sum((threshold(inst, i, j, bids) for j in range(1, a + 1)), Rat(0))
+            pairs = reference_pairs(inst, bids)
+            alloc = reference_bought(pairs, inst.budget, inst.m)
+            thresholds = [
+                reference_seller_thresholds(pairs, i, a, inst.budget)
                 for i, a in enumerate(alloc)
-            )
+            ]
+            for i, a in enumerate(alloc):
+                for j in range(1, a + 1):
+                    assert threshold(inst, i, j, bids) == thresholds[i][j - 1]
+            summed = tuple(sum(ts, Rat(0)) for ts in thresholds)
             assert greedy_payments(inst, bids) == (alloc, summed)
 
 
@@ -281,18 +290,18 @@ def test_greedy_payments_rank_once(monkeypatch):
 
 
 def test_every_positive_value_units_threshold_is_a_breakpoint():
-    # The search oracle's critical bid of each positive-value unit, bought
-    # at truthful bids or not, is one of the seller's greedy breakpoints.
-    # In concave_corpus()[2], seller 0 (cost 75/4) buys none of its units,
-    # whose thresholds are 168/11, 425/47 and 225/103.
+    # A seller's greedy breakpoints are exactly the search oracle's critical
+    # bids of its positive-value units, bought at truthful bids or not: no
+    # threshold is missing, and no other point (such as a rank crossing with
+    # a rival pair) is added.  In concave_corpus()[2], seller 0 (cost 75/4)
+    # buys none of its units, whose thresholds are 168/11, 425/47 and 225/103.
     for inst in concave_corpus()[:100]:
         pairs = reference_pairs(inst)
         for i in range(inst.m):
-            points = greedy_breakpoints(inst, inst.costs, i)
-            for pr in pairs:
-                if pr.seller == i:
-                    t = independent_threshold(inst, i, pr.unit)
-                    assert t in points, (inst, i, pr.unit, t)
+            expected = {
+                independent_threshold(inst, i, pr.unit) for pr in pairs if pr.seller == i
+            }
+            assert greedy_breakpoints(inst, inst.costs, i) == expected, (inst, i)
 
 
 def _order(pairs):
@@ -726,23 +735,22 @@ def test_sym_rule_matches_cheapest_prefix_reference():
     assert queries > 500
 
 
-def test_sym_breakpoints_are_rival_bids_and_thresholds():
-    # m_sym's deviation-grid breakpoints stated directly: every positive
-    # rival bid and the threshold of each of the seller's units.  A threshold
-    # does not depend on the seller's own bid, so each is taken at bid 0,
-    # where the seller sells every unit.
+def test_sym_breakpoints_are_the_sellers_thresholds():
+    # m_sym's deviation-grid breakpoints stated directly: the threshold of
+    # each of the seller's units, and nothing else; a rival's bid is a point
+    # only where it is such a threshold.  A threshold does not depend on the
+    # seller's own bid, so each is taken at bid 0, where the seller sells
+    # every unit.
     lottery = MECHANISMS["m_sym"]
     rng = random.Random(37)
     for inst in symmetric_corpus():
         for bids in _symmetric_bid_profiles(inst, rng):
             for i in range(inst.m):
-                expected = {b for k, b in enumerate(bids) if k != i and b > 0}
                 free = bids[:i] + (Rat(0),) + bids[i + 1 :]
-                expected |= {
+                expected = {
                     sym_threshold(inst, i, j, free) for j in range(1, inst.units[i] + 1)
                 }
-                points = lottery.breakpoints(inst, bids, i)
-                assert {p for p in points if p > 0} == expected
+                assert lottery.breakpoints(inst, bids, i) == expected
 
 
 def test_sym_payments_cover_costs():
@@ -764,9 +772,11 @@ def test_run_m_sym_branches(sym_inst):
 
 def test_m_sym_is_m_add_on_unit_values():
     # Every seller of every symmetric instance, on each point of its grid-16
-    # m_sym deviation grid (about 16,800 profiles): the symmetric greedy,
-    # priced unit by unit, equals the m_add greedy on unit values.  The
-    # bid-free branches are m_add's on unit values by construction.
+    # m_sym deviation grid (about 14,600 profiles): the symmetric greedy,
+    # priced unit by unit, equals the m_add greedy on unit values.  Both read
+    # one kept ranking, so each is compared with the rational reference
+    # greedy on unit values on its own.  The bid-free branches are m_add's
+    # on unit values by construction.
     profiles = 0
     for inst in symmetric_corpus():
         view = unit_values(inst)
@@ -775,9 +785,11 @@ def test_m_sym_is_m_add_on_unit_values():
         for seller in range(inst.m):
             for dev in deviation_grid("m_sym", inst, inst.costs, seller, 16):
                 bids = inst.costs[:seller] + (dev,) + inst.costs[seller + 1 :]
-                assert run_m_sym(inst, bids, "greedy") == run_m_add(view, bids, "greedy")
+                want = Outcome(*reference_greedy_payments(view, bids))
+                assert run_m_sym(inst, bids, "greedy") == want
+                assert run_m_add(view, bids, "greedy") == want
                 profiles += 1
-    assert profiles > 16_000
+    assert profiles > 14_000
 
 
 def test_unit_values_view_is_built_once_per_instance():

@@ -5,7 +5,7 @@ from math import log
 import pytest
 
 from procure.core import Instance, Rat, Seller, utility
-from procure.instances import gen_symmetric, instance_digest
+from procure.instances import gen_concave_additive, gen_symmetric, instance_digest
 from procure.oracles import DP_CELL_LIMIT, adversarial_single_seller
 from procure.valuations import BoundedKnapsack, ConcaveAdditive
 from procure.verify import (
@@ -125,13 +125,14 @@ def test_grid_resolution_below_one_raises(two_seller, resolution):
 
 def _near_prime_costs():
     # Four unit-value sellers whose costs 1/(p + d) lie about 10^-18 apart,
-    # with p = 10^9 + 7: each seller's rank crossings sit on its rivals'
+    # with p = 10^9 + 7, and a budget of 3/p, which three units at those
+    # costs about exhaust: each seller's unit thresholds bind at its rivals'
     # costs, so a grid holds points far closer than 1 / D, D its largest
-    # denominator (about 10^15).  A key num * D // den ties them.
+    # denominator (about 10^16).  A key num * D // den ties them.
     p = 10**9 + 7
     return Instance(
         tuple(Seller(2, Rat(1, p + d)) for d in (0, 2, 6, 12)),
-        Rat(1),
+        Rat(3, p),
         BoundedKnapsack((1, 1, 1, 1)),
     )
 
@@ -179,8 +180,7 @@ def test_check_dst_strict_mode(two_seller):
 
 
 def test_check_dst_strict_pinned(two_seller):
-    # Every verdict and witness of both sweeps, as recorded before the
-    # strict sweep shared check_dst's loop.
+    # Every verdict and witness of both sweeps.
     names = [
         f"{sweep}:{branch}:seller{i}"
         for sweep in ("dst", "dst-strict")
@@ -205,13 +205,9 @@ def test_check_dst_strict_pinned(two_seller):
         }
 
     failed = {
-        "dst:greedy:seller0": witness(
-            0, ["2", "3"], "2999997/1250000", "499997/625000"
-        ),
+        "dst:greedy:seller0": witness(0, ["2", "3"], "5/2", "1"),
         "dst:greedy:seller1": witness(1, ["2", "3"], "25/8", "1/8"),
-        "dst-strict:greedy:seller0": witness(
-            0, ["2", "5/4"], "2999997/1250000", "499997/625000"
-        ),
+        "dst-strict:greedy:seller0": witness(0, ["2", "5/4"], "5/2", "1"),
         "dst-strict:greedy:seller1": witness(
             1, ["5/4", "3"], "333333/100000", "33333/100000"
         ),
@@ -219,6 +215,20 @@ def test_check_dst_strict_pinned(two_seller):
     assert verdicts("m_add_firstprice") == [
         (name, name not in failed, failed.get(name)) for name in names
     ]
+
+
+def test_strict_opponents_bid_past_their_grid():
+    # In gen_concave_additive(9402) (B = 26) pay-as-bid lets seller 1 profit
+    # only while seller 0 bids high enough to rank behind seller 1's first
+    # unit, above B and every point of seller 0's own grid; the sweep finds
+    # it at the bid past that grid, twice its top point B * (1 + 10^-6).
+    inst = gen_concave_additive(9402)
+    assert all(c.passed for c in check_dst("m_add", inst, resolution=16, strict=True))
+    checks = {c.name: c for c in check_dst("m_add_firstprice", inst, resolution=16, strict=True)}
+    check = checks["dst-strict:greedy:seller1"]
+    assert not check.passed
+    assert check.witness["bids"] == ["13000013/250000", "6"]
+    assert replay_witness("m_add_firstprice", inst, check.witness)
 
 
 def test_check_dst_m_add_on_bounded_knapsack():
