@@ -14,11 +14,23 @@ half is posted uniform unit prices B/k for k = 1, 2, ... and the mechanism
 accepts the first round whose a_max allocation clears the target scaled by
 loglog(n)/(64 log(n)).  Mixing it 1:1 with the best-single-seller
 mechanism gives the sub-additive mechanism proper.
+
+The target is calibrated only when a round needs it.  The calibration's
+winner buys at most each sampled seller's full supply and nothing
+elsewhere, and every valuation is monotone, so the target is at most U,
+the value of the sampled sellers' full supply.  ``float`` of a rational
+is monotone, and so are multiplying by the positive factor and
+subtracting the same epsilon, so a positive round value that clears
+factor * U - eps also clears factor * target - eps; with a zero target
+any positive value is accepted, as the bound test says too.  A round is
+therefore tested against U first, and ``a_max`` calibrates only when
+that test fails; the decisions are the same as calibrating first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import log2
 
 from .core import Instance, Outcome, Rat, affordable_count, checked_bids, scaled, unit_vector
@@ -120,13 +132,41 @@ def _a_max(valuation, budget, units, costs, members) -> MaxRun:
     return MaxRun(winner, Rat(winner_value, valuation.scale))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandRun:
-    """One realization of the random-sampling mechanism."""
+    """One realization of the random-sampling mechanism.
 
-    sample_value: object
+    ``sample_value`` is the calibrated target, the ``a_max`` value of the
+    sample group at the run's bids.  It is computed on first read: from
+    ``calibration`` when the run made one, and otherwise by calling
+    ``a_max`` then.  Runs are equal when their sample values, accepted
+    rounds and outcomes are.
+    """
+
     accepted_round: int | None
     outcome: Outcome
+    inst: Instance = field(repr=False)
+    bids: tuple = field(repr=False)
+    group: tuple = field(repr=False)
+    calibration: MaxRun | None = field(default=None, repr=False)
+
+    @cached_property
+    def sample_value(self):
+        calib = self.calibration or _calibrate(self.inst, self.bids, self.group)
+        return calib.winner_value
+
+    def __eq__(self, other):
+        if not isinstance(other, RandRun):
+            return NotImplemented
+        return (self.sample_value, self.accepted_round, self.outcome) == (
+            other.sample_value,
+            other.accepted_round,
+            other.outcome,
+        )
+
+
+def _calibrate(inst: Instance, bids, group) -> MaxRun:
+    return a_max(inst.valuation, inst.budget, inst.units, bids, group)
 
 
 def m_rand_detail(inst: Instance, bids, sample_group) -> RandRun:
@@ -135,6 +175,12 @@ def m_rand_detail(inst: Instance, bids, sample_group) -> RandRun:
     ``sample_group`` is the set of sellers sampled away for calibration;
     only its complement can sell.  When the calibrated value is zero, a
     round is accepted only for a strictly positive allocation value.
+
+    Each round is first tested against the sampled sellers' full-supply
+    value U, an upper bound on the target (see the module docstring).
+    The group is calibrated only when a round fails that test, at most
+    once per call; otherwise the returned run calibrates when its
+    ``sample_value`` is first read.
     """
     bids = checked_bids(inst, bids)
     sampled = set(sample_group)
@@ -142,32 +188,36 @@ def m_rand_detail(inst: Instance, bids, sample_group) -> RandRun:
     if any(not 0 <= i < inst.m for i in group):
         raise ValueError("sample group indices out of range")
     rest = tuple(i for i in range(inst.m) if i not in sampled)
-    calib = a_max(inst.valuation, inst.budget, inst.units, bids, group)
-    target = calib.winner_value
+    valuation = inst.valuation
     factor = phi(inst.total_units)
+    full = tuple(u if i in sampled else 0 for i, u in enumerate(inst.units))
+    bound = factor * float(Rat(valuation.ivalue(full), valuation.scale)) - ACCEPT_EPS
+    calib = None
     rounds = sum(inst.units[i] for i in rest)
     for k in range(1, rounds + 1):
         price = inst.budget / k
         posted = tuple(i for i in rest if bids[i] <= price)
         if not posted:
-            continue
+            # B/k strictly falls with k, so no later round posts anyone.
+            break
         # a_max reads members' costs only: every posted seller costs price.
         costs_k = (price,) * inst.m
-        run = a_max(inst.valuation, inst.budget, inst.units, costs_k, posted)
+        run = a_max(valuation, inst.budget, inst.units, costs_k, posted)
         value = run.winner_value
         # A zero-value allocation never accepts: with a positive target the
         # exact inequality would require a positive value anyway, and with a
         # zero target acceptance is defined as strictly positive value.
         if value <= 0:
-            accepted = False
-        elif target == 0:
-            accepted = True
-        else:
-            accepted = float(value) >= factor * float(target) - ACCEPT_EPS
-        if accepted:
-            payments = tuple(price * x for x in run.winner)
-            return RandRun(target, k, Outcome(run.winner, payments))
-    return RandRun(target, None, inst.empty_outcome())
+            continue
+        fvalue = float(value)
+        if fvalue < bound:
+            calib = calib or _calibrate(inst, bids, group)
+            target = calib.winner_value
+            if target != 0 and fvalue < factor * float(target) - ACCEPT_EPS:
+                continue
+        payments = tuple(price * x for x in run.winner)
+        return RandRun(k, Outcome(run.winner, payments), inst, bids, group, calib)
+    return RandRun(None, inst.empty_outcome(), inst, bids, group, calib)
 
 
 def group_from_mask(mask: int, m: int) -> tuple:

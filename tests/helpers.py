@@ -7,7 +7,8 @@ breakpoints), or keep an earlier implementation as the reference (each
 valuation family's value as a rational sum, the greedy's bought rule and
 thresholds in rational arithmetic, the additive families' rational margin
 lists, the demand oracle's closed form and ``a_max``'s loop in rational
-arithmetic, ``m_one``'s crossover scan over every rank, the knapsack
+arithmetic, ``m_rand``'s rounds with the target calibrated before the
+first one, ``m_one``'s crossover scan over every rank, the knapsack
 optimum's rational suffix tables, and the deviation grid's rational
 straddle and sort).  The analysis helpers are not
 mechanisms: the per-rank pick-up test of the greedy, the marginal
@@ -30,6 +31,7 @@ from procure.core import (
     Alloc,
     Instance,
     NoThreshold,
+    Outcome,
     Rat,
     SearchSpaceTooLarge,
     Seller,
@@ -442,6 +444,37 @@ def reference_a_max(valuation, budget, units, costs, members):
         if v > winner_value:
             winner, winner_value = candidate, v
     return mech_subadditive.MaxRun(winner, winner_value)
+
+
+def reference_m_rand_detail(inst: Instance, bids, sample_group):
+    """m_rand's rounds with the target calibrated first: ``a_max`` runs on
+    the sample group before round 1, every round is tested against that
+    target, and a round with nobody posted is skipped, not the last one.
+    Returns (sample value, accepted round, outcome)."""
+    bids = checked_bids(inst, bids)
+    sampled = set(sample_group)
+    group = tuple(sorted(sampled))
+    rest = tuple(i for i in range(inst.m) if i not in sampled)
+    a_max = mech_subadditive.a_max
+    target = a_max(inst.valuation, inst.budget, inst.units, bids, group).winner_value
+    factor = phi(inst.total_units)
+    for k in range(1, sum(inst.units[i] for i in rest) + 1):
+        price = inst.budget / k
+        posted = tuple(i for i in rest if bids[i] <= price)
+        if not posted:
+            continue
+        run = a_max(inst.valuation, inst.budget, inst.units, (price,) * inst.m, posted)
+        value = run.winner_value
+        if value <= 0:
+            accepted = False
+        elif target == 0:
+            accepted = True
+        else:
+            accepted = float(value) >= factor * float(target) - mech_subadditive.ACCEPT_EPS
+        if accepted:
+            payments = tuple(price * x for x in run.winner)
+            return target, k, Outcome(run.winner, payments)
+    return target, None, inst.empty_outcome()
 
 
 def reference_plan_m_one(inst: Instance, bids=None):

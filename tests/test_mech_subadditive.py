@@ -17,7 +17,7 @@ from procure.valuations import ConcaveAdditive, Explicit
 from procure.verify import MECHANISMS, deviation_grid
 
 from corpora import dst_corpora, greedy_nonmonotone_instance
-from helpers import brute_force_optimum, reference_a_max
+from helpers import brute_force_optimum, reference_a_max, reference_m_rand_detail
 
 
 def test_phi_guard():
@@ -264,21 +264,47 @@ def test_a_max_matches_rational_reference_on_every_sample_group():
                 assert got == reference_a_max(v, b, u, costs, members), (n, costs, members)
 
 
-def test_m_rand_detail_matches_rational_reference_on_deviation_grids(monkeypatch):
-    # A prefix of each family keeps this near 10 s: the reference has no memo.
-    corpus = _sampling_corpus()
-    tables = [inst for inst in corpus if isinstance(inst.valuation, Explicit)]
-    concave = [inst for inst in corpus if isinstance(inst.valuation, ConcaveAdditive)]
+def _grid_profiles(instances):
+    """(instance, bids, group) for every deviation-grid bid of every
+    seller, at resolution 16, under every sample group."""
     profiles = []
-    for inst in concave[:20] + tables[:20]:
+    for inst in instances:
         groups = [group_from_mask(mask, inst.m) for mask in range(1 << inst.m)]
         for seller in range(inst.m):
             for bid in deviation_grid("m_rand", inst, inst.costs, seller, 16):
                 bids = inst.costs[:seller] + (bid,) + inst.costs[seller + 1 :]
                 profiles += [(inst, bids, g) for g in groups]
-    got = [m_rand_detail(*p) for p in profiles]
+    return profiles
+
+
+def decided(run):
+    """What a run decided; reading ``sample_value`` calibrates it now."""
+    return run.sample_value, run.accepted_round, run.outcome
+
+
+def test_m_rand_detail_matches_rational_reference_on_deviation_grids(monkeypatch):
+    # A prefix of each family keeps this near 10 s: the reference has no memo.
+    corpus = _sampling_corpus()
+    tables = [inst for inst in corpus if isinstance(inst.valuation, Explicit)]
+    concave = [inst for inst in corpus if isinstance(inst.valuation, ConcaveAdditive)]
+    profiles = _grid_profiles(concave[:20] + tables[:20])
+    # Read each sample value before the patch: read after it, the lazy
+    # calibration would run the reference on both sides.
+    got = [decided(m_rand_detail(*p)) for p in profiles]
     monkeypatch.setattr(mech_subadditive, "a_max", reference_a_max)
-    assert [m_rand_detail(*p) for p in profiles] == got
+    assert [decided(m_rand_detail(*p)) for p in profiles] == got
+
+
+def test_m_rand_detail_matches_eager_calibration_on_deviation_grids():
+    # The reference calibrates before the first round and tries every
+    # round; a prefix of each criterion-8 corpus keeps this near 10 s.
+    # m_sub's corpus starts with m_rand's first 40 instances; each is run once.
+    corpora = dst_corpora()
+    prefix = {id(inst): inst for inst in corpora["m_rand"][:200] + corpora["m_sub"][:60]}
+    profiles = _grid_profiles(prefix.values())
+    assert [decided(m_rand_detail(*p)) for p in profiles] == [
+        reference_m_rand_detail(*p) for p in profiles
+    ]
 
 
 @pytest.mark.parametrize("limit", [1, 2])
@@ -312,3 +338,51 @@ def test_memo_keeps_only_the_latest_valuation():
     size = len(table)
     ranked_pairs(gen_concave_additive(15003))
     assert valuations._demand_caches.get(y.valuation) is table and len(table) == size
+
+
+def _two_units(top):
+    """Seller 0 holds a unit worth ``top``, seller 1 a unit worth 1 that it
+    offers at bid 0; B = 10 and phi = 1/128 exactly."""
+    return Instance(
+        (Seller(1, Rat(1)), Seller(1, Rat(0))),
+        Rat(10),
+        ConcaveAdditive(((Rat(top),), (Rat(1),))),
+    )
+
+
+@pytest.mark.parametrize(
+    "top, bid, group, accepted_round, calibrations",
+    [
+        # Sampled seller 0's full supply bounds the target by 1,000, which
+        # seller 1's unit (worth 1) does not clear: the round calibrates.
+        (1000, Rat(1), (0,), None, 1),  # target 1,000 rejects round 1
+        (1000, Rat(11), (0,), 1, 1),  # seller 0 bids over B: target 0 accepts
+        # Decided by the bound alone: no calibration until sample_value.
+        (1000, Rat(1), (1,), 1, 0),  # 1,000 clears 1/128 of seller 1's unit
+        (1000, Rat(11), (1,), None, 0),  # nobody is posted at B/1, so no round
+        # The bound at its edge: 1 clears 128/128 but not 129/128.
+        (128, Rat(1), (0,), 1, 0),
+        (129, Rat(1), (0,), None, 1),
+    ],
+)
+def test_m_rand_calibrates_only_when_the_bound_test_fails(
+    monkeypatch, top, bid, group, accepted_round, calibrations
+):
+    inst = _two_units(top)
+    bids = (bid, Rat(0))
+    calls = []
+    real = mech_subadditive.a_max
+
+    def counted(valuation, budget, units, costs, members):
+        if tuple(members) == group:
+            calls.append(members)
+        return real(valuation, budget, units, costs, members)
+
+    monkeypatch.setattr(mech_subadditive, "a_max", counted)
+    run = m_rand_detail(inst, bids, group)
+    assert run.accepted_round == accepted_round
+    assert len(calls) == calibrations
+    want = reference_m_rand_detail(inst, bids, group)
+    calls.clear()
+    assert decided(run) == want
+    assert len(calls) == 1 - calibrations  # a calibration already made is reused
