@@ -297,8 +297,8 @@ def test_m_rand_detail_matches_rational_reference_on_deviation_grids(monkeypatch
 
 def test_m_rand_detail_matches_eager_calibration_on_deviation_grids():
     # The reference calibrates before the first round and tries every
-    # round; a prefix of each criterion-8 corpus keeps this near 10 s.
-    # m_sub's corpus starts with m_rand's first 40 instances; each is run once.
+    # round.  A prefix of each criterion-8 corpus keeps this near 10 s;
+    # m_sub's starts with m_rand's first 40 instances, each run once.
     corpora = dst_corpora()
     prefix = {id(inst): inst for inst in corpora["m_rand"][:200] + corpora["m_sub"][:60]}
     profiles = _grid_profiles(prefix.values())
@@ -353,14 +353,14 @@ def _two_units(top):
 @pytest.mark.parametrize(
     "top, bid, group, accepted_round, calibrations",
     [
-        # Sampled seller 0's full supply bounds the target by 1,000, which
-        # seller 1's unit (worth 1) does not clear: the round calibrates.
+        # Sampled seller 0's full supply gives U = 1,000, and seller 1's
+        # round value 1 is below U/128: the round calibrates.
         (1000, Rat(1), (0,), None, 1),  # target 1,000 rejects round 1
         (1000, Rat(11), (0,), 1, 1),  # seller 0 bids over B: target 0 accepts
         # Decided by the bound alone: no calibration until sample_value.
-        (1000, Rat(1), (1,), 1, 0),  # 1,000 clears 1/128 of seller 1's unit
+        (1000, Rat(1), (1,), 1, 0),  # round value 1,000 clears U/128 = 1/128
         (1000, Rat(11), (1,), None, 0),  # nobody is posted at B/1, so no round
-        # The bound at its edge: 1 clears 128/128 but not 129/128.
+        # The bound at its edge: round value 1 clears 128/128, not 129/128.
         (128, Rat(1), (0,), 1, 0),
         (129, Rat(1), (0,), None, 1),
     ],
