@@ -29,9 +29,9 @@ that test fails; the decisions are the same as calibrating first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from math import log2
+from typing import NamedTuple
 
 from .core import Instance, Outcome, Rat, affordable_count, checked_bids, scaled, unit_vector
 from .valuations import demand, recall, remember
@@ -132,41 +132,14 @@ def _a_max(valuation, budget, units, costs, members) -> MaxRun:
     return MaxRun(winner, Rat(winner_value, valuation.scale))
 
 
-@dataclass(frozen=True, eq=False)
-class RandRun:
-    """One realization of the random-sampling mechanism.
-
-    ``sample_value`` is the calibrated target, the ``a_max`` value of the
-    sample group at the run's bids.  It is computed on first read: from
-    ``calibration`` when the run made one, and otherwise by calling
-    ``a_max`` then.  Runs are equal when their sample values, accepted
-    rounds and outcomes are.
-    """
+class RandRun(NamedTuple):
+    """One realization of the random-sampling mechanism: the accepted round
+    (None when no round accepts) and its outcome.  The calibrated target is
+    not kept; it is ``a_max(inst.valuation, inst.budget, inst.units, bids,
+    group).winner_value`` for the run's bids and sample group."""
 
     accepted_round: int | None
     outcome: Outcome
-    inst: Instance = field(repr=False)
-    bids: tuple = field(repr=False)
-    group: tuple = field(repr=False)
-    calibration: MaxRun | None = field(default=None, repr=False)
-
-    @cached_property
-    def sample_value(self):
-        calib = self.calibration or _calibrate(self.inst, self.bids, self.group)
-        return calib.winner_value
-
-    def __eq__(self, other):
-        if not isinstance(other, RandRun):
-            return NotImplemented
-        return (self.sample_value, self.accepted_round, self.outcome) == (
-            other.sample_value,
-            other.accepted_round,
-            other.outcome,
-        )
-
-
-def _calibrate(inst: Instance, bids, group) -> MaxRun:
-    return a_max(inst.valuation, inst.budget, inst.units, bids, group)
 
 
 def m_rand_detail(inst: Instance, bids, sample_group) -> RandRun:
@@ -179,8 +152,7 @@ def m_rand_detail(inst: Instance, bids, sample_group) -> RandRun:
     Each round is first tested against the sampled sellers' full-supply
     value U, an upper bound on the target (see the module docstring).
     The group is calibrated only when a round fails that test, at most
-    once per call; otherwise the returned run calibrates when its
-    ``sample_value`` is first read.
+    once per call, and the target is not returned.
     """
     bids = checked_bids(inst, bids)
     sampled = set(sample_group)
@@ -192,7 +164,7 @@ def m_rand_detail(inst: Instance, bids, sample_group) -> RandRun:
     factor = phi(inst.total_units)
     full = tuple(u if i in sampled else 0 for i, u in enumerate(inst.units))
     bound = factor * float(Rat(valuation.ivalue(full), valuation.scale)) - ACCEPT_EPS
-    calib = None
+    target = None
     rounds = sum(inst.units[i] for i in rest)
     for k in range(1, rounds + 1):
         price = inst.budget / k
@@ -211,13 +183,13 @@ def m_rand_detail(inst: Instance, bids, sample_group) -> RandRun:
             continue
         fvalue = float(value)
         if fvalue < bound:
-            calib = calib or _calibrate(inst, bids, group)
-            target = calib.winner_value
+            if target is None:
+                target = a_max(valuation, inst.budget, inst.units, bids, group).winner_value
             if target != 0 and fvalue < factor * float(target) - ACCEPT_EPS:
                 continue
         payments = tuple(price * x for x in run.winner)
-        return RandRun(k, Outcome(run.winner, payments), inst, bids, group, calib)
-    return RandRun(None, inst.empty_outcome(), inst, bids, group, calib)
+        return RandRun(k, Outcome(run.winner, payments))
+    return RandRun(None, inst.empty_outcome())
 
 
 def group_from_mask(mask: int, m: int) -> tuple:

@@ -11,7 +11,7 @@ import random
 from functools import lru_cache
 
 from procure.core import Rat, Seller, Instance
-from procure.valuations import Additive, Explicit, domain
+from procure.valuations import Additive, ConcaveAdditive, Explicit, domain
 from procure.instances import (
     _draw_market,
     _rand_cost,
@@ -150,6 +150,46 @@ def dst_corpora():
         "m_sub": small_m_concave()[:40]
         + explicit_subadditive_corpus()[:20],
     }
+
+
+def two_units(top):
+    """Seller 0 holds a unit worth ``top``, seller 1 a unit worth 1 that it
+    offers at bid 0; B = 10 and phi = 1/128 exactly."""
+    return Instance(
+        (Seller(1, Rat(1)), Seller(1, Rat(0))),
+        Rat(10),
+        ConcaveAdditive(((Rat(top),), (Rat(1),))),
+    )
+
+
+@lru_cache(maxsize=None)
+def calibration_corpus():
+    """``m_rand`` instances where the calibrated target decides rounds.
+
+    In each, one seller's full supply is worth more than 1/phi times the
+    others' (1/phi is at most 128 here), so a round that posts only the
+    others fails the bound test while that seller is sampled.  The target
+    then rejects the round when that seller's bid is affordable, and is 0,
+    accepting it, when the seller bids over B.  ``two_units`` 127 and 128
+    sit at the bound's edge, where the test still passes.
+    """
+    out = [two_units(top) for top in (127, 128, 129, 130, 1000)]
+    out.append(Instance(
+        (Seller(2, Rat(3)), Seller(1, Rat(2)), Seller(2, Rat(1))),
+        Rat(10),
+        ConcaveAdditive(((Rat(600), Rat(400)), (Rat(3),), (Rat(2), Rat(1)))),
+    ))
+    out.append(Instance(
+        (Seller(1, Rat(1, 2)), Seller(1, Rat(4)), Seller(1, Rat(5, 2))),
+        Rat(6),
+        ConcaveAdditive(((Rat(1),), (Rat(400),), (Rat(3, 2),))),
+    ))
+    out.append(Instance(
+        (Seller(2, Rat(2)), Seller(1, Rat(1)), Seller(2, Rat(3))),
+        Rat(8),
+        ConcaveAdditive(((Rat(2), Rat(2)), (Rat(1),), (Rat(900), Rat(50)))),
+    ))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

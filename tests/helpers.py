@@ -16,8 +16,8 @@ value-rate greedy and its non-monotonicity, the sample-group dominance
 event of the random-sampling argument (with the optimum over a seller
 subset), and explicit tables materialized from any valuation for the
 classifier cross-check.  The rest are conveniences the package does not
-need: the allocation lattice's join and meet, expected payments, and
-replaying a DST witness.
+need: the allocation lattice's join and meet, expected payments,
+``m_rand``'s calibrated target, and replaying a DST witness.
 """
 
 from bisect import bisect_left
@@ -446,17 +446,26 @@ def reference_a_max(valuation, budget, units, costs, members):
     return mech_subadditive.MaxRun(winner, winner_value)
 
 
+def calibrated_target(inst: Instance, bids, sample_group):
+    """m_rand's calibrated target: the ``a_max`` value of the sample group
+    at ``bids``, through ``mech_subadditive.a_max`` as it is bound now."""
+    bids = checked_bids(inst, bids)
+    return mech_subadditive.a_max(
+        inst.valuation, inst.budget, inst.units, bids, sample_group
+    ).winner_value
+
+
 def reference_m_rand_detail(inst: Instance, bids, sample_group):
     """m_rand's rounds with the target calibrated first: ``a_max`` runs on
     the sample group before round 1, every round is tested against that
     target, and a round with nobody posted is skipped, not the last one.
-    Returns (sample value, accepted round, outcome)."""
+    Returns (calibrated target, accepted round, outcome), to compare with
+    ``(calibrated_target(...), *m_rand_detail(...))``."""
     bids = checked_bids(inst, bids)
     sampled = set(sample_group)
-    group = tuple(sorted(sampled))
     rest = tuple(i for i in range(inst.m) if i not in sampled)
     a_max = mech_subadditive.a_max
-    target = a_max(inst.valuation, inst.budget, inst.units, bids, group).winner_value
+    target = calibrated_target(inst, bids, sample_group)
     factor = phi(inst.total_units)
     for k in range(1, sum(inst.units[i] for i in rest) + 1):
         price = inst.budget / k
@@ -674,7 +683,7 @@ def partition_chain_records(inst: Instance):
         realized = inst.value(detail.outcome.allocation)
         chain_ok = (
             float(realized + single)
-            >= factor * float(detail.sample_value) - BUDGET_SLACK
+            >= factor * float(calibrated_target(inst, None, group)) - BUDGET_SLACK
         )
         records.append((event, chain_ok))
     return records

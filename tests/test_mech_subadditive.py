@@ -1,12 +1,14 @@
 import copy
+import pickle
 
 import pytest
 
 from procure import mech_subadditive, valuations
-from procure.core import Instance, Rat, Seller, utility
+from procure.core import Instance, Outcome, Rat, Seller, utility
 from procure.instances import gen_concave_additive, gen_explicit_subadditive
 from procure.mech_additive import ranked_pairs
 from procure.mech_subadditive import (
+    RandRun,
     a_max,
     group_from_mask,
     m_rand_detail,
@@ -16,8 +18,13 @@ from procure.oracles import adversarial_single_seller
 from procure.valuations import ConcaveAdditive, Explicit
 from procure.verify import MECHANISMS, deviation_grid
 
-from corpora import dst_corpora, greedy_nonmonotone_instance
-from helpers import brute_force_optimum, reference_a_max, reference_m_rand_detail
+from corpora import calibration_corpus, dst_corpora, greedy_nonmonotone_instance, two_units
+from helpers import (
+    brute_force_optimum,
+    calibrated_target,
+    reference_a_max,
+    reference_m_rand_detail,
+)
 
 
 def test_phi_guard():
@@ -86,7 +93,7 @@ def test_m_rand_all_sampled_away_buys_nothing():
 def test_m_rand_empty_sample_group_accepts_first_positive_round():
     inst = adversarial_single_seller(5, 5, 5)
     detail = m_rand_detail(inst, None, ())
-    assert detail.sample_value == 0
+    assert calibrated_target(inst, None, ()) == 0
     assert detail.accepted_round == 1
     assert detail.outcome.allocation == (1,)
     assert detail.outcome.payments == (Rat(5),)
@@ -277,9 +284,10 @@ def _grid_profiles(instances):
     return profiles
 
 
-def decided(run):
-    """What a run decided; reading ``sample_value`` calibrates it now."""
-    return run.sample_value, run.accepted_round, run.outcome
+def decided(inst, bids, group):
+    """What ``m_rand_detail`` decided on a profile, after its calibrated
+    target, as ``reference_m_rand_detail`` returns them."""
+    return (calibrated_target(inst, bids, group), *m_rand_detail(inst, bids, group))
 
 
 def test_m_rand_detail_matches_rational_reference_on_deviation_grids(monkeypatch):
@@ -288,11 +296,11 @@ def test_m_rand_detail_matches_rational_reference_on_deviation_grids(monkeypatch
     tables = [inst for inst in corpus if isinstance(inst.valuation, Explicit)]
     concave = [inst for inst in corpus if isinstance(inst.valuation, ConcaveAdditive)]
     profiles = _grid_profiles(concave[:20] + tables[:20])
-    # Read each sample value before the patch: read after it, the lazy
-    # calibration would run the reference on both sides.
-    got = [decided(m_rand_detail(*p)) for p in profiles]
+    # Every profile's production calibration is computed before the patch;
+    # after it, calibrated_target would run the reference on both sides.
+    got = [decided(*p) for p in profiles]
     monkeypatch.setattr(mech_subadditive, "a_max", reference_a_max)
-    assert [decided(m_rand_detail(*p)) for p in profiles] == got
+    assert [decided(*p) for p in profiles] == got
 
 
 def test_m_rand_detail_matches_eager_calibration_on_deviation_grids():
@@ -302,7 +310,7 @@ def test_m_rand_detail_matches_eager_calibration_on_deviation_grids():
     corpora = dst_corpora()
     prefix = {id(inst): inst for inst in corpora["m_rand"][:200] + corpora["m_sub"][:60]}
     profiles = _grid_profiles(prefix.values())
-    assert [decided(m_rand_detail(*p)) for p in profiles] == [
+    assert [decided(*p) for p in profiles] == [
         reference_m_rand_detail(*p) for p in profiles
     ]
 
@@ -320,10 +328,10 @@ def test_m_rand_detail_matches_cold_runs_at_tiny_memo_limits(monkeypatch, limit)
     for inst in (gen_explicit_subadditive(15002), concave):
         groups = [group_from_mask(mask, inst.m) for mask in range(1 << inst.m)]
         twin = Instance(inst.sellers, inst.budget, copy.copy(inst.valuation))
-        expected = [m_rand_detail(twin, None, g) for g in groups]
+        expected = [decided(twin, None, g) for g in groups]
         with monkeypatch.context() as patch:
             patch.setattr(valuations, "MEMO_LIMIT", limit)
-            assert [m_rand_detail(inst, None, g) for g in groups] == expected
+            assert [decided(inst, None, g) for g in groups] == expected
 
 
 def test_memo_keeps_only_the_latest_valuation():
@@ -340,16 +348,6 @@ def test_memo_keeps_only_the_latest_valuation():
     assert valuations._demand_caches.get(y.valuation) is table and len(table) == size
 
 
-def _two_units(top):
-    """Seller 0 holds a unit worth ``top``, seller 1 a unit worth 1 that it
-    offers at bid 0; B = 10 and phi = 1/128 exactly."""
-    return Instance(
-        (Seller(1, Rat(1)), Seller(1, Rat(0))),
-        Rat(10),
-        ConcaveAdditive(((Rat(top),), (Rat(1),))),
-    )
-
-
 @pytest.mark.parametrize(
     "top, bid, group, accepted_round, calibrations",
     [
@@ -357,7 +355,7 @@ def _two_units(top):
         # round value 1 is below U/128: the round calibrates.
         (1000, Rat(1), (0,), None, 1),  # target 1,000 rejects round 1
         (1000, Rat(11), (0,), 1, 1),  # seller 0 bids over B: target 0 accepts
-        # Decided by the bound alone: no calibration until sample_value.
+        # Decided by the bound alone: no calibration.
         (1000, Rat(1), (1,), 1, 0),  # round value 1,000 clears U/128 = 1/128
         (1000, Rat(11), (1,), None, 0),  # nobody is posted at B/1, so no round
         # The bound at its edge: round value 1 clears 128/128, not 129/128.
@@ -368,7 +366,7 @@ def _two_units(top):
 def test_m_rand_calibrates_only_when_the_bound_test_fails(
     monkeypatch, top, bid, group, accepted_round, calibrations
 ):
-    inst = _two_units(top)
+    inst = two_units(top)
     bids = (bid, Rat(0))
     calls = []
     real = mech_subadditive.a_max
@@ -382,7 +380,55 @@ def test_m_rand_calibrates_only_when_the_bound_test_fails(
     run = m_rand_detail(inst, bids, group)
     assert run.accepted_round == accepted_round
     assert len(calls) == calibrations
-    want = reference_m_rand_detail(inst, bids, group)
-    calls.clear()
-    assert decided(run) == want
-    assert len(calls) == 1 - calibrations  # a calibration already made is reused
+    assert (calibrated_target(inst, bids, group), *run) == reference_m_rand_detail(
+        inst, bids, group
+    )
+
+
+def test_rand_run_is_a_plain_value(monkeypatch):
+    assert RandRun._fields == ("accepted_round", "outcome")
+    # One run accepted after a calibration (zero target), one decided by
+    # the bound test alone.
+    cases = [
+        ((Rat(11), Rat(0)), (0,), RandRun(1, Outcome((0, 1), (Rat(0), Rat(10))))),
+        ((Rat(1), Rat(0)), (1,), RandRun(1, Outcome((1, 0), (Rat(10), Rat(0))))),
+    ]
+    inst = two_units(1000)
+    runs = [m_rand_detail(inst, bids, group) for bids, group, _ in cases]
+    calls = []
+    monkeypatch.setattr(mech_subadditive, "a_max", lambda *args: calls.append(args))
+    for run, (_, _, want) in zip(runs, cases):
+        assert run == want and hash(run) == hash(want)
+        assert copy.copy(run) == copy.deepcopy(run) == pickle.loads(pickle.dumps(run)) == run
+        assert (run.accepted_round, run.outcome) == tuple(run) == tuple(run._asdict().values())
+    assert len({*runs, *(want for _, _, want in cases)}) == 2
+    assert calls == []
+
+
+def test_m_rand_detail_matches_eager_calibration_where_the_target_decides(monkeypatch):
+    # On this corpus the bound test fails in some rounds, so the calibrated
+    # target decides them: it rejects a round, or, when zero, accepts one.
+    profiles = _grid_profiles(calibration_corpus())
+    real = mech_subadditive.a_max
+    calls = []
+
+    def recorded(valuation, budget, units, costs, members):
+        run = real(valuation, budget, units, costs, members)
+        calls.append((tuple(members), run.winner_value))
+        return run
+
+    monkeypatch.setattr(mech_subadditive, "a_max", recorded)
+    rejected = zero_accepted = 0
+    for inst, bids, group in profiles:
+        calls.clear()
+        run = m_rand_detail(inst, bids, group)
+        # Each round before the calibration made one a_max call, and the
+        # group, disjoint from every posted set, names the calibration.
+        made = [(n, value) for n, (members, value) in enumerate(calls) if members == group]
+        assert len(made) <= 1
+        if made:
+            (trigger, target), = made
+            rejected += run.accepted_round != trigger
+            zero_accepted += target == 0 and run.accepted_round == trigger
+    assert rejected and zero_accepted, (rejected, zero_accepted)
+    assert [decided(*p) for p in profiles] == [reference_m_rand_detail(*p) for p in profiles]

@@ -9,7 +9,6 @@ computed by the real greedy serves a mutant, and ``monkeypatch`` puts
 the real entry back afterwards.
 """
 
-from dataclasses import replace
 from itertools import accumulate
 
 import pytest
@@ -77,7 +76,7 @@ def next_round_price():
             return run
         price = inst.budget / (run.accepted_round + 1)
         alloc = run.outcome.allocation
-        return replace(run, outcome=Outcome(alloc, tuple(price * x for x in alloc)))
+        return run._replace(outcome=Outcome(alloc, tuple(price * x for x in alloc)))
 
     return underpaid
 
