@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import cached_property
 from math import lcm, log
 
@@ -67,6 +68,9 @@ class InvalidField(ValueError):
 # in O(n log n) integer steps.  A seller's deviation grid straddles B/rank and
 # its own units' critical bids, O(n) points.  The guard bounds these per-run
 # sizes, not a DST sweep's run count: one run per grid point and scenario.
+# A greedy payment sums its units' exact thresholds: with two sellers of
+# 2,000 units, seller 0's has a 4,526-digit denominator, and a greedy run at
+# a new bid takes about 25 ms (Python 3.11, Fraction backend, 2 cores).
 MAX_TOTAL_UNITS = 10**4
 
 # Literals must stay below this in magnitude, so that every float taken of a
@@ -95,8 +99,15 @@ def parse_rat(text: str):
 
 
 def format_rat(q) -> str:
-    """Format an exact rational as ``"p/q"``, or ``"p"`` when integral."""
-    return str(Rat(q))
+    """Format an exact rational as ``"p/q"``, or ``"p"`` when integral, in
+    full: where ``str`` refuses an ``int`` past its digit limit (4,300 by
+    default), ``decimal`` writes it.  The limit stays: it bounds ``parse_rat``."""
+    q = Rat(q)
+    try:
+        return str(q)
+    except ValueError:
+        parts = (q.numerator,) if q.denominator == 1 else (q.numerator, q.denominator)
+        return "/".join(format(Decimal(int(p)), "f") for p in parts)
 
 
 def scaled(values) -> tuple:

@@ -1,9 +1,11 @@
 """The mechanism registry, exact expectations, and the property harness.
 
-``MECHANISMS`` defines each mechanism once, as a lottery over deterministic
-branches.  Exact expectations come from enumerating the branch space (3
+``MECHANISMS`` defines each mechanism once, as a lottery: a list of
+scenarios, each naming the deterministic rule it runs and the lottery that
+owns it.  Exact expectations come from enumerating the branch space (3
 branches for the additive lotteries, 2 for the single-item one, 2^m sample
-groups for the random-sampling one, and the 1:1 mix of the last two).
+groups for the random-sampling one, and m_sub's union of the last two);
+``verify_instance`` checks each rule once, keyed on its owner object.
 Per-branch payments and values stay rational.  Floating point appears in
 the probability weighting, in the harmonic payment caps and the
 expected-payment check (both checked with BUDGET_SLACK), and in
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import mech_additive, mech_single_item, mech_subadditive
 from .core import (
@@ -44,14 +46,17 @@ GRID = 64  # default uniform deviation grid size
 
 @dataclass(frozen=True)
 class Scenario:
-    """One deterministic branch, its probability, and its payment cap: an
-    exact rational, or a float harmonic bound checked with BUDGET_SLACK.
-    An ``exact`` branch must pay the cap itself."""
+    """One branch: its name, probability and payment cap (an exact rational,
+    or a float harmonic bound checked with BUDGET_SLACK; an ``exact`` branch
+    must pay the cap itself), and the rule it runs, ``owner.run(inst, bids,
+    rule)``, which may be another lottery's."""
 
     branch: str
     probability: float
     cap: object
-    exact: bool = False
+    exact: bool
+    owner: Lottery
+    rule: str
 
     def within_cap(self, total) -> bool:
         if self.exact:
@@ -83,8 +88,14 @@ class Lottery:
     branch under the bids (None = truthful).  Methods reach mechanism
     functions through their modules at call time (``mech_additive.run_m_add``,
     never a stored reference), so a wrapper rebound on a module sees every
-    call.
+    call.  ``name`` is the lottery's id in ``MECHANISMS``.
     """
+
+    name: str
+
+    def own(self, branch: str, probability: float, cap, exact: bool = False) -> Scenario:
+        """A scenario that runs this lottery's own rule ``branch``."""
+        return Scenario(branch, probability, cap, exact, self, branch)
 
     def applicable(self, inst: Instance) -> str | None:
         """None when the mechanism can run on the instance, else the reason."""
@@ -127,9 +138,9 @@ class GreedyLottery(Lottery):
     def scenarios(self, inst):
         p_greedy = 1.0 / (2.0 * harmonic_factor(inst.total_units))
         return [
-            Scenario("greedy", p_greedy, _harmonic_cap(inst)),
-            Scenario("star", 0.5, inst.budget, exact=True),
-            Scenario("bot", 1.0 - p_greedy - 0.5, 0, exact=True),
+            self.own("greedy", p_greedy, _harmonic_cap(inst)),
+            self.own("star", 0.5, inst.budget, exact=True),
+            self.own("bot", 1.0 - p_greedy - 0.5, 0, exact=True),
         ]
 
     def run(self, inst, bids, branch):
@@ -157,8 +168,12 @@ class SymmetricLottery(GreedyLottery):
 
 class FirstPriceLottery(GreedyLottery):
     """Deliberately non-truthful fixture: m_add paying bids on the greedy
-    branch.  It exists so the test suite can prove the DST check catches
-    violations."""
+    branch.  Its star and bot entries are m_add's own.  It exists so the
+    test suite can prove the DST check catches violations."""
+
+    def scenarios(self, inst):
+        greedy, star, bot = MECHANISMS["m_add"].scenarios(inst)
+        return [replace(greedy, owner=self), star, bot]
 
     def run(self, inst, bids, branch):
         if branch != "greedy":
@@ -177,8 +192,8 @@ class SingleItemLottery(Lottery):
     def scenarios(self, inst):
         p = 1.0 / harmonic_factor(inst.total_units)
         return [
-            Scenario("fire", p, _harmonic_cap(inst)),
-            Scenario("skip", 1.0 - p, 0, exact=True),
+            self.own("fire", p, _harmonic_cap(inst)),
+            self.own("skip", 1.0 - p, 0, exact=True),
         ]
 
     def run(self, inst, bids, branch):
@@ -208,10 +223,7 @@ class SamplingLottery(Lottery):
             inst.m, GROUP_ENUM_MAX_SELLERS, "2^{count} sample groups exceed the enumeration guard"
         )
         p = 0.5**inst.m
-        return [
-            Scenario(f"rand:{mask:#b}", p, inst.budget)
-            for mask in range(1 << inst.m)
-        ]
+        return [self.own(f"rand:{mask:#b}", p, inst.budget) for mask in range(1 << inst.m)]
 
     def run(self, inst, bids, branch):
         kind, _, arg = branch.partition(":")
@@ -232,55 +244,46 @@ class SamplingLottery(Lottery):
         return {"phi": phi(n), "phi_guard_active": n < 4}
 
 
-class SubadditiveMix(Lottery):
-    """m_sub: a fair coin between m_one (branches ``one:fire`` and
-    ``one:skip``) and m_rand (branches ``rand:<mask>``)."""
-
-    def __init__(self, one: Lottery, rand: Lottery):
-        self.one, self.rand = one, rand
-
-    def applicable(self, inst):
-        return self.one.applicable(inst) or self.rand.applicable(inst)
+class SubadditiveLottery(SamplingLottery):
+    """m_sub: a fair coin between m_one and m_rand, with no rule of its own:
+    m_one's scenarios, renamed ``one:<branch>``, and m_rand's, at half their
+    probabilities.  m_one applies everywhere, so m_sub applies and notes as
+    m_rand does, and runs as m_rand any name that is not m_one's."""
 
     def scenarios(self, inst):
-        return [
-            Scenario(f"one:{s.branch}", 0.5 * s.probability, s.cap, s.exact)
-            for s in self.one.scenarios(inst)
-        ] + [
-            Scenario(s.branch, 0.5 * s.probability, s.cap, s.exact)
-            for s in self.rand.scenarios(inst)
-        ]
+        one = [replace(s, branch=f"one:{s.branch}") for s in MECHANISMS["m_one"].scenarios(inst)]
+        rand = MECHANISMS["m_rand"].scenarios(inst)
+        return [replace(s, probability=0.5 * s.probability) for s in one + rand]
 
     def run(self, inst, bids, branch):
-        kind, _, arg = branch.partition(":")
-        if kind == "one":
-            return self.one.run(inst, bids, arg)
-        return self.rand.run(inst, bids, branch)
+        for s in MECHANISMS["m_one"].scenarios(inst):
+            if branch == f"one:{s.branch}":
+                return s.owner.run(inst, bids, s.rule)
+        return super().run(inst, bids, branch)
 
     def sample(self, inst, rng):
         if rng.random() < 0.5:
-            return self.rand.sample(inst, rng)
-        return f"one:{self.one.sample(inst, rng)}"
-
-    def notes(self, inst):
-        return {**self.one.notes(inst), **self.rand.notes(inst)}
+            return super().sample(inst, rng)
+        return "one:" + MECHANISMS["m_one"].sample(inst, rng)
 
 
 # Every mechanism by id.  ``procure run`` samples a branch with
 # ``sample(inst, random.Random(seed))``, in this draw order (fixed for
 # replay): m_add, m_sym and m_one take one uniform draw against their
 # cumulative branch probabilities, in list order; m_rand takes its mask from
-# getrandbits(m); m_sub flips a 1:1 coin with one uniform draw (below 1/2
-# picks m_rand), then takes the chosen half's own draw.
+# getrandbits(m); m_sub, the union of those two, flips a 1:1 coin with one
+# uniform draw (below 1/2 picks m_rand), then takes that lottery's own draw.
 MECHANISMS = {
     "m_add": GreedyLottery(),
     "m_sym": SymmetricLottery(),
     "m_one": SingleItemLottery(),
     "m_rand": SamplingLottery(),
+    "m_sub": SubadditiveLottery(),
 }
-MECHANISMS["m_sub"] = SubadditiveMix(MECHANISMS["m_one"], MECHANISMS["m_rand"])
 MECHANISM_IDS = tuple(MECHANISMS)  # the paper's five; fixtures follow
 MECHANISMS["m_add_firstprice"] = FirstPriceLottery()
+for _id, _mech in MECHANISMS.items():
+    _mech.name = _id
 
 
 def _lottery(mech: str) -> Lottery:
@@ -294,12 +297,17 @@ def run_scenario(mech: str, inst: Instance, bids, branch: str) -> Outcome:
     return _lottery(mech).run(inst, bids, branch)
 
 
-def scenario_outcomes(mech: str, inst: Instance):
-    """Each scenario of the mechanism's lottery with its truthful outcome."""
-    return [
-        (s, run_scenario(mech, inst, inst.costs, s.branch))
-        for s in _lottery(mech).scenarios(inst)
-    ]
+def scenario_outcomes(mech: str, inst: Instance, shared: dict | None = None):
+    """Each scenario of the mechanism's lottery with its truthful outcome.
+    ``shared`` keeps each rule's outcome, as ``check_dst`` keeps sweeps."""
+    shared = {} if shared is None else shared
+    pairs = []
+    for s in _lottery(mech).scenarios(inst):
+        key = ("truthful", s.owner, s.rule)
+        if key not in shared:
+            shared[key] = run_scenario(s.owner.name, inst, inst.costs, s.rule)
+        pairs.append((s, shared[key]))
+    return pairs
 
 
 def expected_value(mech: str, inst: Instance) -> float:
@@ -342,7 +350,7 @@ def deviation_grid(mech, inst, bids, seller, resolution: int = GRID):
 
 
 def check_dst(
-    mech: str, inst: Instance, resolution: int = GRID, strict: bool = False
+    mech: str, inst: Instance, resolution: int = GRID, strict: bool = False, *, shared=None
 ) -> list:
     """Per-scenario, per-seller truthfulness on the deviation grid.
 
@@ -351,67 +359,65 @@ def check_dst(
     truthfully; ``strict`` adds a ``dst-strict`` sweep on instances with at
     most two sellers, where opponents range over their own (coarser)
     deviation grids and one bid past each, approximating the full
-    dominant-strategy quantifier.
+    dominant-strategy quantifier.  ``shared`` keeps one instance's sweeps
+    by rule (the owner object and its rule), so each rule is swept once.
     """
-    checks = _dst_sweep("dst", mech, inst, resolution, False)
+    shared = {} if shared is None else shared
+    checks = _dst_sweep("dst", mech, inst, resolution, False, shared)
     if strict and inst.m <= 2:
         coarse = max(8, resolution // 8)
-        checks += _dst_sweep("dst-strict", mech, inst, coarse, True)
+        checks += _dst_sweep("dst-strict", mech, inst, coarse, True, shared)
     return checks
 
 
-def _witness(scen, seller, bids, deviation, u_true, u_dev) -> dict:
-    return {
-        "scenario": scen.branch,
-        "seller": seller,
-        "bids": [format_rat(b) for b in bids],
-        "deviation": format_rat(deviation),
-        "u_true": format_rat(u_true),
-        "u_dev": format_rat(u_dev),
-    }
-
-
-def _dst_sweep(name, mech, inst, resolution, sweep_opponents) -> list:
-    # One check per (scenario, seller): the first opponent profile, in grid
-    # order, under which some deviation beats the truthful bid is the witness.
+def _dst_sweep(name, mech, inst, resolution, sweep_opponents, shared) -> list:
+    # One check per (scenario, seller) from its rule's sweep.  A lottery has
+    # its rules' breakpoints, so these grids are the rules' owners' grids.
     costs = inst.costs
-    scenarios = _lottery(mech).scenarios(inst)
-    grids = [
-        deviation_grid(mech, inst, costs, i, resolution) for i in range(inst.m)
-    ]
+    grids = [deviation_grid(mech, inst, costs, i, resolution) for i in range(inst.m)]
     # Strict opponents also bid twice their grid's top, past B and every cut:
     # a greedy opponent there sells nothing but can still rank before the seller.
     rival_bids = [g + [2 * g[-1]] if sweep_opponents else (c,) for g, c in zip(grids, costs)]
     checks = []
-    for scen in scenarios:
-        for i in range(inst.m):
-            witness = None
-            for rivals in itertools.product(*rival_bids[:i], *rival_bids[i + 1 :]):
-                base = rivals[:i] + (costs[i],) + rivals[i:]
-                out = run_scenario(mech, inst, base, scen.branch)
-                u_true = utility(out, costs, i)
-                for dev in grids[i]:
-                    if dev == costs[i]:
-                        continue
-                    profile = base[:i] + (dev,) + base[i + 1 :]
-                    out = run_scenario(mech, inst, profile, scen.branch)
-                    u_dev = utility(out, costs, i)
-                    if u_dev > u_true:
-                        witness = _witness(scen, i, base, dev, u_true, u_dev)
-                        break
-                if witness:
-                    break
-            checks.append(
-                Check(f"{name}:{scen.branch}:seller{i}", witness is None, witness)
-            )
+    for scen in _lottery(mech).scenarios(inst):
+        key = (name, resolution, scen.owner, scen.rule)
+        if key not in shared:
+            shared[key] = [_first_gain(scen, inst, i, grids[i], rival_bids) for i in range(inst.m)]
+        for i, witness in enumerate(shared[key]):
+            witness = witness and {"scenario": scen.branch, **witness}
+            checks.append(Check(f"{name}:{scen.branch}:seller{i}", witness is None, witness))
     return checks
 
 
-def check_ir(mech: str, inst: Instance) -> list:
+def _first_gain(scen, inst, i, grid, rival_bids) -> dict | None:
+    """The witness, less its scenario name, of the first opponent profile
+    in grid order where a deviation of seller i beats its truthful bid."""
+    costs = inst.costs
+    owner, rule = scen.owner.name, scen.rule
+    for rivals in itertools.product(*rival_bids[:i], *rival_bids[i + 1 :]):
+        base = rivals[:i] + (costs[i],) + rivals[i:]
+        u_true = utility(run_scenario(owner, inst, base, rule), costs, i)
+        for dev in grid:
+            if dev == costs[i]:
+                continue
+            profile = base[:i] + (dev,) + base[i + 1 :]
+            u_dev = utility(run_scenario(owner, inst, profile, rule), costs, i)
+            if u_dev > u_true:
+                return {
+                    "seller": i,
+                    "bids": [format_rat(b) for b in base],
+                    "deviation": format_rat(dev),
+                    "u_true": format_rat(u_true),
+                    "u_dev": format_rat(u_dev),
+                }
+    return None
+
+
+def check_ir(mech: str, inst: Instance, *, shared=None) -> list:
     """Individual rationality under truthful bids, per scenario, exact."""
     costs = inst.costs
     checks = []
-    for scen, out in scenario_outcomes(mech, inst):
+    for scen, out in scenario_outcomes(mech, inst, shared):
         witness = None
         for i in range(inst.m):
             u = utility(out, costs, i)
@@ -426,16 +432,17 @@ def check_ir(mech: str, inst: Instance) -> list:
     return checks
 
 
-def check_budget(mech: str, inst: Instance) -> list:
-    """Per-branch payment caps plus the expected-payment budget test."""
+def check_budget(mech: str, inst: Instance, *, shared=None) -> list:
+    """Per-branch payment caps plus the expected-payment budget test.  Only
+    a failing branch formats its payment, which can have thousands of digits."""
     checks = []
     expected = 0.0
-    for scen, out in scenario_outcomes(mech, inst):
+    for scen, out in scenario_outcomes(mech, inst, shared):
         total = out.total_payment
         expected += scen.probability * float(total)
         ok = scen.within_cap(total)
-        witness = {"scenario": scen.branch, "total_payment": format_rat(total)}
-        checks.append(Check(f"budget:{scen.branch}", ok, None if ok else witness))
+        witness = None if ok else {"scenario": scen.branch, "total_payment": format_rat(total)}
+        checks.append(Check(f"budget:{scen.branch}", ok, witness))
     ok = expected <= float(inst.budget) + BUDGET_SLACK
     checks.append(
         Check("budget:expected", ok, None if ok else {"expected_payment": expected})
@@ -545,7 +552,9 @@ def verify_instance(
 ) -> list:
     """Run the full check battery for each applicable mechanism.  A mechanism
     that does not apply, or needs a search a guard refuses, is skipped; the
-    ratio is measured first, so the optimum's guards refuse before the sweep."""
+    ratio is measured first, so the optimum's guards refuse before the sweep.
+    The mechanisms share their rules' sweeps and truthful runs."""
+    shared = {}
     reports = []
     for mech in mechanisms:
         lottery = _lottery(mech)
@@ -554,9 +563,9 @@ def verify_instance(
             try:
                 ratio = measure_ratio(mech, inst)
                 checks = (
-                    check_dst(mech, inst, resolution, strict)
-                    + check_ir(mech, inst)
-                    + check_budget(mech, inst)
+                    check_dst(mech, inst, resolution, strict, shared=shared)
+                    + check_ir(mech, inst, shared=shared)
+                    + check_budget(mech, inst, shared=shared)
                 )
             except SearchSpaceTooLarge as exc:
                 reason = str(exc)
@@ -565,4 +574,3 @@ def verify_instance(
             continue
         reports.append(Report(digest, mech, checks, ratio, lottery.notes(inst) or None))
     return reports
-

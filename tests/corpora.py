@@ -162,6 +162,16 @@ def two_units(top):
     )
 
 
+def greedy_at_scale(n):
+    """Two sellers with margins n down to 1, costs 3 and 5, and B = 10n.  At
+    n = 2,000, seller 0's truthful greedy payment has a 4,526-digit
+    denominator, past the 4,300 digits ``str`` writes of an ``int``."""
+    margins = tuple(Rat(k) for k in range(n, 0, -1))
+    return Instance(
+        (Seller(n, Rat(3)), Seller(n, Rat(5))), Rat(10 * n), ConcaveAdditive((margins, margins))
+    )
+
+
 @lru_cache(maxsize=None)
 def calibration_corpus():
     """``m_rand`` instances where the calibrated target decides rounds.

@@ -59,6 +59,7 @@ from procure.verify import (
     GRID,
     GROUP_ENUM_MAX_SELLERS,
     MECHANISMS,
+    deviation_grid,
     run_scenario,
     scenario_outcomes,
 )
@@ -453,6 +454,19 @@ def calibrated_target(inst: Instance, bids, sample_group):
     return mech_subadditive.a_max(
         inst.valuation, inst.budget, inst.units, bids, sample_group
     ).winner_value
+
+
+def grid_profiles(instances):
+    """(instance, bids, group) for every deviation-grid bid of every
+    seller, at resolution 16, under every sample group."""
+    profiles = []
+    for inst in instances:
+        groups = [group_from_mask(mask, inst.m) for mask in range(1 << inst.m)]
+        for seller in range(inst.m):
+            for bid in deviation_grid("m_rand", inst, inst.costs, seller, 16):
+                bids = inst.costs[:seller] + (bid,) + inst.costs[seller + 1 :]
+                profiles += [(inst, bids, g) for g in groups]
+    return profiles
 
 
 def reference_m_rand_detail(inst: Instance, bids, sample_group):

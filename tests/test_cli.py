@@ -3,6 +3,8 @@ import errno
 import json
 import os
 import re
+import sys
+from decimal import Decimal
 from functools import reduce
 from operator import getitem
 
@@ -28,7 +30,7 @@ from procure.instances import (
 )
 from procure.mech_subadditive import m_rand_detail
 
-from corpora import gen_additive, greedy_nonmonotone_instance
+from corpora import gen_additive, greedy_at_scale, greedy_nonmonotone_instance
 
 
 @pytest.fixture
@@ -328,6 +330,31 @@ def test_run_m_sub_skip(runner, tmp_path):
     payload = json.loads(result.output)
     assert payload["total_payment"] == "0"
     assert all(a == 0 for a in payload["allocation"])
+
+
+def test_run_prints_payments_past_the_int_digit_limit(runner, tmp_path):
+    from procure.core import parse_rat
+    from procure.mech_additive import run_m_add
+
+    inst = greedy_at_scale(2000)
+    path = tmp_path / "scale.json"
+    save_instance(path, inst)
+    result = runner.invoke(
+        main, ["run", str(path), "--mechanism", "m_add", "--scenario", "greedy"]
+    )
+    assert result.exit_code == 0, result.output
+    printed = json.loads(result.output)["payments"]
+    limit = sys.get_int_max_str_digits()
+    assert max(len(text) for text in printed) > 2 * limit
+    for text, payment in zip(printed, run_m_add(inst, None, "greedy").payments):
+        num, den = (int(Decimal(part)) for part in text.split("/"))
+        assert num * payment.denominator == den * payment.numerator
+        # parse_rat keeps the int-string limit on the literals it reads.
+        if max(len(part) for part in text.split("/")) <= limit:
+            assert parse_rat(text) == payment
+        else:
+            with pytest.raises(ValueError):
+                parse_rat(text)
 
 
 def test_verify_exit_codes(runner, tmp_path):

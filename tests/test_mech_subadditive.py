@@ -16,12 +16,13 @@ from procure.mech_subadditive import (
 )
 from procure.oracles import adversarial_single_seller
 from procure.valuations import ConcaveAdditive, Explicit
-from procure.verify import MECHANISMS, deviation_grid
+from procure.verify import MECHANISMS
 
 from corpora import calibration_corpus, dst_corpora, greedy_nonmonotone_instance, two_units
 from helpers import (
     brute_force_optimum,
     calibrated_target,
+    grid_profiles,
     reference_a_max,
     reference_m_rand_detail,
 )
@@ -271,19 +272,6 @@ def test_a_max_matches_rational_reference_on_every_sample_group():
                 assert got == reference_a_max(v, b, u, costs, members), (n, costs, members)
 
 
-def _grid_profiles(instances):
-    """(instance, bids, group) for every deviation-grid bid of every
-    seller, at resolution 16, under every sample group."""
-    profiles = []
-    for inst in instances:
-        groups = [group_from_mask(mask, inst.m) for mask in range(1 << inst.m)]
-        for seller in range(inst.m):
-            for bid in deviation_grid("m_rand", inst, inst.costs, seller, 16):
-                bids = inst.costs[:seller] + (bid,) + inst.costs[seller + 1 :]
-                profiles += [(inst, bids, g) for g in groups]
-    return profiles
-
-
 def decided(inst, bids, group):
     """What ``m_rand_detail`` decided on a profile, after its calibrated
     target, as ``reference_m_rand_detail`` returns them."""
@@ -295,7 +283,7 @@ def test_m_rand_detail_matches_rational_reference_on_deviation_grids(monkeypatch
     corpus = _sampling_corpus()
     tables = [inst for inst in corpus if isinstance(inst.valuation, Explicit)]
     concave = [inst for inst in corpus if isinstance(inst.valuation, ConcaveAdditive)]
-    profiles = _grid_profiles(concave[:20] + tables[:20])
+    profiles = grid_profiles(concave[:20] + tables[:20])
     # Every profile's production calibration is computed before the patch;
     # after it, calibrated_target would run the reference on both sides.
     got = [decided(*p) for p in profiles]
@@ -309,7 +297,7 @@ def test_m_rand_detail_matches_eager_calibration_on_deviation_grids():
     # m_sub's starts with m_rand's first 40 instances, each run once.
     corpora = dst_corpora()
     prefix = {id(inst): inst for inst in corpora["m_rand"][:200] + corpora["m_sub"][:60]}
-    profiles = _grid_profiles(prefix.values())
+    profiles = grid_profiles(prefix.values())
     assert [decided(*p) for p in profiles] == [
         reference_m_rand_detail(*p) for p in profiles
     ]
@@ -408,7 +396,7 @@ def test_rand_run_is_a_plain_value(monkeypatch):
 def test_m_rand_detail_matches_eager_calibration_where_the_target_decides(monkeypatch):
     # On this corpus the bound test fails in some rounds, so the calibrated
     # target decides them: it rejects a round, or, when zero, accepts one.
-    profiles = _grid_profiles(calibration_corpus())
+    profiles = grid_profiles(calibration_corpus())
     real = mech_subadditive.a_max
     calls = []
 

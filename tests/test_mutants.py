@@ -1,12 +1,18 @@
-"""Mechanism mutants that the DST check must catch.
+"""Mechanism mutants that the verifier's checks must catch.
 
 Each mutant rebinds one mechanism function through ``monkeypatch`` and
-must fail some ``dst`` check of its mechanism within a prefix of that
-mechanism's criterion-8 corpus: the first 100 instances for the greedy
-(``m_add``), the first 60 for ``m_rand``.  The search stops at the first
-kill.  The greedy's ranking memo is emptied first, so no ranking
-computed by the real greedy serves a mutant, and ``monkeypatch`` puts
-the real entry back afterwards.
+must fail the check named for it within a prefix of a corpus.  The
+greedy (``m_add``) mutants and ``m_rand``'s price mutant must fail some
+``dst`` check of their mechanism within the first 100 and the first 60
+instances of its criterion-8 corpus; the greedy's ranking memo is
+emptied first, so no ranking computed by the real greedy serves a
+mutant.  ``m_rand``'s calibration-side mutants cannot fail ``dst``: a
+sampled seller is never paid, and its bid moves only the target, so any
+target rule stays truthful.  Their kill criterion is the eager-reference
+equivalence on ``calibration_corpus()``, where the target decides rounds:
+some grid profile's accepted round or outcome differs from
+``reference_m_rand_detail``'s.  The search stops at the first kill, and
+``monkeypatch`` puts the real function back afterwards.
 """
 
 from itertools import accumulate
@@ -14,10 +20,12 @@ from itertools import accumulate
 import pytest
 
 from procure import mech_additive, mech_subadditive
-from procure.core import Outcome, Rat
+from procure.core import Outcome, Rat, checked_bids
+from procure.mech_subadditive import RandRun, phi
 from procure.verify import check_dst
 
-from corpora import concave_corpus, dst_corpora
+from corpora import calibration_corpus, concave_corpus, dst_corpora
+from helpers import grid_profiles, reference_m_rand_detail
 
 KILL_WINDOW = 100
 RAND_KILL_WINDOW = 60
@@ -81,6 +89,54 @@ def next_round_price():
     return underpaid
 
 
+def calibration_mutant(bound_scale=1, true_costs=False, target_scale=1, zero_accepts=True):
+    """``m_rand_detail`` restated, with at most one calibration-side change:
+    the bound test against ``bound_scale`` times U, the target calibrated
+    at the true costs rather than the bids, the target times
+    ``target_scale``, or a zero target rejecting the round it accepts."""
+
+    def detail(inst, bids, sample_group):
+        a_max, eps = mech_subadditive.a_max, mech_subadditive.ACCEPT_EPS
+        bids = checked_bids(inst, bids)
+        group = tuple(sorted(sample_group))
+        rest = [i for i in range(inst.m) if i not in group]
+        valuation, factor = inst.valuation, phi(inst.total_units)
+        full = tuple(u if i in group else 0 for i, u in enumerate(inst.units))
+        bound = factor * float(Rat(valuation.ivalue(full), valuation.scale) * bound_scale) - eps
+        target = None
+        for k in range(1, sum(inst.units[i] for i in rest) + 1):
+            price = inst.budget / k
+            posted = tuple(i for i in rest if bids[i] <= price)
+            if not posted:
+                break
+            run = a_max(valuation, inst.budget, inst.units, (price,) * inst.m, posted)
+            if run.winner_value <= 0:
+                continue
+            value = float(run.winner_value)
+            if value < bound:
+                if target is None:
+                    at = inst.costs if true_costs else bids
+                    target = a_max(valuation, inst.budget, inst.units, at, group).winner_value
+                    target *= target_scale
+                if target == 0 and not zero_accepts:
+                    continue
+                if target != 0 and value < factor * float(target) - eps:
+                    continue
+            return RandRun(k, Outcome(run.winner, tuple(price * x for x in run.winner)))
+        return RandRun(None, inst.empty_outcome())
+
+    return detail
+
+
+# Calibration-side mutants of m_rand_detail, each one change of
+# calibration_mutant; killed by the eager-reference equivalence.
+CALIBRATION_MUTANTS = {
+    "bound_against_quarter_U": {"bound_scale": Rat(1, 4)},
+    "target_from_true_costs": {"true_costs": True},
+    "halved_target": {"target_scale": Rat(1, 2)},
+    "zero_target_rejects": {"zero_accepts": False},
+}
+
 MUTANTS = {
     "underpay": ("_payment", lambda: shifted_payment(Rat(-1, 10**9))),
     "no_rho_branch": ("_seller_thresholds", lambda: mutant_thresholds(rho_branch=False)),
@@ -122,3 +178,23 @@ def test_greedy_mutant_is_killed_by_dst(monkeypatch, mutant):
 def test_m_rand_paying_the_next_rounds_price_is_killed_by_dst(monkeypatch):
     monkeypatch.setattr(mech_subadditive, "m_rand_detail", next_round_price())
     assert_killed("m_rand_pays_next_round", "m_rand", RAND_KILL_WINDOW)
+
+
+def test_restated_m_rand_detail_is_m_rand_detail():
+    # Unmutated, the restatement decides as m_rand_detail does, so each
+    # calibration mutant differs from it by its one change.
+    restated = calibration_mutant()
+    for profile in grid_profiles(calibration_corpus()):
+        assert restated(*profile) == mech_subadditive.m_rand_detail(*profile)
+
+
+@pytest.mark.parametrize("mutant", sorted(CALIBRATION_MUTANTS))
+def test_calibration_mutant_is_killed_by_the_eager_reference(monkeypatch, mutant):
+    monkeypatch.setattr(
+        mech_subadditive, "m_rand_detail", calibration_mutant(**CALIBRATION_MUTANTS[mutant])
+    )
+    for n, profile in enumerate(grid_profiles(calibration_corpus())):
+        if tuple(mech_subadditive.m_rand_detail(*profile)) != reference_m_rand_detail(*profile)[1:]:
+            print(f"{mutant}: killed at profile {n} by the eager reference")
+            return
+    pytest.fail(f"{mutant} survives the eager reference on calibration_corpus()")

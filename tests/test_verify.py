@@ -1,10 +1,11 @@
 import json
 import random
+from collections import Counter
 from math import log
 
 import pytest
 
-from procure.core import Instance, Rat, Seller, utility
+from procure.core import Instance, Outcome, Rat, Seller, utility
 from procure.instances import gen_concave_additive, gen_symmetric, instance_digest
 from procure.oracles import DP_CELL_LIMIT, adversarial_single_seller
 from procure.valuations import BoundedKnapsack, ConcaveAdditive
@@ -21,7 +22,7 @@ from procure.verify import (
     verify_instance,
 )
 
-from corpora import dst_corpora, greedy_nonmonotone_instance
+from corpora import dst_corpora, greedy_at_scale, greedy_nonmonotone_instance
 from helpers import (
     expected_payment,
     greedy_marginal,
@@ -367,6 +368,123 @@ def test_verify_instance_reports(two_seller):
     assert parsed[-1]["check"] == "measured"
     row = by_mech["m_add"].csv_row()
     assert len(row) == len(CSV_HEADER)
+
+
+def _runs(monkeypatch, mechanisms, inst, **kwargs):
+    """verify_instance's reports, and a count of its run_scenario calls by
+    (mechanism, branch, bids)."""
+    from procure import verify
+
+    runs = Counter()
+    real = verify.run_scenario
+
+    def counted(mech, inst, bids, branch):
+        runs[mech, branch, tuple(bids)] += 1
+        return real(mech, inst, bids, branch)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "run_scenario", counted)
+        reports = verify_instance(inst, mechanisms, 16, **kwargs)
+    return reports, runs
+
+
+def test_verify_instance_runs_m_subs_rules_once(monkeypatch):
+    inst = greedy_nonmonotone_instance()
+    alone = {mech: _runs(monkeypatch, [mech], inst) for mech in ("m_one", "m_rand", "m_sub")}
+    reports, runs = _runs(monkeypatch, ["m_one", "m_rand", "m_sub"], inst)
+    # m_sub alone makes exactly m_one's and m_rand's runs; beside them it
+    # adds only its ratio's truthful runs.
+    assert alone["m_sub"][1] == alone["m_one"][1] + alone["m_rand"][1]
+    ratio_runs = Counter(
+        (s.owner.name, s.rule, inst.costs) for s in MECHANISMS["m_sub"].scenarios(inst)
+    )
+    assert runs == alone["m_one"][1] + alone["m_rand"][1] + ratio_runs
+    assert [r.json_lines() for r in reports] == [
+        alone[mech][0][0].json_lines() for mech in ("m_one", "m_rand", "m_sub")
+    ]
+
+
+def test_verify_instance_never_serves_m_adds_greedy_to_the_fixture(monkeypatch, two_seller):
+    def deviations(runs, mech, branch):
+        return sum(
+            n for (m, b, bids), n in runs.items()
+            if (m, b) == (mech, branch) and bids != two_seller.costs
+        )
+
+    add = _runs(monkeypatch, ["m_add"], two_seller, strict=True)[1]
+    fixture = _runs(monkeypatch, ["m_add_firstprice"], two_seller, strict=True)[1]
+    reports, runs = _runs(monkeypatch, ["m_add", "m_add_firstprice"], two_seller, strict=True)
+
+    def fixtures_own(runs):
+        return {key: n for key, n in runs.items() if key[0] == "m_add_firstprice"}
+
+    # star and bot are swept once, as m_add's rules; each greedy is swept,
+    # and run truthfully, as if it were checked alone.
+    for branch in ("star", "bot", "greedy"):
+        assert deviations(runs, "m_add", branch) == deviations(add, "m_add", branch) > 0
+    assert deviations(fixture, "m_add", "star") == deviations(add, "m_add", "star")
+    assert fixtures_own(runs) == fixtures_own(fixture)
+    assert {b for _, b, _ in fixtures_own(runs)} == {"greedy"}
+    add_checks, fixture_checks = ({c.name: c for c in r.checks} for r in reports)
+    for sweep in ("dst", "dst-strict"):
+        assert add_checks[f"{sweep}:greedy:seller0"].passed
+        check = fixture_checks[f"{sweep}:greedy:seller0"]
+        assert not check.passed
+        assert check.witness["scenario"] == "greedy"
+        assert replay_witness("m_add_firstprice", two_seller, check.witness)
+    for name, check in add_checks.items():
+        if ":star" in name or ":bot" in name:
+            assert fixture_checks[name] == check
+
+
+def test_a_shared_verdict_names_each_lotterys_branch(monkeypatch, two_seller):
+    # With a pay-as-bid fire branch, m_one fails dst; m_sub's copy of each
+    # failure names m_sub's branch, in the check and in the witness that
+    # replays it through m_sub.
+    from procure import mech_single_item
+
+    real = mech_single_item.run_m_one
+
+    def pay_as_bid(inst, bids, branch):
+        alloc = real(inst, bids, branch).allocation
+        bids = inst.costs if bids is None else bids
+        return Outcome(alloc, tuple(Rat(b) * a for a, b in zip(alloc, bids)))
+
+    monkeypatch.setattr(mech_single_item, "run_m_one", pay_as_bid)
+    one, sub = verify_instance(two_seller, ["m_one", "m_sub"], 16)
+    failed = [c for c in one.checks if not c.passed]
+    assert failed and all(c.name.startswith("dst:fire:") for c in failed)
+    copies = {c.name: c for c in sub.checks}
+    for check in failed:
+        copy = copies[check.name.replace(":fire:", ":one:fire:")]
+        assert not copy.passed
+        assert copy.witness == {**check.witness, "scenario": "one:fire"}
+        assert replay_witness("m_sub", two_seller, copy.witness)
+
+
+def test_lotteries_have_the_breakpoints_of_the_rules_they_list(two_seller):
+    # A sweep builds its grids from the listing lottery's breakpoints, and
+    # the verdicts it keeps serve every lottery that lists the same rule.
+    for mech, lottery in MECHANISMS.items():
+        inst = _registry_instance(mech, two_seller)
+        for s in lottery.scenarios(inst):
+            for i in range(inst.m):
+                bids = inst.costs
+                assert lottery.breakpoints(inst, bids, i) == s.owner.breakpoints(inst, bids, i)
+
+
+def test_check_budget_formats_only_a_failing_branch(monkeypatch):
+    # Seller 0's greedy payment has 4,526 denominator digits here; a
+    # passing branch writes none of them.
+    from procure import verify
+
+    formatted = []
+    monkeypatch.setattr(verify, "format_rat", lambda q: formatted.append(q) or str(q))
+    checks = check_budget("m_add", greedy_at_scale(2000))
+    assert [c.name for c in checks] == [
+        "budget:greedy", "budget:star", "budget:bot", "budget:expected"
+    ]
+    assert all(c.passed for c in checks) and formatted == []
 
 
 def test_optimum_guard_skips_before_the_sweep(monkeypatch):
