@@ -414,7 +414,8 @@ def _first_gain(scen, inst, i, grid, rival_bids) -> dict | None:
 
 
 def check_ir(mech: str, inst: Instance, *, shared=None) -> list:
-    """Individual rationality under truthful bids, per scenario, exact."""
+    """Individual rationality under truthful bids, per scenario, exact.
+    ``shared`` is as for ``scenario_outcomes``."""
     costs = inst.costs
     checks = []
     for scen, out in scenario_outcomes(mech, inst, shared):
@@ -433,8 +434,9 @@ def check_ir(mech: str, inst: Instance, *, shared=None) -> list:
 
 
 def check_budget(mech: str, inst: Instance, *, shared=None) -> list:
-    """Per-branch payment caps plus the expected-payment budget test.  Only
-    a failing branch formats its payment, which can have thousands of digits."""
+    """Per-branch payment caps plus the expected-payment budget test;
+    ``shared`` is as for ``scenario_outcomes``.  Only a failing branch
+    formats its payment, which can have thousands of digits."""
     checks = []
     expected = 0.0
     for scen, out in scenario_outcomes(mech, inst, shared):
