@@ -12,10 +12,16 @@ expected-payment check (both checked with BUDGET_SLACK), and in
 ``m_rand``'s acceptance factor (checked with ``ACCEPT_EPS``); deciding
 these exactly is ROADMAP item 2.
 
-The harness checks dominant-strategy truthfulness on deviation grids built
-from the allocation rules' breakpoints, individual rationality, per-branch
-and expected budget feasibility, and measured approximation ratios against
-the exact optimum oracle.  Every failure carries a replayable witness.
+The harness checks dominant-strategy truthfulness on deviation grids,
+individual rationality, per-branch and expected budget feasibility, and
+measured approximation ratios against the exact optimum oracle.  Every
+failure carries a replayable witness.  Each rule's owner declares, per
+seller, whether the rule reads that seller's bid (``Lottery.reads``).  A
+(rule, seller) pair that reads it is swept over ``deviation_grid``: B/rank
+for every rank plus the owner's breakpoints.  A bid-blind pair, such as
+m_add's star and bot, m_one's skip, or a seller m_rand sampled away, gives
+the seller a constant outcome, which is truthful whatever it is (Archer &
+Tardos 2001); it is swept at two points, 0 and twice the grid's top.
 """
 
 from __future__ import annotations
@@ -81,7 +87,8 @@ def _harmonic_cap(inst: Instance) -> float:
 
 class Lottery:
     """A mechanism: where it applies, its branches, how one branch runs, how
-    ``procure run`` samples one, its rule's breakpoints, and its ratio.
+    ``procure run`` samples one, its rule's breakpoints, whose bids its
+    rules read, and its ratio.
 
     Each subclass defines ``scenarios(inst)``, the exhaustive branch list
     with probabilities summing to 1, and ``run(inst, bids, branch)``, one
@@ -116,6 +123,12 @@ class Lottery:
         """Bids besides B/rank where the seller's allocation can change."""
         return set()
 
+    def reads(self, rule: str, seller: int) -> bool:
+        """Whether this lottery's rule reads the seller's own bid for the
+        seller's outcome.  One that does not gives the seller a constant
+        outcome, truthful whatever it is, so its sweep needs two points."""
+        return True
+
     def benchmark(self, inst: Instance):
         """Name and value of the optimum the ratio is measured against."""
         return "budget-optimum", optimal_allocation(inst)[1]
@@ -148,6 +161,9 @@ class GreedyLottery(Lottery):
 
     def breakpoints(self, inst, bids, seller):
         return mech_additive.greedy_breakpoints(inst, bids, seller)
+
+    def reads(self, rule, seller):
+        return rule not in ("star", "bot")
 
     def bound(self, n):
         return 4.0 * harmonic_factor(n)
@@ -199,6 +215,9 @@ class SingleItemLottery(Lottery):
     def run(self, inst, bids, branch):
         return mech_single_item.run_m_one(inst, bids, branch)
 
+    def reads(self, rule, seller):
+        return rule != "skip"
+
     def benchmark(self, inst):
         # plan_m_one ranks sellers by these values; its winner is the first max.
         return "single-item-optimum", max(mech_single_item.single_item_values(inst))
@@ -226,15 +245,12 @@ class SamplingLottery(Lottery):
         return [self.own(f"rand:{mask:#b}", p, inst.budget) for mask in range(1 << inst.m)]
 
     def run(self, inst, bids, branch):
-        kind, _, arg = branch.partition(":")
-        if kind != "rand":
-            raise ValueError(f"bad m_rand scenario {branch!r}")
-        try:
-            mask = int(arg, 0)
-        except ValueError as exc:
-            raise ValueError(f"bad sample-group mask {arg!r}") from exc
-        group = group_from_mask(mask, inst.m)
+        group = group_from_mask(_mask(branch), inst.m)
         return mech_subadditive.m_rand_detail(inst, bids, group).outcome
+
+    def reads(self, rule, seller):
+        # A sampled seller is never posted a price: its bid moves only the target.
+        return not _mask(rule) >> seller & 1
 
     def sample(self, inst, rng):
         return f"rand:{rng.getrandbits(inst.m):#b}"
@@ -242,6 +258,17 @@ class SamplingLottery(Lottery):
     def notes(self, inst):
         n = inst.total_units
         return {"phi": phi(n), "phi_guard_active": n < 4}
+
+
+def _mask(branch: str) -> int:
+    """The sample-group bitmask of an m_rand branch ``rand:<mask>``."""
+    kind, _, arg = branch.partition(":")
+    if kind != "rand":
+        raise ValueError(f"bad m_rand scenario {branch!r}")
+    try:
+        return int(arg, 0)
+    except ValueError as exc:
+        raise ValueError(f"bad sample-group mask {arg!r}") from exc
 
 
 class SubadditiveLottery(SamplingLottery):
@@ -310,10 +337,10 @@ def scenario_outcomes(mech: str, inst: Instance, shared: dict | None = None):
     return pairs
 
 
-def expected_value(mech: str, inst: Instance) -> float:
+def expected_value(mech: str, inst: Instance, *, shared=None) -> float:
     return sum(
         s.probability * float(inst.value(out.allocation))
-        for s, out in scenario_outcomes(mech, inst)
+        for s, out in scenario_outcomes(mech, inst, shared)
     )
 
 
@@ -324,7 +351,9 @@ def deviation_grid(mech, inst, bids, seller, resolution: int = GRID):
     Breakpoints are the bids where the seller's allocation can change: B/rank
     for every rank, plus the mechanism's own.  Utility is piecewise constant
     between them, so straddling each one catches every allocation change a
-    uniform grid could miss.
+    uniform grid could miss.  ``check_dst`` sweeps this grid only for a rule
+    that reads the seller's bid (``Lottery.reads``); a bid-blind rule is
+    swept at 0 and at twice the grid's top.
 
     Every point is built as one rational from integers, a straddle point as
     bp * (10^6 - 1) / 10^6 or bp * (10^6 + 1) / 10^6, and the grid is
@@ -378,11 +407,17 @@ def _dst_sweep(name, mech, inst, resolution, sweep_opponents, shared) -> list:
     # Strict opponents also bid twice their grid's top, past B and every cut:
     # a greedy opponent there sells nothing but can still rank before the seller.
     rival_bids = [g + [2 * g[-1]] if sweep_opponents else (c,) for g, c in zip(grids, costs)]
+    # A rule that does not read the seller's bid is swept at 0 and past the top.
+    blind = [(Rat(0), 2 * g[-1]) for g in grids]
     checks = []
     for scen in _lottery(mech).scenarios(inst):
         key = (name, resolution, scen.owner, scen.rule)
         if key not in shared:
-            shared[key] = [_first_gain(scen, inst, i, grids[i], rival_bids) for i in range(inst.m)]
+            reads = scen.owner.reads
+            shared[key] = [
+                _first_gain(scen, inst, i, g if reads(scen.rule, i) else blind[i], rival_bids)
+                for i, g in enumerate(grids)
+            ]
         for i, witness in enumerate(shared[key]):
             witness = witness and {"scenario": scen.branch, **witness}
             checks.append(Check(f"{name}:{scen.branch}:seller{i}", witness is None, witness))
@@ -464,10 +499,11 @@ class RatioReport:
     bound: float | None
 
 
-def measure_ratio(mech: str, inst: Instance) -> RatioReport:
-    """Exact-expectation ratio; the bound is asserted only where proven."""
+def measure_ratio(mech: str, inst: Instance, *, shared=None) -> RatioReport:
+    """Exact-expectation ratio; the bound is asserted only where proven.
+    ``shared`` is as for ``scenario_outcomes``."""
     lottery = _lottery(mech)
-    ev = expected_value(mech, inst)
+    ev = expected_value(mech, inst, shared=shared)
     benchmark, opt = lottery.benchmark(inst)
     if ev > 0:
         ratio = float(opt) / ev
@@ -555,7 +591,8 @@ def verify_instance(
     """Run the full check battery for each applicable mechanism.  A mechanism
     that does not apply, or needs a search a guard refuses, is skipped; the
     ratio is measured first, so the optimum's guards refuse before the sweep.
-    The mechanisms share their rules' sweeps and truthful runs."""
+    The mechanisms, and each one's ratio and checks, share their rules'
+    sweeps and truthful runs."""
     shared = {}
     reports = []
     for mech in mechanisms:
@@ -563,7 +600,7 @@ def verify_instance(
         reason = lottery.applicable(inst)
         if reason is None:
             try:
-                ratio = measure_ratio(mech, inst)
+                ratio = measure_ratio(mech, inst, shared=shared)
                 checks = (
                     check_dst(mech, inst, resolution, strict, shared=shared)
                     + check_ir(mech, inst, shared=shared)

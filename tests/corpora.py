@@ -152,6 +152,16 @@ def dst_corpora():
     }
 
 
+def first_price_probe():
+    """Criterion 8's sensitivity probe: two sellers on which the pay-as-bid
+    fixture ``m_add_firstprice`` fails ``dst``."""
+    return Instance(
+        (Seller(2, Rat(2)), Seller(1, Rat(3))),
+        Rat(10),
+        ConcaveAdditive(((Rat(6), Rat(4)), (Rat(5),))),
+    )
+
+
 def two_units(top):
     """Seller 0 holds a unit worth ``top``, seller 1 a unit worth 1 that it
     offers at bid 0; B = 10 and phi = 1/128 exactly."""

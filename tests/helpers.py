@@ -17,7 +17,8 @@ event of the random-sampling argument (with the optimum over a seller
 subset), and explicit tables materialized from any valuation for the
 classifier cross-check.  The rest are conveniences the package does not
 need: the allocation lattice's join and meet, expected payments,
-``m_rand``'s calibrated target, and replaying a DST witness.
+``m_rand``'s calibrated target, replaying a DST witness, and testing the
+rules' bid-reading declarations.
 """
 
 from bisect import bisect_left
@@ -586,6 +587,48 @@ def replay_witness(mech: str, inst: Instance, witness: dict) -> bool:
         and format_rat(u_true) == witness["u_true"]
         and format_rat(u_dev) == witness["u_dev"]
     )
+
+
+def first_read(inst: Instance, scen, seller: int, grid):
+    """The first bid of 0, the seller's deviation ``grid`` and twice the
+    grid's top (the points a bid-blind sweep tries) at which the
+    scenario's rule gives the seller another allocation or payment than
+    under its truthful bid; None if there is none."""
+    costs = inst.costs
+
+    def own(bid):
+        bids = costs[:seller] + (bid,) + costs[seller + 1 :]
+        out = run_scenario(scen.owner.name, inst, bids, scen.rule)
+        return out.allocation[seller], out.payments[seller]
+
+    truthful = own(costs[seller])
+    return next((b for b in (Rat(0), *grid, 2 * grid[-1]) if own(b) != truthful), None)
+
+
+def declaration_faults(mech: str, instances):
+    """Faults in the bid-reading declarations (``Lottery.reads``) of the
+    rules that ``mech`` lists, each (rule, seller) pair tried at
+    ``first_read``'s points over the seller's full grid.  Yields each
+    (instance index, branch, seller, bid) where a pair declared bid-blind
+    reads the seller's bid, then each (owner, rule kind) declared as
+    reading that reads no seller's bid on any of the instances."""
+    reading, read = set(), set()
+    for n, inst in enumerate(instances):
+        grids = [deviation_grid(mech, inst, inst.costs, i) for i in range(inst.m)]
+        for s in MECHANISMS[mech].scenarios(inst):
+            rule = (s.owner.name, s.rule.partition(":")[0])
+            for i, grid in enumerate(grids):
+                declared = s.owner.reads(s.rule, i)
+                if declared:
+                    reading.add(rule)
+                    if rule in read:
+                        continue
+                bid = first_read(inst, s, i, grid)
+                if bid is not None and declared:
+                    read.add(rule)
+                elif bid is not None:
+                    yield n, s.branch, i, bid
+    yield from sorted(reading - read)
 
 
 def pickup_flags(inst: Instance, bids=None):

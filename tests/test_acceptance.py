@@ -36,6 +36,7 @@ from corpora import (
     concave_corpus,
     dst_corpora,
     explicit_subadditive_corpus,
+    first_price_probe,
     greedy_nonmonotone_instance,
     m_one_corpus,
 )
@@ -210,13 +211,7 @@ def test_criterion_8_dst_suite():
         failures[mech] = bad
         counts[mech] = len(corpus)
     # harness sensitivity: the pay-as-bid mutation must be caught
-    from procure.valuations import ConcaveAdditive
-
-    probe = Instance(
-        (Seller(2, Rat(2)), Seller(1, Rat(3))),
-        Rat(10),
-        ConcaveAdditive(((Rat(6), Rat(4)), (Rat(5),))),
-    )
+    probe = first_price_probe()
     broken = [c for c in check_dst("m_add_firstprice", probe) if not c.passed]
     sensitive = bool(broken) and all(
         replay_witness("m_add_firstprice", probe, c.witness) for c in broken

@@ -11,8 +11,12 @@ sampled seller is never paid, and its bid moves only the target, so any
 target rule stays truthful.  Their kill criterion is the eager-reference
 equivalence on ``calibration_corpus()``, where the target decides rounds:
 some grid profile's accepted round or outcome differs from
-``reference_m_rand_detail``'s.  The search stops at the first kill, and
-``monkeypatch`` puts the real function back afterwards.
+``reference_m_rand_detail``'s.  The bid-reading mutants, a ``star`` branch
+that reads the star seller's bid and a greedy declared bid-blind, must be
+caught by the declaration test (``helpers.declaration_faults``) on the
+first ``DECLARATION_WINDOW`` instances of ``m_add``'s corpus.  The search
+stops at the first kill, and ``monkeypatch`` puts the real function back
+afterwards.
 """
 
 from itertools import accumulate
@@ -22,13 +26,14 @@ import pytest
 from procure import mech_additive, mech_subadditive
 from procure.core import Outcome, Rat, checked_bids
 from procure.mech_subadditive import RandRun, phi
-from procure.verify import check_dst
+from procure.verify import GreedyLottery, check_dst
 
-from corpora import calibration_corpus, concave_corpus, dst_corpora
-from helpers import grid_profiles, reference_m_rand_detail
+from corpora import calibration_corpus, concave_corpus, dst_corpora, first_price_probe
+from helpers import declaration_faults, grid_profiles, reference_m_rand_detail
 
 KILL_WINDOW = 100
 RAND_KILL_WINDOW = 60
+DECLARATION_WINDOW = 20
 
 
 def mutant_thresholds(rho_branch: bool = True, late: int = 0):
@@ -128,6 +133,22 @@ def calibration_mutant(bound_scale=1, true_costs=False, target_scale=1, zero_acc
     return detail
 
 
+def star_paying_twice_the_bid():
+    """``run_m_add`` with the star seller paid min(B, 2 * its bid)."""
+    run = mech_additive.run_m_add
+
+    def reads_the_bid(inst, bids, branch):
+        out = run(inst, bids, branch)
+        if branch != "star":
+            return out
+        i = mech_additive.star_seller(inst)
+        payments = list(out.payments)
+        payments[i] = min(inst.budget, 2 * checked_bids(inst, bids)[i])
+        return Outcome(out.allocation, tuple(payments))
+
+    return reads_the_bid
+
+
 # Calibration-side mutants of m_rand_detail, each one change of
 # calibration_mutant; killed by the eager-reference equivalence.
 CALIBRATION_MUTANTS = {
@@ -198,3 +219,28 @@ def test_calibration_mutant_is_killed_by_the_eager_reference(monkeypatch, mutant
             print(f"{mutant}: killed at profile {n} by the eager reference")
             return
     pytest.fail(f"{mutant} survives the eager reference on calibration_corpus()")
+
+
+def assert_declaration_killed(mutant, mech="m_add"):
+    """The declaration test finds a fault on the first DECLARATION_WINDOW
+    instances of ``mech``'s criterion-8 corpus; stops at the first."""
+    fault = next(declaration_faults(mech, dst_corpora()[mech][:DECLARATION_WINDOW]), None)
+    if fault is None:
+        pytest.fail(f"{mutant} survives the declaration test")
+    print(f"{mutant}: killed by the declaration test at {fault}")
+
+
+def test_star_reading_its_bid_is_killed_by_the_declaration(monkeypatch):
+    # dst kills it too: a star seller costing under B/2 gains at twice the
+    # grid's top, the two-point sweep's second bid, where it is paid B.
+    monkeypatch.setattr(mech_additive, "run_m_add", star_paying_twice_the_bid())
+    assert_declaration_killed("star_pays_twice_the_bid")
+    assert_killed("star_pays_twice_the_bid", "m_add", KILL_WINDOW)
+
+
+def test_greedy_declared_bid_blind_is_killed(monkeypatch):
+    # Declared bid-blind, the greedy is swept at two points, where the
+    # pay-as-bid fixture gains nothing: criterion 8's probe no longer fails.
+    monkeypatch.setattr(GreedyLottery, "reads", lambda self, rule, seller: False)
+    assert_declaration_killed("greedy_declared_bid_blind")
+    assert all(c.passed for c in check_dst("m_add_firstprice", first_price_probe()))
