@@ -28,6 +28,7 @@ CONCAVE_SIZE = 500
 M_ONE_SIZE = 200
 EXPLICIT_SUBADD_SIZE = 100
 SYMMETRIC_SIZE = 120
+DECLARATION_WINDOW = 20  # prefix of each DST corpus that checks Lottery.reads
 
 
 def gen_additive(seed, max_sellers=5, max_total_units=12) -> Instance:

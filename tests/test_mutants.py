@@ -28,12 +28,17 @@ from procure.core import Outcome, Rat, checked_bids
 from procure.mech_subadditive import RandRun, phi
 from procure.verify import GreedyLottery, check_dst
 
-from corpora import calibration_corpus, concave_corpus, dst_corpora, first_price_probe
+from corpora import (
+    DECLARATION_WINDOW,
+    calibration_corpus,
+    concave_corpus,
+    dst_corpora,
+    first_price_probe,
+)
 from helpers import declaration_faults, grid_profiles, reference_m_rand_detail
 
 KILL_WINDOW = 100
 RAND_KILL_WINDOW = 60
-DECLARATION_WINDOW = 20
 
 
 def mutant_thresholds(rho_branch: bool = True, late: int = 0):
@@ -221,10 +226,11 @@ def test_calibration_mutant_is_killed_by_the_eager_reference(monkeypatch, mutant
     pytest.fail(f"{mutant} survives the eager reference on calibration_corpus()")
 
 
-def assert_declaration_killed(mutant, mech="m_add"):
+def assert_declaration_killed(mutant):
     """The declaration test finds a fault on the first DECLARATION_WINDOW
-    instances of ``mech``'s criterion-8 corpus; stops at the first."""
-    fault = next(declaration_faults(mech, dst_corpora()[mech][:DECLARATION_WINDOW]), None)
+    instances of m_add's criterion-8 corpus; stops at the first."""
+    corpus = dst_corpora()["m_add"][:DECLARATION_WINDOW]
+    fault = next(declaration_faults("m_add", corpus), None)
     if fault is None:
         pytest.fail(f"{mutant} survives the declaration test")
     print(f"{mutant}: killed by the declaration test at {fault}")

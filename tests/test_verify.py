@@ -23,7 +23,12 @@ from procure.verify import (
     verify_instance,
 )
 
-from corpora import dst_corpora, greedy_at_scale, greedy_nonmonotone_instance
+from corpora import (
+    DECLARATION_WINDOW,
+    dst_corpora,
+    greedy_at_scale,
+    greedy_nonmonotone_instance,
+)
 from helpers import (
     declaration_faults,
     expected_payment,
@@ -470,9 +475,6 @@ def test_lotteries_have_the_breakpoints_of_the_rules_they_list(two_seller):
             for i in range(inst.m):
                 bids = inst.costs
                 assert lottery.breakpoints(inst, bids, i) == s.owner.breakpoints(inst, bids, i)
-
-
-DECLARATION_WINDOW = 20
 
 
 @pytest.mark.parametrize("mech", MECHANISM_IDS)
