@@ -15,13 +15,14 @@ these exactly is ROADMAP item 2.
 The harness checks dominant-strategy truthfulness on deviation grids,
 individual rationality, per-branch and expected budget feasibility, and
 measured approximation ratios against the exact optimum oracle.  Every
-failure carries a replayable witness.  Each rule's owner declares, per
-seller, whether the rule reads that seller's bid (``Lottery.reads``).  A
-(rule, seller) pair that reads it is swept over ``deviation_grid``: B/rank
-for every rank plus the owner's breakpoints.  A bid-blind pair, such as
-m_add's star and bot, m_one's skip, or a seller m_rand sampled away, gives
-the seller a constant outcome, which is truthful whatever it is (Archer &
-Tardos 2001); it is swept at two points, 0 and twice the grid's top.
+failure carries a replayable witness.  A rule's outcome for a seller is
+piecewise constant in that seller's bid between its cuts (Myerson 1981;
+Archer & Tardos 2001), and the rule's owner names them:
+``Lottery.cuts(inst, bids, seller, rule)``.  A (rule, seller) pair is swept
+over ``deviation_grid`` of its owner's cuts.  A pair with no cuts, such as
+m_add's star and bot, m_one's skip, or a seller m_rand sampled away, never
+reads the seller's bid: its outcome is constant, truthful whatever it is,
+and it is swept at two points, 0 and 2 * max(B, cost).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from . import mech_additive, mech_single_item, mech_subadditive
 from .core import (
@@ -85,17 +87,25 @@ def _harmonic_cap(inst: Instance) -> float:
     return harmonic_factor(inst.total_units) * float(inst.budget)
 
 
+@lru_cache(maxsize=1)
+def _budget_ranks(budget, total_units: int) -> frozenset:
+    """B/rank for every rank up to the total units, built once per instance."""
+    bnum, bden = budget.numerator, budget.denominator
+    return frozenset(Rat(bnum, bden * rank) for rank in range(1, total_units + 1))
+
+
 class Lottery:
     """A mechanism: where it applies, its branches, how one branch runs, how
-    ``procure run`` samples one, its rule's breakpoints, whose bids its
-    rules read, and its ratio.
+    ``procure run`` samples one, where its rules' outcomes can change, and
+    its ratio.
 
     Each subclass defines ``scenarios(inst)``, the exhaustive branch list
     with probabilities summing to 1, and ``run(inst, bids, branch)``, one
     branch under the bids (None = truthful).  Methods reach mechanism
     functions through their modules at call time (``mech_additive.run_m_add``,
     never a stored reference), so a wrapper rebound on a module sees every
-    call.  ``name`` is the lottery's id in ``MECHANISMS``.
+    call.  ``name`` is the lottery's id in ``MECHANISMS``.  A rule's DST
+    grid is built from its owner's ``cuts`` alone; no cuts means two points.
     """
 
     name: str
@@ -119,15 +129,13 @@ class Lottery:
                 return s.branch
         return scens[-1].branch
 
-    def breakpoints(self, inst: Instance, bids, seller: int) -> set:
-        """Bids besides B/rank where the seller's allocation can change."""
-        return set()
-
-    def reads(self, rule: str, seller: int) -> bool:
-        """Whether this lottery's rule reads the seller's own bid for the
-        seller's outcome.  One that does not gives the seller a constant
-        outcome, truthful whatever it is, so its sweep needs two points."""
-        return True
+    def cuts(self, inst: Instance, bids, seller: int, rule: str) -> frozenset:
+        """The seller's bids at which this lottery's ``rule`` can change the
+        seller's outcome, the other bids as in ``bids``.  Empty means the
+        rule never reads the seller's bid: the outcome is constant, truthful
+        whatever it is, and its sweep needs two points.  The default is
+        B/rank for every rank, where a price B/k passes the bid."""
+        return _budget_ranks(inst.budget, inst.total_units)
 
     def benchmark(self, inst: Instance):
         """Name and value of the optimum the ratio is measured against."""
@@ -159,11 +167,12 @@ class GreedyLottery(Lottery):
     def run(self, inst, bids, branch):
         return mech_additive.run_m_add(inst, bids, branch)
 
-    def breakpoints(self, inst, bids, seller):
-        return mech_additive.greedy_breakpoints(inst, bids, seller)
-
-    def reads(self, rule, seller):
-        return rule not in ("star", "bot")
+    def cuts(self, inst, bids, seller, rule):
+        if rule in ("star", "bot"):  # they ignore bids
+            return frozenset()
+        return super().cuts(inst, bids, seller, rule) | mech_additive.greedy_breakpoints(
+            inst, bids, seller
+        )
 
     def bound(self, n):
         return 4.0 * harmonic_factor(n)
@@ -178,8 +187,8 @@ class SymmetricLottery(GreedyLottery):
     def run(self, inst, bids, branch):
         return mech_additive.run_m_sym(inst, bids, branch)
 
-    def breakpoints(self, inst, bids, seller):
-        return super().breakpoints(mech_additive.unit_values(inst), bids, seller)
+    def cuts(self, inst, bids, seller, rule):
+        return super().cuts(mech_additive.unit_values(inst), bids, seller, rule)
 
 
 class FirstPriceLottery(GreedyLottery):
@@ -215,8 +224,9 @@ class SingleItemLottery(Lottery):
     def run(self, inst, bids, branch):
         return mech_single_item.run_m_one(inst, bids, branch)
 
-    def reads(self, rule, seller):
-        return rule != "skip"
+    def cuts(self, inst, bids, seller, rule):
+        # fire reads the bid through the affordable count floor(B / bid).
+        return frozenset() if rule == "skip" else super().cuts(inst, bids, seller, rule)
 
     def benchmark(self, inst):
         # plan_m_one ranks sellers by these values; its winner is the first max.
@@ -248,9 +258,11 @@ class SamplingLottery(Lottery):
         group = group_from_mask(_mask(branch), inst.m)
         return mech_subadditive.m_rand_detail(inst, bids, group).outcome
 
-    def reads(self, rule, seller):
+    def cuts(self, inst, bids, seller, rule):
         # A sampled seller is never posted a price: its bid moves only the target.
-        return not _mask(rule) >> seller & 1
+        if _mask(rule) >> seller & 1:
+            return frozenset()
+        return super().cuts(inst, bids, seller, rule)
 
     def sample(self, inst, rng):
         return f"rand:{rng.getrandbits(inst.m):#b}"
@@ -275,7 +287,8 @@ class SubadditiveLottery(SamplingLottery):
     """m_sub: a fair coin between m_one and m_rand, with no rule of its own:
     m_one's scenarios, renamed ``one:<branch>``, and m_rand's, at half their
     probabilities.  m_one applies everywhere, so m_sub applies and notes as
-    m_rand does, and runs as m_rand any name that is not m_one's."""
+    m_rand does.  A branch name resolves to its owner's rule once, in
+    ``_sub_rule``, for ``run`` and ``cuts`` alike."""
 
     def scenarios(self, inst):
         one = [replace(s, branch=f"one:{s.branch}") for s in MECHANISMS["m_one"].scenarios(inst)]
@@ -283,15 +296,26 @@ class SubadditiveLottery(SamplingLottery):
         return [replace(s, probability=0.5 * s.probability) for s in one + rand]
 
     def run(self, inst, bids, branch):
-        for s in MECHANISMS["m_one"].scenarios(inst):
-            if branch == f"one:{s.branch}":
-                return s.owner.run(inst, bids, s.rule)
-        return super().run(inst, bids, branch)
+        owner, rule = _sub_rule(branch)
+        return owner.run(inst, bids, rule)
+
+    def cuts(self, inst, bids, seller, rule):
+        owner, rule = _sub_rule(rule)
+        return owner.cuts(inst, bids, seller, rule)
 
     def sample(self, inst, rng):
         if rng.random() < 0.5:
             return super().sample(inst, rng)
         return "one:" + MECHANISMS["m_one"].sample(inst, rng)
+
+
+def _sub_rule(branch: str):
+    """The owner and rule of an m_sub branch: ``one:<rule>`` is m_one's
+    rule, any other name m_rand's; the owner refuses a bad name."""
+    kind, _, rule = branch.partition(":")
+    if kind == "one":
+        return MECHANISMS["m_one"], rule
+    return MECHANISMS["m_rand"], branch
 
 
 # Every mechanism by id.  ``procure run`` samples a branch with
@@ -344,16 +368,15 @@ def expected_value(mech: str, inst: Instance, *, shared=None) -> float:
     )
 
 
-def deviation_grid(mech, inst, bids, seller, resolution: int = GRID):
-    """Deviation bids: the truthful bid, breakpoints straddled by one
+def deviation_grid(inst, bids, seller, cuts, resolution: int = GRID):
+    """Deviation bids: the truthful bid, each of ``cuts`` straddled by one
     millionth, and a uniform grid on (0, B].
 
-    Breakpoints are the bids where the seller's allocation can change: B/rank
-    for every rank, plus the mechanism's own.  Utility is piecewise constant
-    between them, so straddling each one catches every allocation change a
-    uniform grid could miss.  ``check_dst`` sweeps this grid only for a rule
-    that reads the seller's bid (``Lottery.reads``); a bid-blind rule is
-    swept at 0 and at twice the grid's top.
+    ``check_dst`` passes a rule's cuts from its owner (``Lottery.cuts``): the
+    bids where the rule can change the seller's outcome.  Utility is
+    piecewise constant between them, so straddling each one catches every
+    change a uniform grid could miss.  A rule with no cuts gets no grid: it
+    is swept at 0 and 2 * max(B, cost).
 
     Every point is built as one rational from integers, a straddle point as
     bp * (10^6 - 1) / 10^6 or bp * (10^6 + 1) / 10^6, and the grid is
@@ -365,10 +388,8 @@ def deviation_grid(mech, inst, bids, seller, resolution: int = GRID):
     if resolution < 1:
         raise ValueError(f"deviation grid resolution must be >= 1, got {resolution}")
     bnum, bden = inst.budget.numerator, inst.budget.denominator
-    points = {Rat(bnum, bden * rank) for rank in range(1, inst.total_units + 1)}
-    points |= _lottery(mech).breakpoints(inst, bids, seller)
     grid = {bids[seller]}
-    for bp in points:
+    for bp in cuts:
         num = bp.numerator
         if num > 0:
             den = bp.denominator * 10**6
@@ -386,8 +407,8 @@ def check_dst(
     Compares exact utilities; any strictly profitable deviation fails the
     check and is recorded with a replayable witness.  Opponents bid
     truthfully; ``strict`` adds a ``dst-strict`` sweep on instances with at
-    most two sellers, where opponents range over their own (coarser)
-    deviation grids and one bid past each, approximating the full
+    most two sellers, where opponents range over (coarser) grids of every
+    cut of the owner's rules and one bid past each, approximating the full
     dominant-strategy quantifier.  ``shared`` keeps one instance's sweeps
     by rule (the owner object and its rule), so each rule is swept once.
     """
@@ -400,24 +421,44 @@ def check_dst(
 
 
 def _dst_sweep(name, mech, inst, resolution, sweep_opponents, shared) -> list:
-    # One check per (scenario, seller) from its rule's sweep.  A lottery has
-    # its rules' breakpoints, so these grids are the rules' owners' grids.
+    # One check per (scenario, seller), from its rule's sweep.  The sweep is
+    # kept under the rule's owner and name, and every input to it, the
+    # strict rivals' bids included, comes from that owner.
     costs = inst.costs
-    grids = [deviation_grid(mech, inst, costs, i, resolution) for i in range(inst.m)]
-    # Strict opponents also bid twice their grid's top, past B and every cut:
-    # a greedy opponent there sells nothing but can still rank before the seller.
-    rival_bids = [g + [2 * g[-1]] if sweep_opponents else (c,) for g, c in zip(grids, costs)]
-    # A rule that does not read the seller's bid is swept at 0 and past the top.
-    blind = [(Rat(0), 2 * g[-1]) for g in grids]
+    grids, rivals = {}, {}
+
+    def grid(i, cuts):
+        if (i, cuts) not in grids:
+            grids[i, cuts] = deviation_grid(inst, costs, i, cuts, resolution)
+        return grids[i, cuts]
+
+    def rival_bids(owner):
+        # A strict rival bids every cut of the owner's rules, and twice its
+        # grid's top, past B and every cut: a greedy rival there sells
+        # nothing but can still rank before the seller.
+        if owner not in rivals:
+            rules = [s.rule for s in owner.scenarios(inst)]
+            tops = [
+                grid(j, frozenset().union(*(owner.cuts(inst, costs, j, r) for r in rules)))
+                for j in range(inst.m)
+            ]
+            rivals[owner] = [g + [2 * g[-1]] for g in tops]
+        return rivals[owner]
+
     checks = []
     for scen in _lottery(mech).scenarios(inst):
         key = (name, resolution, scen.owner, scen.rule)
         if key not in shared:
-            reads = scen.owner.reads
-            shared[key] = [
-                _first_gain(scen, inst, i, g if reads(scen.rule, i) else blind[i], rival_bids)
-                for i, g in enumerate(grids)
-            ]
+            owner = scen.owner
+            bids = rival_bids(owner) if sweep_opponents else [(c,) for c in costs]
+            verdicts = []
+            for i, cost in enumerate(costs):
+                cuts = owner.cuts(inst, costs, i, scen.rule)
+                # No cuts, no grid: the outcome is constant in the bid, so two
+                # points suffice, both past every cut.
+                points = grid(i, cuts) if cuts else (Rat(0), 2 * max(inst.budget, cost))
+                verdicts.append(_first_gain(scen, inst, i, points, bids))
+            shared[key] = verdicts
         for i, witness in enumerate(shared[key]):
             witness = witness and {"scenario": scen.branch, **witness}
             checks.append(Check(f"{name}:{scen.branch}:seller{i}", witness is None, witness))

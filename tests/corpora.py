@@ -28,7 +28,9 @@ CONCAVE_SIZE = 500
 M_ONE_SIZE = 200
 EXPLICIT_SUBADD_SIZE = 100
 SYMMETRIC_SIZE = 120
-DECLARATION_WINDOW = 20  # prefix of each DST corpus that checks Lottery.reads
+# Prefix of each DST corpus that checks Lottery.cuts: a rule's grid is its
+# owner's cuts, and a pair with no cuts is swept at only two points.
+DECLARATION_WINDOW = 20
 
 
 def gen_additive(seed, max_sellers=5, max_total_units=12) -> Instance:

@@ -17,8 +17,9 @@ event of the random-sampling argument (with the optimum over a seller
 subset), and explicit tables materialized from any valuation for the
 classifier cross-check.  The rest are conveniences the package does not
 need: the allocation lattice's join and meet, expected payments,
-``m_rand``'s calibrated target, replaying a DST witness, and testing the
-rules' bid-reading declarations.
+``m_rand``'s calibrated target, a seller's grid against every cut of a
+mechanism's rules, replaying a DST witness, and testing the rules' cut
+declarations.
 """
 
 from bisect import bisect_left
@@ -464,7 +465,7 @@ def grid_profiles(instances):
     for inst in instances:
         groups = [group_from_mask(mask, inst.m) for mask in range(1 << inst.m)]
         for seller in range(inst.m):
-            for bid in deviation_grid("m_rand", inst, inst.costs, seller, 16):
+            for bid in seller_grid("m_rand", inst, inst.costs, seller, 16):
                 bids = inst.costs[:seller] + (bid,) + inst.costs[seller + 1 :]
                 profiles += [(inst, bids, g) for g in groups]
     return profiles
@@ -558,14 +559,27 @@ def expected_payment(mech: str, inst: Instance) -> float:
     )
 
 
-def reference_deviation_grid(mech: str, inst: Instance, bids, seller: int, resolution: int = GRID):
+def seller_cuts(mech: str, inst: Instance, bids, seller: int) -> frozenset:
+    """B/rank for every rank and every cut, for this seller, of every rule
+    that ``mech`` lists, each from the rule's owner."""
+    cuts = {inst.budget / rank for rank in range(1, inst.total_units + 1)}
+    for s in MECHANISMS[mech].scenarios(inst):
+        cuts |= s.owner.cuts(inst, bids, seller, s.rule)
+    return frozenset(cuts)
+
+
+def seller_grid(mech: str, inst: Instance, bids, seller: int, resolution: int = GRID):
+    """The seller's deviation grid against ``seller_cuts``: every point any
+    rule of ``mech`` is swept at, and B/rank whatever the rules declare."""
+    return deviation_grid(inst, bids, seller, seller_cuts(mech, inst, bids, seller), resolution)
+
+
+def reference_deviation_grid(inst: Instance, bids, seller: int, cuts, resolution: int = GRID):
     """``verify.deviation_grid`` in rational arithmetic: each straddle point
     as bp -+ bp/10^6 and the grid sorted by rational comparison."""
     budget = inst.budget
-    points = {budget / rank for rank in range(1, inst.total_units + 1)}
-    points |= MECHANISMS[mech].breakpoints(inst, bids, seller)
     grid = {bids[seller]}
-    for bp in points:
+    for bp in cuts:
         if bp > 0:
             delta = bp / 10**6
             grid |= {bp - delta, bp, bp + delta}
@@ -590,8 +604,8 @@ def replay_witness(mech: str, inst: Instance, witness: dict) -> bool:
 
 
 def first_read(inst: Instance, scen, seller: int, grid):
-    """The first bid of 0, the seller's deviation ``grid`` and twice the
-    grid's top (the points a bid-blind sweep tries) at which the
+    """The first bid of 0, the seller's deviation ``grid`` and 2 * max(B,
+    cost) (a sweep with no cuts tries 0 and that bid) at which the
     scenario's rule gives the seller another allocation or payment than
     under its truthful bid; None if there is none."""
     costs = inst.costs
@@ -602,23 +616,25 @@ def first_read(inst: Instance, scen, seller: int, grid):
         return out.allocation[seller], out.payments[seller]
 
     truthful = own(costs[seller])
-    return next((b for b in (Rat(0), *grid, 2 * grid[-1]) if own(b) != truthful), None)
+    past = 2 * max(inst.budget, costs[seller])
+    return next((b for b in (Rat(0), *grid, past) if own(b) != truthful), None)
 
 
 def declaration_faults(mech: str, instances):
-    """Faults in the bid-reading declarations (``Lottery.reads``) of the
-    rules that ``mech`` lists, each (rule, seller) pair tried at
-    ``first_read``'s points over the seller's full grid.  Yields each
-    (instance index, branch, seller, bid) where a pair declared bid-blind
-    reads the seller's bid, then each (owner, rule kind) declared as
-    reading that reads no seller's bid on any of the instances."""
+    """Faults in the cut declarations (``Lottery.cuts``) of the rules that
+    ``mech`` lists, each (rule, seller) pair tried at ``first_read``'s
+    points over ``seller_grid``.  Yields each (instance index, branch,
+    seller, bid) where a pair declared to have no cuts reads the seller's
+    bid, then each (owner, rule kind) declared with cuts that reads no
+    seller's bid on any of the instances."""
     reading, read = set(), set()
     for n, inst in enumerate(instances):
-        grids = [deviation_grid(mech, inst, inst.costs, i) for i in range(inst.m)]
+        costs = inst.costs
+        grids = [seller_grid(mech, inst, costs, i) for i in range(inst.m)]
         for s in MECHANISMS[mech].scenarios(inst):
             rule = (s.owner.name, s.rule.partition(":")[0])
             for i, grid in enumerate(grids):
-                declared = s.owner.reads(s.rule, i)
+                declared = bool(s.owner.cuts(inst, costs, i, s.rule))
                 if declared:
                     reading.add(rule)
                     if rule in read:

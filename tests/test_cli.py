@@ -746,7 +746,7 @@ def test_run_outside_valuation_class_is_an_error(runner, tmp_path, mech):
 @pytest.mark.parametrize(
     "mech,scenario",
     [("m_add", "nope"), ("m_one", "one:fire"), ("m_rand", "rand:0b1000"),
-     ("m_sub", "rand:0b1000"), ("m_rand", "rand:xyz")],
+     ("m_sub", "rand:0b1000"), ("m_sub", "one:bogus"), ("m_rand", "rand:xyz")],
 )
 def test_run_bad_scenario_is_an_error(runner, tmp_path, mech, scenario):
     path = tmp_path / "c.json"

@@ -43,7 +43,7 @@ from procure.valuations import (
     ConcaveAdditive,
     Symmetric,
 )
-from procure.verify import MECHANISMS, deviation_grid
+from procure.verify import MECHANISMS
 
 from corpora import concave_corpus, symmetric_corpus
 from helpers import (
@@ -58,6 +58,7 @@ from helpers import (
     reference_bought,
     reference_pairs,
     reference_seller_thresholds,
+    seller_grid,
 )
 
 
@@ -392,7 +393,7 @@ def test_greedy_matches_rational_reference_on_deviation_grids():
     profiles = 0
     for inst in corpus:
         for seller in range(inst.m):
-            for dev in deviation_grid("m_add", inst, inst.costs, seller)[seller % 4 :: 4]:
+            for dev in seller_grid("m_add", inst, inst.costs, seller)[seller % 4 :: 4]:
                 bids = inst.costs[:seller] + (dev,) + inst.costs[seller + 1 :]
                 assert _order(ranked_pairs(inst, bids)) == _order(reference_pairs(inst, bids))
                 assert greedy_payments(inst, bids) == reference_greedy_payments(inst, bids)
@@ -442,7 +443,7 @@ def test_ranking_memo_never_serves_a_stale_profile():
         runs = []
         for inst in pair:
             seller = k % inst.m
-            grid = deviation_grid("m_add", inst, inst.costs, seller)
+            grid = seller_grid("m_add", inst, inst.costs, seller)
             grid.remove(inst.costs[seller])
             dev = grid[(k * 7) % len(grid)]
             deviated = inst.costs[:seller] + (dev,) + inst.costs[seller + 1 :]
@@ -736,21 +737,22 @@ def test_sym_rule_matches_cheapest_prefix_reference():
 
 
 def test_sym_breakpoints_are_the_sellers_thresholds():
-    # m_sym's deviation-grid breakpoints stated directly: the threshold of
-    # each of the seller's units, and nothing else; a rival's bid is a point
-    # only where it is such a threshold.  A threshold does not depend on the
-    # seller's own bid, so each is taken at bid 0, where the seller sells
-    # every unit.
+    # m_sym's greedy cuts stated directly: B/rank for every rank and the
+    # threshold of each of the seller's units, and nothing else; a rival's
+    # bid is a cut only where it is such a threshold.  A threshold does not
+    # depend on the seller's own bid, so each is taken at bid 0, where the
+    # seller sells every unit.
     lottery = MECHANISMS["m_sym"]
     rng = random.Random(37)
     for inst in symmetric_corpus():
         for bids in _symmetric_bid_profiles(inst, rng):
+            ranks = {inst.budget / rank for rank in range(1, inst.total_units + 1)}
             for i in range(inst.m):
                 free = bids[:i] + (Rat(0),) + bids[i + 1 :]
-                expected = {
+                expected = ranks | {
                     sym_threshold(inst, i, j, free) for j in range(1, inst.units[i] + 1)
                 }
-                assert lottery.breakpoints(inst, bids, i) == expected
+                assert lottery.cuts(inst, bids, i, "greedy") == expected
 
 
 def test_sym_payments_cover_costs():
@@ -783,7 +785,7 @@ def test_m_sym_is_m_add_on_unit_values():
         for branch in ("star", "bot"):
             assert run_m_sym(inst, None, branch) == run_m_add(view, None, branch)
         for seller in range(inst.m):
-            for dev in deviation_grid("m_sym", inst, inst.costs, seller, 16):
+            for dev in seller_grid("m_sym", inst, inst.costs, seller, 16):
                 bids = inst.costs[:seller] + (dev,) + inst.costs[seller + 1 :]
                 want = Outcome(*reference_greedy_payments(view, bids))
                 assert run_m_sym(inst, bids, "greedy") == want

@@ -11,10 +11,9 @@ from procure.mech_single_item import (
 )
 from procure.oracles import adversarial_single_seller
 from procure.valuations import Additive, BoundedKnapsack, ConcaveAdditive
-from procure.verify import deviation_grid
 
 from corpora import dst_corpora, gen_explicit_monotone, m_one_corpus
-from helpers import reference_plan_m_one
+from helpers import reference_plan_m_one, seller_grid
 
 
 @pytest.fixture
@@ -261,7 +260,7 @@ def test_bisected_crossover_matches_rational_scan_on_deviation_grids():
     profiles = 0
     for inst in m_one_corpus() + dst_corpora()["m_sub"]:
         for seller in range(inst.m):
-            for bid in deviation_grid("m_one", inst, inst.costs, seller, 16):
+            for bid in seller_grid("m_one", inst, inst.costs, seller, 16):
                 bids = inst.costs[:seller] + (bid,) + inst.costs[seller + 1 :]
                 assert plan_m_one(inst, bids) == reference_plan_m_one(inst, bids), (inst, bids)
                 profiles += 1

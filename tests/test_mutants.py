@@ -6,24 +6,27 @@ greedy (``m_add``) mutants and ``m_rand``'s price mutant must fail some
 ``dst`` check of their mechanism within the first 100 and the first 60
 instances of its criterion-8 corpus; the greedy's ranking memo is
 emptied first, so no ranking computed by the real greedy serves a
-mutant.  ``m_rand``'s calibration-side mutants cannot fail ``dst``: a
-sampled seller is never paid, and its bid moves only the target, so any
-target rule stays truthful.  Their kill criterion is the eager-reference
+mutant.  ``m_one``'s crossover mutants must fail some ``dst`` check of
+``m_one`` within the first 100 instances of its corpus.  ``m_rand``'s
+calibration-side mutants cannot fail ``dst``: a sampled seller is never
+paid, and its bid moves only the target, so any target rule stays
+truthful.  Their kill criterion is the eager-reference
 equivalence on ``calibration_corpus()``, where the target decides rounds:
 some grid profile's accepted round or outcome differs from
 ``reference_m_rand_detail``'s.  The bid-reading mutants, a ``star`` branch
-that reads the star seller's bid and a greedy declared bid-blind, must be
-caught by the declaration test (``helpers.declaration_faults``) on the
+that reads the star seller's bid and a greedy declared with no cuts, must
+be caught by the declaration test (``helpers.declaration_faults``) on the
 first ``DECLARATION_WINDOW`` instances of ``m_add``'s corpus.  The search
 stops at the first kill, and ``monkeypatch`` puts the real function back
 afterwards.
 """
 
+from dataclasses import replace
 from itertools import accumulate
 
 import pytest
 
-from procure import mech_additive, mech_subadditive
+from procure import mech_additive, mech_single_item, mech_subadditive
 from procure.core import Outcome, Rat, checked_bids
 from procure.mech_subadditive import RandRun, phi
 from procure.verify import GreedyLottery, check_dst
@@ -154,6 +157,21 @@ def star_paying_twice_the_bid():
     return reads_the_bid
 
 
+def shifted_crossover(shift: int):
+    """``plan_m_one`` with the crossover moved by ``shift``, clamped to
+    [1, count], and the thresholds B / max(rank, crossover) re-derived."""
+    plan_m_one = mech_single_item.plan_m_one
+
+    def shifted(inst, bids=None):
+        plan = plan_m_one(inst, bids)
+        crossover = min(max(plan.crossover + shift, 1), plan.count)
+        ranks = range(1, plan.count + 1)
+        thresholds = tuple(inst.budget / max(rank, crossover) for rank in ranks)
+        return replace(plan, crossover=crossover, thresholds=thresholds)
+
+    return shifted
+
+
 # Calibration-side mutants of m_rand_detail, each one change of
 # calibration_mutant; killed by the eager-reference equivalence.
 CALIBRATION_MUTANTS = {
@@ -206,6 +224,12 @@ def test_m_rand_paying_the_next_rounds_price_is_killed_by_dst(monkeypatch):
     assert_killed("m_rand_pays_next_round", "m_rand", RAND_KILL_WINDOW)
 
 
+@pytest.mark.parametrize("shift", [1, -1], ids=["crossover_late", "crossover_early"])
+def test_m_one_crossover_mutant_is_killed_by_dst(monkeypatch, shift):
+    monkeypatch.setattr(mech_single_item, "plan_m_one", shifted_crossover(shift))
+    assert_killed(f"crossover_shift_{shift:+d}", "m_one", KILL_WINDOW)
+
+
 def test_restated_m_rand_detail_is_m_rand_detail():
     # Unmutated, the restatement decides as m_rand_detail does, so each
     # calibration mutant differs from it by its one change.
@@ -237,16 +261,17 @@ def assert_declaration_killed(mutant):
 
 
 def test_star_reading_its_bid_is_killed_by_the_declaration(monkeypatch):
-    # dst kills it too: a star seller costing under B/2 gains at twice the
-    # grid's top, the two-point sweep's second bid, where it is paid B.
+    # dst kills it too: a star seller costing under B/2 gains at
+    # 2 * max(B, cost), the second bid of a sweep with no cuts, where it is
+    # paid B.
     monkeypatch.setattr(mech_additive, "run_m_add", star_paying_twice_the_bid())
     assert_declaration_killed("star_pays_twice_the_bid")
     assert_killed("star_pays_twice_the_bid", "m_add", KILL_WINDOW)
 
 
 def test_greedy_declared_bid_blind_is_killed(monkeypatch):
-    # Declared bid-blind, the greedy is swept at two points, where the
+    # Declared with no cuts, the greedy is swept at two points, where the
     # pay-as-bid fixture gains nothing: criterion 8's probe no longer fails.
-    monkeypatch.setattr(GreedyLottery, "reads", lambda self, rule, seller: False)
+    monkeypatch.setattr(GreedyLottery, "cuts", lambda self, inst, bids, seller, rule: frozenset())
     assert_declaration_killed("greedy_declared_bid_blind")
     assert all(c.passed for c in check_dst("m_add_firstprice", first_price_probe()))

@@ -5,6 +5,7 @@ from math import log
 
 import pytest
 
+from procure import mech_additive
 from procure.core import Instance, Outcome, Rat, Seller, utility
 from procure.instances import gen_concave_additive, gen_symmetric, instance_digest
 from procure.oracles import DP_CELL_LIMIT, adversarial_single_seller
@@ -37,6 +38,8 @@ from helpers import (
     partition_success_frequency,
     reference_deviation_grid,
     replay_witness,
+    seller_cuts,
+    seller_grid,
 )
 
 
@@ -126,7 +129,7 @@ def test_check_dst_passes_and_fixture_fails(two_seller):
 @pytest.mark.parametrize("resolution", [0, -4])
 def test_grid_resolution_below_one_raises(two_seller, resolution):
     with pytest.raises(ValueError, match="resolution"):
-        deviation_grid("m_add", two_seller, two_seller.costs, 0, resolution)
+        deviation_grid(two_seller, two_seller.costs, 0, frozenset(), resolution)
     with pytest.raises(ValueError, match="resolution"):
         check_dst("m_add", two_seller, resolution=resolution)
 
@@ -148,15 +151,17 @@ def _near_prime_costs():
 @pytest.mark.parametrize("mech", ["m_add", "m_sym", "m_one", "m_rand"])
 def test_deviation_grid_matches_rational_reference(mech):
     # The integer-keyed grid is the rational one as a list, order included,
-    # for every seller of the criterion-8 corpus at two resolutions.
+    # for every seller of the criterion-8 corpus at two resolutions, against
+    # every cut of the mechanism's rules.
     corpus = list(dst_corpora()[mech])
     if mech == "m_add":
         corpus.append(_near_prime_costs())
     for inst in corpus:
         for seller in range(inst.m):
+            cuts = seller_cuts(mech, inst, inst.costs, seller)
             for resolution in (16, 64):
-                got = deviation_grid(mech, inst, inst.costs, seller, resolution)
-                want = reference_deviation_grid(mech, inst, inst.costs, seller, resolution)
+                got = deviation_grid(inst, inst.costs, seller, cuts, resolution)
+                want = reference_deviation_grid(inst, inst.costs, seller, cuts, resolution)
                 assert got == want, (mech, inst, seller, resolution)
 
 
@@ -169,7 +174,7 @@ def test_utility_is_payment_minus_cost_on_sweep_outcomes():
             costs = inst.costs
             profiles = [costs]
             for i in range(inst.m):
-                grid = deviation_grid(mech, inst, costs, i)
+                grid = seller_grid(mech, inst, costs, i)
                 for dev in (grid[0], grid[len(grid) // 2], grid[-1]):
                     profiles.append(costs[:i] + (dev,) + costs[i + 1 :])
             for scen in lottery.scenarios(inst):
@@ -466,38 +471,69 @@ def test_a_shared_verdict_names_each_lotterys_branch(monkeypatch, two_seller):
         assert replay_witness("m_sub", two_seller, copy.witness)
 
 
-def test_lotteries_have_the_breakpoints_of_the_rules_they_list(two_seller):
-    # A sweep builds its grids from the listing lottery's breakpoints, and
-    # the verdicts it keeps serve every lottery that lists the same rule.
-    for mech, lottery in MECHANISMS.items():
-        inst = _registry_instance(mech, two_seller)
-        for s in lottery.scenarios(inst):
-            for i in range(inst.m):
-                bids = inst.costs
-                assert lottery.breakpoints(inst, bids, i) == s.owner.breakpoints(inst, bids, i)
+def test_verdicts_do_not_depend_on_the_order_of_mechanisms(two_seller):
+    # A verdict is kept under its rule's owner and built from that owner's
+    # cuts and rivals only, so each mechanism's report is the same whichever
+    # mechanism swept a shared rule first, --strict included.
+    instances = [two_seller] + [inst for inst in dst_corpora()["m_add"][:12] if inst.m <= 2]
+    orders = [
+        (["m_sub", "m_one", "m_rand"], ["m_one", "m_rand", "m_sub"]),
+        (["m_add_firstprice", "m_add"], ["m_add", "m_add_firstprice"]),
+    ]
+    failed = 0
+    for inst in instances:
+        for first, second in orders:
+            reports = [verify_instance(inst, order, 16, strict=True) for order in (first, second)]
+            by_mech = [{r.mechanism: r.json_lines() for r in rs} for rs in reports]
+            assert by_mech[0] == by_mech[1], (inst, first)
+            failed += sum(r.fail_count for r in reports[0])
+    assert len(instances) > 2 and failed > 0  # the fixture's failures are compared too
 
 
 @pytest.mark.parametrize("mech", MECHANISM_IDS)
 def test_rules_read_exactly_the_bids_their_owners_declare(mech):
-    # check_dst sweeps a bid-blind pair at two points and trusts its
+    # check_dst sweeps a pair with no cuts at two points and trusts its
     # declaration.  On a prefix of the criterion-8 corpus, no pair declared
-    # bid-blind moves its seller's allocation or payment at any point of the
-    # seller's full grid, and every rule declared as reading reads a bid.
+    # with no cuts moves its seller's allocation or payment at any point of
+    # the seller's full grid, and every rule declared with cuts reads a bid.
     corpus = dst_corpora()[mech][:DECLARATION_WINDOW]
     assert list(declaration_faults(mech, corpus)) == []
 
 
 def test_reads_parses_a_sample_group_as_run_does(two_seller):
-    rand = MECHANISMS["m_rand"]
-    assert [rand.reads("rand:0b10", i) for i in range(2)] == [True, False]
-    assert [MECHANISMS["m_one"].reads(rule, 0) for rule in ("fire", "skip")] == [True, False]
-    greedy = MECHANISMS["m_add"]
-    assert [greedy.reads(rule, 0) for rule in ("greedy", "star", "bot")] == [True, False, False]
+    # A rule reads a seller's bid iff its owner gives it cuts there: B/rank
+    # where a price B/k passes the bid (m_one's fire, a seller m_rand posts
+    # to), with the greedy's own thresholds.  m_rand parses the mask as run
+    # does, with run's errors.
+    inst, bids = two_seller, two_seller.costs
+    ranks = frozenset(inst.budget / rank for rank in range(1, inst.total_units + 1))
+    none = frozenset()
+    add, one, rand = (MECHANISMS[m] for m in ("m_add", "m_one", "m_rand"))
+    assert [rand.cuts(inst, bids, i, "rand:0b10") for i in range(2)] == [ranks, none]
+    assert [one.cuts(inst, bids, 0, rule) for rule in ("fire", "skip")] == [ranks, none]
+    greedy = ranks | mech_additive.greedy_breakpoints(inst, bids, 0)
+    assert greedy > ranks
+    cuts = [add.cuts(inst, bids, 0, rule) for rule in ("greedy", "star", "bot")]
+    assert cuts == [greedy, none, none]
     bad_names = {"one:fire": "bad m_rand scenario", "rand:0bx": "bad sample-group mask"}
     for bad, message in bad_names.items():
-        for call in (lambda: rand.reads(bad, 0), lambda: rand.run(two_seller, None, bad)):
+        for call in (lambda: rand.cuts(inst, bids, 0, bad), lambda: rand.run(inst, None, bad)):
             with pytest.raises(ValueError, match=message):
                 call()
+
+
+def test_m_sub_resolves_a_branch_to_its_owners_rule(two_seller):
+    # One resolver serves m_sub's run and cuts: one:<rule> is m_one's rule,
+    # any other name m_rand's.
+    inst, bids = two_seller, two_seller.costs
+    sub, one, rand = (MECHANISMS[m] for m in ("m_sub", "m_one", "m_rand"))
+    for i in range(inst.m):
+        for rule in ("fire", "skip"):
+            assert sub.cuts(inst, bids, i, f"one:{rule}") == one.cuts(inst, bids, i, rule)
+            assert sub.run(inst, bids, f"one:{rule}") == one.run(inst, bids, rule)
+        for mask in range(1 << inst.m):
+            branch = f"rand:{mask:#b}"
+            assert sub.cuts(inst, bids, i, branch) == rand.cuts(inst, bids, i, branch)
 
 
 def test_check_budget_formats_only_a_failing_branch(monkeypatch):
