@@ -65,8 +65,9 @@ class InvalidField(ValueError):
 
 # Largest total unit count an Instance accepts.  The greedy ranks a bid
 # profile once, one object per unit, and prices every unit from that ranking
-# in O(n log n) integer steps.  A seller's deviation grid straddles B/rank and
-# its own units' critical bids, O(n) points.  The guard bounds these per-run
+# in O(n log n) integer steps.  A greedy seller's deviation grid straddles
+# only its own units' critical bids, and an m_one or m_rand seller's B/k for
+# each k up to its units or to n: O(n) points.  The guard bounds these per-run
 # sizes, not a DST sweep's run count: one run per grid point and scenario.
 # A greedy payment sums its units' exact thresholds: with two sellers of
 # 2,000 units, seller 0's has a 4,526-digit denominator, and a greedy run at

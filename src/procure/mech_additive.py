@@ -293,17 +293,17 @@ def greedy_payments(inst: Instance, bids=None):
     return alloc, tuple(_payment(pairs, i, a) for i, a in enumerate(alloc))
 
 
-def greedy_breakpoints(inst: Instance, bids, seller: int) -> set:
-    """Bids besides B/rank where the seller's greedy allocation can change:
+def greedy_breakpoints(inst: Instance, bids, seller: int) -> frozenset:
+    """Every bid where the seller's greedy allocation or payment can change:
     the critical bids of all its positive-value units, bought at these bids
     or not.  A critical bid does not read the seller's own bid, and a unit
     is bought iff the bid is at most its critical bid, so the seller's
     allocation and payment change only where its bid crosses one of them."""
     pairs = ranked_pairs(inst, bids)
-    return {
+    return frozenset(
         Rat(n, d * pairs.bid_scale)
         for n, d in _seller_thresholds(pairs, seller, pairs.positive[seller])
-    }
+    )
 
 
 def star_seller(inst: Instance) -> int:

@@ -17,12 +17,12 @@ individual rationality, per-branch and expected budget feasibility, and
 measured approximation ratios against the exact optimum oracle.  Every
 failure carries a replayable witness.  A rule's outcome for a seller is
 piecewise constant in that seller's bid between its cuts (Myerson 1981;
-Archer & Tardos 2001), and the rule's owner names them:
-``Lottery.cuts(inst, bids, seller, rule)``.  A (rule, seller) pair is swept
-over ``deviation_grid`` of its owner's cuts.  A pair with no cuts, such as
-m_add's star and bot, m_one's skip, or a seller m_rand sampled away, never
-reads the seller's bid: its outcome is constant, truthful whatever it is,
-and it is swept at two points, 0 and 2 * max(B, cost).
+Archer & Tardos 2001), and the rule's owner states them all in
+``Lottery.cuts``.  A pair with cuts is swept over ``deviation_grid`` of
+them.  A pair with none (m_add's star and bot, m_one's skip, a seller
+m_rand sampled away) never reads the seller's bid, so its outcome is
+constant and truthful whatever it is, and it is swept at 0 and
+2 * max(B, cost).
 """
 
 from __future__ import annotations
@@ -88,10 +88,9 @@ def _harmonic_cap(inst: Instance) -> float:
 
 
 @lru_cache(maxsize=1)
-def _budget_ranks(budget, total_units: int) -> frozenset:
-    """B/rank for every rank up to the total units, built once per instance."""
-    bnum, bden = budget.numerator, budget.denominator
-    return frozenset(Rat(bnum, bden * rank) for rank in range(1, total_units + 1))
+def _prices(budget, count: int) -> frozenset:
+    """B/k for k = 1..count; the last set is kept, so a sweep builds it once."""
+    return frozenset(budget / k for k in range(1, count + 1))
 
 
 class Lottery:
@@ -100,12 +99,16 @@ class Lottery:
     its ratio.
 
     Each subclass defines ``scenarios(inst)``, the exhaustive branch list
-    with probabilities summing to 1, and ``run(inst, bids, branch)``, one
-    branch under the bids (None = truthful).  Methods reach mechanism
-    functions through their modules at call time (``mech_additive.run_m_add``,
-    never a stored reference), so a wrapper rebound on a module sees every
-    call.  ``name`` is the lottery's id in ``MECHANISMS``.  A rule's DST
-    grid is built from its owner's ``cuts`` alone; no cuts means two points.
+    with probabilities summing to 1, ``run(inst, bids, branch)``, one
+    branch under the bids (None = truthful), and ``cuts(inst, bids, seller,
+    rule)`` for each rule it owns: every bid of the seller at which the
+    rule can change that seller's allocation or payment, the other bids as
+    in ``bids``, and none iff the rule never reads that bid.  A name
+    ``run`` refuses, ``cuts`` refuses with the same error.  Methods reach
+    mechanism functions through their modules at call time
+    (``mech_additive.run_m_add``, never a stored reference), so a wrapper
+    rebound on a module sees every call.  ``name`` is the lottery's id in
+    ``MECHANISMS``.
     """
 
     name: str
@@ -128,14 +131,6 @@ class Lottery:
             if r < acc:
                 return s.branch
         return scens[-1].branch
-
-    def cuts(self, inst: Instance, bids, seller: int, rule: str) -> frozenset:
-        """The seller's bids at which this lottery's ``rule`` can change the
-        seller's outcome, the other bids as in ``bids``.  Empty means the
-        rule never reads the seller's bid: the outcome is constant, truthful
-        whatever it is, and its sweep needs two points.  The default is
-        B/rank for every rank, where a price B/k passes the bid."""
-        return _budget_ranks(inst.budget, inst.total_units)
 
     def benchmark(self, inst: Instance):
         """Name and value of the optimum the ratio is measured against."""
@@ -168,11 +163,11 @@ class GreedyLottery(Lottery):
         return mech_additive.run_m_add(inst, bids, branch)
 
     def cuts(self, inst, bids, seller, rule):
+        if rule == "greedy":  # the seller's own unit thresholds
+            return mech_additive.greedy_breakpoints(inst, bids, seller)
         if rule in ("star", "bot"):  # they ignore bids
             return frozenset()
-        return super().cuts(inst, bids, seller, rule) | mech_additive.greedy_breakpoints(
-            inst, bids, seller
-        )
+        raise ValueError(f"unknown branch {rule!r}")
 
     def bound(self, n):
         return 4.0 * harmonic_factor(n)
@@ -225,8 +220,12 @@ class SingleItemLottery(Lottery):
         return mech_single_item.run_m_one(inst, bids, branch)
 
     def cuts(self, inst, bids, seller, rule):
-        # fire reads the bid through the affordable count floor(B / bid).
-        return frozenset() if rule == "skip" else super().cuts(inst, bids, seller, rule)
+        # fire reads the bid only through min(units, floor(B / bid)).
+        if rule == "fire":
+            return _prices(inst.budget, inst.units[seller])
+        if rule == "skip":
+            return frozenset()
+        raise ValueError(f"unknown branch {rule!r}")
 
     def benchmark(self, inst):
         # plan_m_one ranks sellers by these values; its winner is the first max.
@@ -262,7 +261,7 @@ class SamplingLottery(Lottery):
         # A sampled seller is never posted a price: its bid moves only the target.
         if _mask(rule) >> seller & 1:
             return frozenset()
-        return super().cuts(inst, bids, seller, rule)
+        return _prices(inst.budget, inst.total_units)
 
     def sample(self, inst, rng):
         return f"rand:{rng.getrandbits(inst.m):#b}"
@@ -372,11 +371,11 @@ def deviation_grid(inst, bids, seller, cuts, resolution: int = GRID):
     """Deviation bids: the truthful bid, each of ``cuts`` straddled by one
     millionth, and a uniform grid on (0, B].
 
-    ``check_dst`` passes a rule's cuts from its owner (``Lottery.cuts``): the
-    bids where the rule can change the seller's outcome.  Utility is
-    piecewise constant between them, so straddling each one catches every
-    change a uniform grid could miss.  A rule with no cuts gets no grid: it
-    is swept at 0 and 2 * max(B, cost).
+    ``check_dst`` passes a rule's whole cut set from its owner
+    (``Lottery.cuts``): every bid where the rule can change the seller's
+    outcome.  The outcome is constant between cuts, so straddling each one
+    catches every change a uniform grid could miss.  A rule with no cuts
+    gets no grid: it is swept at 0 and 2 * max(B, cost).
 
     Every point is built as one rational from integers, a straddle point as
     bp * (10^6 - 1) / 10^6 or bp * (10^6 + 1) / 10^6, and the grid is

@@ -647,6 +647,37 @@ def declaration_faults(mech: str, instances):
     yield from sorted(reading - read)
 
 
+def piece_faults(mech: str, instances):
+    """Faults in the cut sets (``Lottery.cuts``) of the rules that ``mech``
+    lists: each (rule, seller) pair with cuts splits (0, 2 * max(B, cost,
+    top cut)] at its cuts, and the seller's allocation and payment must be
+    their value at the piece's midpoint at 1/3 and 2/3 of each piece and at
+    every point of ``seller_grid`` strictly inside it.  A cut itself is not
+    compared: at a greedy threshold a unit can go either way.  Yields each
+    (instance index, branch, seller, bid) where they differ."""
+    for n, inst in enumerate(instances):
+        costs = inst.costs
+        grids = [seller_grid(mech, inst, costs, i) for i in range(inst.m)]
+        for s in MECHANISMS[mech].scenarios(inst):
+            for i, grid in enumerate(grids):
+                cuts = sorted(c for c in s.owner.cuts(inst, costs, i, s.rule) if c > 0)
+                if not cuts:
+                    continue
+
+                def own(bid):
+                    bids = costs[:i] + (bid,) + costs[i + 1 :]
+                    out = run_scenario(s.owner.name, inst, bids, s.rule)
+                    return out.allocation[i], out.payments[i]
+
+                ends = [Rat(0), *cuts, 2 * max(inst.budget, costs[i], cuts[-1])]
+                for lo, hi in zip(ends, ends[1:]):
+                    mid = own((lo + hi) / 2)
+                    thirds = (lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3)
+                    for bid in (*thirds, *(b for b in grid if lo < b < hi)):
+                        if own(bid) != mid:
+                            yield n, s.branch, i, bid
+
+
 def pickup_flags(inst: Instance, bids=None):
     """Per-rank pick-up test: each pair against its own prefix inequality.
 

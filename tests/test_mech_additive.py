@@ -737,21 +737,18 @@ def test_sym_rule_matches_cheapest_prefix_reference():
 
 
 def test_sym_breakpoints_are_the_sellers_thresholds():
-    # m_sym's greedy cuts stated directly: B/rank for every rank and the
-    # threshold of each of the seller's units, and nothing else; a rival's
-    # bid is a cut only where it is such a threshold.  A threshold does not
+    # m_sym's greedy cuts stated directly: the threshold of each of the
+    # seller's units, and nothing else, no B/rank among them; a rival's bid
+    # is a cut only where it is such a threshold.  A threshold does not
     # depend on the seller's own bid, so each is taken at bid 0, where the
     # seller sells every unit.
     lottery = MECHANISMS["m_sym"]
     rng = random.Random(37)
     for inst in symmetric_corpus():
         for bids in _symmetric_bid_profiles(inst, rng):
-            ranks = {inst.budget / rank for rank in range(1, inst.total_units + 1)}
             for i in range(inst.m):
                 free = bids[:i] + (Rat(0),) + bids[i + 1 :]
-                expected = ranks | {
-                    sym_threshold(inst, i, j, free) for j in range(1, inst.units[i] + 1)
-                }
+                expected = {sym_threshold(inst, i, j, free) for j in range(1, inst.units[i] + 1)}
                 assert lottery.cuts(inst, bids, i, "greedy") == expected
 
 

@@ -16,9 +16,12 @@ some grid profile's accepted round or outcome differs from
 ``reference_m_rand_detail``'s.  The bid-reading mutants, a ``star`` branch
 that reads the star seller's bid and a greedy declared with no cuts, must
 be caught by the declaration test (``helpers.declaration_faults``) on the
-first ``DECLARATION_WINDOW`` instances of ``m_add``'s corpus.  The search
-stops at the first kill, and ``monkeypatch`` puts the real function back
-afterwards.
+first ``DECLARATION_WINDOW`` instances of ``m_add``'s corpus.  The cut-set
+mutants, a greedy without the seller's largest threshold and an ``m_one``
+fire without B/units, must be caught by the completeness test
+(``helpers.piece_faults``) on the first ``DECLARATION_WINDOW`` instances of
+their mechanism's corpus.  The search stops at the first kill, and
+``monkeypatch`` puts the real function back afterwards.
 """
 
 from dataclasses import replace
@@ -29,7 +32,7 @@ import pytest
 from procure import mech_additive, mech_single_item, mech_subadditive
 from procure.core import Outcome, Rat, checked_bids
 from procure.mech_subadditive import RandRun, phi
-from procure.verify import GreedyLottery, check_dst
+from procure.verify import GreedyLottery, SingleItemLottery, check_dst
 
 from corpora import (
     DECLARATION_WINDOW,
@@ -38,7 +41,7 @@ from corpora import (
     dst_corpora,
     first_price_probe,
 )
-from helpers import declaration_faults, grid_profiles, reference_m_rand_detail
+from helpers import declaration_faults, grid_profiles, piece_faults, reference_m_rand_detail
 
 KILL_WINDOW = 100
 RAND_KILL_WINDOW = 60
@@ -172,6 +175,35 @@ def shifted_crossover(shift: int):
     return shifted
 
 
+def greedy_without_largest_threshold():
+    """``GreedyLottery.cuts`` without the seller's largest threshold."""
+    cuts = GreedyLottery.cuts
+
+    def fewer(self, inst, bids, seller, rule):
+        found = cuts(self, inst, bids, seller, rule)
+        return found - {max(found)} if found else found
+
+    return fewer
+
+
+def fire_without_full_supply_price():
+    """``SingleItemLottery.cuts`` without B/units[seller], the bid at which
+    fire's affordable count reaches the seller's whole supply."""
+    cuts = SingleItemLottery.cuts
+
+    def fewer(self, inst, bids, seller, rule):
+        return cuts(self, inst, bids, seller, rule) - {inst.budget / inst.units[seller]}
+
+    return fewer
+
+
+# Cut-set mutants, each an owner's cuts with one cut left out; killed by
+# the completeness test on their mechanism's corpus.
+PIECE_MUTANTS = {
+    "greedy_without_largest_threshold": (GreedyLottery, "m_add", greedy_without_largest_threshold),
+    "fire_without_full_supply_price": (SingleItemLottery, "m_one", fire_without_full_supply_price),
+}
+
 # Calibration-side mutants of m_rand_detail, each one change of
 # calibration_mutant; killed by the eager-reference equivalence.
 CALIBRATION_MUTANTS = {
@@ -275,3 +307,14 @@ def test_greedy_declared_bid_blind_is_killed(monkeypatch):
     monkeypatch.setattr(GreedyLottery, "cuts", lambda self, inst, bids, seller, rule: frozenset())
     assert_declaration_killed("greedy_declared_bid_blind")
     assert all(c.passed for c in check_dst("m_add_firstprice", first_price_probe()))
+
+
+@pytest.mark.parametrize("mutant", sorted(PIECE_MUTANTS))
+def test_missing_cut_is_killed_by_the_completeness_test(monkeypatch, mutant):
+    owner, mech, make = PIECE_MUTANTS[mutant]
+    monkeypatch.setattr(owner, "cuts", make())
+    corpus = dst_corpora()[mech][:DECLARATION_WINDOW]
+    fault = next(piece_faults(mech, corpus), None)
+    if fault is None:
+        pytest.fail(f"{mutant} survives the completeness test")
+    print(f"{mutant}: killed by the completeness test at {fault}")

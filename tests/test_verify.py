@@ -36,6 +36,7 @@ from helpers import (
     greedy_marginal,
     partition_chain_records,
     partition_success_frequency,
+    piece_faults,
     reference_deviation_grid,
     replay_witness,
     seller_cuts,
@@ -500,24 +501,43 @@ def test_rules_read_exactly_the_bids_their_owners_declare(mech):
     assert list(declaration_faults(mech, corpus)) == []
 
 
+@pytest.mark.parametrize("mech", MECHANISM_IDS)
+def test_cuts_are_complete_on_every_piece(mech):
+    # Each owner states the whole cut set of its rules: on a prefix of the
+    # criterion-8 corpus, no (rule, seller) pair's outcome moves between two
+    # consecutive cuts, at a third and two thirds of each piece or at any
+    # point of the seller's full grid, B/rank for every rank included.
+    corpus = dst_corpora()[mech][:DECLARATION_WINDOW]
+    assert list(piece_faults(mech, corpus)) == []
+
+
 def test_reads_parses_a_sample_group_as_run_does(two_seller):
-    # A rule reads a seller's bid iff its owner gives it cuts there: B/rank
-    # where a price B/k passes the bid (m_one's fire, a seller m_rand posts
-    # to), with the greedy's own thresholds.  m_rand parses the mask as run
+    # A rule reads a seller's bid iff its owner gives it cuts there, and the
+    # owner states them all: the greedy's own thresholds, B/k for k up to
+    # the seller's units for m_one's fire, B/k for k up to the total units
+    # for a seller m_rand posts to.  Each owner parses a rule's name as run
     # does, with run's errors.
     inst, bids = two_seller, two_seller.costs
     ranks = frozenset(inst.budget / rank for rank in range(1, inst.total_units + 1))
     none = frozenset()
-    add, one, rand = (MECHANISMS[m] for m in ("m_add", "m_one", "m_rand"))
+    add, one, rand, sub = (MECHANISMS[m] for m in ("m_add", "m_one", "m_rand", "m_sub"))
     assert [rand.cuts(inst, bids, i, "rand:0b10") for i in range(2)] == [ranks, none]
-    assert [one.cuts(inst, bids, 0, rule) for rule in ("fire", "skip")] == [ranks, none]
-    greedy = ranks | mech_additive.greedy_breakpoints(inst, bids, 0)
-    assert greedy > ranks
+    fire = [one.cuts(inst, bids, i, "fire") for i in range(2)]
+    assert fire == [frozenset({inst.budget, inst.budget / 2}), frozenset({inst.budget})]
+    assert one.cuts(inst, bids, 0, "skip") == none
+    greedy = mech_additive.greedy_breakpoints(inst, bids, 0)
+    assert greedy and not greedy & ranks
     cuts = [add.cuts(inst, bids, 0, rule) for rule in ("greedy", "star", "bot")]
     assert cuts == [greedy, none, none]
-    bad_names = {"one:fire": "bad m_rand scenario", "rand:0bx": "bad sample-group mask"}
-    for bad, message in bad_names.items():
-        for call in (lambda: rand.cuts(inst, bids, 0, bad), lambda: rand.run(inst, None, bad)):
+    bad_names = [
+        (rand, "one:fire", "bad m_rand scenario"),
+        (rand, "rand:0bx", "bad sample-group mask"),
+        (add, "nope", "unknown branch 'nope'"),
+        (one, "bogus", "unknown branch 'bogus'"),
+        (sub, "one:bogus", "unknown branch 'bogus'"),
+    ]
+    for owner, bad, message in bad_names:
+        for call in (lambda: owner.cuts(inst, bids, 0, bad), lambda: owner.run(inst, None, bad)):
             with pytest.raises(ValueError, match=message):
                 call()
 
