@@ -56,19 +56,23 @@ triples and each seller's count of them), and that instance's most recent
 ranking, matched by equal checked bids.  A ranking is a tuple of pairs
 that keeps what it computes: the bought units, and per seller the longest
 prefix of integer thresholds (n, d) asked for so far.  So greedy_allocate,
-greedy_payments, threshold and greedy_breakpoints on one profile share one
-sort and one bisection per unit, and a sweep that changes one seller's bid
-keeps the skeleton.  The memo entry, the bought units and each prefix are
-each replaced as one whole tuple in a single store, never changed in
-place, so a thread racing another reads a complete entry of some instance
-it matched by identity; a race can cost a rebuild, never mix two results.
+greedy_payments, greedy_seller, threshold and greedy_breakpoints on one
+profile share one sort and one bisection per unit, and a sweep that
+changes one seller's bid keeps the skeleton.  greedy_seller prices only
+the seller it is asked about, so a sweep that reads one seller's outcome
+computes no other seller's thresholds.  The memo entry, the bought units
+and each prefix are each replaced as one whole tuple in a single store,
+never changed in place, so a thread racing another reads a complete entry
+of some instance it matched by identity; a race can cost a rebuild, never
+mix two results.
 Every public function is still called as before, and ``ranked_pairs``
 still checks the bids and the valuation class on every call.
 
 The symmetric-valuation variant is the same greedy on the instance with
 every unit worth 1: it ranks units by bid, ties by (seller, unit), buys the
 longest prefix whose last unit has bid * rank <= budget, and pays the same
-closed-form thresholds.
+closed-form thresholds.  sym_seller is its one-seller outcome, as
+greedy_seller is the greedy's.
 """
 
 from __future__ import annotations
@@ -293,6 +297,16 @@ def greedy_payments(inst: Instance, bids=None):
     return alloc, tuple(_payment(pairs, i, a) for i, a in enumerate(alloc))
 
 
+def greedy_seller(inst: Instance, bids, seller: int):
+    """One seller's (units, payment) in the greedy branch: its entries of
+    ``greedy_payments``, with no other seller's thresholds computed."""
+    pairs = ranked_pairs(inst, bids)
+    if not 0 <= seller < inst.m:
+        raise IndexError(f"seller index {seller} out of range")
+    units = _bought(pairs)[seller]
+    return units, _payment(pairs, seller, units)
+
+
 def greedy_breakpoints(inst: Instance, bids, seller: int) -> frozenset:
     """Every bid where the seller's greedy allocation or payment can change:
     the critical bids of all its positive-value units, bought at these bids
@@ -351,12 +365,23 @@ def sym_threshold(inst: Instance, i: int, j: int, bids=None):
     return threshold(unit_values(inst), i, j, bids)
 
 
+def _sym_payment(inst: Instance, i: int, units: int, bids):
+    """The sum of seller i's first ``units`` symmetric thresholds."""
+    return sum((sym_threshold(inst, i, j, bids) for j in range(1, units + 1)), Rat(0))
+
+
 def sym_payments(inst: Instance, bids=None):
     alloc = sym_allocate(inst, bids)
-    return alloc, tuple(
-        sum((sym_threshold(inst, i, j, bids) for j in range(1, a + 1)), Rat(0))
-        for i, a in enumerate(alloc)
-    )
+    return alloc, tuple(_sym_payment(inst, i, a, bids) for i, a in enumerate(alloc))
+
+
+def sym_seller(inst: Instance, bids, seller: int):
+    """One seller's (units, payment) under the symmetric rule: its entries
+    of ``sym_payments``, with no other seller's thresholds computed."""
+    alloc = sym_allocate(inst, bids)
+    if not 0 <= seller < inst.m:
+        raise IndexError(f"seller index {seller} out of range")
+    return alloc[seller], _sym_payment(inst, seller, alloc[seller], bids)
 
 
 def run_m_sym(inst: Instance, bids, branch: str) -> Outcome:

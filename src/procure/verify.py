@@ -22,7 +22,10 @@ Archer & Tardos 2001), and the rule's owner states them all in
 them.  A pair with none (m_add's star and bot, m_one's skip, a seller
 m_rand sampled away) never reads the seller's bid, so its outcome is
 constant and truthful whatever it is, and it is swept at 0 and
-2 * max(B, cost).
+2 * max(B, cost).  A truthful rule is truthful seller by seller, so the
+sweep reads only the deviating seller's outcome, ``Lottery.seller_outcome``,
+which equals that seller's entries of ``run``; the truthful checks, the
+ratio and ``procure run`` read ``run``.
 """
 
 from __future__ import annotations
@@ -104,7 +107,11 @@ class Lottery:
     rule)`` for each rule it owns: every bid of the seller at which the
     rule can change that seller's allocation or payment, the other bids as
     in ``bids``, and none iff the rule never reads that bid.  A name
-    ``run`` refuses, ``cuts`` refuses with the same error.  Methods reach
+    ``run`` refuses, ``cuts`` refuses with the same error.
+    ``seller_outcome(inst, bids, seller, rule)`` is one seller's (units,
+    payment) under a rule the lottery owns, and it must equal that seller's
+    entries of ``run``; the default reads them from ``run``, and an
+    override may price that seller alone.  Methods reach
     mechanism functions through their modules at call time
     (``mech_additive.run_m_add``, never a stored reference), so a wrapper
     rebound on a module sees every call.  ``name`` is the lottery's id in
@@ -143,6 +150,11 @@ class Lottery:
     def notes(self, inst: Instance) -> dict:
         return {}
 
+    def seller_outcome(self, inst: Instance, bids, seller: int, rule: str):
+        """One seller's (units, payment) under ``rule``: ``run``'s entries."""
+        out = self.run(inst, bids, rule)
+        return out.allocation[seller], out.payments[seller]
+
 
 class GreedyLottery(Lottery):
     """m_add: the greedy branch w.p. 1/(2(1 + ln n)), one unit of the star
@@ -161,6 +173,11 @@ class GreedyLottery(Lottery):
 
     def run(self, inst, bids, branch):
         return mech_additive.run_m_add(inst, bids, branch)
+
+    def seller_outcome(self, inst, bids, seller, rule):
+        if rule == "greedy":  # that seller's thresholds only
+            return mech_additive.greedy_seller(inst, bids, seller)
+        return super().seller_outcome(inst, bids, seller, rule)
 
     def cuts(self, inst, bids, seller, rule):
         if rule == "greedy":  # the seller's own unit thresholds
@@ -182,6 +199,11 @@ class SymmetricLottery(GreedyLottery):
     def run(self, inst, bids, branch):
         return mech_additive.run_m_sym(inst, bids, branch)
 
+    def seller_outcome(self, inst, bids, seller, rule):
+        if rule == "greedy":
+            return mech_additive.sym_seller(inst, bids, seller)
+        return super().seller_outcome(inst, bids, seller, rule)
+
     def cuts(self, inst, bids, seller, rule):
         return super().cuts(mech_additive.unit_values(inst), bids, seller, rule)
 
@@ -201,6 +223,10 @@ class FirstPriceLottery(GreedyLottery):
         bids = checked_bids(inst, bids)
         alloc = mech_additive.greedy_allocate(inst, bids)
         return Outcome(alloc, tuple(b * a for a, b in zip(alloc, bids)))
+
+    # Pay-as-bid is not the greedy's threshold payment, so one seller's
+    # outcome is read from ``run``, as every lottery's is by default.
+    seller_outcome = Lottery.seller_outcome
 
     def bound(self, n):
         return None
@@ -347,6 +373,12 @@ def run_scenario(mech: str, inst: Instance, bids, branch: str) -> Outcome:
     return _lottery(mech).run(inst, bids, branch)
 
 
+def seller_outcome(mech: str, inst: Instance, bids, seller: int, branch: str):
+    """Seller's (units, payment) in one branch: its entries of
+    ``run_scenario``, from the lottery's ``seller_outcome``."""
+    return _lottery(mech).seller_outcome(inst, bids, seller, branch)
+
+
 def scenario_outcomes(mech: str, inst: Instance, shared: dict | None = None):
     """Each scenario of the mechanism's lottery with its truthful outcome.
     ``shared`` keeps each rule's outcome, as ``check_dst`` keeps sweeps."""
@@ -466,17 +498,24 @@ def _dst_sweep(name, mech, inst, resolution, sweep_opponents, shared) -> list:
 
 def _first_gain(scen, inst, i, grid, rival_bids) -> dict | None:
     """The witness, less its scenario name, of the first opponent profile
-    in grid order where a deviation of seller i beats its truthful bid."""
-    costs = inst.costs
-    owner, rule = scen.owner.name, scen.rule
+    in grid order where a deviation of seller i beats its truthful bid.
+    Only seller i's utility is compared, so each run reads seller i's
+    outcome alone (``seller_outcome``), which equals its entries of
+    ``run``."""
+    owner, rule, cost = scen.owner.name, scen.rule, inst.costs[i]
+
+    def own_utility(bids):
+        # As ``core.utility``: no rational arithmetic for a seller with no units.
+        units, payment = seller_outcome(owner, inst, bids, i, rule)
+        return payment - cost * units if units else payment
+
     for rivals in itertools.product(*rival_bids[:i], *rival_bids[i + 1 :]):
-        base = rivals[:i] + (costs[i],) + rivals[i:]
-        u_true = utility(run_scenario(owner, inst, base, rule), costs, i)
+        base = rivals[:i] + (cost,) + rivals[i:]
+        u_true = own_utility(base)
         for dev in grid:
-            if dev == costs[i]:
+            if dev == cost:
                 continue
-            profile = base[:i] + (dev,) + base[i + 1 :]
-            u_dev = utility(run_scenario(owner, inst, profile, rule), costs, i)
+            u_dev = own_utility(base[:i] + (dev,) + base[i + 1 :])
             if u_dev > u_true:
                 return {
                     "seller": i,

@@ -18,8 +18,8 @@ subset), and explicit tables materialized from any valuation for the
 classifier cross-check.  The rest are conveniences the package does not
 need: the allocation lattice's join and meet, expected payments,
 ``m_rand``'s calibrated target, a seller's grid against every cut of a
-mechanism's rules, replaying a DST witness, and testing the rules' cut
-declarations.
+mechanism's rules, replaying a DST witness, testing the rules' cut
+declarations, and testing each rule's one-seller outcome against ``run``.
 """
 
 from bisect import bisect_left
@@ -64,6 +64,7 @@ from procure.verify import (
     deviation_grid,
     run_scenario,
     scenario_outcomes,
+    seller_outcome,
 )
 
 
@@ -676,6 +677,31 @@ def piece_faults(mech: str, instances):
                     for bid in (*thirds, *(b for b in grid if lo < b < hi)):
                         if own(bid) != mid:
                             yield n, s.branch, i, bid
+
+
+def seller_outcome_faults(mech: str, instances):
+    """Faults in the one-seller outcomes (``Lottery.seller_outcome``) of
+    the rules that ``mech`` lists, with ``run`` as the reference: at every
+    point of each (rule, seller) pair's sweep, its grid or, with no cuts,
+    0 and 2 * max(B, cost), and at the truthful bid, the rule's owner must
+    give the seller its entries of ``run``.  Yields each (instance index,
+    branch, seller, bid) where they differ."""
+    for n, inst in enumerate(instances):
+        costs = inst.costs
+        for s in MECHANISMS[mech].scenarios(inst):
+            owner = s.owner.name
+            for i, cost in enumerate(costs):
+                cuts = s.owner.cuts(inst, costs, i, s.rule)
+                if cuts:
+                    points = deviation_grid(inst, costs, i, cuts)
+                else:
+                    points = (Rat(0), 2 * max(inst.budget, cost))
+                for bid in (cost, *points):
+                    bids = costs[:i] + (bid,) + costs[i + 1 :]
+                    out = run_scenario(owner, inst, bids, s.rule)
+                    got = seller_outcome(owner, inst, bids, i, s.rule)
+                    if got != (out.allocation[i], out.payments[i]):
+                        yield n, s.branch, i, bid
 
 
 def pickup_flags(inst: Instance, bids=None):

@@ -26,12 +26,14 @@ from procure.mech_additive import (
     greedy_allocate,
     greedy_breakpoints,
     greedy_payments,
+    greedy_seller,
     ranked_pairs,
     run_m_add,
     run_m_sym,
     star_seller,
     sym_allocate,
     sym_payments,
+    sym_seller,
     sym_threshold,
     threshold,
     unit_values,
@@ -758,6 +760,14 @@ def test_sym_payments_cover_costs():
         alloc, payments = sym_payments(inst)
         for a, p, c in zip(alloc, payments, inst.costs):
             assert p >= a * c
+
+
+def test_one_seller_outcomes_refuse_a_seller_out_of_range(two_seller, sym_inst):
+    # A negative index would otherwise read another seller's entry.
+    for seller_outcome, inst in ((greedy_seller, two_seller), (sym_seller, sym_inst)):
+        for seller in (-1, inst.m):
+            with pytest.raises(IndexError, match=f"seller index {seller} out of range"):
+                seller_outcome(inst, None, seller)
 
 
 def test_run_m_sym_branches(sym_inst):

@@ -20,7 +20,13 @@ first ``DECLARATION_WINDOW`` instances of ``m_add``'s corpus.  The cut-set
 mutants, a greedy without the seller's largest threshold and an ``m_one``
 fire without B/units, must be caught by the completeness test
 (``helpers.piece_faults``) on the first ``DECLARATION_WINDOW`` instances of
-their mechanism's corpus.  The search stops at the first kill, and
+their mechanism's corpus.  The pay-as-bid fixture given the greedy's
+one-seller outcome, which ``check_dst`` reads, must be caught by the
+one-seller equivalence test (``helpers.seller_outcome_faults``) on the
+first ``DECLARATION_WINDOW`` instances of ``m_add``'s corpus.  The star
+seller paid B + 10^-12 must fail ``budget:star`` within the first 100
+instances of ``m_add``'s corpus: its payment does not read its bid, so
+``dst`` cannot see it.  The search stops at the first kill, and
 ``monkeypatch`` puts the real function back afterwards.
 """
 
@@ -32,7 +38,13 @@ import pytest
 from procure import mech_additive, mech_single_item, mech_subadditive
 from procure.core import Outcome, Rat, checked_bids
 from procure.mech_subadditive import RandRun, phi
-from procure.verify import GreedyLottery, SingleItemLottery, check_dst
+from procure.verify import (
+    FirstPriceLottery,
+    GreedyLottery,
+    SingleItemLottery,
+    check_budget,
+    check_dst,
+)
 
 from corpora import (
     DECLARATION_WINDOW,
@@ -41,7 +53,13 @@ from corpora import (
     dst_corpora,
     first_price_probe,
 )
-from helpers import declaration_faults, grid_profiles, piece_faults, reference_m_rand_detail
+from helpers import (
+    declaration_faults,
+    grid_profiles,
+    piece_faults,
+    reference_m_rand_detail,
+    seller_outcome_faults,
+)
 
 KILL_WINDOW = 100
 RAND_KILL_WINDOW = 60
@@ -158,6 +176,20 @@ def star_paying_twice_the_bid():
         return Outcome(out.allocation, tuple(payments))
 
     return reads_the_bid
+
+
+def star_overpaid(delta):
+    """``run_m_add`` with the star seller paid B + ``delta``."""
+    run = mech_additive.run_m_add
+
+    def overpaid(inst, bids, branch):
+        out = run(inst, bids, branch)
+        if branch != "star":
+            return out
+        payments = tuple(p + delta if a else p for a, p in zip(out.allocation, out.payments))
+        return Outcome(out.allocation, payments)
+
+    return overpaid
 
 
 def shifted_crossover(shift: int):
@@ -318,3 +350,28 @@ def test_missing_cut_is_killed_by_the_completeness_test(monkeypatch, mutant):
     if fault is None:
         pytest.fail(f"{mutant} survives the completeness test")
     print(f"{mutant}: killed by the completeness test at {fault}")
+
+
+def test_fixture_given_the_greedys_seller_outcome_is_killed(monkeypatch):
+    # The sweep reads a seller's outcome from seller_outcome alone.  Given
+    # the greedy's, the pay-as-bid fixture is swept as the truthful greedy:
+    # criterion 8's probe no longer fails, and only the equivalence with
+    # run tells.
+    monkeypatch.setattr(FirstPriceLottery, "seller_outcome", GreedyLottery.seller_outcome)
+    assert all(c.passed for c in check_dst("m_add_firstprice", first_price_probe()))
+    corpus = dst_corpora()["m_add"][:DECLARATION_WINDOW]
+    fault = next(seller_outcome_faults("m_add_firstprice", corpus), None)
+    if fault is None:
+        pytest.fail("fixture_given_greedy_seller_outcome survives the equivalence test")
+    print(f"fixture_given_greedy_seller_outcome: killed by the equivalence test at {fault}")
+
+
+def test_star_overpaid_is_killed_by_budget(monkeypatch):
+    monkeypatch.setattr(mech_additive, "run_m_add", star_overpaid(Rat(1, 10**12)))
+    for n, inst in enumerate(dst_corpora()["m_add"][:KILL_WINDOW]):
+        failed = [c.name for c in check_budget("m_add", inst) if not c.passed]
+        if failed:
+            assert failed == ["budget:star"]
+            print(f"star_overpaid: killed on instance {n} by {failed[0]}")
+            return
+    pytest.fail(f"star_overpaid survives check_budget on {KILL_WINDOW} instances")

@@ -41,6 +41,7 @@ from helpers import (
     replay_witness,
     seller_cuts,
     seller_grid,
+    seller_outcome_faults,
 )
 
 
@@ -384,19 +385,25 @@ def test_verify_instance_reports(two_seller):
 
 
 def _runs(monkeypatch, mechanisms, inst, **kwargs):
-    """verify_instance's reports, and a count of its run_scenario calls by
-    (mechanism, branch, bids)."""
+    """verify_instance's reports, and a count of its runs by (mechanism,
+    branch, bids): its run_scenario calls, the truthful runs, and its
+    seller_outcome calls, the deviation sweep's runs."""
     from procure import verify
 
     runs = Counter()
-    real = verify.run_scenario
+    real_run, real_seller = verify.run_scenario, verify.seller_outcome
 
-    def counted(mech, inst, bids, branch):
+    def counted_run(mech, inst, bids, branch):
         runs[mech, branch, tuple(bids)] += 1
-        return real(mech, inst, bids, branch)
+        return real_run(mech, inst, bids, branch)
+
+    def counted_seller(mech, inst, bids, seller, branch):
+        runs[mech, branch, tuple(bids)] += 1
+        return real_seller(mech, inst, bids, seller, branch)
 
     with monkeypatch.context() as patch:
-        patch.setattr(verify, "run_scenario", counted)
+        patch.setattr(verify, "run_scenario", counted_run)
+        patch.setattr(verify, "seller_outcome", counted_seller)
         reports = verify_instance(inst, mechanisms, 16, **kwargs)
     return reports, runs
 
@@ -405,6 +412,10 @@ def test_verify_instance_runs_m_subs_rules_once(monkeypatch):
     inst = greedy_nonmonotone_instance()
     alone = {mech: _runs(monkeypatch, [mech], inst) for mech in ("m_one", "m_rand", "m_sub")}
     reports, runs = _runs(monkeypatch, ["m_one", "m_rand", "m_sub"], inst)
+    # The sweep's deviation runs are counted, and every rule of both owners
+    # is run.
+    assert any(bids != inst.costs for _, _, bids in runs)
+    assert {b.partition(":")[0] for _, b, _ in runs} == {"fire", "skip", "rand"}
     # m_sub alone makes exactly m_one's and m_rand's runs; beside them it
     # adds none, its ratio's truthful runs included.
     assert alone["m_sub"][1] == alone["m_one"][1] + alone["m_rand"][1]
@@ -509,6 +520,15 @@ def test_cuts_are_complete_on_every_piece(mech):
     # point of the seller's full grid, B/rank for every rank included.
     corpus = dst_corpora()[mech][:DECLARATION_WINDOW]
     assert list(piece_faults(mech, corpus)) == []
+
+
+@pytest.mark.parametrize("mech", (*MECHANISM_IDS, "m_add_firstprice"))
+def test_seller_outcome_is_runs_entries(mech):
+    # check_dst reads one seller's outcome, and run is its reference: on a
+    # prefix of the criterion-8 corpus, every rule's owner gives every
+    # seller its entries of run at every point of the seller's sweep.
+    corpus = dst_corpora()["m_add" if mech == "m_add_firstprice" else mech][:DECLARATION_WINDOW]
+    assert list(seller_outcome_faults(mech, corpus)) == []
 
 
 def test_reads_parses_a_sample_group_as_run_does(two_seller):
