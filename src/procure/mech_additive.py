@@ -68,11 +68,31 @@ mix two results.
 Every public function is still called as before, and ``ranked_pairs``
 still checks the bids and the valuation class on every call.
 
+A seller's sweep moves only that seller's bid, so greedy_seller keeps a
+second one-entry memo: keyed on the instance (by identity, and held), the
+seller and the other sellers' checked bids, it holds the ranking of the
+first profile it saw under that key, the rivals' (ibid, ivalue, seller) in
+rank order at that ranking's S_b, the seller's own positive ivalues in rank
+order, and the payments computed so far by bought count.  The seller's
+critical bids do not read its own bid, so the thresholds kept on that
+ranking, and their sums, hold at every own bid.  Each call places the own
+bid b = p / q into the rivals' fixed order in exact integers: own unit j
+goes before rival r iff p * S_b * ivalue_r < q * ibid_r * ivalue_j, and at
+equality iff the seller's index is the lower one, as the rank key's tie
+rule orders them.  The bought rule then runs along that merged order, a
+rival passing iff ibid_r * iprefix <= ibudget * ivalue_r and own unit j iff
+p * S_b * iprefix <= q * ibudget * ivalue_j; the seller sells its pairs up
+to the last passing rank and is paid ``_payment`` of the kept ranking at
+that count.  The entry is replaced as one whole tuple, and each count's
+payment is stored once in a single store and never changed, so a race can
+cost a recomputation, never mix two results.  ``run`` never reads this
+memo: greedy_payments, ranked_pairs and _bought are the reference path,
+and the tests check greedy_seller against them.
+
 The symmetric-valuation variant is the same greedy on the instance with
 every unit worth 1: it ranks units by bid, ties by (seller, unit), buys the
 longest prefix whose last unit has bid * rank <= budget, and pays the same
-closed-form thresholds.  sym_seller is its one-seller outcome, as
-greedy_seller is the greedy's.
+closed-form thresholds.  sym_seller is greedy_seller on that instance.
 """
 
 from __future__ import annotations
@@ -297,14 +317,78 @@ def greedy_payments(inst: Instance, bids=None):
     return alloc, tuple(_payment(pairs, i, a) for i, a in enumerate(alloc))
 
 
+# The one-entry seller memo (see the module docstring): the instance, the
+# seller, the other sellers' checked bids and what is kept of their ranking,
+# read and replaced as one tuple.
+_seller_memo = (None, None, None, None)
+
+
 def greedy_seller(inst: Instance, bids, seller: int):
     """One seller's (units, payment) in the greedy branch: its entries of
-    ``greedy_payments``, with no other seller's thresholds computed."""
-    pairs = ranked_pairs(inst, bids)
+    ``greedy_payments``, with no other seller's thresholds computed.
+
+    A call whose instance, seller and other sellers' bids are the last
+    call's ranks nothing: it places the seller's bid into the rivals' kept
+    order and reads its payment from the kept ranking's thresholds (see the
+    module docstring).  The bids, the valuation class and the seller index
+    are checked on every call, in that order.
+    """
+    global _seller_memo
+    bids = checked_bids(inst, bids)
+    _require(additive_reason(inst))
     if not 0 <= seller < inst.m:
         raise IndexError(f"seller index {seller} out of range")
-    units = _bought(pairs)[seller]
-    return units, _payment(pairs, seller, units)
+    rival_bids = bids[:seller] + bids[seller + 1 :]
+    owner, kept_seller, kept_bids, kept = _seller_memo
+    if owner is not inst or kept_seller != seller or kept_bids != rival_bids:
+        pairs = ranked_pairs(inst, bids)
+        rivals = tuple(
+            (pr.ibid, pr.ivalue, pr.seller, pairs.ibudget * pr.ivalue)
+            for pr in pairs
+            if pr.seller != seller
+        )
+        kept = pairs, rivals, tuple(pr.ivalue for pr in pairs if pr.seller == seller), {}
+        _seller_memo = (inst, seller, rival_bids, kept)
+    pairs, rivals, own, paid = kept
+    units = _walk(pairs, rivals, own, seller, bids[seller])
+    payment = paid.get(units)
+    if payment is None:
+        paid[units] = payment = _payment(pairs, seller, units)
+    return units, payment
+
+
+def _walk(pairs: Ranking, rivals: tuple, own: tuple, seller: int, bid) -> int:
+    """The seller's bought units at its own bid ``bid``, placed into the
+    rivals' kept order: its pairs' ivalues ``own`` and the rivals'
+    (ibid, ivalue, seller, ibudget * ivalue), each in rank order at the
+    kept ranking's scale S_b.  With bid = p / q the own pair's ibid is
+    p * S_b / q, so every comparison is multiplied through by q."""
+    p_scaled, q = bid.numerator * pairs.bid_scale, bid.denominator
+    q_budget = q * pairs.ibudget
+    # Margins are nonincreasing in the additive classes, so the own pairs
+    # rank by unit whatever the bid: each is placed after the rivals that
+    # rank before it.  rho and the prefix both grow along the ranking, so
+    # the first pair that fails the bought rule ends the bought prefix, and
+    # no rival after the last own pair changes the count.
+    units = r = iprefix = 0
+    for own_value in own:
+        q_own = q * own_value
+        while r < len(rivals):
+            ibid, ivalue, rival, budget_share = rivals[r]
+            # The own pair goes first at a lower rate, or an equal rate and
+            # a lower seller index.
+            mine, theirs = p_scaled * ivalue, ibid * q_own
+            if mine < theirs or (mine == theirs and seller < rival):
+                break
+            iprefix += ivalue
+            if ibid * iprefix > budget_share:
+                return units
+            r += 1
+        iprefix += own_value
+        if p_scaled * iprefix > q_budget * own_value:
+            return units
+        units += 1
+    return units
 
 
 def greedy_breakpoints(inst: Instance, bids, seller: int) -> frozenset:
@@ -365,23 +449,19 @@ def sym_threshold(inst: Instance, i: int, j: int, bids=None):
     return threshold(unit_values(inst), i, j, bids)
 
 
-def _sym_payment(inst: Instance, i: int, units: int, bids):
-    """The sum of seller i's first ``units`` symmetric thresholds."""
-    return sum((sym_threshold(inst, i, j, bids) for j in range(1, units + 1)), Rat(0))
-
-
 def sym_payments(inst: Instance, bids=None):
     alloc = sym_allocate(inst, bids)
-    return alloc, tuple(_sym_payment(inst, i, a, bids) for i, a in enumerate(alloc))
+    return alloc, tuple(
+        sum((sym_threshold(inst, i, j, bids) for j in range(1, a + 1)), Rat(0))
+        for i, a in enumerate(alloc)
+    )
 
 
 def sym_seller(inst: Instance, bids, seller: int):
     """One seller's (units, payment) under the symmetric rule: its entries
-    of ``sym_payments``, with no other seller's thresholds computed."""
-    alloc = sym_allocate(inst, bids)
-    if not 0 <= seller < inst.m:
-        raise IndexError(f"seller index {seller} out of range")
-    return alloc[seller], _sym_payment(inst, seller, alloc[seller], bids)
+    of ``sym_payments``, which is the greedy on ``unit_values(inst)``, so
+    ``greedy_seller`` there, seller memo included."""
+    return greedy_seller(unit_values(inst), bids, seller)
 
 
 def run_m_sym(inst: Instance, bids, branch: str) -> Outcome:

@@ -45,9 +45,9 @@ from procure.valuations import (
     ConcaveAdditive,
     Symmetric,
 )
-from procure.verify import MECHANISMS
+from procure.verify import MECHANISMS, deviation_grid
 
-from corpora import concave_corpus, symmetric_corpus
+from corpora import concave_corpus, greedy_at_scale, symmetric_corpus
 from helpers import (
     cheapest_prefix_allocate,
     cheapest_prefix_threshold,
@@ -768,6 +768,149 @@ def test_one_seller_outcomes_refuse_a_seller_out_of_range(two_seller, sym_inst):
         for seller in (-1, inst.m):
             with pytest.raises(IndexError, match=f"seller index {seller} out of range"):
                 seller_outcome(inst, None, seller)
+
+
+def _with_bid(bids, seller, bid):
+    return bids[:seller] + (bid,) + bids[seller + 1 :]
+
+
+def _assert_seller_entries(inst, bids, seller):
+    """greedy_seller gives the seller's entries of greedy_payments at
+    ``bids``, from a seller memo kept at another own bid: 0, and 1/7, whose
+    denominator moves the bid scale S_b, so the own bid is placed into a
+    ranking built at a different scale."""
+    alloc, payments = greedy_payments(inst, bids)
+    for kept_at in (Rat(0), Rat(1, 7)):
+        greedy_seller(inst, _with_bid(bids, seller, kept_at), seller)
+        assert greedy_seller(inst, bids, seller) == (alloc[seller], payments[seller])
+
+
+def test_greedy_seller_at_each_threshold():
+    # At its threshold a unit is still bought; each threshold is the bid at
+    # which the walk's bought rule or rank comparison is an equality.
+    for inst in concave_corpus()[:40]:
+        for seller in range(inst.m):
+            for cut in greedy_breakpoints(inst, inst.costs, seller):
+                _assert_seller_entries(inst, _with_bid(inst.costs, seller, cut), seller)
+
+
+def test_greedy_seller_at_rate_ties_with_rivals_on_both_sides():
+    # Seller 1's rate equals seller 0's and seller 2's (bid / value = 1/2 for
+    # every pair), so each own pair ties a rival of lower index, which ranks
+    # first, and one of higher index, which ranks after it.  Budgets from 1
+    # to 24 put the end of the bought prefix at every rank of the tie.
+    margins = ((Rat(6), Rat(2)), (Rat(4), Rat(2)), (Rat(8), Rat(2)))
+    sellers = (Seller(2, Rat(3)), Seller(2, Rat(2)), Seller(2, Rat(4)))
+    for budget in range(1, 25):
+        inst = Instance(sellers, Rat(budget), ConcaveAdditive(margins))
+        for seller in range(inst.m):
+            for own in (Rat(1), Rat(2), Rat(3), Rat(4)):
+                _assert_seller_entries(inst, _with_bid(inst.costs, seller, own), seller)
+
+
+def test_greedy_seller_at_zero_bids():
+    # A zero own bid ranks before every positive rival and is always bought;
+    # zero rival bids tie it, and the lower seller index ranks first.
+    for inst in concave_corpus()[:40]:
+        for seller in range(inst.m):
+            zero = (Rat(0),) * inst.m
+            for bids in (_with_bid(inst.costs, seller, Rat(0)), _with_bid(zero, seller, inst.costs[seller]), zero):
+                _assert_seller_entries(inst, bids, seller)
+
+
+def test_greedy_seller_with_a_zero_margin_suffix_and_alone():
+    # Seller 0's third unit has zero margin and is never ranked; a lone
+    # seller has no rival to place its pairs among.
+    suffix = Instance(
+        (Seller(3, Rat(2)), Seller(1, Rat(1))),
+        Rat(6),
+        ConcaveAdditive(((Rat(5), Rat(1), Rat(0)), (Rat(4),))),
+    )
+    alone = Instance((Seller(3, Rat(2)),), Rat(6), ConcaveAdditive(((Rat(5), Rat(2), Rat(1)),)))
+    for inst in (suffix, alone):
+        grid = {Rat(0), Rat(1, 3), *(Rat(k, 2) for k in range(1, 16))}
+        for seller in range(inst.m):
+            grid |= greedy_breakpoints(inst, inst.costs, seller)
+        for seller in range(inst.m):
+            for bid in sorted(grid):
+                _assert_seller_entries(inst, _with_bid(inst.costs, seller, bid), seller)
+
+
+def test_sym_seller_is_sym_payments_entries():
+    # m_sym's one-seller outcome is the greedy's on unit values; the
+    # reference is m_sym's own sym_payments, priced unit by unit.
+    for inst in symmetric_corpus()[:30]:
+        for seller in range(inst.m):
+            for bid in seller_grid("m_sym", inst, inst.costs, seller):
+                bids = _with_bid(inst.costs, seller, bid)
+                alloc, payments = sym_payments(inst, bids)
+                assert sym_seller(inst, bids, seller) == (alloc[seller], payments[seller])
+
+
+def test_greedy_seller_over_a_sweep_at_scale():
+    # Every point of seller 0's greedy grid at 150 units per seller, in
+    # sweep order, so that every call after the first reads the seller memo.
+    inst = greedy_at_scale(150)
+    costs = inst.costs
+    grid = deviation_grid(inst, costs, 0, greedy_breakpoints(inst, costs, 0))
+    assert len(grid) == 515
+    for bid in grid:
+        bids = _with_bid(costs, 0, bid)
+        got = greedy_seller(inst, bids, 0)
+        alloc, payments = greedy_payments(inst, bids)
+        assert got == (alloc[0], payments[0])
+
+
+def test_seller_memo_never_serves_another_instance_or_seller():
+    # Calls alternate between two instances with equal bids and between two
+    # sellers of one instance, each at a deviation of its own, so every call
+    # follows one for another key.  Each is checked against the rational
+    # reference greedy.
+    first, second = concave_corpus()[:2]
+    twin = Instance(first.sellers, first.budget, first.valuation)
+    assert twin == first and twin is not first
+    checked = 0
+    for a, b in ((first, second), (first, twin)):
+        for step in range(12):
+            inst = (a, b)[step % 2]
+            seller = (step // 2) % inst.m
+            grid = seller_grid("m_add", inst, inst.costs, seller)
+            bids = _with_bid(inst.costs, seller, grid[(5 * step) % len(grid)])
+            alloc, payments = reference_greedy_payments(inst, bids)
+            assert greedy_seller(inst, bids, seller) == (alloc[seller], payments[seller])
+            checked += 1
+    for inst in (first, second):
+        for step in range(2 * inst.m):
+            seller = step % inst.m
+            bids = _with_bid(inst.costs, seller, inst.costs[seller] * (1 + step))
+            alloc, payments = reference_greedy_payments(inst, bids)
+            assert greedy_seller(inst, bids, seller) == (alloc[seller], payments[seller])
+            checked += 1
+    assert checked == 24 + 2 * (first.m + second.m)
+
+
+def test_seller_memo_hit_still_checks_every_argument(two_seller, sym_inst, monkeypatch):
+    # Each call below has the kept instance, seller and rival bids, so it
+    # would be a memo hit; each must still fail as a cold call does.
+    costs = two_seller.costs
+    greedy_seller(two_seller, costs, 0)
+    with pytest.raises(ValueError, match="bids must be >= 0"):
+        greedy_seller(two_seller, (Rat(-1), costs[1]), 0)
+    with pytest.raises(ValueError, match="bid profile length mismatch"):
+        greedy_seller(two_seller, costs + (Rat(1),), 0)
+    for seller in (-1, two_seller.m):
+        with pytest.raises(IndexError, match=f"seller index {seller} out of range"):
+            greedy_seller(two_seller, costs, seller)
+    # Bad bids come first, as ranked_pairs checks them first.
+    with pytest.raises(ValueError, match="bids must be >= 0"):
+        greedy_seller(two_seller, (Rat(-1), costs[1]), 5)
+    # A kept entry under a symmetric instance, as if it had been ranked.
+    owner, seller, rival_bids, kept = mech_additive._seller_memo
+    assert owner is two_seller
+    monkeypatch.setattr(mech_additive, "_seller_memo", (sym_inst, seller, rival_bids, kept))
+    with pytest.raises(WrongValuationClass):
+        greedy_seller(sym_inst, (costs[0],) + rival_bids, 0)
+    assert greedy_seller(two_seller, costs, 0) == (2, greedy_payments(two_seller)[1][0])
 
 
 def test_run_m_sym_branches(sym_inst):

@@ -4,9 +4,9 @@ Each mutant rebinds one mechanism function through ``monkeypatch`` and
 must fail the check named for it within a prefix of a corpus.  The
 greedy (``m_add``) mutants and ``m_rand``'s price mutant must fail some
 ``dst`` check of their mechanism within the first 100 and the first 60
-instances of its criterion-8 corpus; the greedy's ranking memo is
-emptied first, so no ranking computed by the real greedy serves a
-mutant.  ``m_one``'s crossover mutants must fail some ``dst`` check of
+instances of its criterion-8 corpus; the greedy's ranking memo and its
+seller memo are emptied first, so no ranking, threshold or payment
+computed by the real greedy serves a mutant.  ``m_one``'s crossover mutants must fail some ``dst`` check of
 ``m_one`` within the first 100 instances of its corpus.  ``m_rand``'s
 calibration-side mutants cannot fail ``dst``: a sampled seller is never
 paid, and its bid moves only the target, so any target rule stays
@@ -23,7 +23,12 @@ fire without B/units, must be caught by the completeness test
 their mechanism's corpus.  The pay-as-bid fixture given the greedy's
 one-seller outcome, which ``check_dst`` reads, must be caught by the
 one-seller equivalence test (``helpers.seller_outcome_faults``) on the
-first ``DECLARATION_WINDOW`` instances of ``m_add``'s corpus.  The star
+first ``DECLARATION_WINDOW`` instances of ``m_add``'s corpus.  So must the
+bought-rule mutants, with both greedy memos emptied: ``greedy_seller``'s
+walk sending a rate tie to the higher seller index or buying an own pair
+only on strict inequality, and ``_bought`` buying a pair only on strict
+inequality.  Two bought rules exist, the walk's and ``_bought``'s for
+``run``, so a change to either one shows where they part.  The star
 seller paid B + 10^-12 must fail ``budget:star`` within the first 100
 instances of ``m_add``'s corpus: its payment does not read its bid, so
 ``dst`` cannot see it.  The search stops at the first kill, and
@@ -96,6 +101,53 @@ def mutant_thresholds(rho_branch: bool = True, late: int = 0):
         return tuple(out)
 
     return thresholds
+
+
+def mutant_walk(tie_to_higher: bool = False, strict_own: bool = False):
+    """``_walk`` restated, with at most one change: a rate tie between an
+    own pair and a rival's sent to the higher seller index, or an own pair
+    bought only when its inequality is strict."""
+
+    def walk(pairs, rivals, own, seller, bid):
+        p_scaled, q = bid.numerator * pairs.bid_scale, bid.denominator
+        units = r = iprefix = 0
+        for own_value in own:
+            while r < len(rivals):
+                ibid, ivalue, rival, budget_share = rivals[r]
+                mine, theirs = p_scaled * ivalue, q * ibid * own_value
+                first = seller > rival if tie_to_higher else seller < rival
+                if mine < theirs or (mine == theirs and first):
+                    break
+                iprefix += ivalue
+                if ibid * iprefix > budget_share:
+                    return units
+                r += 1
+            iprefix += own_value
+            mine, limit = p_scaled * iprefix, q * pairs.ibudget * own_value
+            if mine > limit or (strict_own and mine == limit):
+                return units
+            units += 1
+        return units
+
+    return walk
+
+
+def strictly_bought():
+    """``_bought`` buying a pair only when its inequality is strict; it
+    keeps nothing on the ranking."""
+
+    def bought(pairs):
+        iprefix = k = 0
+        for rank, pr in enumerate(pairs, start=1):
+            iprefix += pr.ivalue
+            if pr.ibid * iprefix < pairs.ibudget * pr.ivalue:
+                k = rank
+        counts = [0] * len(pairs.positive)
+        for pr in pairs[:k]:
+            counts[pr.seller] += 1
+        return tuple(counts)
+
+    return bought
 
 
 def shifted_payment(delta):
@@ -245,6 +297,14 @@ CALIBRATION_MUTANTS = {
     "zero_target_rejects": {"zero_accepts": False},
 }
 
+# Bought-rule mutants, each one change to the walk or to _bought; killed by
+# the one-seller equivalence test on m_add's corpus.
+BOUGHT_MUTANTS = {
+    "rate_tie_to_higher_index": ("_walk", lambda: mutant_walk(tie_to_higher=True)),
+    "own_pair_bought_strictly": ("_walk", lambda: mutant_walk(strict_own=True)),
+    "bought_strictly": ("_bought", strictly_bought),
+}
+
 MUTANTS = {
     "underpay": ("_payment", lambda: shifted_payment(Rat(-1, 10**9))),
     "no_rho_branch": ("_seller_thresholds", lambda: mutant_thresholds(rho_branch=False)),
@@ -264,6 +324,12 @@ def test_restated_thresholds_are_the_greedys():
             )
 
 
+def empty_greedy_memos(monkeypatch):
+    """Start the greedy with no kept ranking and no kept seller walk."""
+    monkeypatch.setattr(mech_additive, "_memo", (None, None, None, None))
+    monkeypatch.setattr(mech_additive, "_seller_memo", (None, None, None, None))
+
+
 def assert_killed(mutant, mech, window):
     """Some ``dst`` check of ``mech`` fails on the first ``window``
     instances of its criterion-8 corpus; stops at the first kill."""
@@ -278,7 +344,7 @@ def assert_killed(mutant, mech, window):
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_greedy_mutant_is_killed_by_dst(monkeypatch, mutant):
     name, make = MUTANTS[mutant]
-    monkeypatch.setattr(mech_additive, "_memo", (None, None, None, None))
+    empty_greedy_memos(monkeypatch)
     monkeypatch.setattr(mech_additive, name, make())
     assert_killed(mutant, "m_add", KILL_WINDOW)
 
@@ -375,3 +441,28 @@ def test_star_overpaid_is_killed_by_budget(monkeypatch):
             print(f"star_overpaid: killed on instance {n} by {failed[0]}")
             return
     pytest.fail(f"star_overpaid survives check_budget on {KILL_WINDOW} instances")
+
+
+def test_restated_walk_is_the_walks(monkeypatch):
+    # Unmutated, the restated walk and _bought pass the equivalence test, so
+    # each bought-rule mutant differs from the greedy by its one change.
+    corpus = dst_corpora()["m_add"][:DECLARATION_WINDOW]
+    for name, restated in (("_walk", mutant_walk()), ("_bought", None)):
+        empty_greedy_memos(monkeypatch)
+        if restated is not None:
+            monkeypatch.setattr(mech_additive, name, restated)
+        assert next(seller_outcome_faults("m_add", corpus), None) is None
+
+
+@pytest.mark.parametrize("mutant", sorted(BOUGHT_MUTANTS))
+def test_bought_rule_mutant_is_killed_by_the_equivalence_test(monkeypatch, mutant):
+    # Criterion 8's sweeps (tests/test_acceptance.py) pass under each of
+    # these, so this equivalence is their one kill.
+    name, make = BOUGHT_MUTANTS[mutant]
+    empty_greedy_memos(monkeypatch)
+    monkeypatch.setattr(mech_additive, name, make())
+    corpus = dst_corpora()["m_add"][:DECLARATION_WINDOW]
+    fault = next(seller_outcome_faults("m_add", corpus), None)
+    if fault is None:
+        pytest.fail(f"{mutant} survives the equivalence test")
+    print(f"{mutant}: killed by the equivalence test at {fault}")
