@@ -9,6 +9,14 @@ winner's r-th unit is B / max(r, k), where k, found by bisection, is the
 smallest rank at which the winner would still be ranked first bidding
 B/k: the harmonic shape B/k, ..., B/k, B/(k+1), ..., B/count.  The whole
 plan fires with probability 1/(1 + ln n) and otherwise buys nothing.
+
+A plan keeps only (count, crossover, B); its thresholds are derived from
+them on demand.  Their sum, the winner's payment, is in closed form:
+k * B/k + B/(k+1) + ... + B/count = B * (1 + H_count - H_k), with H_r the
+r-th harmonic number, and 0 when count = 0.  The exact prefix sums H_0,
+H_1, ... are kept for the life of the process, up to ``HARMONIC_KEPT``, so
+a plan's payment is one subtraction and one product, not a count-term sum.
+The kept tuple is replaced whole in one store, never changed in place.
 """
 
 from __future__ import annotations
@@ -19,18 +27,49 @@ from dataclasses import dataclass
 from .core import Instance, Outcome, Rat, affordable_count, checked_bids, scaled, unit_vector
 
 
+# H_0, H_1, ..., up to H_HARMONIC_KEPT: exact harmonic prefix sums, extended
+# as plans need them.  H_r has about 0.87 r decimal digits, so all of them to
+# 4,096 take about 3 MB.
+HARMONIC_KEPT = 4096
+_harmonic = (Rat(0),)
+
+
+def harmonic(n: int):
+    """The n-th harmonic number 1 + 1/2 + ... + 1/n, exactly.  Past
+    HARMONIC_KEPT the sum goes on from the last kept one, unkept."""
+    global _harmonic
+    kept = _harmonic
+    if n < len(kept):
+        return kept[n]
+    h, more = kept[-1], []
+    for r in range(len(kept), n + 1):
+        h += Rat(1, r)
+        if r <= HARMONIC_KEPT:
+            more.append(h)
+    if more:
+        _harmonic = kept + tuple(more)
+    return h
+
+
 @dataclass(frozen=True)
 class OneLottery:
-    """A resolved plan: winner, unit count, crossover rank, and thresholds."""
+    """A resolved plan: winner, unit count, crossover rank, and the budget
+    its thresholds B / max(rank, crossover) are drawn from."""
 
     winner: int
     count: int
     crossover: int
-    thresholds: tuple
+    budget: object
+
+    @property
+    def thresholds(self) -> tuple:
+        return tuple(self.budget / max(r, self.crossover) for r in range(1, self.count + 1))
 
     @property
     def total_payment(self):
-        return sum(self.thresholds, Rat(0))
+        if not self.count:
+            return Rat(0)
+        return self.budget * (1 + harmonic(self.count) - harmonic(self.crossover))
 
 
 def _single_items(inst: Instance, bids):
@@ -67,9 +106,7 @@ def plan_m_one(inst: Instance, bids=None) -> OneLottery:
     target = 0 if rival is None else values[rival]
     ivalue, ranks = inst.valuation.ivalue, range(1, count + 1)
     k = find(ranks, target, key=lambda r: ivalue(unit_vector(inst.m, winner, r)))
-    crossover = min(count, 1 + k)
-    thresholds = tuple(inst.budget / max(rank, crossover) for rank in ranks)
-    return OneLottery(winner, count, crossover, thresholds)
+    return OneLottery(winner, count, min(count, 1 + k), inst.budget)
 
 
 def run_m_one(inst: Instance, bids, branch: str) -> Outcome:

@@ -215,6 +215,20 @@ def calibration_corpus():
     return tuple(out)
 
 
+def late_round():
+    """An ``m_rand`` instance whose mask-0b1 branch accepts round 6, its
+    last: with seller 0 sampled, the target is its unit's 1,000, so a round
+    needs a value of phi(7) * 1000 = 8.29, and ``a_max`` over sellers 1 and
+    2 finds 5 in rounds 1 to 5 and 10 in round 6.  Seller 1, with one unit,
+    is paid B/6 = 5/3, so its outcome moves with posted counts past its
+    own supply."""
+    return Instance(
+        (Seller(1, Rat(1)), Seller(1, Rat(1, 10)), Seller(5, Rat(1, 10))),
+        Rat(10),
+        ConcaveAdditive(((Rat(1000),), (Rat(5),), (Rat(1),) * 5)),
+    )
+
+
 @lru_cache(maxsize=None)
 def budget_corpora():
     """Per-mechanism corpora for expected-payment checks (no deviations)."""

@@ -505,7 +505,9 @@ def reference_m_rand_detail(inst: Instance, bids, sample_group):
 
 def reference_plan_m_one(inst: Instance, bids=None):
     """plan_m_one in rationals: the single-item values through ``inst.value``
-    and the crossover by a scan of every rank from 1, without bisection."""
+    and the crossover by a scan of every rank from 1, without bisection.
+    Returns the plan's (winner, count, crossover, thresholds), each
+    threshold built as B / max(rank, crossover)."""
     bids = checked_bids(inst, bids)
     units, budget = inst.units, inst.budget
     values = tuple(
@@ -525,7 +527,7 @@ def reference_plan_m_one(inst: Instance, bids=None):
 
     crossover = next((k for k in range(1, count + 1) if first_at(k)), 0)
     thresholds = tuple(inst.budget / max(rank, crossover) for rank in range(1, count + 1))
-    return mech_single_item.OneLottery(winner, count, crossover, thresholds)
+    return winner, count, crossover, thresholds
 
 
 def explicit_from_function(caps, fn) -> Explicit:

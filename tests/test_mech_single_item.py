@@ -5,6 +5,7 @@ import pytest
 from procure.core import Instance, Rat, Seller, affordable_count, utility
 from procure.mech_single_item import (
     OneLottery,
+    harmonic,
     plan_m_one,
     run_m_one,
     single_item_values,
@@ -12,8 +13,13 @@ from procure.mech_single_item import (
 from procure.oracles import adversarial_single_seller
 from procure.valuations import Additive, BoundedKnapsack, ConcaveAdditive
 
-from corpora import dst_corpora, gen_explicit_monotone, m_one_corpus
+from corpora import dst_corpora, gen_explicit_monotone, greedy_at_scale, m_one_corpus
 from helpers import reference_plan_m_one, seller_grid
+
+
+def resolved(plan):
+    """A plan as ``reference_plan_m_one`` restates it."""
+    return plan.winner, plan.count, plan.crossover, plan.thresholds
 
 
 @pytest.fixture
@@ -64,7 +70,8 @@ def test_plan_and_fire_at_zero_count():
         Rat(7),
         BoundedKnapsack((Rat(1), Rat(1))),
     )
-    assert plan_m_one(inst) == OneLottery(0, 0, 0, ())
+    assert plan_m_one(inst) == OneLottery(0, 0, 0, inst.budget)
+    assert plan_m_one(inst).thresholds == () and plan_m_one(inst).total_payment == 0
     assert run_m_one(inst, None, "fire") == inst.empty_outcome()
 
 
@@ -250,7 +257,7 @@ def test_bisected_crossover_matches_rational_scan_on_hand_built_cases(case):
     build, crossover = _HAND_BUILT[case]
     inst = build()
     plan = plan_m_one(inst)
-    assert plan == reference_plan_m_one(inst)
+    assert resolved(plan) == reference_plan_m_one(inst)
     assert plan.crossover == crossover
 
 
@@ -262,6 +269,23 @@ def test_bisected_crossover_matches_rational_scan_on_deviation_grids():
         for seller in range(inst.m):
             for bid in seller_grid("m_one", inst, inst.costs, seller, 16):
                 bids = inst.costs[:seller] + (bid,) + inst.costs[seller + 1 :]
-                assert plan_m_one(inst, bids) == reference_plan_m_one(inst, bids), (inst, bids)
+                assert resolved(plan_m_one(inst, bids)) == reference_plan_m_one(inst, bids), (
+                    inst,
+                    bids,
+                )
                 profiles += 1
     assert profiles >= 19_452 + 3_096
+
+
+def test_total_payment_is_the_exact_sum_of_the_thresholds():
+    # B * (1 + H_count - H_crossover) is the rational sum of the thresholds,
+    # below and past the kept harmonic prefix sums (HARMONIC_KEPT = 4,096).
+    instances = [
+        *m_one_corpus(),
+        greedy_at_scale(300),
+        *(adversarial_single_seller(n, n, n) for n in (1, 2, 400, 10**4)),
+    ]
+    for inst in instances:
+        plan = plan_m_one(inst)
+        assert plan.total_payment == sum(plan.thresholds, Rat(0)), inst
+    assert plan.count == 10**4 and plan.total_payment == 10**4 * harmonic(10**4)

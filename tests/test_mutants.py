@@ -6,8 +6,11 @@ greedy (``m_add``) mutants and ``m_rand``'s price mutant must fail some
 ``dst`` check of their mechanism within the first 100 and the first 60
 instances of its criterion-8 corpus; the greedy's ranking memo and its
 seller memo are emptied first, so no ranking, threshold or payment
-computed by the real greedy serves a mutant.  ``m_one``'s crossover mutants must fail some ``dst`` check of
-``m_one`` within the first 100 instances of its corpus.  ``m_rand``'s
+computed by the real greedy serves a mutant.  ``m_one``'s crossover
+mutants must fail some ``dst`` check of ``m_one`` within the first 100
+instances of its corpus.  Every mutant of ``m_rand_detail`` or
+``plan_m_one`` starts with the posted-count memo (``verify.posted_outcome``)
+emptied, so no outcome of the real mechanism serves it.  ``m_rand``'s
 calibration-side mutants cannot fail ``dst``: a sampled seller is never
 paid, and its bid moves only the target, so any target rule stays
 truthful.  Their kill criterion is the eager-reference
@@ -28,7 +31,11 @@ bought-rule mutants, with both greedy memos emptied: ``greedy_seller``'s
 walk sending a rate tie to the higher seller index or buying an own pair
 only on strict inequality, and ``_bought`` buying a pair only on strict
 inequality.  Two bought rules exist, the walk's and ``_bought``'s for
-``run``, so a change to either one shows where they part.  The star
+``run``, so a change to either one shows where they part.  So must the
+posted-count mutants, with the posted-count memo emptied, on ``m_rand``:
+the memo's key rounded up to min(supply, ceil(B / bid)) on
+``calibration_corpus()``, and ``m_rand``'s count capped at the seller's
+own units on ``corpora.late_round()``.  The star
 seller paid B + 10^-12 must fail ``budget:star`` within the first 100
 instances of ``m_add``'s corpus: its payment does not read its bid, so
 ``dst`` cannot see it.  The search stops at the first kill, and
@@ -40,13 +47,16 @@ from itertools import accumulate
 
 import pytest
 
-from procure import mech_additive, mech_single_item, mech_subadditive
+from procure import mech_additive, mech_single_item, mech_subadditive, verify
 from procure.core import Outcome, Rat, checked_bids
 from procure.mech_subadditive import RandRun, phi
 from procure.verify import (
     FirstPriceLottery,
     GreedyLottery,
+    Lottery,
+    SamplingLottery,
     SingleItemLottery,
+    _mask,
     check_budget,
     check_dst,
 )
@@ -57,6 +67,7 @@ from corpora import (
     concave_corpus,
     dst_corpora,
     first_price_probe,
+    late_round,
 )
 from helpers import (
     declaration_faults,
@@ -246,15 +257,12 @@ def star_overpaid(delta):
 
 def shifted_crossover(shift: int):
     """``plan_m_one`` with the crossover moved by ``shift``, clamped to
-    [1, count], and the thresholds B / max(rank, crossover) re-derived."""
+    [1, count]; the thresholds B / max(rank, crossover) follow it."""
     plan_m_one = mech_single_item.plan_m_one
 
     def shifted(inst, bids=None):
         plan = plan_m_one(inst, bids)
-        crossover = min(max(plan.crossover + shift, 1), plan.count)
-        ranks = range(1, plan.count + 1)
-        thresholds = tuple(inst.budget / max(rank, crossover) for rank in ranks)
-        return replace(plan, crossover=crossover, thresholds=thresholds)
+        return replace(plan, crossover=min(max(plan.crossover + shift, 1), plan.count))
 
     return shifted
 
@@ -281,6 +289,29 @@ def fire_without_full_supply_price():
     return fewer
 
 
+def count_rounded_up():
+    """``affordable_count`` as the posted-count memo reads it, rounded up:
+    min(units, ceil(B / bid)), so two bids with different posted counts
+    can share one kept outcome."""
+
+    def rounded_up(units, budget, bid):
+        return units if bid == 0 else min(units, -(-budget // bid))
+
+    return rounded_up
+
+
+def rand_count_capped_at_own_units():
+    """``SamplingLottery.seller_outcome`` with a seller's posted count capped
+    at its own units, as fire's is, not at the total units."""
+
+    def capped(self, inst, bids, seller, rule):
+        if _mask(rule) >> seller & 1:
+            return Lottery.seller_outcome(self, inst, bids, seller, rule)
+        return verify.posted_outcome(self, inst, bids, seller, rule, inst.units[seller])
+
+    return capped
+
+
 # Cut-set mutants, each an owner's cuts with one cut left out; killed by
 # the completeness test on their mechanism's corpus.
 PIECE_MUTANTS = {
@@ -303,6 +334,18 @@ BOUGHT_MUTANTS = {
     "rate_tie_to_higher_index": ("_walk", lambda: mutant_walk(tie_to_higher=True)),
     "own_pair_bought_strictly": ("_walk", lambda: mutant_walk(strict_own=True)),
     "bought_strictly": ("_bought", strictly_bought),
+}
+
+# Posted-count mutants, each one change to how the posted-count memo keys a
+# seller's outcome; killed by the one-seller equivalence test on m_rand's
+# corpus named with it.
+POSTED_MUTANTS = {
+    "count_rounded_up": ((verify, "affordable_count"), count_rounded_up, calibration_corpus),
+    "rand_count_capped_at_own_units": (
+        (SamplingLottery, "seller_outcome"),
+        rand_count_capped_at_own_units,
+        lambda: (late_round(),),
+    ),
 }
 
 MUTANTS = {
@@ -330,6 +373,11 @@ def empty_greedy_memos(monkeypatch):
     monkeypatch.setattr(mech_additive, "_seller_memo", (None, None, None, None))
 
 
+def empty_posted_memo(monkeypatch):
+    """Start the posted-count sweeps (fire and m_rand) with no kept outcome."""
+    monkeypatch.setattr(verify, "_posted_memo", (None,) * 6)
+
+
 def assert_killed(mutant, mech, window):
     """Some ``dst`` check of ``mech`` fails on the first ``window``
     instances of its criterion-8 corpus; stops at the first kill."""
@@ -350,12 +398,14 @@ def test_greedy_mutant_is_killed_by_dst(monkeypatch, mutant):
 
 
 def test_m_rand_paying_the_next_rounds_price_is_killed_by_dst(monkeypatch):
+    empty_posted_memo(monkeypatch)
     monkeypatch.setattr(mech_subadditive, "m_rand_detail", next_round_price())
     assert_killed("m_rand_pays_next_round", "m_rand", RAND_KILL_WINDOW)
 
 
 @pytest.mark.parametrize("shift", [1, -1], ids=["crossover_late", "crossover_early"])
 def test_m_one_crossover_mutant_is_killed_by_dst(monkeypatch, shift):
+    empty_posted_memo(monkeypatch)
     monkeypatch.setattr(mech_single_item, "plan_m_one", shifted_crossover(shift))
     assert_killed(f"crossover_shift_{shift:+d}", "m_one", KILL_WINDOW)
 
@@ -370,6 +420,7 @@ def test_restated_m_rand_detail_is_m_rand_detail():
 
 @pytest.mark.parametrize("mutant", sorted(CALIBRATION_MUTANTS))
 def test_calibration_mutant_is_killed_by_the_eager_reference(monkeypatch, mutant):
+    empty_posted_memo(monkeypatch)
     monkeypatch.setattr(
         mech_subadditive, "m_rand_detail", calibration_mutant(**CALIBRATION_MUTANTS[mutant])
     )
@@ -463,6 +514,21 @@ def test_bought_rule_mutant_is_killed_by_the_equivalence_test(monkeypatch, mutan
     monkeypatch.setattr(mech_additive, name, make())
     corpus = dst_corpora()["m_add"][:DECLARATION_WINDOW]
     fault = next(seller_outcome_faults("m_add", corpus), None)
+    if fault is None:
+        pytest.fail(f"{mutant} survives the equivalence test")
+    print(f"{mutant}: killed by the equivalence test at {fault}")
+
+
+@pytest.mark.parametrize("mutant", sorted(POSTED_MUTANTS))
+def test_posted_count_mutant_is_killed_by_the_equivalence_test(monkeypatch, mutant):
+    # check_dst passes on every criterion-8 corpus under each of these, so
+    # this equivalence is their one kill.  At truthful bids an accepted
+    # m_rand round there is round 1, so a cap at the seller's own units
+    # shows only on a late round.
+    (owner, name), make, corpus = POSTED_MUTANTS[mutant]
+    empty_posted_memo(monkeypatch)
+    monkeypatch.setattr(owner, name, make())
+    fault = next(seller_outcome_faults("m_rand", corpus()), None)
     if fault is None:
         pytest.fail(f"{mutant} survives the equivalence test")
     print(f"{mutant}: killed by the equivalence test at {fault}")

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from collections import Counter
 from math import log
 
@@ -29,6 +30,7 @@ from corpora import (
     dst_corpora,
     greedy_at_scale,
     greedy_nonmonotone_instance,
+    late_round,
 )
 from helpers import (
     declaration_faults,
@@ -526,8 +528,13 @@ def test_cuts_are_complete_on_every_piece(mech):
 def test_seller_outcome_is_runs_entries(mech):
     # check_dst reads one seller's outcome, and run is its reference: on a
     # prefix of the criterion-8 corpus, every rule's owner gives every
-    # seller its entries of run at every point of the seller's sweep.
+    # seller its entries of run at every point of the seller's sweep.  So
+    # it does on late_round, where m_rand accepts a round past a seller's
+    # own supply, for each mechanism that applies to it.
     corpus = dst_corpora()["m_add" if mech == "m_add_firstprice" else mech][:DECLARATION_WINDOW]
+    late = late_round()
+    if MECHANISMS[mech].applicable(late) is None:
+        corpus += (late,)
     assert list(seller_outcome_faults(mech, corpus)) == []
 
 
@@ -563,17 +570,48 @@ def test_reads_parses_a_sample_group_as_run_does(two_seller):
 
 
 def test_m_sub_resolves_a_branch_to_its_owners_rule(two_seller):
-    # One resolver serves m_sub's run and cuts: one:<rule> is m_one's rule,
-    # any other name m_rand's.
+    # One resolver serves m_sub's run, seller_outcome and cuts: one:<rule>
+    # is m_one's rule, any other name m_rand's, and a bad name gets run's
+    # error from each.
     inst, bids = two_seller, two_seller.costs
     sub, one, rand = (MECHANISMS[m] for m in ("m_sub", "m_one", "m_rand"))
     for i in range(inst.m):
         for rule in ("fire", "skip"):
             assert sub.cuts(inst, bids, i, f"one:{rule}") == one.cuts(inst, bids, i, rule)
             assert sub.run(inst, bids, f"one:{rule}") == one.run(inst, bids, rule)
+            got = sub.seller_outcome(inst, bids, i, f"one:{rule}")
+            assert got == one.seller_outcome(inst, bids, i, rule)
         for mask in range(1 << inst.m):
             branch = f"rand:{mask:#b}"
             assert sub.cuts(inst, bids, i, branch) == rand.cuts(inst, bids, i, branch)
+            got = sub.seller_outcome(inst, bids, i, branch)
+            assert got == rand.seller_outcome(inst, bids, i, branch)
+    bad_names = [
+        ("one:bogus", "unknown branch 'bogus'"),
+        ("nope", "bad m_rand scenario"),
+        ("rand:0bx", "bad sample-group mask"),
+        ("rand:0b100", "out of range for 2 sellers"),
+    ]
+    for bad, message in bad_names:
+        for call in (
+            lambda: sub.run(inst, bids, bad),
+            lambda: sub.seller_outcome(inst, bids, 0, bad),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
+def test_posted_price_sweeps_at_scale_pass():
+    # fire and m_rand read a seller's bid only through its posted count, so
+    # each sweep runs the rule once per count: on 1,000 units, m_one,
+    # m_rand and m_sub each pass every dst check.
+    inst = greedy_at_scale(500)
+    for mech in ("m_one", "m_rand", "m_sub"):
+        start = time.perf_counter()
+        checks = check_dst(mech, inst)
+        elapsed = time.perf_counter() - start
+        print(f"{mech}: {len(checks)} dst checks on greedy_at_scale(500) in {elapsed:.2f}s")
+        assert checks and all(c.passed for c in checks), mech
 
 
 def test_check_budget_formats_only_a_failing_branch(monkeypatch):
