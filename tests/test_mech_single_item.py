@@ -269,10 +269,8 @@ def test_bisected_crossover_matches_rational_scan_on_deviation_grids():
         for seller in range(inst.m):
             for bid in seller_grid("m_one", inst, inst.costs, seller, 16):
                 bids = inst.costs[:seller] + (bid,) + inst.costs[seller + 1 :]
-                assert resolved(plan_m_one(inst, bids)) == reference_plan_m_one(inst, bids), (
-                    inst,
-                    bids,
-                )
+                plan = plan_m_one(inst, bids)
+                assert resolved(plan) == reference_plan_m_one(inst, bids), (inst, bids)
                 profiles += 1
     assert profiles >= 19_452 + 3_096
 

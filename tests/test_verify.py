@@ -572,20 +572,22 @@ def test_reads_parses_a_sample_group_as_run_does(two_seller):
 def test_m_sub_resolves_a_branch_to_its_owners_rule(two_seller):
     # One resolver serves m_sub's run, seller_outcome and cuts: one:<rule>
     # is m_one's rule, any other name m_rand's, and a bad name gets run's
-    # error from each.
+    # error from each.  A seller's outcome is its entries of the owner's run.
     inst, bids = two_seller, two_seller.costs
     sub, one, rand = (MECHANISMS[m] for m in ("m_sub", "m_one", "m_rand"))
     for i in range(inst.m):
         for rule in ("fire", "skip"):
             assert sub.cuts(inst, bids, i, f"one:{rule}") == one.cuts(inst, bids, i, rule)
-            assert sub.run(inst, bids, f"one:{rule}") == one.run(inst, bids, rule)
+            out = one.run(inst, bids, rule)
+            assert sub.run(inst, bids, f"one:{rule}") == out
             got = sub.seller_outcome(inst, bids, i, f"one:{rule}")
-            assert got == one.seller_outcome(inst, bids, i, rule)
+            assert got == (out.allocation[i], out.payments[i])
         for mask in range(1 << inst.m):
             branch = f"rand:{mask:#b}"
             assert sub.cuts(inst, bids, i, branch) == rand.cuts(inst, bids, i, branch)
+            out = rand.run(inst, bids, branch)
             got = sub.seller_outcome(inst, bids, i, branch)
-            assert got == rand.seller_outcome(inst, bids, i, branch)
+            assert got == (out.allocation[i], out.payments[i])
     bad_names = [
         ("one:bogus", "unknown branch 'bogus'"),
         ("nope", "bad m_rand scenario"),
