@@ -29,7 +29,7 @@ from .core import Instance, Outcome, Rat, affordable_count, checked_bids, scaled
 
 # H_0, H_1, ..., up to H_HARMONIC_KEPT: exact harmonic prefix sums, extended
 # as plans need them.  H_r has about 0.87 r decimal digits, so all of them to
-# 4,096 take about 3 MB.
+# 4,096 take about 3.4 MB.
 HARMONIC_KEPT = 4096
 _harmonic = (Rat(0),)
 
