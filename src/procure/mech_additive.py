@@ -56,9 +56,9 @@ triples and each seller's count of them), and that instance's most recent
 ranking, matched by equal checked bids.  A ranking is a tuple of pairs
 that keeps what it computes: the bought units, and per seller the longest
 prefix of integer thresholds (n, d) asked for so far.  So greedy_allocate,
-greedy_payments, greedy_seller, threshold and greedy_breakpoints on one
+greedy_payments, greedy_sweep, threshold and greedy_breakpoints on one
 profile share one sort and one bisection per unit, and a sweep that
-changes one seller's bid keeps the skeleton.  greedy_seller prices only
+changes one seller's bid keeps the skeleton.  greedy_sweep prices only
 the seller it is asked about, so a sweep that reads one seller's outcome
 computes no other seller's thresholds.  The memo entry, the bought units
 and each prefix are each replaced as one whole tuple in a single store,
@@ -68,31 +68,27 @@ mix two results.
 Every public function is still called as before, and ``ranked_pairs``
 still checks the bids and the valuation class on every call.
 
-A seller's sweep moves only that seller's bid, so greedy_seller keeps a
-second one-entry memo: keyed on the instance (by identity, and held), the
-seller and the other sellers' checked bids, it holds the ranking of the
-first profile it saw under that key, the rivals' (ibid, ivalue, seller) in
-rank order at that ranking's S_b, the seller's own positive ivalues in rank
-order, and the payments computed so far by bought count.  The seller's
-critical bids do not read its own bid, so the thresholds kept on that
-ranking, and their sums, hold at every own bid.  Each call places the own
-bid b = p / q into the rivals' fixed order in exact integers: own unit j
-goes before rival r iff p * S_b * ivalue_r < q * ibid_r * ivalue_j, and at
-equality iff the seller's index is the lower one, as the rank key's tie
-rule orders them.  The bought rule then runs along that merged order, a
-rival passing iff ibid_r * iprefix <= ibudget * ivalue_r and own unit j iff
+A seller's sweep moves only that seller's bid, so greedy_sweep ranks the
+profile it is given once and walks every bid of the sweep into that
+ranking.  The seller's critical bids do not read its own bid, so the
+thresholds kept on the ranking, and their sums, hold at every own bid; a
+sweep sums them once per bought count.  Each point places the own bid
+b = p / q into the rivals' order (their (ibid, ivalue, seller) in rank
+order at the ranking's S_b) in exact integers: own unit j goes before
+rival r iff p * S_b * ivalue_r < q * ibid_r * ivalue_j, and at equality
+iff the seller's index is the lower one, as the rank key's tie rule
+orders them.  The bought rule then runs along that merged order, a rival
+passing iff ibid_r * iprefix <= ibudget * ivalue_r and own unit j iff
 p * S_b * iprefix <= q * ibudget * ivalue_j; the seller sells its pairs up
-to the last passing rank and is paid ``_payment`` of the kept ranking at
-that count.  The entry is replaced as one whole tuple, and each count's
-payment is stored once in a single store and never changed, so a race can
-cost a recomputation, never mix two results.  ``run`` never reads this
-memo: greedy_payments, ranked_pairs and _bought are the reference path,
-and the tests check greedy_seller against them.
+to the last passing rank and is paid ``_payment`` of the ranking at that
+count.  A sweep keeps nothing once it returns.  ``run`` never reads it:
+greedy_payments, ranked_pairs and _bought are the reference path, and the
+tests check greedy_sweep against them.
 
 The symmetric-valuation variant is the same greedy on the instance with
 every unit worth 1: it ranks units by bid, ties by (seller, unit), buys the
 longest prefix whose last unit has bid * rank <= budget, and pays the same
-closed-form thresholds.  sym_seller is greedy_seller on that instance.
+closed-form thresholds, so its sweep is greedy_sweep on that instance.
 """
 
 from __future__ import annotations
@@ -317,51 +313,41 @@ def greedy_payments(inst: Instance, bids=None):
     return alloc, tuple(_payment(pairs, i, a) for i, a in enumerate(alloc))
 
 
-# The one-entry seller memo (see the module docstring): the instance, the
-# seller, the other sellers' checked bids and what is kept of their ranking,
-# read and replaced as one tuple.
-_seller_memo = (None, None, None, None)
-
-
-def greedy_seller(inst: Instance, bids, seller: int):
-    """One seller's (units, payment) in the greedy branch: its entries of
-    ``greedy_payments``, with no other seller's thresholds computed.
-
-    A call whose instance, seller and other sellers' bids are the last
-    call's ranks nothing: it places the seller's bid into the rivals' kept
-    order and reads its payment from the kept ranking's thresholds (see the
-    module docstring).  The bids, the valuation class and the seller index
-    are checked on every call, in that order.
+def greedy_sweep(inst: Instance, bids, seller: int, points) -> list:
+    """The seller's (units, payment) in the greedy branch at each bid of
+    ``points``, the other sellers bidding as in ``bids``: its entries of
+    ``greedy_payments`` at each, from one ranking and with no other
+    seller's thresholds computed (see the module docstring).  The bids,
+    the valuation class, the seller index and each point are checked, in
+    that order.  It returns a list, so the whole sweep runs in the call.
     """
-    global _seller_memo
-    bids = checked_bids(inst, bids)
-    _require(additive_reason(inst))
+    pairs = ranked_pairs(inst, bids)
     if not 0 <= seller < inst.m:
         raise IndexError(f"seller index {seller} out of range")
-    rival_bids = bids[:seller] + bids[seller + 1 :]
-    owner, kept_seller, kept_bids, kept = _seller_memo
-    if owner is not inst or kept_seller != seller or kept_bids != rival_bids:
-        pairs = ranked_pairs(inst, bids)
-        rivals = tuple(
-            (pr.ibid, pr.ivalue, pr.seller, pairs.ibudget * pr.ivalue)
-            for pr in pairs
-            if pr.seller != seller
-        )
-        kept = pairs, rivals, tuple(pr.ivalue for pr in pairs if pr.seller == seller), {}
-        _seller_memo = (inst, seller, rival_bids, kept)
-    pairs, rivals, own, paid = kept
-    units = _walk(pairs, rivals, own, seller, bids[seller])
-    payment = paid.get(units)
-    if payment is None:
-        paid[units] = payment = _payment(pairs, seller, units)
-    return units, payment
+    rivals = tuple(
+        (pr.ibid, pr.ivalue, pr.seller, pairs.ibudget * pr.ivalue)
+        for pr in pairs
+        if pr.seller != seller
+    )
+    own = tuple(pr.ivalue for pr in pairs if pr.seller == seller)
+    paid, out = {}, []
+    for bid in points:
+        bid = bid if type(bid) is Rat else Rat(bid)  # as checked_bids reads a bid
+        if bid.numerator < 0:
+            raise ValueError("bids must be >= 0")
+        units = _walk(pairs, rivals, own, seller, bid)
+        payment = paid.get(units)
+        if payment is None:
+            paid[units] = payment = _payment(pairs, seller, units)
+        out.append((units, payment))
+    return out
 
 
 def _walk(pairs: Ranking, rivals: tuple, own: tuple, seller: int, bid) -> int:
     """The seller's bought units at its own bid ``bid``, placed into the
-    rivals' kept order: its pairs' ivalues ``own`` and the rivals'
+    rivals' order: its pairs' ivalues ``own`` and the rivals'
     (ibid, ivalue, seller, ibudget * ivalue), each in rank order at the
-    kept ranking's scale S_b.  With bid = p / q the own pair's ibid is
+    ranking's scale S_b.  With bid = p / q the own pair's ibid is
     p * S_b / q, so every comparison is multiplied through by q."""
     p_scaled, q = bid.numerator * pairs.bid_scale, bid.denominator
     q_budget = q * pairs.ibudget
@@ -455,13 +441,6 @@ def sym_payments(inst: Instance, bids=None):
         sum((sym_threshold(inst, i, j, bids) for j in range(1, a + 1)), Rat(0))
         for i, a in enumerate(alloc)
     )
-
-
-def sym_seller(inst: Instance, bids, seller: int):
-    """One seller's (units, payment) under the symmetric rule: its entries
-    of ``sym_payments``, which is the greedy on ``unit_values(inst)``, so
-    ``greedy_seller`` there, seller memo included."""
-    return greedy_seller(unit_values(inst), bids, seller)
 
 
 def run_m_sym(inst: Instance, bids, branch: str) -> Outcome:

@@ -23,14 +23,14 @@ them.  A pair with none (m_add's star and bot, m_one's skip, a seller
 m_rand sampled away) never reads the seller's bid, so its outcome is
 constant and truthful whatever it is, and it is swept at 0 and
 2 * max(B, cost).  A truthful rule is truthful seller by seller, so the
-sweep reads only the deviating seller's outcome, ``Lottery.seller_outcome``,
-which equals that seller's entries of ``run``; the truthful checks, the
-ratio and ``procure run`` read ``run``.  m_one's ``fire`` and m_rand's
-branches read a seller they post prices to only through its posted count,
-so ``posted_outcome`` runs them once per count and per profile of the
-other sellers' bids: on 2 x 2,000 units (``greedy_at_scale(2000)`` in the
-tests) a whole ``check_dst`` took 0.46 s for m_one and 1.4 s for m_rand
-on a 2-core host.
+sweep reads only the deviating seller's outcomes, one ``seller_sweep``
+call per profile of the other sellers' bids, which at each point equal
+that seller's entries of ``run``; the truthful checks, the ratio and
+``procure run`` read ``run``.  The greedy ranks once per sweep, and m_one's
+``fire`` and m_rand's branches, which read a seller they post prices to
+only through its posted count, run once per count in a sweep: on
+2 x 2,000 units (``greedy_at_scale(2000)`` in the tests) a whole
+``check_dst`` took 0.46 s for m_one and 1.4 s for m_rand on a 2-core host.
 """
 
 from __future__ import annotations
@@ -114,11 +114,13 @@ class Lottery:
     rule can change that seller's allocation or payment, the other bids as
     in ``bids``, and none iff the rule never reads that bid.  A name
     ``run`` refuses, ``cuts`` refuses with the same error.
-    ``seller_outcome(inst, bids, seller, rule)`` is one seller's (units,
-    payment) under a rule the lottery owns, and it must equal that seller's
-    entries of ``run``; the default reads them from ``run``, and an
-    override may price that seller alone (the greedy) or keep its outcomes
-    by posted count (``fire`` and ``rand:<mask>``, see ``posted_outcome``).
+    ``seller_sweep(inst, bids, seller, rule, points)`` gives one seller's
+    (units, payment) under a rule the lottery owns at each bid of
+    ``points``, the other bids as in ``bids``, and each must equal that
+    seller's entries of ``run`` at that bid.  The default runs
+    ``seller_outcome``, ``run``'s entries, at each point, lazily; an
+    override may price that seller alone (the greedy) or run once per
+    posted count (``fire`` and ``rand:<mask>``, see ``_posted_sweep``).
     Methods reach mechanism functions through their modules at call time
     (``mech_additive.run_m_add``, never a stored reference), so a wrapper
     rebound on a module sees every call.  ``name`` is the lottery's id in
@@ -162,50 +164,37 @@ class Lottery:
         out = self.run(inst, bids, rule)
         return out.allocation[seller], out.payments[seller]
 
+    def seller_sweep(self, inst: Instance, bids, seller: int, rule: str, points):
+        """``seller_outcome`` at each bid of ``points``, one at a time, so a
+        sweep that stops at its first gain runs no further point."""
+        bids = checked_bids(inst, bids)
+        for bid in points:
+            profile = bids[:seller] + (bid,) + bids[seller + 1 :]
+            yield self.seller_outcome(inst, profile, seller, rule)
 
-# The one-entry posted-count memo (see ``posted_outcome``): the instance, the
-# owner, the rule, the seller, the other sellers' checked bids and the
-# seller's outcomes by posted count, read and replaced as one tuple.
-_posted_memo = (None, None, None, None, None, None)
 
-
-def posted_outcome(owner: Lottery, inst: Instance, bids, seller: int, rule: str, supply: int):
-    """One seller's (units, payment) under a posted-price rule that reads
-    the seller's bid b only through its posted count K =
-    ``affordable_count(supply, B, b)``: how many of the prices B/1, ...,
-    B/supply the bid clears.  m_one's ``fire`` pays thresholds B/k up to
-    the seller's units, and m_rand posts B/k in round k to a seller it did
-    not sample, up to the total units; a posted-price rule reads a bid only
-    against its prices (Myerson 1981), so these prices are the rules' cuts.
-
-    A one-entry memo keyed on the instance (by identity, and held), the
-    owner, the rule, the seller and the other sellers' checked bids holds
-    the seller's outcomes by K.  A miss runs ``owner.run`` at the bids, so
-    a function rebound on a mechanism module serves it, and stores that
-    count's outcome once in a single store; the entry is replaced as one
-    whole tuple, so a race can cost a rerun, never mix two results.
+def _posted_sweep(owner: Lottery, inst: Instance, bids, seller, rule, points, supply: int):
+    """One seller's (units, payment) at each bid of ``points`` under a
+    posted-price rule that reads the seller's bid b only through its posted
+    count K = ``affordable_count(supply, B, b)``: how many of the prices
+    B/1, ..., B/supply the bid clears.  m_one's ``fire`` pays thresholds
+    B/k up to the seller's units, and m_rand posts B/k in round k to a
+    seller it did not sample, up to the total units; a posted-price rule
+    reads a bid only against its prices (Myerson 1981), so these prices are
+    the rules' cuts.  The sweep keeps the outcomes by K, and a point whose
+    K is new runs ``owner.run`` there (``seller_outcome``), so a function
+    rebound on a mechanism module serves it; a negative point gets
+    ``run``'s error.
     """
-    global _posted_memo
     bids = checked_bids(inst, bids)
-    if not 0 <= seller < inst.m:
-        raise IndexError(f"seller index {seller} out of range")
-    rival_bids = bids[:seller] + bids[seller + 1 :]
-    kept_inst, kept_owner, kept_rule, kept_seller, kept_bids, by_count = _posted_memo
-    if (
-        kept_inst is not inst
-        or kept_owner is not owner
-        or kept_rule != rule
-        or kept_seller != seller
-        or kept_bids != rival_bids
-    ):
-        by_count = {}
-        _posted_memo = (inst, owner, rule, seller, rival_bids, by_count)
-    count = affordable_count(supply, inst.budget, bids[seller])
-    got = by_count.get(count)
-    if got is None:
-        out = owner.run(inst, bids, rule)
-        by_count[count] = got = (out.allocation[seller], out.payments[seller])
-    return got
+    by_count = {}
+    for bid in points:
+        count = affordable_count(supply, inst.budget, bid)
+        got = by_count.get(count)
+        if got is None:
+            profile = bids[:seller] + (bid,) + bids[seller + 1 :]
+            by_count[count] = got = owner.seller_outcome(inst, profile, seller, rule)
+        yield got
 
 
 class GreedyLottery(Lottery):
@@ -226,10 +215,10 @@ class GreedyLottery(Lottery):
     def run(self, inst, bids, branch):
         return mech_additive.run_m_add(inst, bids, branch)
 
-    def seller_outcome(self, inst, bids, seller, rule):
+    def seller_sweep(self, inst, bids, seller, rule, points):
         if rule == "greedy":  # that seller's thresholds only
-            return mech_additive.greedy_seller(inst, bids, seller)
-        return super().seller_outcome(inst, bids, seller, rule)
+            return mech_additive.greedy_sweep(inst, bids, seller, points)
+        return super().seller_sweep(inst, bids, seller, rule, points)
 
     def cuts(self, inst, bids, seller, rule):
         if rule == "greedy":  # the seller's own unit thresholds
@@ -251,10 +240,10 @@ class SymmetricLottery(GreedyLottery):
     def run(self, inst, bids, branch):
         return mech_additive.run_m_sym(inst, bids, branch)
 
-    def seller_outcome(self, inst, bids, seller, rule):
+    def seller_sweep(self, inst, bids, seller, rule, points):
         if rule == "greedy":
-            return mech_additive.sym_seller(inst, bids, seller)
-        return super().seller_outcome(inst, bids, seller, rule)
+            return mech_additive.greedy_sweep(mech_additive.unit_values(inst), bids, seller, points)
+        return super().seller_sweep(inst, bids, seller, rule, points)
 
     def cuts(self, inst, bids, seller, rule):
         return super().cuts(mech_additive.unit_values(inst), bids, seller, rule)
@@ -277,8 +266,8 @@ class FirstPriceLottery(GreedyLottery):
         return Outcome(alloc, tuple(b * a for a, b in zip(alloc, bids)))
 
     # Pay-as-bid is not the greedy's threshold payment, so one seller's
-    # outcome is read from ``run``, as every lottery's is by default.
-    seller_outcome = Lottery.seller_outcome
+    # outcomes are read from ``run``, as every lottery's are by default.
+    seller_sweep = Lottery.seller_sweep
 
     def bound(self, n):
         return None
@@ -297,10 +286,10 @@ class SingleItemLottery(Lottery):
     def run(self, inst, bids, branch):
         return mech_single_item.run_m_one(inst, bids, branch)
 
-    def seller_outcome(self, inst, bids, seller, rule):
+    def seller_sweep(self, inst, bids, seller, rule, points):
         if rule == "fire":  # by posted count, up to the seller's units
-            return posted_outcome(self, inst, bids, seller, rule, inst.units[seller])
-        return super().seller_outcome(inst, bids, seller, rule)
+            return _posted_sweep(self, inst, bids, seller, rule, points, inst.units[seller])
+        return super().seller_sweep(inst, bids, seller, rule, points)
 
     def cuts(self, inst, bids, seller, rule):
         # fire reads the bid only through min(units, floor(B / bid)).
@@ -340,12 +329,12 @@ class SamplingLottery(Lottery):
         group = group_from_mask(_mask(branch), inst.m)
         return mech_subadditive.m_rand_detail(inst, bids, group).outcome
 
-    def seller_outcome(self, inst, bids, seller, rule):
+    def seller_sweep(self, inst, bids, seller, rule, points):
         # A seller it did not sample is posted B/k in round k iff its posted
         # count reaches k; a sampled one only moves the target.
         if _mask(rule) >> seller & 1:
-            return super().seller_outcome(inst, bids, seller, rule)
-        return posted_outcome(self, inst, bids, seller, rule, inst.total_units)
+            return super().seller_sweep(inst, bids, seller, rule, points)
+        return _posted_sweep(self, inst, bids, seller, rule, points, inst.total_units)
 
     def cuts(self, inst, bids, seller, rule):
         # A sampled seller is never posted a price: its bid moves only the target.
@@ -377,7 +366,7 @@ class SubadditiveLottery(SamplingLottery):
     m_one's scenarios, renamed ``one:<branch>``, and m_rand's, at half their
     probabilities.  m_one applies everywhere, so m_sub applies and notes as
     m_rand does.  A branch name resolves to its owner's rule once, in
-    ``_sub_rule``, for ``run``, ``seller_outcome`` and ``cuts`` alike."""
+    ``_sub_rule``, for ``run``, ``seller_sweep`` and ``cuts`` alike."""
 
     def scenarios(self, inst):
         one = [replace(s, branch=f"one:{s.branch}") for s in MECHANISMS["m_one"].scenarios(inst)]
@@ -388,9 +377,9 @@ class SubadditiveLottery(SamplingLottery):
         owner, rule = _sub_rule(branch)
         return owner.run(inst, bids, rule)
 
-    def seller_outcome(self, inst, bids, seller, rule):
+    def seller_sweep(self, inst, bids, seller, rule, points):
         owner, rule = _sub_rule(rule)
-        return owner.seller_outcome(inst, bids, seller, rule)
+        return owner.seller_sweep(inst, bids, seller, rule, points)
 
     def cuts(self, inst, bids, seller, rule):
         owner, rule = _sub_rule(rule)
@@ -441,10 +430,14 @@ def run_scenario(mech: str, inst: Instance, bids, branch: str) -> Outcome:
     return _lottery(mech).run(inst, bids, branch)
 
 
-def seller_outcome(mech: str, inst: Instance, bids, seller: int, branch: str):
-    """Seller's (units, payment) in one branch: its entries of
-    ``run_scenario``, from the lottery's ``seller_outcome``."""
-    return _lottery(mech).seller_outcome(inst, bids, seller, branch)
+def seller_sweep(mech: str, inst: Instance, bids, seller: int, branch: str, points):
+    """Seller's (units, payment) in one branch at each bid of ``points``,
+    the other bids as in ``bids``: its entries of ``run_scenario`` at each,
+    from the lottery's ``seller_sweep``.  A seller out of range raises here,
+    before any point is priced."""
+    if not 0 <= seller < inst.m:
+        raise IndexError(f"seller index {seller} out of range")
+    return _lottery(mech).seller_sweep(inst, bids, seller, branch, points)
 
 
 def scenario_outcomes(mech: str, inst: Instance, shared: dict | None = None):
@@ -567,23 +560,27 @@ def _dst_sweep(name, mech, inst, resolution, sweep_opponents, shared) -> list:
 def _first_gain(scen, inst, i, grid, rival_bids) -> dict | None:
     """The witness, less its scenario name, of the first opponent profile
     in grid order where a deviation of seller i beats its truthful bid.
-    Only seller i's utility is compared, so each run reads seller i's
-    outcome alone (``seller_outcome``), which equals its entries of
-    ``run``."""
+    Only seller i's utility is compared, so each profile makes one
+    ``seller_sweep`` of seller i, the truthful bid first, and a utility is
+    computed only where the outcome differs from the previous point's."""
     owner, rule, cost = scen.owner.name, scen.rule, inst.costs[i]
+    deviations = [dev for dev in grid if dev != cost]
 
-    def own_utility(bids):
+    def own_utility(outcome):
         # As ``core.utility``: no rational arithmetic for a seller with no units.
-        units, payment = seller_outcome(owner, inst, bids, i, rule)
+        units, payment = outcome
         return payment - cost * units if units else payment
 
     for rivals in itertools.product(*rival_bids[:i], *rival_bids[i + 1 :]):
         base = rivals[:i] + (cost,) + rivals[i:]
-        u_true = own_utility(base)
-        for dev in grid:
-            if dev == cost:
+        outcomes = iter(seller_sweep(owner, inst, base, i, rule, (cost, *deviations)))
+        last = next(outcomes)
+        u_true = own_utility(last)
+        for dev, got in zip(deviations, outcomes):
+            if got == last:
                 continue
-            u_dev = own_utility(base[:i] + (dev,) + base[i + 1 :])
+            last = got
+            u_dev = own_utility(got)
             if u_dev > u_true:
                 return {
                     "seller": i,

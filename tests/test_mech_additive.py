@@ -26,14 +26,13 @@ from procure.mech_additive import (
     greedy_allocate,
     greedy_breakpoints,
     greedy_payments,
-    greedy_seller,
+    greedy_sweep,
     ranked_pairs,
     run_m_add,
     run_m_sym,
     star_seller,
     sym_allocate,
     sym_payments,
-    sym_seller,
     sym_threshold,
     threshold,
     unit_values,
@@ -764,10 +763,15 @@ def test_sym_payments_cover_costs():
 
 def test_one_seller_outcomes_refuse_a_seller_out_of_range(two_seller, sym_inst):
     # A negative index would otherwise read another seller's entry.
-    for seller_outcome, inst in ((greedy_seller, two_seller), (sym_seller, sym_inst)):
+    sym = MECHANISMS["m_sym"]
+    sweeps = (
+        (lambda inst, seller: greedy_sweep(inst, None, seller, ()), two_seller),
+        (lambda inst, seller: sym.seller_sweep(inst, None, seller, "greedy", ()), sym_inst),
+    )
+    for sweep, inst in sweeps:
         for seller in (-1, inst.m):
             with pytest.raises(IndexError, match=f"seller index {seller} out of range"):
-                seller_outcome(inst, None, seller)
+                sweep(inst, seller)
 
 
 def _with_bid(bids, seller, bid):
@@ -775,14 +779,14 @@ def _with_bid(bids, seller, bid):
 
 
 def _assert_seller_entries(inst, bids, seller):
-    """greedy_seller gives the seller's entries of greedy_payments at
-    ``bids``, from a seller memo kept at another own bid: 0, and 1/7, whose
-    denominator moves the bid scale S_b, so the own bid is placed into a
-    ranking built at a different scale."""
+    """greedy_sweep gives the seller's entries of greedy_payments at
+    ``bids``, swept from a profile where the seller bids another bid: 0,
+    and 1/7, whose denominator moves the bid scale S_b, so the own bid is
+    placed into a ranking built at a different scale."""
     alloc, payments = greedy_payments(inst, bids)
-    for kept_at in (Rat(0), Rat(1, 7)):
-        greedy_seller(inst, _with_bid(bids, seller, kept_at), seller)
-        assert greedy_seller(inst, bids, seller) == (alloc[seller], payments[seller])
+    for ranked_at in (Rat(0), Rat(1, 7)):
+        got = greedy_sweep(inst, _with_bid(bids, seller, ranked_at), seller, (bids[seller],))
+        assert got == [(alloc[seller], payments[seller])]
 
 
 def test_greedy_seller_at_each_threshold():
@@ -837,35 +841,36 @@ def test_greedy_seller_with_a_zero_margin_suffix_and_alone():
 
 
 def test_sym_seller_is_sym_payments_entries():
-    # m_sym's one-seller outcome is the greedy's on unit values; the
-    # reference is m_sym's own sym_payments, priced unit by unit.
+    # m_sym's sweep is the greedy's on unit values; the reference is m_sym's
+    # own sym_payments, priced unit by unit, at every point of the sweep.
+    sym = MECHANISMS["m_sym"]
     for inst in symmetric_corpus()[:30]:
         for seller in range(inst.m):
-            for bid in seller_grid("m_sym", inst, inst.costs, seller):
-                bids = _with_bid(inst.costs, seller, bid)
-                alloc, payments = sym_payments(inst, bids)
-                assert sym_seller(inst, bids, seller) == (alloc[seller], payments[seller])
+            grid = seller_grid("m_sym", inst, inst.costs, seller)
+            swept = sym.seller_sweep(inst, inst.costs, seller, "greedy", grid)
+            for bid, got in zip(grid, swept, strict=True):
+                alloc, payments = sym_payments(inst, _with_bid(inst.costs, seller, bid))
+                assert got == (alloc[seller], payments[seller])
 
 
 def test_greedy_seller_over_a_sweep_at_scale():
     # Every point of seller 0's greedy grid at 150 units per seller, in
-    # sweep order, so that every call after the first reads the seller memo.
+    # sweep order, from one greedy_sweep, so every point after the first is
+    # walked into the ranking the first one built.
     inst = greedy_at_scale(150)
     costs = inst.costs
     grid = deviation_grid(inst, costs, 0, greedy_breakpoints(inst, costs, 0))
     assert len(grid) == 515
-    for bid in grid:
-        bids = _with_bid(costs, 0, bid)
-        got = greedy_seller(inst, bids, 0)
-        alloc, payments = greedy_payments(inst, bids)
+    for bid, got in zip(grid, greedy_sweep(inst, costs, 0, grid), strict=True):
+        alloc, payments = greedy_payments(inst, _with_bid(costs, 0, bid))
         assert got == (alloc[0], payments[0])
 
 
-def test_seller_memo_never_serves_another_instance_or_seller():
-    # Calls alternate between two instances with equal bids and between two
-    # sellers of one instance, each at a deviation of its own, so every call
-    # follows one for another key.  Each is checked against the rational
-    # reference greedy.
+def test_greedy_sweep_never_serves_another_instance_or_seller():
+    # Sweeps alternate between two instances with equal bids and between two
+    # sellers of one instance, each from a deviation of its own, so every
+    # sweep follows one for another key and the ranking memo must not serve
+    # it.  Each point is checked against the rational reference greedy.
     first, second = concave_corpus()[:2]
     twin = Instance(first.sellers, first.budget, first.valuation)
     assert twin == first and twin is not first
@@ -875,42 +880,49 @@ def test_seller_memo_never_serves_another_instance_or_seller():
             inst = (a, b)[step % 2]
             seller = (step // 2) % inst.m
             grid = seller_grid("m_add", inst, inst.costs, seller)
-            bids = _with_bid(inst.costs, seller, grid[(5 * step) % len(grid)])
-            alloc, payments = reference_greedy_payments(inst, bids)
-            assert greedy_seller(inst, bids, seller) == (alloc[seller], payments[seller])
-            checked += 1
+            points = (grid[(5 * step) % len(grid)], grid[(7 * step + 3) % len(grid)])
+            bids = _with_bid(inst.costs, seller, points[0])
+            for bid, got in zip(points, greedy_sweep(inst, bids, seller, points), strict=True):
+                alloc, payments = reference_greedy_payments(inst, _with_bid(bids, seller, bid))
+                assert got == (alloc[seller], payments[seller])
+                checked += 1
     for inst in (first, second):
         for step in range(2 * inst.m):
             seller = step % inst.m
-            bids = _with_bid(inst.costs, seller, inst.costs[seller] * (1 + step))
-            alloc, payments = reference_greedy_payments(inst, bids)
-            assert greedy_seller(inst, bids, seller) == (alloc[seller], payments[seller])
+            bid = inst.costs[seller] * (1 + step)
+            alloc, payments = reference_greedy_payments(inst, _with_bid(inst.costs, seller, bid))
+            assert greedy_sweep(inst, inst.costs, seller, (bid,)) == [
+                (alloc[seller], payments[seller])
+            ]
             checked += 1
-    assert checked == 24 + 2 * (first.m + second.m)
+    assert checked == 48 + 2 * (first.m + second.m)
 
 
-def test_seller_memo_hit_still_checks_every_argument(two_seller, sym_inst, monkeypatch):
-    # Each call below has the kept instance, seller and rival bids, so it
-    # would be a memo hit; each must still fail as a cold call does.
+def test_greedy_sweep_checks_every_argument(two_seller, sym_inst, monkeypatch):
+    # Each call below finds its ranking kept by the ranking memo, so it
+    # ranks nothing; each must still fail as a cold call does.
     costs = two_seller.costs
-    greedy_seller(two_seller, costs, 0)
+    greedy_sweep(two_seller, costs, 0, ())
     with pytest.raises(ValueError, match="bids must be >= 0"):
-        greedy_seller(two_seller, (Rat(-1), costs[1]), 0)
+        greedy_sweep(two_seller, (Rat(-1), costs[1]), 0, ())
     with pytest.raises(ValueError, match="bid profile length mismatch"):
-        greedy_seller(two_seller, costs + (Rat(1),), 0)
+        greedy_sweep(two_seller, costs + (Rat(1),), 0, ())
     for seller in (-1, two_seller.m):
         with pytest.raises(IndexError, match=f"seller index {seller} out of range"):
-            greedy_seller(two_seller, costs, seller)
-    # Bad bids come first, as ranked_pairs checks them first.
+            greedy_sweep(two_seller, costs, seller, ())
+    # Bad bids come first, as ranked_pairs checks them first, and a bad
+    # point is refused where the sweep reaches it.
     with pytest.raises(ValueError, match="bids must be >= 0"):
-        greedy_seller(two_seller, (Rat(-1), costs[1]), 5)
-    # A kept entry under a symmetric instance, as if it had been ranked.
-    owner, seller, rival_bids, kept = mech_additive._seller_memo
+        greedy_sweep(two_seller, (Rat(-1), costs[1]), 5, ())
+    with pytest.raises(ValueError, match="bids must be >= 0"):
+        greedy_sweep(two_seller, costs, 0, (Rat(1), Rat(-1, 3)))
+    # A kept ranking under a symmetric instance, as if it had been ranked.
+    owner, skeleton, ranked_bids, ranking = mech_additive._memo
     assert owner is two_seller
-    monkeypatch.setattr(mech_additive, "_seller_memo", (sym_inst, seller, rival_bids, kept))
+    monkeypatch.setattr(mech_additive, "_memo", (sym_inst, skeleton, ranked_bids, ranking))
     with pytest.raises(WrongValuationClass):
-        greedy_seller(sym_inst, (costs[0],) + rival_bids, 0)
-    assert greedy_seller(two_seller, costs, 0) == (2, greedy_payments(two_seller)[1][0])
+        greedy_sweep(sym_inst, ranked_bids, 0, ())
+    assert greedy_sweep(two_seller, costs, 0, (costs[0],)) == [(2, greedy_payments(two_seller)[1][0])]
 
 
 def test_run_m_sym_branches(sym_inst):

@@ -4,14 +4,13 @@ Each mutant rebinds one mechanism function through ``monkeypatch`` and
 must fail the check named for it within a prefix of a corpus.  The
 greedy (``m_add``) mutants and ``m_rand``'s price mutant must fail some
 ``dst`` check of their mechanism within the first 100 and the first 60
-instances of its criterion-8 corpus; the greedy's ranking memo and its
-seller memo are emptied first, so no ranking, threshold or payment
-computed by the real greedy serves a mutant.  ``m_one``'s crossover
-mutants must fail some ``dst`` check of ``m_one`` within the first 100
-instances of its corpus.  Every mutant of ``m_rand_detail`` or
-``plan_m_one`` starts with the posted-count memo (``verify.posted_outcome``)
-emptied, so no outcome of the real mechanism serves it.  ``m_rand``'s
-calibration-side mutants cannot fail ``dst``: a sampled seller is never
+instances of its criterion-8 corpus; the greedy's ranking memo is
+emptied first, so no ranking, threshold or payment computed by the real
+greedy serves a mutant.  ``m_one``'s crossover mutants must fail some
+``dst`` check of ``m_one`` within the first 100 instances of its corpus.
+A seller's sweep keeps nothing once it returns, so no outcome of the
+real mechanism serves a mutant of ``m_rand_detail`` or ``plan_m_one``.
+``m_rand``'s calibration-side mutants cannot fail ``dst``: a sampled seller is never
 paid, and its bid moves only the target, so any target rule stays
 truthful.  Their kill criterion is the eager-reference
 equivalence on ``calibration_corpus()``, where the target decides rounds:
@@ -27,19 +26,21 @@ their mechanism's corpus.  The pay-as-bid fixture given the greedy's
 one-seller outcome, which ``check_dst`` reads, must be caught by the
 one-seller equivalence test (``helpers.seller_outcome_faults``) on the
 first ``DECLARATION_WINDOW`` instances of ``m_add``'s corpus.  So must the
-bought-rule mutants, with both greedy memos emptied: ``greedy_seller``'s
+bought-rule mutants, with the ranking memo emptied: ``greedy_sweep``'s
 walk sending a rate tie to the higher seller index or buying an own pair
 only on strict inequality, and ``_bought`` buying a pair only on strict
 inequality.  Two bought rules exist, the walk's and ``_bought``'s for
 ``run``, so a change to either one shows where they part.  So must the
-posted-count mutants, with the posted-count memo emptied, on ``m_rand``:
-the memo's key rounded up to min(supply, ceil(B / bid)) on
-``calibration_corpus()``, and ``m_rand``'s count capped at the seller's
-own units on ``corpora.late_round()``.  The star
-seller paid B + 10^-12 must fail ``budget:star`` within the first 100
-instances of ``m_add``'s corpus: its payment does not read its bid, so
-``dst`` cannot see it.  The search stops at the first kill, and
-``monkeypatch`` puts the real function back afterwards.
+posted-count mutants on ``m_rand``: the sweep's count rounded up to
+min(supply, ceil(B / bid)) on ``calibration_corpus()``, and ``m_rand``'s
+count capped at the seller's own units on ``corpora.late_round()``.  The
+star seller paid B + 10^-12 must fail ``budget:star`` within the first
+100 instances of ``m_add``'s corpus: its payment does not read its bid,
+so ``dst`` cannot see it.  ``a_max`` keeping a prefix that costs up to 2B
+must fail some ``budget`` check of ``m_rand`` on its corpus, and a sweep
+of that failing branch must reach it through ``mech_subadditive.a_max``.
+The search stops at the first kill, and ``monkeypatch`` puts the real
+function back afterwards.
 """
 
 from dataclasses import replace
@@ -48,8 +49,8 @@ from itertools import accumulate
 import pytest
 
 from procure import mech_additive, mech_single_item, mech_subadditive, verify
-from procure.core import Outcome, Rat, checked_bids
-from procure.mech_subadditive import RandRun, phi
+from procure.core import Outcome, Rat, affordable_count, checked_bids, scaled, unit_vector
+from procure.mech_subadditive import MaxRun, RandRun, phi
 from procure.verify import (
     FirstPriceLottery,
     GreedyLottery,
@@ -59,6 +60,7 @@ from procure.verify import (
     _mask,
     check_budget,
     check_dst,
+    scenario_outcomes,
 )
 
 from corpora import (
@@ -225,6 +227,45 @@ def calibration_mutant(bound_scale=1, true_costs=False, target_scale=1, zero_acc
     return detail
 
 
+def a_max_within(budgets):
+    """``a_max`` restated without its memo, keeping the longest prefix of
+    the demanded bundles, costliest first, that costs at most ``budgets``
+    times B rather than B."""
+
+    def restated(valuation, budget, units, costs, members):
+        members, m = tuple(sorted(set(members))), len(units)
+        if not members:
+            return MaxRun((0,) * m, Rat(0))
+        ivalue = valuation.ivalue
+        _, (ibudget, *imembers) = scaled((Rat(budget), *(costs[i] for i in members)))
+        icosts, capped = [0] * m, [0] * m
+        for i, icost in zip(members, imembers):
+            icosts[i] = icost
+            capped[i] = affordable_count(units[i], ibudget, icost)
+        anchor = max(ivalue(unit_vector(m, i, capped[i])) for i in members)
+        denom = 2 * valuation.scale * ibudget
+        winner, winner_value = (0,) * m, 0
+        for k in range(len(members), 0, -1) if anchor else (0,):
+            prices = [Rat(0)] * m
+            for i in members:
+                prices[i] = Rat(k * anchor * icosts[i], denom)
+            asked = mech_subadditive.demand(valuation, prices, capped)
+            counts = [0] * m
+            if 2 * ivalue(asked) >= k * anchor:
+                spent = 0
+                for neg_cost, i in sorted((-asked[i] * icosts[i], i) for i in members):
+                    spent -= neg_cost
+                    if spent > budgets * ibudget:
+                        break
+                    counts[i] = asked[i]
+            value = ivalue(tuple(counts))
+            if value > winner_value:
+                winner, winner_value = tuple(counts), value
+        return MaxRun(winner, Rat(winner_value, valuation.scale))
+
+    return restated
+
+
 def star_paying_twice_the_bid():
     """``run_m_add`` with the star seller paid min(B, 2 * its bid)."""
     run = mech_additive.run_m_add
@@ -290,7 +331,7 @@ def fire_without_full_supply_price():
 
 
 def count_rounded_up():
-    """``affordable_count`` as the posted-count memo reads it, rounded up:
+    """``affordable_count`` as the posted-count sweep reads it, rounded up:
     min(units, ceil(B / bid)), so two bids with different posted counts
     can share one kept outcome."""
 
@@ -301,13 +342,13 @@ def count_rounded_up():
 
 
 def rand_count_capped_at_own_units():
-    """``SamplingLottery.seller_outcome`` with a seller's posted count capped
+    """``SamplingLottery.seller_sweep`` with a seller's posted count capped
     at its own units, as fire's is, not at the total units."""
 
-    def capped(self, inst, bids, seller, rule):
+    def capped(self, inst, bids, seller, rule, points):
         if _mask(rule) >> seller & 1:
-            return Lottery.seller_outcome(self, inst, bids, seller, rule)
-        return verify.posted_outcome(self, inst, bids, seller, rule, inst.units[seller])
+            return Lottery.seller_sweep(self, inst, bids, seller, rule, points)
+        return verify._posted_sweep(self, inst, bids, seller, rule, points, inst.units[seller])
 
     return capped
 
@@ -336,13 +377,13 @@ BOUGHT_MUTANTS = {
     "bought_strictly": ("_bought", strictly_bought),
 }
 
-# Posted-count mutants, each one change to how the posted-count memo keys a
-# seller's outcome; killed by the one-seller equivalence test on m_rand's
+# Posted-count mutants, each one change to how the posted-count sweep keys
+# a seller's outcome; killed by the one-seller equivalence test on m_rand's
 # corpus named with it.
 POSTED_MUTANTS = {
     "count_rounded_up": ((verify, "affordable_count"), count_rounded_up, calibration_corpus),
     "rand_count_capped_at_own_units": (
-        (SamplingLottery, "seller_outcome"),
+        (SamplingLottery, "seller_sweep"),
         rand_count_capped_at_own_units,
         lambda: (late_round(),),
     ),
@@ -367,15 +408,9 @@ def test_restated_thresholds_are_the_greedys():
             )
 
 
-def empty_greedy_memos(monkeypatch):
-    """Start the greedy with no kept ranking and no kept seller walk."""
+def empty_ranking_memo(monkeypatch):
+    """Start the greedy with no kept ranking."""
     monkeypatch.setattr(mech_additive, "_memo", (None, None, None, None))
-    monkeypatch.setattr(mech_additive, "_seller_memo", (None, None, None, None))
-
-
-def empty_posted_memo(monkeypatch):
-    """Start the posted-count sweeps (fire and m_rand) with no kept outcome."""
-    monkeypatch.setattr(verify, "_posted_memo", (None,) * 6)
 
 
 def assert_killed(mutant, mech, window):
@@ -392,20 +427,18 @@ def assert_killed(mutant, mech, window):
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_greedy_mutant_is_killed_by_dst(monkeypatch, mutant):
     name, make = MUTANTS[mutant]
-    empty_greedy_memos(monkeypatch)
+    empty_ranking_memo(monkeypatch)
     monkeypatch.setattr(mech_additive, name, make())
     assert_killed(mutant, "m_add", KILL_WINDOW)
 
 
 def test_m_rand_paying_the_next_rounds_price_is_killed_by_dst(monkeypatch):
-    empty_posted_memo(monkeypatch)
     monkeypatch.setattr(mech_subadditive, "m_rand_detail", next_round_price())
     assert_killed("m_rand_pays_next_round", "m_rand", RAND_KILL_WINDOW)
 
 
 @pytest.mark.parametrize("shift", [1, -1], ids=["crossover_late", "crossover_early"])
 def test_m_one_crossover_mutant_is_killed_by_dst(monkeypatch, shift):
-    empty_posted_memo(monkeypatch)
     monkeypatch.setattr(mech_single_item, "plan_m_one", shifted_crossover(shift))
     assert_killed(f"crossover_shift_{shift:+d}", "m_one", KILL_WINDOW)
 
@@ -420,7 +453,6 @@ def test_restated_m_rand_detail_is_m_rand_detail():
 
 @pytest.mark.parametrize("mutant", sorted(CALIBRATION_MUTANTS))
 def test_calibration_mutant_is_killed_by_the_eager_reference(monkeypatch, mutant):
-    empty_posted_memo(monkeypatch)
     monkeypatch.setattr(
         mech_subadditive, "m_rand_detail", calibration_mutant(**CALIBRATION_MUTANTS[mutant])
     )
@@ -470,11 +502,11 @@ def test_missing_cut_is_killed_by_the_completeness_test(monkeypatch, mutant):
 
 
 def test_fixture_given_the_greedys_seller_outcome_is_killed(monkeypatch):
-    # The sweep reads a seller's outcome from seller_outcome alone.  Given
+    # The sweep reads a seller's outcomes from seller_sweep alone.  Given
     # the greedy's, the pay-as-bid fixture is swept as the truthful greedy:
     # criterion 8's probe no longer fails, and only the equivalence with
     # run tells.
-    monkeypatch.setattr(FirstPriceLottery, "seller_outcome", GreedyLottery.seller_outcome)
+    monkeypatch.setattr(FirstPriceLottery, "seller_sweep", GreedyLottery.seller_sweep)
     assert all(c.passed for c in check_dst("m_add_firstprice", first_price_probe()))
     corpus = dst_corpora()["m_add"][:DECLARATION_WINDOW]
     fault = next(seller_outcome_faults("m_add_firstprice", corpus), None)
@@ -499,7 +531,7 @@ def test_restated_walk_is_the_walks(monkeypatch):
     # each bought-rule mutant differs from the greedy by its one change.
     corpus = dst_corpora()["m_add"][:DECLARATION_WINDOW]
     for name, restated in (("_walk", mutant_walk()), ("_bought", None)):
-        empty_greedy_memos(monkeypatch)
+        empty_ranking_memo(monkeypatch)
         if restated is not None:
             monkeypatch.setattr(mech_additive, name, restated)
         assert next(seller_outcome_faults("m_add", corpus), None) is None
@@ -510,7 +542,7 @@ def test_bought_rule_mutant_is_killed_by_the_equivalence_test(monkeypatch, mutan
     # Criterion 8's sweeps (tests/test_acceptance.py) pass under each of
     # these, so this equivalence is their one kill.
     name, make = BOUGHT_MUTANTS[mutant]
-    empty_greedy_memos(monkeypatch)
+    empty_ranking_memo(monkeypatch)
     monkeypatch.setattr(mech_additive, name, make())
     corpus = dst_corpora()["m_add"][:DECLARATION_WINDOW]
     fault = next(seller_outcome_faults("m_add", corpus), None)
@@ -526,9 +558,49 @@ def test_posted_count_mutant_is_killed_by_the_equivalence_test(monkeypatch, muta
     # m_rand round there is round 1, so a cap at the seller's own units
     # shows only on a late round.
     (owner, name), make, corpus = POSTED_MUTANTS[mutant]
-    empty_posted_memo(monkeypatch)
     monkeypatch.setattr(owner, name, make())
     fault = next(seller_outcome_faults("m_rand", corpus()), None)
     if fault is None:
         pytest.fail(f"{mutant} survives the equivalence test")
     print(f"{mutant}: killed by the equivalence test at {fault}")
+
+
+def test_restated_a_max_is_a_max(monkeypatch):
+    # Unmutated, the restatement decides as a_max does, so the 2B mutant
+    # differs from it by its one change.
+    corpus = dst_corpora()["m_rand"][:40]
+
+    def outcomes():
+        return [[out for _, out in scenario_outcomes("m_rand", inst)] for inst in corpus]
+
+    real = outcomes()
+    monkeypatch.setattr(mech_subadditive, "a_max", a_max_within(1))
+    assert outcomes() == real
+
+
+def test_a_max_within_twice_the_budget_is_killed_by_budget(monkeypatch):
+    # The mutant pays the winners of a round up to 2B.  The sweep of the
+    # failing branch reaches it through mech_subadditive.a_max, as run does.
+    calls = []
+    mutant = a_max_within(2)
+
+    def counted(*args):
+        calls.append(args)
+        return mutant(*args)
+
+    monkeypatch.setattr(mech_subadditive, "a_max", counted)
+    for n, inst in enumerate(dst_corpora()["m_rand"]):
+        failed = [c for c in check_budget("m_rand", inst) if not c.passed]
+        if failed:
+            branch = failed[0].witness["scenario"]
+            seller = next(i for i in range(inst.m) if not _mask(branch) >> i & 1)
+            costs = inst.costs
+            calls.clear()
+            point = (costs[seller],)
+            swept = list(verify.seller_sweep("m_rand", inst, costs, seller, branch, point))
+            assert calls
+            out = verify.run_scenario("m_rand", inst, costs, branch)
+            assert swept == [(out.allocation[seller], out.payments[seller])]
+            print(f"a_max_within_2B: killed on instance {n} by {failed[0].name}")
+            return
+    pytest.fail("a_max_within_2B survives check_budget on the m_rand corpus")

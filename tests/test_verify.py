@@ -22,6 +22,7 @@ from procure.verify import (
     expected_value,
     measure_ratio,
     run_scenario,
+    seller_sweep,
     verify_instance,
 )
 
@@ -388,24 +389,27 @@ def test_verify_instance_reports(two_seller):
 
 def _runs(monkeypatch, mechanisms, inst, **kwargs):
     """verify_instance's reports, and a count of its runs by (mechanism,
-    branch, bids): its run_scenario calls, the truthful runs, and its
-    seller_outcome calls, the deviation sweep's runs."""
+    branch, bids): its run_scenario calls, the truthful runs, and each
+    point its seller_sweep calls price, the deviation sweep's runs."""
     from procure import verify
 
     runs = Counter()
-    real_run, real_seller = verify.run_scenario, verify.seller_outcome
+    real_run, real_sweep = verify.run_scenario, verify.seller_sweep
 
     def counted_run(mech, inst, bids, branch):
         runs[mech, branch, tuple(bids)] += 1
         return real_run(mech, inst, bids, branch)
 
-    def counted_seller(mech, inst, bids, seller, branch):
-        runs[mech, branch, tuple(bids)] += 1
-        return real_seller(mech, inst, bids, seller, branch)
+    def counted_sweep(mech, inst, bids, seller, branch, points):
+        points = tuple(points)
+        swept = real_sweep(mech, inst, bids, seller, branch, points)
+        for bid, got in zip(points, swept):
+            runs[mech, branch, tuple(bids[:seller]) + (bid,) + tuple(bids[seller + 1 :])] += 1
+            yield got
 
     with monkeypatch.context() as patch:
         patch.setattr(verify, "run_scenario", counted_run)
-        patch.setattr(verify, "seller_outcome", counted_seller)
+        patch.setattr(verify, "seller_sweep", counted_sweep)
         reports = verify_instance(inst, mechanisms, 16, **kwargs)
     return reports, runs
 
@@ -538,6 +542,50 @@ def test_seller_outcome_is_runs_entries(mech):
     assert list(seller_outcome_faults(mech, corpus)) == []
 
 
+@pytest.mark.parametrize("mech", (*MECHANISM_IDS, "m_add_firstprice"))
+def test_seller_sweep_over_unsorted_and_repeated_points(mech):
+    # A sweep shares state across its points (the greedy's ranking, the
+    # posted-price outcomes by count), so it must not depend on their order:
+    # each pair's grid swept downward, then shuffled, with every point twice,
+    # gives the seller its entries of run at every point.  A negative point
+    # gets run's error, or none where run reads no bids, and a seller out of
+    # range an IndexError when the sweep is asked for.
+    corpus = dst_corpora()["m_add" if mech == "m_add_firstprice" else mech][:4]
+    rng = random.Random(45)
+    swept = 0
+    for inst in corpus:
+        costs = inst.costs
+        for s in MECHANISMS[mech].scenarios(inst):
+            owner = s.owner.name
+            for i, cost in enumerate(costs):
+                grid = seller_grid(mech, inst, costs, i, 8)
+                points = grid[::-1] + rng.sample(grid, len(grid)) + [cost, cost]
+                got = list(seller_sweep(owner, inst, costs, i, s.rule, points))
+                want = []
+                for bid in points:
+                    out = run_scenario(owner, inst, costs[:i] + (bid,) + costs[i + 1 :], s.rule)
+                    want.append((out.allocation[i], out.payments[i]))
+                assert got == want, (s.branch, i)
+                swept += len(points)
+                negative = costs[:i] + (Rat(-1),) + costs[i + 1 :]
+                assert _raised(
+                    lambda: list(seller_sweep(owner, inst, costs, i, s.rule, (cost, Rat(-1))))
+                ) == _raised(lambda: run_scenario(owner, inst, negative, s.rule))
+        for bad in (-1, inst.m):
+            with pytest.raises(IndexError, match=f"seller index {bad} out of range"):
+                seller_sweep(mech, inst, costs, bad, s.branch, (costs[0],))
+    assert swept
+
+
+def _raised(call):
+    """The type and message of what ``call`` raises, or None."""
+    try:
+        call()
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
 def test_reads_parses_a_sample_group_as_run_does(two_seller):
     # A rule reads a seller's bid iff its owner gives it cuts there, and the
     # owner states them all: the greedy's own thresholds, B/k for k up to
@@ -570,7 +618,7 @@ def test_reads_parses_a_sample_group_as_run_does(two_seller):
 
 
 def test_m_sub_resolves_a_branch_to_its_owners_rule(two_seller):
-    # One resolver serves m_sub's run, seller_outcome and cuts: one:<rule>
+    # One resolver serves m_sub's run, seller_sweep and cuts: one:<rule>
     # is m_one's rule, any other name m_rand's, and a bad name gets run's
     # error from each.  A seller's outcome is its entries of the owner's run.
     inst, bids = two_seller, two_seller.costs
@@ -580,14 +628,14 @@ def test_m_sub_resolves_a_branch_to_its_owners_rule(two_seller):
             assert sub.cuts(inst, bids, i, f"one:{rule}") == one.cuts(inst, bids, i, rule)
             out = one.run(inst, bids, rule)
             assert sub.run(inst, bids, f"one:{rule}") == out
-            got = sub.seller_outcome(inst, bids, i, f"one:{rule}")
-            assert got == (out.allocation[i], out.payments[i])
+            got = sub.seller_sweep(inst, bids, i, f"one:{rule}", (bids[i],))
+            assert list(got) == [(out.allocation[i], out.payments[i])]
         for mask in range(1 << inst.m):
             branch = f"rand:{mask:#b}"
             assert sub.cuts(inst, bids, i, branch) == rand.cuts(inst, bids, i, branch)
             out = rand.run(inst, bids, branch)
-            got = sub.seller_outcome(inst, bids, i, branch)
-            assert got == (out.allocation[i], out.payments[i])
+            got = sub.seller_sweep(inst, bids, i, branch, (bids[i],))
+            assert list(got) == [(out.allocation[i], out.payments[i])]
     bad_names = [
         ("one:bogus", "unknown branch 'bogus'"),
         ("nope", "bad m_rand scenario"),
@@ -597,7 +645,7 @@ def test_m_sub_resolves_a_branch_to_its_owners_rule(two_seller):
     for bad, message in bad_names:
         for call in (
             lambda: sub.run(inst, bids, bad),
-            lambda: sub.seller_outcome(inst, bids, 0, bad),
+            lambda: list(sub.seller_sweep(inst, bids, 0, bad, (bids[0],))),
         ):
             with pytest.raises(ValueError, match=message):
                 call()
