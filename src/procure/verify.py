@@ -18,17 +18,18 @@ measured approximation ratios against the exact optimum oracle.  Every
 failure carries a replayable witness.  A rule's outcome for a seller is
 piecewise constant in that seller's bid between its cuts (Myerson 1981;
 Archer & Tardos 2001), and the rule's owner states them all in
-``Lottery.cuts``.  A pair with cuts is swept over ``deviation_grid`` of
-them.  A pair with none (m_add's star and bot, m_one's skip, a seller
-m_rand sampled away) never reads the seller's bid, so its outcome is
-constant and truthful whatever it is, and it is swept at 0 and
-2 * max(B, cost).  A truthful rule is truthful seller by seller, so the
-sweep reads only the deviating seller's outcomes, one ``seller_sweep``
-call per profile of the other sellers' bids, which at each point equal
-that seller's entries of ``run``; the truthful checks, the ratio and
-``procure run`` read ``run``.  The greedy ranks once per sweep, and m_one's
-``fire`` and m_rand's branches, which read a seller they post prices to
-only through its posted count, run once per count in a sweep: on
+``Lottery.cuts``: the greedy's thresholds, or B/k for k up to the supply
+``Lottery.posted`` gives a posted-price rule (m_one's ``fire`` and a
+seller m_rand did not sample).  A pair with cuts is swept over
+``deviation_grid`` of them.  A pair with none (m_add's star and bot,
+m_one's skip, a seller m_rand sampled away) never reads the seller's bid,
+so its outcome is constant and truthful whatever it is, and it is swept
+at 0 and 2 * max(B, cost).  A truthful rule is truthful seller by
+seller, so the sweep reads only the deviating seller's outcomes, one
+``seller_sweep`` call per profile of the other sellers' bids, which at
+each point equal that seller's entries of ``run``; the truthful checks,
+the ratio and ``procure run`` read ``run``.  The greedy ranks once per
+sweep, and a posted-price rule runs once per posted count in a sweep: on
 2 x 2,000 units (``greedy_at_scale(2000)`` in the tests) a whole
 ``check_dst`` took 0.46 s for m_one and 1.4 s for m_rand on a 2-core host.
 """
@@ -38,7 +39,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from . import mech_additive, mech_single_item, mech_subadditive
 from .core import (
@@ -96,12 +96,6 @@ def _harmonic_cap(inst: Instance) -> float:
     return harmonic_factor(inst.total_units) * float(inst.budget)
 
 
-@lru_cache(maxsize=1)
-def _prices(budget, count: int) -> frozenset:
-    """B/k for k = 1..count; the last set is kept, so a sweep builds it once."""
-    return frozenset(budget / k for k in range(1, count + 1))
-
-
 class Lottery:
     """A mechanism: where it applies, its branches, how one branch runs, how
     ``procure run`` samples one, where its rules' outcomes can change, and
@@ -109,18 +103,17 @@ class Lottery:
 
     Each subclass defines ``scenarios(inst)``, the exhaustive branch list
     with probabilities summing to 1, ``run(inst, bids, branch)``, one
-    branch under the bids (None = truthful), and ``cuts(inst, bids, seller,
-    rule)`` for each rule it owns: every bid of the seller at which the
-    rule can change that seller's allocation or payment, the other bids as
-    in ``bids``, and none iff the rule never reads that bid.  A name
-    ``run`` refuses, ``cuts`` refuses with the same error.
-    ``seller_sweep(inst, bids, seller, rule, points)`` gives one seller's
-    (units, payment) under a rule the lottery owns at each bid of
+    branch under the bids (None = truthful), and ``posted(inst, seller,
+    rule)`` for each rule it owns; a name ``run`` refuses, ``posted``
+    refuses with the same error.  ``cuts(inst, bids, seller, rule)`` is
+    every bid of the seller at which the rule can change that seller's
+    allocation or payment, the other bids as in ``bids``, and none iff the
+    rule never reads that bid.  ``seller_sweep(inst, bids, seller, rule,
+    points)`` gives the seller's (units, payment) at each bid of
     ``points``, the other bids as in ``bids``, and each must equal that
-    seller's entries of ``run`` at that bid.  The default runs
-    ``seller_outcome``, ``run``'s entries, at each point, lazily; an
-    override may price that seller alone (the greedy) or run once per
-    posted count (``fire`` and ``rand:<mask>``, see ``_posted_sweep``).
+    seller's entries of ``run`` at that bid.  Both follow from ``posted``
+    unless an owner overrides them, as the greedy does: it states its own
+    thresholds and prices that seller alone.
     Methods reach mechanism functions through their modules at call time
     (``mech_additive.run_m_add``, never a stored reference), so a wrapper
     rebound on a module sees every call.  ``name`` is the lottery's id in
@@ -159,42 +152,42 @@ class Lottery:
     def notes(self, inst: Instance) -> dict:
         return {}
 
-    def seller_outcome(self, inst: Instance, bids, seller: int, rule: str):
-        """One seller's (units, payment) under ``rule``: ``run``'s entries."""
-        out = self.run(inst, bids, rule)
-        return out.allocation[seller], out.payments[seller]
+    def posted(self, inst: Instance, seller: int, rule: str) -> int | None:
+        """The supply n up to which ``rule`` posts the seller the prices
+        B/1, ..., B/n, or None where it posts none.  A posted-price rule
+        reads the bid only through how many of them it clears (Myerson
+        1981), so they are its cuts and its sweep runs once per count."""
+        raise NotImplementedError
+
+    def cuts(self, inst: Instance, bids, seller: int, rule: str) -> frozenset:
+        """B/k for k up to the rule's posted supply; none without one."""
+        supply = self.posted(inst, seller, rule)
+        if supply is None:
+            return frozenset()
+        return frozenset(inst.budget / k for k in range(1, supply + 1))
 
     def seller_sweep(self, inst: Instance, bids, seller: int, rule: str, points):
-        """``seller_outcome`` at each bid of ``points``, one at a time, so a
-        sweep that stops at its first gain runs no further point."""
+        """``run``'s entries for the seller at each bid of ``points``, one
+        point at a time, so a sweep that stops at its first gain runs no
+        further point.  A posted rule keeps them by posted count, read
+        through this module's ``affordable_count``, and runs only at a point
+        whose count is new; a negative point gets ``run``'s error."""
+        supply = self.posted(inst, seller, rule)
         bids = checked_bids(inst, bids)
-        for bid in points:
-            profile = bids[:seller] + (bid,) + bids[seller + 1 :]
-            yield self.seller_outcome(inst, profile, seller, rule)
 
+        def at(bid):
+            out = self.run(inst, bids[:seller] + (bid,) + bids[seller + 1 :], rule)
+            return out.allocation[seller], out.payments[seller]
 
-def _posted_sweep(owner: Lottery, inst: Instance, bids, seller, rule, points, supply: int):
-    """One seller's (units, payment) at each bid of ``points`` under a
-    posted-price rule that reads the seller's bid b only through its posted
-    count K = ``affordable_count(supply, B, b)``: how many of the prices
-    B/1, ..., B/supply the bid clears.  m_one's ``fire`` pays thresholds
-    B/k up to the seller's units, and m_rand posts B/k in round k to a
-    seller it did not sample, up to the total units; a posted-price rule
-    reads a bid only against its prices (Myerson 1981), so these prices are
-    the rules' cuts.  The sweep keeps the outcomes by K, and a point whose
-    K is new runs ``owner.run`` there (``seller_outcome``), so a function
-    rebound on a mechanism module serves it; a negative point gets
-    ``run``'s error.
-    """
-    bids = checked_bids(inst, bids)
-    by_count = {}
-    for bid in points:
-        count = affordable_count(supply, inst.budget, bid)
-        got = by_count.get(count)
-        if got is None:
-            profile = bids[:seller] + (bid,) + bids[seller + 1 :]
-            by_count[count] = got = owner.seller_outcome(inst, profile, seller, rule)
-        yield got
+        if supply is None:
+            yield from map(at, points)
+        else:
+            by_count = {}
+            for bid in points:
+                count = affordable_count(supply, inst.budget, bid)
+                if count not in by_count:
+                    by_count[count] = at(bid)
+                yield by_count[count]
 
 
 class GreedyLottery(Lottery):
@@ -220,12 +213,16 @@ class GreedyLottery(Lottery):
             return mech_additive.greedy_sweep(inst, bids, seller, points)
         return super().seller_sweep(inst, bids, seller, rule, points)
 
+    def posted(self, inst, seller, rule):
+        # The greedy pays thresholds, and star and bot ignore bids.
+        if rule in ("greedy", "star", "bot"):
+            return None
+        raise ValueError(f"unknown branch {rule!r}")
+
     def cuts(self, inst, bids, seller, rule):
         if rule == "greedy":  # the seller's own unit thresholds
             return mech_additive.greedy_breakpoints(inst, bids, seller)
-        if rule in ("star", "bot"):  # they ignore bids
-            return frozenset()
-        raise ValueError(f"unknown branch {rule!r}")
+        return super().cuts(inst, bids, seller, rule)
 
     def bound(self, n):
         return 4.0 * harmonic_factor(n)
@@ -286,17 +283,12 @@ class SingleItemLottery(Lottery):
     def run(self, inst, bids, branch):
         return mech_single_item.run_m_one(inst, bids, branch)
 
-    def seller_sweep(self, inst, bids, seller, rule, points):
-        if rule == "fire":  # by posted count, up to the seller's units
-            return _posted_sweep(self, inst, bids, seller, rule, points, inst.units[seller])
-        return super().seller_sweep(inst, bids, seller, rule, points)
-
-    def cuts(self, inst, bids, seller, rule):
+    def posted(self, inst, seller, rule):
         # fire reads the bid only through min(units, floor(B / bid)).
         if rule == "fire":
-            return _prices(inst.budget, inst.units[seller])
+            return inst.units[seller]
         if rule == "skip":
-            return frozenset()
+            return None
         raise ValueError(f"unknown branch {rule!r}")
 
     def benchmark(self, inst):
@@ -329,18 +321,13 @@ class SamplingLottery(Lottery):
         group = group_from_mask(_mask(branch), inst.m)
         return mech_subadditive.m_rand_detail(inst, bids, group).outcome
 
-    def seller_sweep(self, inst, bids, seller, rule, points):
+    def posted(self, inst, seller, rule):
         # A seller it did not sample is posted B/k in round k iff its posted
-        # count reaches k; a sampled one only moves the target.
-        if _mask(rule) >> seller & 1:
-            return super().seller_sweep(inst, bids, seller, rule, points)
-        return _posted_sweep(self, inst, bids, seller, rule, points, inst.total_units)
-
-    def cuts(self, inst, bids, seller, rule):
-        # A sampled seller is never posted a price: its bid moves only the target.
-        if _mask(rule) >> seller & 1:
-            return frozenset()
-        return _prices(inst.budget, inst.total_units)
+        # count reaches k; a sampled one is never posted a price, and its
+        # bid moves only the target.
+        if seller in group_from_mask(_mask(rule), inst.m):
+            return None
+        return inst.total_units
 
     def sample(self, inst, rng):
         return f"rand:{rng.getrandbits(inst.m):#b}"
@@ -366,7 +353,8 @@ class SubadditiveLottery(SamplingLottery):
     m_one's scenarios, renamed ``one:<branch>``, and m_rand's, at half their
     probabilities.  m_one applies everywhere, so m_sub applies and notes as
     m_rand does.  A branch name resolves to its owner's rule once, in
-    ``_sub_rule``, for ``run``, ``seller_sweep`` and ``cuts`` alike."""
+    ``_sub_rule``, for ``run`` and ``posted``, so for ``cuts`` and
+    ``seller_sweep`` alike."""
 
     def scenarios(self, inst):
         one = [replace(s, branch=f"one:{s.branch}") for s in MECHANISMS["m_one"].scenarios(inst)]
@@ -377,13 +365,9 @@ class SubadditiveLottery(SamplingLottery):
         owner, rule = _sub_rule(branch)
         return owner.run(inst, bids, rule)
 
-    def seller_sweep(self, inst, bids, seller, rule, points):
+    def posted(self, inst, seller, rule):
         owner, rule = _sub_rule(rule)
-        return owner.seller_sweep(inst, bids, seller, rule, points)
-
-    def cuts(self, inst, bids, seller, rule):
-        owner, rule = _sub_rule(rule)
-        return owner.cuts(inst, bids, seller, rule)
+        return owner.posted(inst, seller, rule)
 
     def sample(self, inst, rng):
         if rng.random() < 0.5:
@@ -517,12 +501,22 @@ def _dst_sweep(name, mech, inst, resolution, sweep_opponents, shared) -> list:
     # kept under the rule's owner and name, and every input to it, the
     # strict rivals' bids included, comes from that owner.
     costs = inst.costs
-    grids, rivals = {}, {}
+    grids, sweeps, rivals = {}, {}, {}
 
     def grid(i, cuts):
         if (i, cuts) not in grids:
             grids[i, cuts] = deviation_grid(inst, costs, i, cuts, resolution)
         return grids[i, cuts]
+
+    def sweep(i, cuts):
+        # The truthful bid, then the rest of the grid or, with no cuts (the
+        # outcome is constant in the bid), 0 and 2 * max(B, cost), both past
+        # every cut.
+        if (i, cuts) not in sweeps:
+            cost = costs[i]
+            rest = grid(i, cuts) if cuts else (Rat(0), 2 * max(inst.budget, cost))
+            sweeps[i, cuts] = (cost, *(dev for dev in rest if dev != cost))
+        return sweeps[i, cuts]
 
     def rival_bids(owner):
         # A strict rival bids every cut of the owner's rules, and twice its
@@ -543,28 +537,25 @@ def _dst_sweep(name, mech, inst, resolution, sweep_opponents, shared) -> list:
         if key not in shared:
             owner = scen.owner
             bids = rival_bids(owner) if sweep_opponents else [(c,) for c in costs]
-            verdicts = []
-            for i, cost in enumerate(costs):
-                cuts = owner.cuts(inst, costs, i, scen.rule)
-                # No cuts, no grid: the outcome is constant in the bid, so two
-                # points suffice, both past every cut.
-                points = grid(i, cuts) if cuts else (Rat(0), 2 * max(inst.budget, cost))
-                verdicts.append(_first_gain(scen, inst, i, points, bids))
-            shared[key] = verdicts
+            shared[key] = [
+                _first_gain(scen, inst, i, sweep(i, owner.cuts(inst, costs, i, scen.rule)), bids)
+                for i in range(inst.m)
+            ]
         for i, witness in enumerate(shared[key]):
             witness = witness and {"scenario": scen.branch, **witness}
             checks.append(Check(f"{name}:{scen.branch}:seller{i}", witness is None, witness))
     return checks
 
 
-def _first_gain(scen, inst, i, grid, rival_bids) -> dict | None:
+def _first_gain(scen, inst, i, points, rival_bids) -> dict | None:
     """The witness, less its scenario name, of the first opponent profile
-    in grid order where a deviation of seller i beats its truthful bid.
-    Only seller i's utility is compared, so each profile makes one
-    ``seller_sweep`` of seller i, the truthful bid first, and a utility is
-    computed only where the outcome differs from the previous point's."""
+    in grid order where a deviation of seller i, a point of ``points``
+    after the first, beats its truthful bid, the first.  Only seller i's
+    utility is compared, so each profile makes one ``seller_sweep`` of
+    seller i over ``points``, and a utility is computed only where the
+    outcome differs from the previous point's."""
     owner, rule, cost = scen.owner.name, scen.rule, inst.costs[i]
-    deviations = [dev for dev in grid if dev != cost]
+    deviations = points[1:]
 
     def own_utility(outcome):
         # As ``core.utility``: no rational arithmetic for a seller with no units.
@@ -573,7 +564,7 @@ def _first_gain(scen, inst, i, grid, rival_bids) -> dict | None:
 
     for rivals in itertools.product(*rival_bids[:i], *rival_bids[i + 1 :]):
         base = rivals[:i] + (cost,) + rivals[i:]
-        outcomes = iter(seller_sweep(owner, inst, base, i, rule, (cost, *deviations)))
+        outcomes = iter(seller_sweep(owner, inst, base, i, rule, points))
         last = next(outcomes)
         u_true = own_utility(last)
         for dev, got in zip(deviations, outcomes):

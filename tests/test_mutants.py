@@ -33,7 +33,7 @@ inequality.  Two bought rules exist, the walk's and ``_bought``'s for
 ``run``, so a change to either one shows where they part.  So must the
 posted-count mutants on ``m_rand``: the sweep's count rounded up to
 min(supply, ceil(B / bid)) on ``calibration_corpus()``, and ``m_rand``'s
-count capped at the seller's own units on ``corpora.late_round()``.  The
+posted supply capped at the seller's own units on ``corpora.late_round()``.  The
 star seller paid B + 10^-12 must fail ``budget:star`` within the first
 100 instances of ``m_add``'s corpus: its payment does not read its bid,
 so ``dst`` cannot see it.  ``a_max`` keeping a prefix that costs up to 2B
@@ -54,7 +54,6 @@ from procure.mech_subadditive import MaxRun, RandRun, phi
 from procure.verify import (
     FirstPriceLottery,
     GreedyLottery,
-    Lottery,
     SamplingLottery,
     SingleItemLottery,
     _mask,
@@ -342,13 +341,14 @@ def count_rounded_up():
 
 
 def rand_count_capped_at_own_units():
-    """``SamplingLottery.seller_sweep`` with a seller's posted count capped
-    at its own units, as fire's is, not at the total units."""
+    """``SamplingLottery.posted`` with a seller's posted supply capped at
+    its own units, as fire's is, not at the total units; its cuts shrink
+    with it."""
+    posted = SamplingLottery.posted
 
-    def capped(self, inst, bids, seller, rule, points):
-        if _mask(rule) >> seller & 1:
-            return Lottery.seller_sweep(self, inst, bids, seller, rule, points)
-        return verify._posted_sweep(self, inst, bids, seller, rule, points, inst.units[seller])
+    def capped(self, inst, seller, rule):
+        supply = posted(self, inst, seller, rule)
+        return None if supply is None else inst.units[seller]
 
     return capped
 
@@ -378,12 +378,12 @@ BOUGHT_MUTANTS = {
 }
 
 # Posted-count mutants, each one change to how the posted-count sweep keys
-# a seller's outcome; killed by the one-seller equivalence test on m_rand's
-# corpus named with it.
+# a seller's outcome (the count, or the supply it counts up to); killed by
+# the one-seller equivalence test on m_rand's corpus named with it.
 POSTED_MUTANTS = {
     "count_rounded_up": ((verify, "affordable_count"), count_rounded_up, calibration_corpus),
     "rand_count_capped_at_own_units": (
-        (SamplingLottery, "seller_sweep"),
+        (SamplingLottery, "posted"),
         rand_count_capped_at_own_units,
         lambda: (late_round(),),
     ),

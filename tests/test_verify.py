@@ -528,6 +528,26 @@ def test_cuts_are_complete_on_every_piece(mech):
     assert list(piece_faults(mech, corpus)) == []
 
 
+@pytest.mark.parametrize("mech", MECHANISM_IDS)
+def test_a_posted_rules_cuts_are_its_prices(mech):
+    # Wherever a rule posts prices B/k to a seller, its cuts are exactly
+    # those prices, k up to the posted supply, on a prefix of the
+    # criterion-8 corpus; the lottery listing the rule gives its owner's
+    # supply under the branch's name.
+    lottery = MECHANISMS[mech]
+    posted = 0
+    for inst in dst_corpora()[mech][:DECLARATION_WINDOW]:
+        for s in lottery.scenarios(inst):
+            for i in range(inst.m):
+                supply = s.owner.posted(inst, i, s.rule)
+                assert lottery.posted(inst, i, s.branch) == supply
+                if supply is not None:
+                    prices = {inst.budget / k for k in range(1, supply + 1)}
+                    assert s.owner.cuts(inst, inst.costs, i, s.rule) == prices, (s.branch, i)
+                    posted += 1
+    assert posted or mech in ("m_add", "m_sym")
+
+
 @pytest.mark.parametrize("mech", (*MECHANISM_IDS, "m_add_firstprice"))
 def test_seller_outcome_is_runs_entries(mech):
     # check_dst reads one seller's outcome, and run is its reference: on a
@@ -586,6 +606,35 @@ def _raised(call):
     return None
 
 
+def test_posted_gives_each_rules_supply(two_seller):
+    # fire posts B/k to a seller up to its units, and m_rand up to the total
+    # units to a seller it did not sample; every other rule, and a sampled
+    # seller, gets None.  Every rule of every lottery is pinned.
+    inst = two_seller
+    greedy = {rule: [None, None] for rule in ("greedy", "star", "bot")}
+    one = {"fire": [2, 1], "skip": [None, None]}
+    rand = {
+        "rand:0b0": [3, 3],
+        "rand:0b1": [None, 3],
+        "rand:0b10": [3, None],
+        "rand:0b11": [None, None],
+    }
+    want = {
+        "m_add": greedy,
+        "m_sym": greedy,
+        "m_one": one,
+        "m_rand": rand,
+        "m_sub": {**{f"one:{rule}": got for rule, got in one.items()}, **rand},
+        "m_add_firstprice": greedy,
+    }
+    assert list(want) == list(MECHANISMS)
+    for mech, rules in want.items():
+        lottery = MECHANISMS[mech]
+        assert list(rules) == [s.branch for s in lottery.scenarios(inst)]
+        got = {rule: [lottery.posted(inst, i, rule) for i in range(inst.m)] for rule in rules}
+        assert got == rules, mech
+
+
 def test_reads_parses_a_sample_group_as_run_does(two_seller):
     # A rule reads a seller's bid iff its owner gives it cuts there, and the
     # owner states them all: the greedy's own thresholds, B/k for k up to
@@ -607,20 +656,26 @@ def test_reads_parses_a_sample_group_as_run_does(two_seller):
     bad_names = [
         (rand, "one:fire", "bad m_rand scenario"),
         (rand, "rand:0bx", "bad sample-group mask"),
+        (rand, "rand:0b100", "out of range for 2 sellers"),
         (add, "nope", "unknown branch 'nope'"),
         (one, "bogus", "unknown branch 'bogus'"),
         (sub, "one:bogus", "unknown branch 'bogus'"),
     ]
     for owner, bad, message in bad_names:
-        for call in (lambda: owner.cuts(inst, bids, 0, bad), lambda: owner.run(inst, None, bad)):
+        for call in (
+            lambda: owner.run(inst, None, bad),
+            lambda: owner.posted(inst, 0, bad),
+            lambda: owner.cuts(inst, bids, 0, bad),
+            lambda: list(owner.seller_sweep(inst, bids, 0, bad, (bids[0],))),
+        ):
             with pytest.raises(ValueError, match=message):
                 call()
 
 
 def test_m_sub_resolves_a_branch_to_its_owners_rule(two_seller):
-    # One resolver serves m_sub's run, seller_sweep and cuts: one:<rule>
-    # is m_one's rule, any other name m_rand's, and a bad name gets run's
-    # error from each.  A seller's outcome is its entries of the owner's run.
+    # One resolver serves m_sub's run and posted, so its cuts and
+    # seller_sweep: one:<rule> is m_one's rule, any other name m_rand's, and
+    # a bad name gets run's error from each.  A seller's outcome is its entries of the owner's run.
     inst, bids = two_seller, two_seller.costs
     sub, one, rand = (MECHANISMS[m] for m in ("m_sub", "m_one", "m_rand"))
     for i in range(inst.m):
@@ -645,6 +700,8 @@ def test_m_sub_resolves_a_branch_to_its_owners_rule(two_seller):
     for bad, message in bad_names:
         for call in (
             lambda: sub.run(inst, bids, bad),
+            lambda: sub.posted(inst, 0, bad),
+            lambda: sub.cuts(inst, bids, 0, bad),
             lambda: list(sub.seller_sweep(inst, bids, 0, bad, (bids[0],))),
         ):
             with pytest.raises(ValueError, match=message):
