@@ -113,11 +113,10 @@ class Lottery:
     ``points``, the other bids as in ``bids``, and each must equal that
     seller's entries of ``run`` at that bid.  Both follow from ``posted``
     unless an owner overrides them, as the greedy does: it states its own
-    thresholds and prices that seller alone.
-    Methods reach mechanism functions through their modules at call time
-    (``mech_additive.run_m_add``, never a stored reference), so a wrapper
-    rebound on a module sees every call.  ``name`` is the lottery's id in
-    ``MECHANISMS``.
+    thresholds and prices that seller alone.  Methods reach mechanism
+    functions through their modules at call time (``mech_additive.run_m_add``,
+    never a stored reference), so a wrapper rebound on a module sees every
+    call.  ``name`` is the lottery's id in ``MECHANISMS``.
     """
 
     name: str
@@ -170,8 +169,9 @@ class Lottery:
         """``run``'s entries for the seller at each bid of ``points``, one
         point at a time, so a sweep that stops at its first gain runs no
         further point.  A posted rule keeps them by posted count, read
-        through this module's ``affordable_count``, and runs only at a point
-        whose count is new; a negative point gets ``run``'s error."""
+        through this module's ``affordable_count`` so that a rebound one
+        serves it, and runs only at a point whose count is new; a negative
+        point gets ``run``'s error."""
         supply = self.posted(inst, seller, rule)
         bids = checked_bids(inst, bids)
 
@@ -515,7 +515,7 @@ def _dst_sweep(name, mech, inst, resolution, sweep_opponents, shared) -> list:
         if (i, cuts) not in sweeps:
             cost = costs[i]
             rest = grid(i, cuts) if cuts else (Rat(0), 2 * max(inst.budget, cost))
-            sweeps[i, cuts] = (cost, *(dev for dev in rest if dev != cost))
+            sweeps[i, cuts] = (cost, *[dev for dev in rest if dev != cost])
         return sweeps[i, cuts]
 
     def rival_bids(owner):
