@@ -21,23 +21,27 @@ Archer & Tardos 2001), and the rule's owner states them all in
 ``Lottery.cuts``: the greedy's thresholds, or B/k for k up to the supply
 ``Lottery.posted`` gives a posted-price rule (m_one's ``fire`` and a
 seller m_rand did not sample).  A pair with cuts is swept over
-``deviation_grid`` of them.  A pair with none (m_add's star and bot,
-m_one's skip, a seller m_rand sampled away) never reads the seller's bid,
-so its outcome is constant and truthful whatever it is, and it is swept
-at 0 and 2 * max(B, cost).  A truthful rule is truthful seller by
-seller, so the sweep reads only the deviating seller's outcomes, one
-``seller_sweep`` call per profile of the other sellers' bids, which at
-each point equal that seller's entries of ``run``; the truthful checks,
-the ratio and ``procure run`` read ``run``.  The greedy ranks once per
-sweep, and a posted-price rule runs once per posted count in a sweep: on
-2 x 2,000 units (``greedy_at_scale(2000)`` in the tests) a whole
-``check_dst`` took 0.46 s for m_one and 1.4 s for m_rand on a 2-core host.
+``deviation_grid`` of them: the truthful bid, each cut straddled, and the
+uniform points B * t / R, which one sweep builds once for all its grids,
+each grid placing its other points among them by integer division.  A
+pair with none (m_add's star and bot, m_one's skip, a seller m_rand
+sampled away) never reads the seller's bid, so its outcome is constant
+and truthful whatever it is, and it is swept at 0 and 2 * max(B, cost).
+A truthful rule is truthful seller by seller, so the sweep reads only
+the deviating seller's outcomes, one ``seller_sweep`` call per profile of
+the other sellers' bids, which at each point equal that seller's entries
+of ``run``; the truthful checks, the ratio and ``procure run`` read
+``run``.  The greedy ranks once per sweep, and a posted-price rule runs
+once per posted count in a sweep: on 2 x 2,000 units
+(``greedy_at_scale(2000)`` in the tests) a whole ``check_dst`` took
+0.36-0.52 s for m_one and 0.92-1.04 s for m_rand on a 2-core host.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from . import mech_additive, mech_single_item, mech_subadditive
@@ -444,35 +448,66 @@ def expected_value(mech: str, inst: Instance, *, shared=None) -> float:
     )
 
 
-def deviation_grid(inst, bids, seller, cuts, resolution: int = GRID):
-    """Deviation bids: the truthful bid, each of ``cuts`` straddled by one
-    millionth, and a uniform grid on (0, B].
+def deviation_grid(inst, bids, seller, cuts, resolution: int = GRID, *, uniform=None):
+    """Deviation bids, ascending: the truthful bid, each of ``cuts``
+    straddled by one millionth, and the uniform grid B * t / R for t = 1..R,
+    R the resolution.
 
     ``check_dst`` passes a rule's whole cut set from its owner
     (``Lottery.cuts``): every bid where the rule can change the seller's
     outcome.  The outcome is constant between cuts, so straddling each one
     catches every change a uniform grid could miss.  A rule with no cuts
-    gets no grid: it is swept at 0 and 2 * max(B, cost).
+    gets no grid: it is swept at 0 and 2 * max(B, cost).  ``uniform`` is the
+    uniform grid, ascending, for a caller that builds it once for many
+    grids; without it this call builds its own.
 
-    Every point is built as one rational from integers, a straddle point as
-    bp * (10^6 - 1) / 10^6 or bp * (10^6 + 1) / 10^6, and the grid is
-    sorted by the integer key num * D**2 // den, with D its largest
-    denominator.  Two distinct points a/b and c/d with b, d <= D differ by
-    at least 1/(b*d) >= 1/D**2, so at scale D**2 they lie at least 1 apart
-    and their floors keep the rational order.
+    Only the extra points, the truthful bid and the straddled cuts, are
+    built here, each as one rational from integers (a straddle point as
+    bp * (10^6 - 1) / 10^6 or bp * (10^6 + 1) / 10^6), and each gets the
+    integer key num * D**2 // den, with D their largest denominator.  Two
+    distinct points a/b and c/d with b, d <= D differ by at least
+    1/(b*d) >= 1/D**2, so at scale D**2 they lie at least 1 apart and their
+    floors keep the rational order: equal keys are equal points, so the
+    points are deduplicated and sorted on their keys, and no rational is
+    hashed or compared.  Each extra point x is then placed among the
+    uniform ones by one integer division: t = floor(x * R / B) =
+    floor(x.num * R * B.den / (x.den * B.num)) counts the uniform points
+    at or below x.  A zero remainder means x * R / B is the integer t, so
+    with 1 <= t <= R x is B * t / R, the uniform point already there, and
+    it is dropped; otherwise x goes after the first t uniform points (all
+    of them once t passes R, for x past B).
     """
     if resolution < 1:
         raise ValueError(f"deviation grid resolution must be >= 1, got {resolution}")
     bnum, bden = inst.budget.numerator, inst.budget.denominator
-    grid = {bids[seller]}
+    if uniform is None:
+        uniform = _uniform_grid(inst.budget, resolution)
+    points = [bids[seller]]
     for bp in cuts:
         num = bp.numerator
         if num > 0:
             den = bp.denominator * 10**6
-            grid |= {Rat(num * (10**6 - 1), den), bp, Rat(num * (10**6 + 1), den)}
-    grid |= {Rat(bnum * t, bden * resolution) for t in range(1, resolution + 1)}
-    d2 = max(q.denominator for q in grid) ** 2
-    return sorted(grid, key=lambda q: q.numerator * d2 // q.denominator)
+            points += (Rat(num * (10**6 - 1), den), bp, Rat(num * (10**6 + 1), den))
+    d2 = max(q.denominator for q in points) ** 2
+    by_key = {q.numerator * d2 // q.denominator: q for q in points}
+    scale = resolution * bden
+    grid, placed = [], 0
+    for key in sorted(by_key):
+        x = by_key[key]
+        t, rem = divmod(x.numerator * scale, x.denominator * bnum)
+        if rem == 0 and 1 <= t <= resolution:
+            continue
+        t = max(t, 0)  # a slice stops at R by itself
+        grid += uniform[placed:t]
+        grid.append(x)
+        placed = t
+    return grid + uniform[placed:]
+
+
+def _uniform_grid(budget, resolution: int) -> list:
+    """B * t / R for t = 1..R, ascending, R the resolution."""
+    bnum, bden = budget.numerator, budget.denominator
+    return [Rat(bnum * t, bden * resolution) for t in range(1, resolution + 1)]
 
 
 def check_dst(
@@ -499,23 +534,30 @@ def check_dst(
 def _dst_sweep(name, mech, inst, resolution, sweep_opponents, shared) -> list:
     # One check per (scenario, seller), from its rule's sweep.  The sweep is
     # kept under the rule's owner and name, and every input to it, the
-    # strict rivals' bids included, comes from that owner.
-    costs = inst.costs
+    # strict rivals' bids included, comes from that owner.  Every grid of the
+    # sweep shares one uniform grid.
+    costs, budget = inst.costs, inst.budget
+    uniform = _uniform_grid(budget, resolution)
     grids, sweeps, rivals = {}, {}, {}
 
     def grid(i, cuts):
         if (i, cuts) not in grids:
-            grids[i, cuts] = deviation_grid(inst, costs, i, cuts, resolution)
+            grids[i, cuts] = deviation_grid(inst, costs, i, cuts, resolution, uniform=uniform)
         return grids[i, cuts]
 
     def sweep(i, cuts):
-        # The truthful bid, then the rest of the grid or, with no cuts (the
-        # outcome is constant in the bid), 0 and 2 * max(B, cost), both past
-        # every cut.
+        # The truthful bid, then the rest of the grid, which holds it once,
+        # or, with no cuts (the outcome is constant in the bid), 0 and
+        # 2 * max(B, cost), both past every cut.
         if (i, cuts) not in sweeps:
             cost = costs[i]
-            rest = grid(i, cuts) if cuts else (Rat(0), 2 * max(inst.budget, cost))
-            sweeps[i, cuts] = (cost, *[dev for dev in rest if dev != cost])
+            if cuts:
+                points = grid(i, cuts)
+                k = bisect_left(points, cost)
+                sweeps[i, cuts] = (cost, *points[:k], *points[k + 1 :])
+            else:
+                ends = (Rat(0), 2 * max(budget, cost))
+                sweeps[i, cuts] = (cost, *[d for d in ends if d != cost])
         return sweeps[i, cuts]
 
     def rival_bids(owner):

@@ -170,6 +170,95 @@ def test_deviation_grid_matches_rational_reference(mech):
                 assert got == want, (mech, inst, seller, resolution)
 
 
+def _grid_edge_cases():
+    # (id, budget, truthful bid, cuts) for grids whose extra points meet the
+    # uniform ones B * t / R or each other.  B = 10 and the uniform points
+    # B * t / 8 are also uniform at R = 64.
+    budget = Rat(10)
+    mil = 10**6
+    on_grid = budget * 3 / 8
+    below = on_grid * mil / (mil - 1)  # its lower straddle is on_grid
+    above = on_grid * mil / (mil + 1)  # its upper straddle is on_grid
+    low = Rat(7, 3)
+    high = low * (mil + 1) / (mil - 1)  # its lower straddle is low's upper
+    assert below * (mil - 1) / mil == on_grid == above * (mil + 1) / mil
+    assert high * (mil - 1) / mil == low * (mil + 1) / mil
+    return [
+        ("bid-zero", budget, Rat(0), frozenset({Rat(3)})),
+        ("bid-on-uniform", budget, budget * 5 / 8, frozenset({Rat(3)})),
+        ("bid-at-budget", budget, budget, frozenset({Rat(3)})),
+        ("bid-negative", budget, Rat(-1), frozenset({Rat(3)})),
+        ("cut-on-uniform", budget, Rat(1, 3), frozenset({on_grid})),
+        ("straddle-on-uniform", budget, Rat(1, 3), frozenset({below, above})),
+        ("cut-at-budget", budget, Rat(1, 3), frozenset({budget})),
+        ("cut-above-budget", budget, Rat(1, 3), frozenset({budget * 3, budget + Rat(1, 7)})),
+        ("cut-zero", budget, Rat(1, 3), frozenset({Rat(0), Rat(1)})),
+        ("straddles-coincide", budget, Rat(1, 3), frozenset({low, high})),
+        ("no-cuts", budget, Rat(2), frozenset()),
+        ("many-cuts", budget, Rat(1, 3), frozenset(budget / k for k in range(1, 200))),
+        ("odd-budget", Rat(22, 7), Rat(11, 28), frozenset(Rat(22, 7 * k) for k in range(1, 9))),
+    ]
+
+
+@pytest.mark.parametrize("resolution", [1, 8, 64])
+@pytest.mark.parametrize("case", _grid_edge_cases(), ids=lambda case: case[0])
+def test_deviation_grid_edge_cases_match_rational_reference(case, resolution):
+    # Where an extra point equals a uniform point, another extra point, or
+    # lies at or past B, the placed grid is the rational one, order
+    # included, and the shared uniform grid gives the same list.
+    _, budget, bid, cuts = case
+    inst = Instance((Seller(1, abs(bid)),), budget, BoundedKnapsack((1,)))
+    bids = (bid,)
+    want = reference_deviation_grid(inst, bids, 0, cuts, resolution)
+    got = deviation_grid(inst, bids, 0, cuts, resolution)
+    assert got == want
+    assert all(a < b for a, b in zip(got, got[1:]))
+    uniform = [budget * t / resolution for t in range(1, resolution + 1)]
+    assert deviation_grid(inst, bids, 0, cuts, resolution, uniform=uniform) == want
+
+
+@pytest.mark.parametrize("resolution", [1, 8, 64])
+def test_shared_uniform_grid_is_the_default_on_near_prime_costs(resolution):
+    inst = _near_prime_costs()
+    uniform = [inst.budget * t / resolution for t in range(1, resolution + 1)]
+    for seller in range(inst.m):
+        cuts = seller_cuts("m_add", inst, inst.costs, seller)
+        want = reference_deviation_grid(inst, inst.costs, seller, cuts, resolution)
+        assert deviation_grid(inst, inst.costs, seller, cuts, resolution) == want
+        assert deviation_grid(inst, inst.costs, seller, cuts, resolution, uniform=uniform) == want
+
+
+@pytest.mark.parametrize("mech", sorted(dst_corpora()))
+def test_dst_sweep_points_are_the_truthful_bid_then_the_reference_grid(monkeypatch, mech):
+    # Every sweep check_dst hands to seller_sweep is the truthful bid, then
+    # the rest of the rational reference grid of the owner's cuts, or 0 and
+    # 2 * max(B, cost) where there are none.  The recorder answers with a
+    # constant outcome, so no sweep finds a gain and every pair is swept.
+    from procure import verify
+
+    swept = []
+
+    def record(owner, inst, bids, seller, rule, points):
+        swept.append((owner, seller, rule, points))
+        return [(0, 0)] * len(points)
+
+    monkeypatch.setattr(verify, "seller_sweep", record)
+    for inst in dst_corpora()[mech]:
+        costs = inst.costs
+        rules = {(s.owner.name, s.rule) for s in MECHANISMS[mech].scenarios(inst)}
+        swept.clear()
+        check_dst(mech, inst)
+        assert len(swept) == len(rules) * inst.m
+        for owner, seller, rule, points in swept:
+            cost = costs[seller]
+            cuts = MECHANISMS[owner].cuts(inst, costs, seller, rule)
+            if cuts:
+                rest = reference_deviation_grid(inst, costs, seller, cuts)
+            else:
+                rest = [Rat(0), 2 * max(inst.budget, cost)]
+            assert points == (cost, *[d for d in rest if d != cost]), (mech, inst, seller, rule)
+
+
 def test_utility_is_payment_minus_cost_on_sweep_outcomes():
     # Every seller's utility in every branch outcome, at truthful bids and
     # at the lowest, middle and highest point of each seller's grid.
