@@ -534,8 +534,7 @@ def check_dst(
 def _dst_sweep(name, mech, inst, resolution, sweep_opponents, shared) -> list:
     # One check per (scenario, seller), from its rule's sweep.  The sweep is
     # kept under the rule's owner and name, and every input to it, the
-    # strict rivals' bids included, comes from that owner.  Every grid of the
-    # sweep shares one uniform grid.
+    # strict rivals' bids included, comes from that owner.
     costs, budget = inst.costs, inst.budget
     uniform = _uniform_grid(budget, resolution)
     grids, sweeps, rivals = {}, {}, {}

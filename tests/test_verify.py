@@ -183,7 +183,13 @@ def _grid_edge_cases():
     high = low * (mil + 1) / (mil - 1)  # its lower straddle is low's upper
     assert below * (mil - 1) / mil == on_grid == above * (mil + 1) / mil
     assert high * (mil - 1) / mil == low * (mil + 1) / mil
+    near = _near_prime_costs()
+    near_cases = [
+        (f"near-prime-seller{i}", near.budget, cost, seller_cuts("m_add", near, near.costs, i))
+        for i, cost in enumerate(near.costs)
+    ]
     return [
+        *near_cases,
         ("bid-zero", budget, Rat(0), frozenset({Rat(3)})),
         ("bid-on-uniform", budget, budget * 5 / 8, frozenset({Rat(3)})),
         ("bid-at-budget", budget, budget, frozenset({Rat(3)})),
@@ -215,17 +221,6 @@ def test_deviation_grid_edge_cases_match_rational_reference(case, resolution):
     assert all(a < b for a, b in zip(got, got[1:]))
     uniform = [budget * t / resolution for t in range(1, resolution + 1)]
     assert deviation_grid(inst, bids, 0, cuts, resolution, uniform=uniform) == want
-
-
-@pytest.mark.parametrize("resolution", [1, 8, 64])
-def test_shared_uniform_grid_is_the_default_on_near_prime_costs(resolution):
-    inst = _near_prime_costs()
-    uniform = [inst.budget * t / resolution for t in range(1, resolution + 1)]
-    for seller in range(inst.m):
-        cuts = seller_cuts("m_add", inst, inst.costs, seller)
-        want = reference_deviation_grid(inst, inst.costs, seller, cuts, resolution)
-        assert deviation_grid(inst, inst.costs, seller, cuts, resolution) == want
-        assert deviation_grid(inst, inst.costs, seller, cuts, resolution, uniform=uniform) == want
 
 
 @pytest.mark.parametrize("mech", sorted(dst_corpora()))
